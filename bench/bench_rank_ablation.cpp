@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
       }
       table.add_row({dataset, name, std::to_string(plt.num_vectors()),
                      format_bytes(plt.memory_usage()),
-                     format_bytes(compress::encoded_size(plt)),
+                     format_bytes(compress::encode_plt(plt).size()),
                      format_duration(build), format_duration(mine_time),
                      std::to_string(result.itemsets.size())});
     }

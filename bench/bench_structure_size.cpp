@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     const auto built = core::build_from_database(db, minsup);
     const std::size_t raw = compress::raw_database_bytes(db);
     const std::size_t plt_mem = built.plt.memory_usage();
-    const std::size_t plt_wire = compress::encoded_size(built.plt);
+    const std::size_t plt_wire = compress::encode_plt(built.plt).size();
 
     std::size_t fp_nodes = 0;
     const std::size_t fp_mem =

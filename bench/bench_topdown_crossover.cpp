@@ -7,8 +7,8 @@
 // Also ablates the two top-down variants (canonical vs paper-staged sweep).
 // Emits BENCH_topdown_crossover.json (--out FILE): per-cell timings with the
 // dataset statistics the adaptive planner consumes, plus the winner per
-// support level — the planner's seed thresholds (core::PlanConfig) are
-// calibrated against this artifact.
+// support level — the evidence the planner's root choice rests on: pooled
+// conditional wins every cell, so top-down is never a root candidate.
 #include <fstream>
 #include <iostream>
 
@@ -37,8 +37,8 @@ void write_cells(std::ofstream& out, const std::vector<harness::Cell>& cells) {
 }
 
 // Fastest non-failed algorithm per support level, with the ratio the
-// conditional strategy pays there — the crossover gap the planner's
-// root_topdown thresholds are seeded from.
+// conditional strategy pays there — the crossover gap that keeps top-down
+// expansion out of the adaptive planner's root choice.
 void write_winners(std::ofstream& out,
                    const std::vector<harness::Cell>& cells) {
   std::vector<Count> supports;

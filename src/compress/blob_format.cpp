@@ -37,15 +37,9 @@ std::uint32_t read_u32le(std::span<const std::uint8_t> bytes,
 
 BlobHeader read_blob_header(std::span<const std::uint8_t> blob,
                             const char* who) {
-  if (blob.size() < 4) fail(who, "bad magic");
-  BlobHeader header;
-  if (std::memcmp(blob.data(), kMagicV1, 4) == 0)
-    header.version = 1;
-  else if (std::memcmp(blob.data(), kMagicV2, 4) == 0)
-    header.version = 2;
-  else
+  if (blob.size() < 4 || std::memcmp(blob.data(), kMagicV2, 4) != 0)
     fail(who, "bad magic");
-
+  BlobHeader header;
   std::size_t offset = 4;
   const std::uint64_t raw_max_rank = get_varint(blob, offset);
   // Format limit: alphabets beyond 2^26 are rejected — a corrupted header
@@ -55,14 +49,12 @@ BlobHeader read_blob_header(std::span<const std::uint8_t> blob,
   header.max_rank = static_cast<Rank>(raw_max_rank);
   header.partitions = get_varint(blob, offset);
 
-  if (header.version == 2) {
-    const std::uint32_t stored = read_u32le(blob, offset, who);
-    PLT_ASSERT(offset <= blob.size(), "varint cursor stays in the blob");
-    const std::uint32_t actual = crc32c(blob.subspan(4, offset - 4));
-    note_crc32c_verification();
-    if (stored != actual) fail(who, "header checksum mismatch");
-    offset += 4;
-  }
+  const std::uint32_t stored = read_u32le(blob, offset, who);
+  PLT_ASSERT(offset <= blob.size(), "varint cursor stays in the blob");
+  const std::uint32_t actual = crc32c(blob.subspan(4, offset - 4));
+  note_crc32c_verification();
+  if (stored != actual) fail(who, "header checksum mismatch");
+  offset += 4;
   // Each partition frame costs at least two varint bytes, so a count beyond
   // the blob size is certainly corrupt — reject before any loop trusts it.
   if (header.partitions > blob.size())
@@ -78,37 +70,22 @@ PartitionFrame read_partition_frame(std::span<const std::uint8_t> blob,
   PartitionFrame frame;
   const std::size_t frame_begin = offset;
   const std::uint64_t raw_length = get_varint(blob, offset);
-  frame.block_coded = (raw_length & kFrameBlockCoded) != 0;
+  if ((raw_length & kFrameBlockCoded) == 0)
+    fail(who, "partition frame is not block-coded");
   const std::uint64_t length =
       raw_length & ~static_cast<std::uint64_t>(kFrameBlockCoded);
   if (length == 0 || length > header.max_rank)
     fail(who, "invalid partition length");
-  if (frame.block_coded && header.version == 1)
-    fail(who, "block-coded frame in a PLT1 blob");
   frame.length = static_cast<std::uint32_t>(length);
   frame.entries = get_varint(blob, offset);
-
-  if (header.version == 1) {
-    // No payload extent and no checksum: a minimum-footprint bound (each
-    // entry needs at least length+1 bytes) is the only defense against an
-    // absurd entry count driving a huge reserve.
-    if (frame.entries > (blob.size() - offset) / (frame.length + 1))
-      fail(who, "entry count exceeds blob size");
-    frame.payload_begin = offset;
-    frame.payload_end = 0;
-    return frame;
-  }
 
   const std::uint64_t payload_len = get_varint(blob, offset);
   if (payload_len > blob.size() - offset)
     fail(who, "partition payload runs past the blob");
-  // Minimum entry footprint: scalar frames need at least length position
-  // bytes plus one freq byte; block frames need one byte per value
-  // (length + 2 of them) plus the group control bytes.
+  // Minimum entry footprint: one byte per value (length + 2 of them) plus
+  // the group control bytes.
   const std::uint64_t min_entry_bytes =
-      frame.block_coded
-          ? (frame.length + 2ull) + (frame.length + 5ull) / 4
-          : frame.length + 1ull;
+      (frame.length + 2ull) + (frame.length + 5ull) / 4;
   if (frame.entries > payload_len / min_entry_bytes)
     fail(who, "entry count exceeds payload size");
   frame.payload_begin = offset;
@@ -123,21 +100,8 @@ PartitionFrame read_partition_frame(std::span<const std::uint8_t> blob,
 }
 
 void decode_blob_entry(std::span<const std::uint8_t> blob,
-                       std::size_t& offset, std::uint32_t coded_length,
+                       std::size_t& offset, std::uint32_t length,
                        core::PosVec& v, Count& freq) {
-  const std::uint32_t length = coded_length & ~kFrameBlockCoded;
-  if ((coded_length & kFrameBlockCoded) == 0) {
-    v.clear();
-    for (std::uint32_t i = 0; i < length; ++i) {
-      const std::uint64_t pos = get_varint(blob, offset);
-      if (pos > 0xffffffffull)
-        throw std::runtime_error(
-            "decode_blob_entry: position overflows 32 bits");
-      v.push_back(static_cast<Pos>(pos));
-    }
-    freq = get_varint(blob, offset);
-    return;
-  }
   // One group-varint block of length positions plus the freq split lo/hi.
   v.resize(length + 2);
   const std::size_t consumed = kernels::active().decode_varint_block(

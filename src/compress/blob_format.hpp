@@ -1,28 +1,17 @@
-// Shared parsing for the serialized-PLT container formats.
-//
-// PLT1 (legacy, still decoded):
-//   "PLT1" | varint max_rank | varint partition_count
-//   per partition: varint length | varint entry_count | entries
-//
-// PLT2 (current, written by encode_plt): every section carries a CRC32C so
-// single-byte corruption, truncation and torn writes are detected before
-// any value is trusted:
+// Shared parsing for the serialized-PLT container format, PLT2. Every
+// section carries a CRC32C so single-byte corruption, truncation and torn
+// writes are detected before any value is trusted:
 //   "PLT2" | varint max_rank | varint partition_count |
 //   u32le CRC32C(header varints)
-//   per partition: varint length | varint entry_count | varint payload_len |
-//                  payload | u32le CRC32C(framing varints + payload)
-// `payload` is the entry stream (length positions + freq, all varints).
-//
-// PLT2 block-coded frames (written by encode_plt when
-// EncodeOptions::block_frames is set, the default): the frame-length varint
-// carries kFrameBlockCoded OR'd in — max_rank is capped at 2^26, so bit 27
-// is never set by a scalar frame and old decoders' length check rejects the
-// new frames cleanly instead of misreading them. Each entry's payload is
-// one group-varint block of length+2 u32 values (the positions, then freq
-// split lo/hi): groups of four values share a control byte (2 bits each =
-// byte length - 1) followed by the little-endian value bytes. Entries stay
-// independently decodable at their byte offsets, so the BlobIndex's
-// random-access buckets work unchanged on both subformats.
+//   per partition: varint (length | kFrameBlockCoded) | varint entry_count |
+//                  varint payload_len | payload |
+//                  u32le CRC32C(framing varints + payload)
+// `payload` is the entry stream: each entry is one group-varint block of
+// length+2 u32 values (the positions, then freq split lo/hi). Groups of
+// four values share a control byte (2 bits each = byte length - 1)
+// followed by the little-endian value bytes. Entries stay independently
+// decodable at their byte offsets, which is what the BlobIndex's
+// random-access buckets rely on.
 #pragma once
 
 #include <cstdint>
@@ -33,12 +22,12 @@
 
 namespace plt::compress {
 
-inline constexpr char kMagicV1[4] = {'P', 'L', 'T', '1'};
 inline constexpr char kMagicV2[4] = {'P', 'L', 'T', '2'};
 
-/// Flag OR'd into a PLT2 frame-length varint (and into the coded lengths a
-/// BlobIndex stores): the frame's entries use the group-varint block
-/// layout. Safe because partition lengths are bounded by max_rank <= 2^26.
+/// Flag OR'd into every PLT2 frame-length varint: the frame's entries use
+/// the group-varint block layout. The reader requires it, so a frame
+/// without it is rejected. Safe because partition lengths are bounded by
+/// max_rank <= 2^26.
 inline constexpr std::uint32_t kFrameBlockCoded = 1u << 27;
 
 /// Appends `value` little-endian (the fixed-width CRC slot).
@@ -50,48 +39,43 @@ std::uint32_t read_u32le(std::span<const std::uint8_t> bytes,
                          std::size_t offset, const char* who);
 
 struct BlobHeader {
-  int version = 2;  ///< 1 or 2
   Rank max_rank = 0;
   std::uint64_t partitions = 0;
   std::size_t body_offset = 0;  ///< first partition frame
 };
 
-/// Parses and validates a blob header: magic, max_rank range limit and (v2)
-/// the header CRC, so a corrupted header can never drive a huge allocation.
+/// Parses and validates a blob header: magic, max_rank range limit and the
+/// header CRC, so a corrupted header can never drive a huge allocation.
 /// `who` prefixes error messages. Throws std::runtime_error.
 BlobHeader read_blob_header(std::span<const std::uint8_t> blob,
                             const char* who);
 
 struct PartitionFrame {
   std::uint32_t length = 0;
-  bool block_coded = false;  ///< group-varint entry layout (PLT2 only)
   std::uint64_t entries = 0;
   std::size_t payload_begin = 0;
-  /// One past the entry stream. 0 for v1 frames (extent only known after
-  /// decoding); v2 callers must land exactly here and then skip the 4 CRC
-  /// bytes.
+  /// One past the entry stream; callers must land exactly here and then
+  /// skip the 4 CRC bytes.
   std::size_t payload_end = 0;
 };
 
 /// Parses the partition frame at `offset`, advancing it to the payload
-/// start. For v2 the frame CRC is verified and the declared payload length
-/// is bounds-checked against both the blob size and the minimum entry
-/// footprint (each entry costs at least length+1 bytes) before anything is
-/// decoded. Throws std::runtime_error.
+/// start. The frame CRC is verified, and the declared payload length is
+/// bounds-checked against both the blob size and the minimum entry
+/// footprint before anything is decoded. Throws std::runtime_error.
 PartitionFrame read_partition_frame(std::span<const std::uint8_t> blob,
                                     std::size_t& offset,
                                     const BlobHeader& header,
                                     const char* who);
 
-/// Decodes one entry at `offset` (advanced past it). `coded_length` is the
-/// vector length, with kFrameBlockCoded OR'd in when the entry uses the
-/// group-varint block layout — exactly the form read_partition_frame
-/// parsed and BlobIndex buckets store. Throws std::runtime_error on
-/// truncated input. The kernel dispatch makes the block path SIMD on
-/// supporting hosts; every backend decodes identical bytes to identical
-/// values.
+/// Decodes one entry of vector length `length` at `offset` (advanced past
+/// it). Throws std::runtime_error on truncated input. The kernel dispatch
+/// makes the block decode SIMD on supporting hosts; every backend decodes
+/// identical bytes to identical values. The values are not range-checked
+/// here: build_index and decode_plt check each entry once (see
+/// core::checked_sum).
 void decode_blob_entry(std::span<const std::uint8_t> blob,
-                       std::size_t& offset, std::uint32_t coded_length,
+                       std::size_t& offset, std::uint32_t length,
                        core::PosVec& v, Count& freq);
 
 }  // namespace plt::compress

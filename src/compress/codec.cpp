@@ -31,8 +31,7 @@ void block_entry_values(std::span<const Pos> v, Count freq,
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_plt(const core::Plt& plt,
-                                     const EncodeOptions& options) {
+std::vector<std::uint8_t> encode_plt(const core::Plt& plt) {
   PLT_SPAN("codec-encode");
   PLT_FAILPOINT("codec.encode");
   std::vector<std::uint8_t> out;
@@ -55,24 +54,19 @@ std::vector<std::uint8_t> encode_plt(const core::Plt& plt,
     payload.clear();
     p->for_each([&](core::Partition::EntryId, std::span<const Pos> v,
                     const core::Partition::Entry& e) {
-      if (options.block_frames) {
-        // The group-varint encoding is canonical, so every kernel backend
-        // emits identical payload bytes (and identical CRCs).
-        block_entry_values(v, e.freq, vals);
-        scratch.resize(kernels::encoded_block_bound(vals.size()));
-        const std::size_t n = kernels::active().encode_varint_block(
-            vals.data(), vals.size(), scratch.data());
-        obs::count_kernel("kernel.encode_varint_block.calls",
-                          "kernel.encode_varint_block.bytes", n);
-        payload.insert(payload.end(), scratch.begin(),
-                       scratch.begin() + static_cast<std::ptrdiff_t>(n));
-      } else {
-        for (const Pos pos : v) put_varint(payload, pos);
-        put_varint(payload, e.freq);
-      }
+      // The group-varint encoding is canonical, so every kernel backend
+      // emits identical payload bytes (and identical CRCs).
+      block_entry_values(v, e.freq, vals);
+      scratch.resize(kernels::encoded_block_bound(vals.size()));
+      const std::size_t n = kernels::active().encode_varint_block(
+          vals.data(), vals.size(), scratch.data());
+      obs::count_kernel("kernel.encode_varint_block.calls",
+                        "kernel.encode_varint_block.bytes", n);
+      payload.insert(payload.end(), scratch.begin(),
+                     scratch.begin() + static_cast<std::ptrdiff_t>(n));
     });
     const std::size_t frame_begin = out.size();
-    put_varint(out, options.block_frames ? (k | kFrameBlockCoded) : k);
+    put_varint(out, k | kFrameBlockCoded);
     put_varint(out, p->size());
     put_varint(out, payload.size());
     out.insert(out.end(), payload.begin(), payload.end());
@@ -93,58 +87,22 @@ core::Plt decode_plt(std::span<const std::uint8_t> bytes) {
   for (std::uint64_t p = 0; p < header.partitions; ++p) {
     const PartitionFrame frame =
         read_partition_frame(bytes, offset, header, "decode_plt");
-    const std::uint32_t coded_length =
-        frame.length | (frame.block_coded ? kFrameBlockCoded : 0u);
     for (std::uint64_t e = 0; e < frame.entries; ++e) {
       Count freq = 0;
-      decode_blob_entry(bytes, offset, coded_length, v, freq);
-      for (const Pos pos : v)
-        if (pos == 0 || pos > header.max_rank)
-          throw std::runtime_error("decode_plt: invalid position value");
+      decode_blob_entry(bytes, offset, frame.length, v, freq);
       if (!core::is_valid(v, header.max_rank))
-        throw std::runtime_error("decode_plt: vector sum out of range");
+        throw std::runtime_error("decode_plt: invalid position vector");
       plt.add(v, freq);
     }
-    if (header.version == 2) {
-      if (offset != frame.payload_end)
-        throw std::runtime_error(
-            "decode_plt: partition payload length mismatch");
-      offset = frame.payload_end + 4;  // CRC verified by the frame reader
-    }
+    if (offset != frame.payload_end)
+      throw std::runtime_error(
+          "decode_plt: partition payload length mismatch");
+    offset = frame.payload_end + 4;  // CRC verified by the frame reader
   }
   // Untrusted-input path: under PLT_VALIDATE the decoded structure gets the
-  // full whole-tree check on top of the per-entry range checks above.
+  // full whole-tree check on top of the per-entry range check above.
   core::maybe_validate(plt, "decode_plt");
   return plt;
-}
-
-std::size_t encoded_size(const core::Plt& plt,
-                         const EncodeOptions& options) {
-  std::size_t bytes = 4 + varint_size(plt.max_rank()) + 4;  // header + CRC
-  std::uint32_t partitions = 0;
-  std::vector<std::uint32_t> vals;
-  for (std::uint32_t k = 1; k <= plt.max_len(); ++k) {
-    const core::Partition* p = plt.partition(k);
-    if (!p || p->empty()) continue;
-    ++partitions;
-    std::size_t payload = 0;
-    p->for_each([&](core::Partition::EntryId, std::span<const Pos> v,
-                    const core::Partition::Entry& e) {
-      if (options.block_frames) {
-        block_entry_values(v, e.freq, vals);
-        payload += kernels::encoded_block_size(vals.data(), vals.size());
-      } else {
-        for (const Pos pos : v) payload += varint_size(pos);
-        payload += varint_size(e.freq);
-      }
-    });
-    const std::uint64_t frame_tag =
-        options.block_frames ? (k | kFrameBlockCoded) : k;
-    bytes += varint_size(frame_tag) + varint_size(p->size()) +
-             varint_size(payload) + payload + 4;  // frame + CRC
-  }
-  bytes += varint_size(partitions);
-  return bytes;
 }
 
 std::size_t raw_database_bytes(const tdb::Database& db) {

@@ -1,9 +1,10 @@
 // PLT serialization: a compact on-disk/wire format built on varints.
 //
-// The current container is PLT2 (see blob_format.hpp for the exact layout):
-// a CRC32C over the header varints plus one per partition frame, so any
+// The container is PLT2 (see blob_format.hpp for the exact layout): a
+// CRC32C over the header varints plus one per partition frame, so any
 // single-byte corruption, truncation or torn write is rejected before the
-// data is trusted. Legacy PLT1 blobs (no checksums) still decode.
+// data is trusted. Every frame holds group-varint block entries, the one
+// subformat written and read.
 //
 // Because positions are gaps, the encoding *is* the compression: a k-itemset
 // costs ~k bytes plus its count. round-trips exactly (tests enforce it);
@@ -20,21 +21,13 @@
 
 namespace plt::compress {
 
-struct EncodeOptions {
-  /// Write partition frames in the group-varint block subformat (frame
-  /// flag kFrameBlockCoded, SIMD-decodable): the default. Turn off to emit
-  /// classic scalar-varint PLT2 frames; decode_plt reads both, and legacy
-  /// blobs are unaffected either way.
-  bool block_frames = true;
-};
+/// Serializes a PLT to bytes (PLT2: checksummed header + block-coded
+/// partition frames).
+std::vector<std::uint8_t> encode_plt(const core::Plt& plt);
 
-/// Serializes a PLT to bytes (PLT2: checksummed header + partition frames).
-std::vector<std::uint8_t> encode_plt(const core::Plt& plt,
-                                     const EncodeOptions& options = {});
-
-/// Reconstructs a PLT from a PLT2 or legacy PLT1 blob. Throws
-/// std::runtime_error on malformed input (bad magic, truncation, checksum
-/// mismatch, invalid vectors).
+/// Reconstructs a PLT from a PLT2 blob. Throws std::runtime_error on
+/// malformed input (bad magic, truncation, checksum mismatch, invalid
+/// vectors).
 core::Plt decode_plt(std::span<const std::uint8_t> bytes);
 
 /// Writes a blob to disk atomically: the bytes land in `path + ".tmp"`, are
@@ -46,10 +39,6 @@ void write_blob_file(std::span<const std::uint8_t> bytes,
 
 /// Reads a whole blob file; throws std::runtime_error if unreadable.
 std::vector<std::uint8_t> read_blob_file(const std::string& path);
-
-/// Serialized size without materializing the buffer (for the same options).
-std::size_t encoded_size(const core::Plt& plt,
-                         const EncodeOptions& options = {});
 
 /// Raw horizontal-layout cost of the same information in a plain database
 /// encoding (4 bytes per item occurrence + 8 per transaction) — the E1

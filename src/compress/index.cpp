@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "compress/blob_format.hpp"
-#include "compress/varint.hpp"
 #include "util/common.hpp"
 
 namespace plt::compress {
@@ -25,33 +24,30 @@ BlobIndex build_index(std::span<const std::uint8_t> blob) {
   std::size_t offset = header.body_offset;
   core::PosVec v;
   for (std::uint64_t p = 0; p < header.partitions; ++p) {
-    // The frame reader verifies the v2 CRC (and bounds-checks the declared
-    // lengths on both versions) before any entry byte is interpreted.
+    // The frame reader verifies the CRC and bounds-checks the declared
+    // lengths before any entry byte is interpreted.
     const PartitionFrame frame =
         read_partition_frame(blob, offset, header, "build_index");
     BlobIndex::PartitionRange range;
     range.length = frame.length;
-    range.block_coded = frame.block_coded;
     range.entries = frame.entries;
     range.begin = offset;
-    const std::uint32_t coded_length =
-        frame.length | (frame.block_coded ? kFrameBlockCoded : 0u);
     for (std::uint64_t e = 0; e < frame.entries; ++e) {
       const std::uint64_t entry_offset = offset;
       Count freq = 0;
-      decode_blob_entry(blob, offset, coded_length, v, freq);
-      const Rank sum = core::vector_sum(v);
-      if (sum == 0 || sum > index.max_rank)
-        throw std::runtime_error("build_index: vector sum out of range");
-      index.buckets[sum - 1].emplace_back(coded_length, entry_offset);
+      decode_blob_entry(blob, offset, frame.length, v, freq);
+      // The same per-entry check decode_plt applies: every later reader of
+      // these buckets (serve scans, the OOC overlay) trusts the positions.
+      const Rank sum = core::checked_sum(v, index.max_rank);
+      if (sum == 0)
+        throw std::runtime_error("build_index: invalid position vector");
+      index.buckets[sum - 1].emplace_back(frame.length, entry_offset);
     }
     range.end = offset;
-    if (header.version == 2) {
-      if (offset != frame.payload_end)
-        throw std::runtime_error(
-            "build_index: partition payload length mismatch");
-      offset = frame.payload_end + 4;  // skip the verified CRC
-    }
+    if (offset != frame.payload_end)
+      throw std::runtime_error(
+          "build_index: partition payload length mismatch");
+    offset = frame.payload_end + 4;  // skip the verified CRC
     index.partitions.push_back(range);
   }
   return index;
@@ -64,12 +60,10 @@ std::size_t decode_partition(
   core::PosVec v;
   for (const auto& range : index.partitions) {
     if (range.length != length) continue;
-    const std::uint32_t coded_length =
-        range.length | (range.block_coded ? kFrameBlockCoded : 0u);
     std::size_t offset = range.begin;
     for (std::uint64_t e = 0; e < range.entries; ++e) {
       Count freq = 0;
-      decode_blob_entry(blob, offset, coded_length, v, freq);
+      decode_blob_entry(blob, offset, range.length, v, freq);
       fn(v, freq);
     }
     return range.entries;
@@ -87,10 +81,10 @@ std::size_t decode_bucket(
              "BlobIndex bucket count must match its max_rank");
   core::PosVec v;
   const auto& bucket = index.buckets[sum - 1];
-  for (const auto& [coded_length, entry_offset] : bucket) {
+  for (const auto& [length, entry_offset] : bucket) {
     std::size_t offset = entry_offset;
     Count freq = 0;
-    decode_blob_entry(blob, offset, coded_length, v, freq);
+    decode_blob_entry(blob, offset, length, v, freq);
     fn(v, freq);
   }
   return bucket.size();

@@ -17,24 +17,23 @@ namespace plt::compress {
 struct BlobIndex {
   struct PartitionRange {
     std::uint32_t length = 0;
-    bool block_coded = false;  ///< group-varint entry layout
-    std::uint64_t begin = 0;   ///< byte offset of the entry stream
+    std::uint64_t begin = 0;  ///< byte offset of the entry stream
     std::uint64_t end = 0;
     std::uint64_t entries = 0;
   };
   Rank max_rank = 0;
   std::vector<PartitionRange> partitions;
-  /// entry_offsets[s-1]: byte offsets (into the blob) of entries whose
-  /// vector sum is s, across all partitions, paired with their *coded*
-  /// length — the vector length with kFrameBlockCoded OR'd in for block
-  /// frames, ready to hand to decode_blob_entry.
+  /// buckets[s-1]: byte offsets (into the blob) of entries whose vector
+  /// sum is s, across all partitions, paired with their vector length —
+  /// ready to hand to decode_blob_entry.
   std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>> buckets;
 
   std::size_t memory_usage() const;
 };
 
-/// Scans an encoded PLT once and builds the index.
-/// Throws std::runtime_error on malformed input.
+/// Scans an encoded PLT once and builds the index, checking every frame CRC
+/// and every entry's positions (core::checked_sum) on the way. Throws
+/// std::runtime_error on malformed input.
 BlobIndex build_index(std::span<const std::uint8_t> blob);
 
 /// Decodes only the vectors of partition `length` through the callback

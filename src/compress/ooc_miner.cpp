@@ -27,13 +27,10 @@ std::size_t stream_bucket(std::span<const std::uint8_t> blob,
                           const BlobIndex& index, Rank sum, Fn&& fn) {
   std::size_t bytes = 0;
   core::PosVec v;
-  for (const auto& [coded_length, entry_offset] : index.buckets[sum - 1]) {
-    // The coded length carries the frame's kFrameBlockCoded flag, so block
-    // entries take the SIMD group-varint decode and scalar frames the
-    // classic varint loop — both at the same random-access offsets.
+  for (const auto& [length, entry_offset] : index.buckets[sum - 1]) {
     std::size_t offset = entry_offset;
     Count freq = 0;
-    decode_blob_entry(blob, offset, coded_length, v, freq);
+    decode_blob_entry(blob, offset, length, v, freq);
     bytes += offset - entry_offset;
     fn(std::span<const Pos>(v), freq);
   }

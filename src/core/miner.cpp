@@ -89,28 +89,6 @@ struct ResilienceScope {
   }
 };
 
-// Runs the top-down path for the adaptive root plan. Returns false when
-// the expansion guard overflowed — that throw happens before anything is
-// emitted, so the caller can fall back to the conditional walk cleanly.
-bool run_planned_topdown(const RankedView& view, Count min_support,
-                         const ItemsetSink& sink, const MineOptions& options,
-                         MineResult& result) {
-  Timer mine_timer;
-  TopDownOptions topdown;
-  topdown.max_transaction_len = options.topdown_max_transaction_len;
-  topdown.control = options.control;
-  TopDownStats stats;
-  try {
-    mine_topdown(view, min_support, sink, TopDownVariant::kCanonical,
-                 topdown, &stats);
-  } catch (const TopDownOverflow&) {
-    return false;
-  }
-  result.structure_bytes = stats.table_bytes;
-  result.mine_seconds = mine_timer.seconds();
-  return true;
-}
-
 MineResult mine_plt_family(const tdb::Database& db, Count min_support,
                            Algorithm algorithm, const MineOptions& options,
                            Planner* planner) {
@@ -135,23 +113,10 @@ MineResult mine_plt_family(const tdb::Database& db, Count min_support,
           const tdb::Stats stats = tdb::compute_stats(view.db);
           auto partitions =
               tdb::compute_all_partition_stats(view.db, max_rank);
-          root = planner->choose_root(stats, partitions, min_support,
-                                      options.topdown_max_transaction_len);
+          root = planner->choose_root(stats, partitions, min_support);
           planner->set_partition_stats(std::move(partitions));
         }
-        if (root == Planner::Root::kTopDown) {
-          result.build_seconds = build_timer.seconds();
-          if (run_planned_topdown(view, min_support, sink, options,
-                                  result)) {
-            PLT_TRACE_COUNT("plan.root.topdown", 1);
-            result.plan_root = "topdown";
-            return result;
-          }
-          // Guard overflow before any emission: fall through to the
-          // conditional walk, planner still attached.
-          PLT_TRACE_COUNT("plan.root.fallback", 1);
-          result.plan_root = "fallback-conditional";
-        } else if (root == Planner::Root::kEclat) {
+        if (root == Planner::Root::kEclat) {
           PLT_TRACE_COUNT("plan.root.eclat", 1);
           result.plan_root = "eclat";
           baselines::BaselineStats stats;
@@ -161,10 +126,9 @@ MineResult mine_plt_family(const tdb::Database& db, Count min_support,
           result.mine_seconds = stats.mine_seconds;
           result.structure_bytes = stats.structure_bytes;
           return result;
-        } else {
-          PLT_TRACE_COUNT("plan.root.conditional", 1);
-          result.plan_root = "conditional";
         }
+        PLT_TRACE_COUNT("plan.root.conditional", 1);
+        result.plan_root = "conditional";
       }
       Plt plt = build_plt(view.db, max_rank);
       maybe_validate(plt, "mine: build_plt");

@@ -77,9 +77,8 @@ struct MineResult {
   /// Set when status == kBudgetExceeded: how to retry within the budget
   /// (e.g. switch to the out-of-core blob path).
   std::string degradation_hint;
-  /// Root strategy the adaptive planner executed ("conditional",
-  /// "topdown", "eclat", or "fallback-conditional" after a top-down
-  /// overflow); empty under the fixed plan or for non-planned algorithms.
+  /// Root strategy the adaptive planner executed ("conditional" or
+  /// "eclat"); empty under the fixed plan or for non-planned algorithms.
   std::string plan_root;
   /// The aggregated span tree of this mine (see obs/trace.hpp), set when
   /// runtime tracing is enabled (PLT_TRACE / obs::set_enabled) and no outer

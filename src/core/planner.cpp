@@ -71,21 +71,10 @@ Planner::Planner(const PlanConfig& config)
 
 Planner::Root Planner::choose_root(
     const tdb::Stats& stats, std::span<const tdb::PartitionStats> partitions,
-    Count min_support, std::uint32_t topdown_guard_len) const {
+    Count min_support) const {
   if (stats.transactions == 0) return Root::kConditional;
   const double frac = static_cast<double>(min_support) /
                       static_cast<double>(stats.transactions);
-  // Top-down expansion materializes the 2^len subset table per
-  // transaction: a win exactly when transactions are short, the database
-  // is dense (few subsets die) and the threshold is low (projection has
-  // many surviving subtrees to walk). All three gates come straight from
-  // the BENCH_topdown_crossover cells.
-  if (config_.allow_root_topdown &&
-      stats.max_len <= std::min<std::size_t>(config_.root_topdown_max_len,
-                                             topdown_guard_len) &&
-      frac <= config_.root_topdown_max_minsup_frac &&
-      stats.density >= config_.root_topdown_min_density)
-    return Root::kTopDown;
   // Vertical mining keeps one tidset per item; on sparse views those stay
   // short and intersections (a SIMD kernel) beat repeated projection. The
   // mass-weighted partition density is the sharper sparsity signal: the

@@ -1,15 +1,16 @@
 // Adaptive execution planner: picks the mining strategy and the kernel
 // backend per conditional subtree from cheap dataset statistics, instead
-// of trusting one fixed choice for the whole mine. The crossover benches
-// (BENCH_topdown_crossover.json, BENCH_kernels.json) show the winners are
+// of trusting one fixed choice for the whole mine. The benches
+// (BENCH_adaptive.json, BENCH_kernels.json) show the winners are
 // predictable from density / transaction length / support skew — the same
 // observation arXiv 1312.4800 makes for extraction time in general — so
 // the planner turns those measured thresholds into a small cost model:
 //
-//   * root strategy  — topdown expansion when every transaction is short
-//     and the threshold is a sliver of the database (the regime where the
-//     2^len table beats projection); Eclat when the view is sparse enough
-//     that tidsets stay short; pooled-conditional otherwise.
+//   * root strategy  — Eclat when the view is sparse enough that tidsets
+//     stay short, or the lattice is shallow; pooled-conditional otherwise.
+//     Top-down expansion (Algorithm 2) is never a root candidate:
+//     BENCH_topdown_crossover.json has the pooled engine winning every §6
+//     cell, so it stays reachable only as an explicit Algorithm.
 //   * per-subtree    — single-path expansion when a conditional database
 //     collapses to one vector (every subset shares one support; no
 //     projection needed), tidset intersection for small shallow shapes,
@@ -60,23 +61,7 @@ PlanMode active_plan();
 /// re-calibrate without rebuilding.
 struct PlanConfig {
   // -- root strategy (the facade's algorithm choice) --
-  /// Off by default: BENCH_topdown_crossover.json measures the pooled
-  /// conditional engine winning every cell of the §6 crossover sweep down
-  /// to minsup 1 (pooled frames + single-path expansion erase the regime
-  /// the paper anticipated for top-down), so the calibrated seed never
-  /// selects an expansion that only loses. The gates below describe the
-  /// regime top-down would need; tests and re-calibrations flip this on.
-  bool allow_root_topdown = false;
   bool allow_root_eclat = true;
-  /// Top-down only when the longest transaction fits this cap (the 2^len
-  /// subset table; also capped by MineOptions::topdown_max_transaction_len)
-  /// ...
-  std::uint32_t root_topdown_max_len = 14;
-  /// ... the relative threshold is below this (BENCH_topdown_crossover:
-  /// projection wins above the crossover, expansion below it) ...
-  double root_topdown_max_minsup_frac = 0.005;
-  /// ... and the ranked view is dense enough that most subsets survive.
-  double root_topdown_min_density = 0.15;
   /// Eclat root, gate one: sparse views keep tidsets short. Density at or
   /// below this hands the whole mine to the vertical baseline.
   double root_eclat_max_density = 0.02;
@@ -125,7 +110,7 @@ struct SubtreeShape {
 /// therefore traces — are deterministic and thread-count-invariant).
 class Planner {
  public:
-  enum class Root { kConditional, kTopDown, kEclat };
+  enum class Root { kConditional, kEclat };
   enum class Subtree { kPooled, kSinglePath, kEclat };
 
   explicit Planner(const PlanConfig& config = {});
@@ -133,12 +118,9 @@ class Planner {
   const PlanConfig& config() const { return config_; }
 
   /// Root strategy from the ranked view's global + per-partition stats.
-  /// `topdown_guard_len` is MineOptions::topdown_max_transaction_len: the
-  /// planner never picks an expansion the guard would overflow on.
   Root choose_root(const tdb::Stats& stats,
                    std::span<const tdb::PartitionStats> partitions,
-                   Count min_support,
-                   std::uint32_t topdown_guard_len) const;
+                   Count min_support) const;
 
   /// Strategy for one conditional subtree.
   Subtree choose_subtree(const SubtreeShape& shape,

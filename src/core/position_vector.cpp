@@ -35,12 +35,18 @@ Rank vector_sum(std::span<const Pos> positions) {
 }
 
 bool is_valid(std::span<const Pos> positions, Rank max_rank) {
+  return positions.empty() || checked_sum(positions, max_rank) != 0;
+}
+
+Rank checked_sum(std::span<const Pos> positions, Rank max_rank) {
   Rank acc = 0;
   for (const Pos p : positions) {
-    if (p < 1) return false;
+    // acc <= max_rank holds here, so comparing p against the headroom
+    // cannot wrap the way acc + p can.
+    if (p < 1 || p > max_rank - acc) return 0;
     acc += p;
   }
-  return positions.empty() || acc <= max_rank;
+  return acc;
 }
 
 PosVec drop_last(std::span<const Pos> v) {

@@ -30,6 +30,12 @@ Rank vector_sum(std::span<const Pos> positions);
 /// sum does not exceed max_rank).
 bool is_valid(std::span<const Pos> positions, Rank max_rank);
 
+/// vector_sum(positions) when `positions` is a well-formed non-empty vector
+/// over max_rank, else 0. One overflow-safe pass: hostile positions such as
+/// {0xFFFFFFFF, 2} cannot wrap the sum back into range. Blob readers use it
+/// to check an entry and find its Lemma 4.1.1 bucket at once.
+Rank checked_sum(std::span<const Pos> positions, Rank max_rank);
+
 /// All level-(k-1) subset vectors of `v` per Lemma 4.1.3: the tail-drop form
 /// (a) followed by the k-1 merge forms (b), in merge-position order.
 std::vector<PosVec> level_subsets(std::span<const Pos> v);

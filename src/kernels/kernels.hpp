@@ -140,7 +140,4 @@ constexpr std::size_t encoded_block_bound(std::size_t n) {
   return (n + 3) / 4 + 4 * n;
 }
 
-/// Exact encoded size of a value sequence (for encoded_size() accounting).
-std::size_t encoded_block_size(const std::uint32_t* values, std::size_t n);
-
 }  // namespace plt::kernels

@@ -22,10 +22,4 @@ constexpr Dispatch kScalarDispatch = {
 
 const Dispatch& scalar_dispatch() { return kScalarDispatch; }
 
-std::size_t encoded_block_size(const std::uint32_t* values, std::size_t n) {
-  std::size_t bytes = (n + 3) / 4;  // one control byte per group
-  for (std::size_t i = 0; i < n; ++i) bytes += detail::gv_byte_len(values[i]);
-  return bytes;
-}
-
 }  // namespace plt::kernels

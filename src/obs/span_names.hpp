@@ -70,8 +70,6 @@ inline constexpr std::string_view kCounters[] = {
     "plan.rank.single-path",
     "plan.root.conditional",
     "plan.root.eclat",
-    "plan.root.fallback",
-    "plan.root.topdown",
     "plan.subtree.eclat",
     "plan.subtree.pooled",
     "plan.subtree.single-path",

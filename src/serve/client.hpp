@@ -1,10 +1,10 @@
 // Blocking client for the plt-serve protocol — the test/bench/plt-query
 // counterpart of the daemon's nonblocking path. One connection, one
 // outstanding request at a time (call() writes a frame and reads frames
-// until the response with the matching request_id arrives, since the server
-// may interleave out-of-order responses from other requests batched in the
-// same tick). send_raw() bypasses encoding entirely so the fuzz suite can
-// put arbitrary bytes on the wire.
+// until the response with the matching request_id arrives, skipping any
+// response to a request that send_raw() pipelined earlier). send_raw()
+// bypasses encoding entirely so the fuzz suite can put arbitrary bytes on
+// the wire.
 #pragma once
 
 #include <cstdint>

@@ -15,9 +15,10 @@
 //   u32le request_id
 //
 // followed by a typed body on kOk, or `u32le detail_len | detail` (ASCII
-// diagnostic) on any error status. Responses may arrive in any order —
-// the server batches concurrent requests by partition for cache locality —
-// so clients correlate by request_id.
+// diagnostic) on any error status. Clients correlate responses by
+// request_id: the server answers a frame it rejects while parsing at once,
+// ahead of earlier well-formed requests still waiting for their tick's
+// execution pass.
 //
 // Queries are expressed in *rank* space (Definition 4.1.1): the PLT2 blob
 // stores position vectors over ranks 1..max_rank and carries no item map,

@@ -23,14 +23,6 @@ namespace plt::serve {
 
 namespace {
 
-/// Sort/group key for per-tick batching: requests that will scan the same
-/// sum buckets land adjacently. The top rank of the queried itemset is the
-/// first bucket a support scan touches; membership touches exactly it.
-std::uint64_t batch_key(const Request& request) {
-  const Rank top = request.ranks.empty() ? 0 : request.ranks.back();
-  return (std::uint64_t{request.blob_id} << 32) | top;
-}
-
 Response make_error(Opcode opcode, std::uint32_t request_id, Status status,
                     std::string detail) {
   Response response;
@@ -58,9 +50,8 @@ std::string StatsSnapshot::to_json() const {
       << ",\"connections\":" << connections
       << ",\"disconnects\":" << disconnects
       << ",\"protocol_errors\":" << protocol_errors
-      << ",\"overloaded\":" << overloaded << ",\"batches\":" << batches
-      << ",\"batched_requests\":" << batched_requests
-      << ",\"reloads\":" << reloads << ",\"classes\":{";
+      << ",\"overloaded\":" << overloaded << ",\"reloads\":" << reloads
+      << ",\"classes\":{";
   bool first = true;
   for (std::size_t op = 0; op < kOpcodeCount; ++op) {
     const PerClass& c = per_class[op];
@@ -165,8 +156,6 @@ struct Server::Worker {
   std::uint64_t disconnects PLT_GUARDED_BY(stats_mutex) = 0;
   std::uint64_t protocol_errors PLT_GUARDED_BY(stats_mutex) = 0;
   std::uint64_t overloaded PLT_GUARDED_BY(stats_mutex) = 0;
-  std::uint64_t batches PLT_GUARDED_BY(stats_mutex) = 0;
-  std::uint64_t batched_requests PLT_GUARDED_BY(stats_mutex) = 0;
 
   // Worker-thread-only: never touched off the owning worker's loop.
   std::unordered_map<int, Connection> conns;
@@ -252,8 +241,6 @@ StatsSnapshot Server::stats() const {
     snapshot.disconnects += worker->disconnects;
     snapshot.protocol_errors += worker->protocol_errors;
     snapshot.overloaded += worker->overloaded;
-    snapshot.batches += worker->batches;
-    snapshot.batched_requests += worker->batched_requests;
   }
   snapshot.reloads = reloads_.load(std::memory_order_relaxed);
   if (const std::shared_ptr<const BlobSet> set = store_.snapshot())
@@ -538,30 +525,15 @@ void Server::worker_loop(Worker& worker) {
       }
     }
 
-    // ---- batched execution: group this tick's requests by partition ----
+    // ---- execute this tick's requests, in arrival order, against one
+    // BlobStore snapshot (a concurrent reload swaps in after the tick) ----
     if (!worker.pending.empty()) {
-      std::stable_sort(worker.pending.begin(), worker.pending.end(),
-                       [](const PendingRequest& a, const PendingRequest& b) {
-                         return batch_key(a.request) < batch_key(b.request);
-                       });
       const std::shared_ptr<const BlobSet> snapshot = store_.snapshot();
-      std::uint64_t groups = 0, grouped_requests = 0;
-      std::uint64_t previous_key = ~std::uint64_t{0};
       for (const PendingRequest& item : worker.pending) {
         auto it = worker.conns.find(item.fd);
         if (it == worker.conns.end()) continue;  // died earlier this tick
-        const std::uint64_t key = batch_key(item.request);
-        if (key != previous_key) {
-          ++groups;
-          previous_key = key;
-        } else {
-          ++grouped_requests;
-        }
         execute(it->second, item.request, *snapshot);
       }
-      MutexLock lock(worker.stats_mutex);
-      worker.batches += groups;
-      worker.batched_requests += grouped_requests;
     }
 
     // Flush everything with queued output.

@@ -6,11 +6,12 @@
 // per tick), the global in-flight byte budget (one atomic), and the
 // per-worker stats mutex the admin endpoint takes when merging.
 //
-// Batching: all requests decoded in one event-loop tick are executed
-// grouped by (blob, top-rank bucket) before any response is flushed, so
-// concurrent queries against the same partition run back-to-back over warm
-// pages. Responses therefore leave in batch order, not arrival order —
-// the protocol's request_id correlation makes that explicit.
+// Event loop: each tick reads every ready socket, decodes all complete
+// frames into a pending list, then executes those requests in arrival
+// order against one BlobStore snapshot before flushing any response, so a
+// reload that lands mid-tick takes effect at the next tick. A frame
+// rejected while parsing is answered at once, ahead of the tick's executed
+// requests — clients correlate responses by request_id.
 //
 // Admission control: per-request MiningControl deadlines (request header
 // or server default) bound scan time, and a global in-flight memory budget
@@ -65,8 +66,6 @@ struct StatsSnapshot {
   std::uint64_t disconnects = 0;       ///< peer closed mid-frame
   std::uint64_t protocol_errors = 0;   ///< bad magic/version/oversized/...
   std::uint64_t overloaded = 0;        ///< admissions refused over budget
-  std::uint64_t batches = 0;           ///< executed request groups
-  std::uint64_t batched_requests = 0;  ///< requests that shared a batch
   std::uint64_t reloads = 0;
   std::uint32_t generation = 0;
 

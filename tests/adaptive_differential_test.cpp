@@ -49,7 +49,6 @@ void expect_same_order(const core::FrequentItemsets& fixed,
 // per-subtree strategies differ — the regime where raw order must match.
 core::PlanConfig subtree_only() {
   core::PlanConfig config;
-  config.allow_root_topdown = false;
   config.allow_root_eclat = false;
   return config;
 }

@@ -1,8 +1,8 @@
 // Crash-recoverable out-of-core mining: a failpoint kills the blob walk
 // mid-run, a second run resumes from the rank-granular checkpoint log, and
 // the combined emission sequence must be byte-identical to an uninterrupted
-// mine. Also covers the PLT2 container hardening (CRC rejection, legacy
-// PLT1 decode) and atomic blob file writes.
+// mine. Also covers the PLT2 container hardening (CRC rejection) and
+// atomic blob file writes.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,7 +14,6 @@
 #include "compress/checkpoint.hpp"
 #include "compress/codec.hpp"
 #include "compress/ooc_miner.hpp"
-#include "compress/varint.hpp"
 #include "core/builder.hpp"
 #include "datagen/quest.hpp"
 #include "util/crc32c.hpp"
@@ -349,40 +348,6 @@ TEST_F(Checkpoint, Plt2RejectsPayloadCorruptionByCrc) {
   corrupt[corrupt.size() - 8] ^= 0x40;
   EXPECT_THROW((void)decode_plt(corrupt), std::runtime_error);
   EXPECT_THROW((void)build_index(corrupt), std::runtime_error);
-}
-
-TEST_F(Checkpoint, LegacyPlt1StillDecodes) {
-  // Hand-build a checksum-less v1 blob: two partitions, three vectors.
-  std::vector<std::uint8_t> blob{'P', 'L', 'T', '1'};
-  put_varint(blob, 4);  // max_rank
-  put_varint(blob, 2);  // partitions
-  put_varint(blob, 1);  // length 1
-  put_varint(blob, 2);  // two entries
-  put_varint(blob, 3);  // {3}
-  put_varint(blob, 7);  //   freq 7
-  put_varint(blob, 4);  // {4}
-  put_varint(blob, 2);  //   freq 2
-  put_varint(blob, 2);  // length 2
-  put_varint(blob, 1);  // one entry
-  put_varint(blob, 1);  // {1, 2}: gap-coded 1, 1
-  put_varint(blob, 1);
-  put_varint(blob, 5);  //   freq 5
-
-  const auto plt = decode_plt(blob);
-  EXPECT_EQ(plt.max_rank(), 4u);
-  std::size_t entries = 0;
-  Count mass = 0;
-  plt.for_each([&](core::Plt::Ref, std::span<const Pos>,
-                   const core::Partition::Entry& e) {
-    ++entries;
-    mass += e.freq;
-  });
-  EXPECT_EQ(entries, 3u);
-  EXPECT_EQ(mass, 14u);
-
-  // And the index/OOC path accepts it too.
-  const auto index = build_index(blob);
-  EXPECT_EQ(index.max_rank, 4u);
 }
 
 // ---- atomic blob file writes --------------------------------------------

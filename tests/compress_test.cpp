@@ -1,10 +1,11 @@
 // Compression & serialization tests: varint round-trips and failure modes,
-// PLT codec round-trips, size accounting, and selective decode via the
-// blob index.
+// PLT codec round-trips, hostile values behind valid CRCs, and selective
+// decode via the blob index.
 #include <gtest/gtest.h>
 
 #include <map>
 
+#include "blob_test_support.hpp"
 #include "compress/blob_format.hpp"
 #include "compress/codec.hpp"
 #include "compress/index.hpp"
@@ -80,7 +81,6 @@ std::map<core::PosVec, Count> plt_contents(const core::Plt& plt) {
 TEST(Codec, RoundTripSmall) {
   const auto plt = sample_plt();
   const auto blob = encode_plt(plt);
-  EXPECT_EQ(blob.size(), encoded_size(plt));
   const auto decoded = decode_plt(blob);
   EXPECT_EQ(decoded.max_rank(), plt.max_rank());
   EXPECT_EQ(plt_contents(decoded), plt_contents(plt));
@@ -100,57 +100,6 @@ TEST(Codec, RoundTripRealWorkload) {
   EXPECT_LT(blob.size(), built.plt.memory_usage());
 }
 
-TEST(Codec, BlockAndScalarSubformatsRoundTrip) {
-  datagen::QuestConfig cfg;
-  cfg.transactions = 800;
-  cfg.items = 80;
-  cfg.seed = 11;
-  const auto db = datagen::generate_quest(cfg);
-  const auto built = core::build_from_database(db, 3);
-
-  EncodeOptions block;
-  block.block_frames = true;
-  EncodeOptions scalar;
-  scalar.block_frames = false;
-
-  const auto block_blob = encode_plt(built.plt, block);
-  const auto scalar_blob = encode_plt(built.plt, scalar);
-  EXPECT_EQ(block_blob.size(), encoded_size(built.plt, block));
-  EXPECT_EQ(scalar_blob.size(), encoded_size(built.plt, scalar));
-  EXPECT_NE(block_blob, scalar_blob);  // distinct subformats on the wire
-
-  // Both subformats decode to the same PLT.
-  EXPECT_EQ(plt_contents(decode_plt(block_blob)), plt_contents(built.plt));
-  EXPECT_EQ(plt_contents(decode_plt(scalar_blob)), plt_contents(built.plt));
-}
-
-TEST(Codec, ScalarFrameBlobIndexStillWorks) {
-  EncodeOptions scalar;
-  scalar.block_frames = false;
-  const auto plt = sample_plt();
-  const auto blob = encode_plt(plt, scalar);
-  const auto index = build_index(blob);
-  for (const auto& range : index.partitions) EXPECT_FALSE(range.block_coded);
-  std::map<core::PosVec, Count> seen;
-  for (Rank sum = 1; sum <= index.max_rank; ++sum)
-    decode_bucket(blob, index, sum, [&](std::span<const Pos> v, Count freq) {
-      seen[core::PosVec(v.begin(), v.end())] = freq;
-    });
-  EXPECT_EQ(seen, plt_contents(plt));
-}
-
-TEST(Codec, BlockFlagRejectedOnV1) {
-  // A v1 blob may not carry the v2-only block-coded frame flag.
-  std::vector<std::uint8_t> blob{'P', 'L', 'T', '1'};
-  put_varint(blob, 4);  // max_rank
-  put_varint(blob, 1);  // one partition
-  put_varint(blob, 1u | kFrameBlockCoded);  // flagged length: invalid on v1
-  put_varint(blob, 1);  // one entry
-  put_varint(blob, 1);  // position
-  put_varint(blob, 1);  // freq
-  EXPECT_THROW(decode_plt(blob), std::runtime_error);
-}
-
 TEST(Codec, BadMagicThrows) {
   auto blob = encode_plt(sample_plt());
   blob[0] = 'X';
@@ -163,52 +112,80 @@ TEST(Codec, TruncatedBlobThrows) {
   EXPECT_THROW(decode_plt(blob), std::runtime_error);
 }
 
+// ---- hostile values behind valid CRCs ----------------------------------
+
+using plt::testing::block_frame;
+using plt::testing::RawFrame;
+using plt::testing::sealed_blob;
+
+TEST(Codec, SealedBlobMatchesTheEncoder) {
+  // The helper writes the encoder's exact bytes for a well-formed PLT, so
+  // the hostile blobs below differ from real ones only where they mean to.
+  core::Plt plt(4);
+  plt.add(core::PosVec{1, 2}, 4);
+  plt.add(core::PosVec{3}, 2);
+  const auto expected = encode_plt(plt);
+  const auto hand = sealed_blob(
+      4, {block_frame(1, {{{3}, 2}}), block_frame(2, {{{1, 2}, 4}})});
+  EXPECT_EQ(hand, expected);
+}
+
 TEST(Codec, CorruptPositionThrows) {
-  // Hand-build a blob with a zero position value.
-  std::vector<std::uint8_t> blob{'P', 'L', 'T', '1'};
-  put_varint(blob, 4);  // max_rank
-  put_varint(blob, 1);  // one partition
-  put_varint(blob, 1);  // length 1
-  put_varint(blob, 1);  // one entry
-  put_varint(blob, 0);  // invalid position 0
-  put_varint(blob, 1);  // freq
+  // A zero position value.
+  const auto blob = sealed_blob(4, {block_frame(1, {{{0}, 1}})});
   EXPECT_THROW(decode_plt(blob), std::runtime_error);
+  EXPECT_THROW(build_index(blob), std::runtime_error);
+}
+
+TEST(Codec, PositionAboveMaxRankThrows) {
+  const auto blob = sealed_blob(4, {block_frame(1, {{{5}, 1}})});
+  EXPECT_THROW(decode_plt(blob), std::runtime_error);
+  EXPECT_THROW(build_index(blob), std::runtime_error);
+}
+
+TEST(Codec, EntryCountPayloadMismatchThrows) {
+  // Two entries in the payload, one declared: the reader stops short of the
+  // payload end. And the reverse: two declared, one present.
+  RawFrame extra_bytes = block_frame(1, {{{1}, 1}, {{2}, 1}});
+  extra_bytes.entries = 1;
+  RawFrame missing_entry = block_frame(1, {{{1}, 1}, {{2}, 1}});
+  missing_entry.payload.resize(missing_entry.payload.size() / 2);
+  for (const RawFrame& frame : {extra_bytes, missing_entry}) {
+    const auto blob = sealed_blob(4, {frame});
+    EXPECT_THROW(decode_plt(blob), std::runtime_error);
+    EXPECT_THROW(build_index(blob), std::runtime_error);
+  }
+}
+
+TEST(Codec, FrameWithoutBlockFlagThrows) {
+  // Every frame must carry kFrameBlockCoded: block entries are the only
+  // subformat the reader accepts.
+  RawFrame frame = block_frame(1, {{{1}, 1}});
+  frame.length_tag = 1;
+  const auto blob = sealed_blob(4, {frame});
+  EXPECT_THROW(decode_plt(blob), std::runtime_error);
+  EXPECT_THROW(build_index(blob), std::runtime_error);
+}
+
+TEST(Codec, Plt1MagicThrows) {
+  const char plt1[4] = {'P', 'L', 'T', '1'};
+  const auto blob = sealed_blob(4, {block_frame(1, {{{1}, 1}})}, plt1);
+  EXPECT_THROW(decode_plt(blob), std::runtime_error);
+  EXPECT_THROW(build_index(blob), std::runtime_error);
 }
 
 TEST(Codec, WideFrequencySurvivesBothSubformats) {
-  // Block frames split the 64-bit freq into lo/hi u32 words; scalar frames
-  // emit one varint. Both paths must round-trip counts past 2^32 exactly
-  // (the -Wconversion audit's intentional-truncation sites in codec.cpp).
+  // Block frames split the 64-bit freq into lo/hi u32 words; counts past
+  // 2^32 must round-trip exactly (the -Wconversion audit's
+  // intentional-truncation sites in codec.cpp).
   core::Plt plt(4);
   const Count wide = (Count{1} << 32) + 3;
   const Count wider = (Count{5} << 40) + 9;
   plt.add(std::vector<Pos>{1, 2}, wide);
   plt.add(std::vector<Pos>{3}, wider);
-  for (const bool block : {true, false}) {
-    EncodeOptions options;
-    options.block_frames = block;
-    const auto blob = encode_plt(plt, options);
-    EXPECT_EQ(blob.size(), encoded_size(plt, options));
-    const auto decoded = decode_plt(blob);
-    EXPECT_EQ(decoded.freq_of(std::vector<Pos>{1, 2}), wide)
-        << "block=" << block;
-    EXPECT_EQ(decoded.freq_of(std::vector<Pos>{3}), wider)
-        << "block=" << block;
-  }
-}
-
-TEST(Codec, OversizedPositionVarintThrows) {
-  // A position varint just past 32 bits would truncate to the in-range
-  // value 2 if the decoder narrowed blindly; the guard must reject the
-  // entry instead (silent-truncation regression for the static_cast<Pos>).
-  std::vector<std::uint8_t> blob{'P', 'L', 'T', '1'};
-  put_varint(blob, 4);                 // max_rank
-  put_varint(blob, 1);                 // one partition
-  put_varint(blob, 1);                 // length 1
-  put_varint(blob, 1);                 // one entry
-  put_varint(blob, (1ull << 32) + 2);  // position overflows Pos
-  put_varint(blob, 1);                 // freq
-  EXPECT_THROW(decode_plt(blob), std::runtime_error);
+  const auto decoded = decode_plt(encode_plt(plt));
+  EXPECT_EQ(decoded.freq_of(std::vector<Pos>{1, 2}), wide);
+  EXPECT_EQ(decoded.freq_of(std::vector<Pos>{3}), wider);
 }
 
 TEST(Codec, RawDatabaseBytes) {

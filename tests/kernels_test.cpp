@@ -216,7 +216,6 @@ TEST(KernelDiff, VarintBlockRoundTrip) {
     std::vector<std::uint8_t> ref_bytes(kernels::encoded_block_bound(n));
     const std::size_t ref_len = kernels::scalar_dispatch().encode_varint_block(
         values.data(), n, ref_bytes.data());
-    EXPECT_EQ(ref_len, kernels::encoded_block_size(values.data(), n));
     // Scalar decode closes the loop.
     std::vector<std::uint32_t> decoded(n);
     EXPECT_EQ(kernels::scalar_dispatch().decode_varint_block(

@@ -194,14 +194,13 @@ TEST(Planner, RootBranches) {
 
   // Defaults: Table 1 is a shallow lattice at a high threshold (ranked
   // max_len 4, minsup 2/6), so the second eclat gate takes the root.
-  EXPECT_EQ(Planner().choose_root(stats, partitions, kMinSup, 24),
+  EXPECT_EQ(Planner().choose_root(stats, partitions, kMinSup),
             Planner::Root::kEclat);
 
-  // With the vertical root off, projection keeps it: the threshold is far
-  // above the top-down crossover.
+  // With the vertical root off, projection keeps it.
   PlanConfig no_eclat;
   no_eclat.allow_root_eclat = false;
-  EXPECT_EQ(Planner(no_eclat).choose_root(stats, partitions, kMinSup, 24),
+  EXPECT_EQ(Planner(no_eclat).choose_root(stats, partitions, kMinSup),
             Planner::Root::kConditional);
 
   // The shallow gate needs BOTH short transactions and a high threshold:
@@ -209,28 +208,16 @@ TEST(Planner, RootBranches) {
   // frac 1/3) makes it fall back to projection.
   PlanConfig deep;
   deep.root_eclat_max_len = 3;
-  EXPECT_EQ(Planner(deep).choose_root(stats, partitions, kMinSup, 24),
+  EXPECT_EQ(Planner(deep).choose_root(stats, partitions, kMinSup),
             Planner::Root::kConditional);
   PlanConfig low_frac;
   low_frac.root_eclat_min_minsup_frac = 0.5;
-  EXPECT_EQ(Planner(low_frac).choose_root(stats, partitions, kMinSup, 24),
-            Planner::Root::kConditional);
-
-  PlanConfig force_topdown;
-  force_topdown.allow_root_topdown = true;
-  force_topdown.allow_root_eclat = false;
-  force_topdown.root_topdown_max_minsup_frac = 1.0;
-  force_topdown.root_topdown_min_density = 0.0;
-  EXPECT_EQ(Planner(force_topdown).choose_root(stats, partitions, kMinSup, 24),
-            Planner::Root::kTopDown);
-  // The guard cap always wins over the config cap.
-  EXPECT_EQ(Planner(force_topdown).choose_root(stats, partitions, kMinSup, 3),
+  EXPECT_EQ(Planner(low_frac).choose_root(stats, partitions, kMinSup),
             Planner::Root::kConditional);
 
   PlanConfig force_eclat;
-  force_eclat.allow_root_topdown = false;
   force_eclat.root_eclat_max_density = 1.0;
-  EXPECT_EQ(Planner(force_eclat).choose_root(stats, partitions, kMinSup, 24),
+  EXPECT_EQ(Planner(force_eclat).choose_root(stats, partitions, kMinSup),
             Planner::Root::kEclat);
 }
 
@@ -302,18 +289,7 @@ TEST(Planner, AdaptiveRootAuditTrail) {
   plt::testing::expect_same_itemsets(fixed.itemsets, conditional.itemsets,
                                      "adaptive conditional");
 
-  MineOptions topdown = adaptive;
-  topdown.plan_config.allow_root_topdown = true;
-  topdown.plan_config.root_topdown_max_minsup_frac = 1.0;
-  topdown.plan_config.root_topdown_min_density = 0.0;
-  const auto expanded =
-      mine(db, kMinSup, Algorithm::kPltConditional, topdown);
-  EXPECT_EQ(expanded.plan_root, "topdown");
-  plt::testing::expect_same_itemsets(fixed.itemsets, expanded.itemsets,
-                                     "adaptive topdown");
-
   MineOptions eclat = adaptive;
-  eclat.plan_config.allow_root_topdown = false;
   eclat.plan_config.allow_root_eclat = true;
   eclat.plan_config.root_eclat_max_density = 1.0;
   const auto vertical =
@@ -332,7 +308,6 @@ TEST(Planner, AdaptiveSubtreeCounters) {
 
   MineOptions pooled_only;
   pooled_only.plan = "adaptive";
-  pooled_only.plan_config.allow_root_topdown = false;
   pooled_only.plan_config.allow_root_eclat = false;
   pooled_only.plan_config.allow_subtree_single_path = false;
   pooled_only.plan_config.allow_subtree_eclat = false;

@@ -45,7 +45,19 @@ TEST(PositionVector, IsValidRejectsZeroAndOverflow) {
   EXPECT_TRUE(is_valid(PosVec{1, 2, 1}, 4));
   EXPECT_FALSE(is_valid(PosVec{1, 2, 2}, 4));  // sum 5 > 4
   EXPECT_FALSE(is_valid(PosVec{0, 1}, 4));     // zero position
+  EXPECT_FALSE(is_valid(PosVec{0xFFFFFFFFu, 2}, 4));  // sum wraps to 1 in u32
   EXPECT_TRUE(is_valid(PosVec{}, 4));
+}
+
+TEST(PositionVector, CheckedSumIsZeroExactlyWhenInvalid) {
+  EXPECT_EQ(checked_sum(PosVec{1, 2, 1}, 4), 4u);
+  EXPECT_EQ(checked_sum(PosVec{3}, 4), 3u);
+  EXPECT_EQ(checked_sum(PosVec{1, 2, 2}, 4), 0u);
+  EXPECT_EQ(checked_sum(PosVec{0, 3}, 4), 0u);
+  EXPECT_EQ(checked_sum(PosVec{0xFFFFFFFFu, 2}, 4), 0u);
+  EXPECT_EQ(checked_sum(PosVec{2, 0xFFFFFFFFu}, 4), 0u);
+  EXPECT_EQ(checked_sum(PosVec{}, 4), 0u);
+  EXPECT_EQ(checked_sum(PosVec{0xFFFFFFFFu}, 0xFFFFFFFFu), 0xFFFFFFFFu);
 }
 
 TEST(PositionVector, DropLastAndMergeForms) {

@@ -1,11 +1,14 @@
 // Robustness / failure-injection suite: randomly corrupted serialized
-// blobs and hostile FIMI inputs must produce clean errors (or, when the
-// corruption happens to decode, a structurally valid result) — never
-// crashes, hangs, or silent misuse.
+// blobs (including corruption re-sealed behind valid CRCs) and hostile
+// FIMI inputs must produce clean errors (or, when the corruption happens
+// to decode, a structurally valid result) — never crashes, hangs, or
+// silent misuse.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 
+#include "blob_test_support.hpp"
 #include "compress/codec.hpp"
 #include "compress/index.hpp"
 #include "compress/ooc_miner.hpp"
@@ -13,6 +16,7 @@
 #include "core/miner.hpp"
 #include "core/topdown.hpp"
 #include "datagen/quest.hpp"
+#include "serve/blob_store.hpp"
 #include "tdb/io.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
@@ -131,6 +135,76 @@ TEST(Fuzz, OocMinerRandomBytes) {
     mine_blob_expecting_no_crash(junk, 2);
   }
   SUCCEED();
+}
+
+// Plain mutations almost all stop at a frame CRC. This pass mutates
+// payload bytes and then re-seals the frame CRC, so every mutation reaches
+// the entry decoder and the value checks behind it. The contract is the
+// same: a clean std::runtime_error or a structurally valid result, from
+// decode_plt, build_index and the out-of-core miner alike.
+TEST(Fuzz, ResealedPayloadCorruptionReachesValueChecks) {
+  const auto blob = sample_blob();
+  const auto spans = testing::frame_spans(blob);
+  Rng rng(6);
+  std::size_t decoded = 0, rejected = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    auto mutated = blob;
+    const testing::FrameSpan& span = spans[rng.next_below(spans.size())];
+    const std::size_t flips = 1 + rng.next_below(3);
+    for (std::size_t f = 0; f < flips; ++f) {
+      const auto pos =
+          span.payload_begin +
+          rng.next_below(span.payload_end - span.payload_begin);
+      mutated[pos] = static_cast<std::uint8_t>(rng.next_u64());
+    }
+    testing::reseal_frame(mutated, span);
+    try {
+      const auto plt = compress::decode_plt(mutated);
+      ++decoded;
+      plt.for_each([&](core::Plt::Ref, std::span<const Pos> v,
+                       const core::Partition::Entry&) {
+        ASSERT_TRUE(core::is_valid(v, plt.max_rank()));
+      });
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+    try {
+      const auto index = compress::build_index(mutated);
+      for (Rank sum = 1; sum <= index.max_rank; ++sum)
+        compress::decode_bucket(
+            mutated, index, sum, [&](std::span<const Pos> v, Count) {
+              ASSERT_EQ(core::checked_sum(v, index.max_rank), sum);
+            });
+    } catch (const std::runtime_error&) {
+    }
+    mine_blob_expecting_no_crash(mutated, 3);
+  }
+  // Both outcomes occur, so the pass really gets past the checksums.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(rejected, 0u);
+}
+
+// Hostile entries behind valid CRCs over max_rank 4: {0xFFFFFFFF, 2}, whose
+// u32 position sum wraps to 1, and {0, 3}, with a zero position. Every
+// reader must refuse both with a typed error; indexing them would hand the
+// out-of-core overlay a bucket index out of range.
+TEST(Fuzz, ValidCrcHostilePositionsThrowInEveryReader) {
+  const std::vector<Item> item_of = {1, 2, 3, 4};
+  for (const std::vector<std::uint32_t>& positions :
+       {std::vector<std::uint32_t>{0xFFFFFFFFu, 2},
+        std::vector<std::uint32_t>{0, 3}}) {
+    const auto blob =
+        testing::sealed_blob(4, {testing::block_frame(2, {{positions, 1}})});
+    EXPECT_THROW((void)compress::decode_plt(blob), std::runtime_error);
+    EXPECT_THROW((void)compress::build_index(blob), std::runtime_error);
+    EXPECT_THROW(compress::mine_from_blob(blob, item_of, 1,
+                                          [](std::span<const Item>, Count) {}),
+                 std::runtime_error);
+    const std::string path = ::testing::TempDir() + "hostile_positions.plt";
+    compress::write_blob_file(blob, path);
+    EXPECT_THROW((void)serve::load_blob(path), std::runtime_error);
+    std::remove(path.c_str());
+  }
 }
 
 TEST(Fuzz, HostileFimiInputs) {

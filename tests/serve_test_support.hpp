@@ -3,6 +3,7 @@
 #pragma once
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <memory>
 #include <string>
@@ -17,12 +18,15 @@ namespace plt::testing {
 
 /// Builds the paper's Table 1 PLT at `minsup` (no prefix insertion, so
 /// core::support_of is an exact reference) and writes the PLT2 blob under
-/// gtest's temp dir. Returns the blob path.
+/// gtest's temp dir. Returns the blob path, which carries the process id:
+/// ctest runs each test in its own process, in parallel, and two processes
+/// writing one path race on its temp-file rename.
 inline std::string write_table1_blob(Count minsup, const std::string& name) {
   const core::BuiltPlt built = core::build_from_database(
       paper_table1(), minsup);
   const std::vector<std::uint8_t> bytes = compress::encode_plt(built.plt);
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path =
+      ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
   compress::write_blob_file(bytes, path);
   return path;
 }
