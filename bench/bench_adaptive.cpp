@@ -31,14 +31,15 @@ using namespace plt;
 struct Strategy {
   const char* label;
   core::Algorithm algorithm;
-  const char* plan;  // "" = fixed (process default), or "adaptive"
+  core::PlanMode plan;
 };
 
 constexpr Strategy kStrategies[] = {
-    {"conditional", core::Algorithm::kPltConditional, "fixed"},
-    {"topdown", core::Algorithm::kPltTopDownCanonical, "fixed"},
-    {"eclat", core::Algorithm::kEclat, "fixed"},
-    {"adaptive", core::Algorithm::kPltConditional, "adaptive"},
+    {"conditional", core::Algorithm::kPltConditional, core::PlanMode::kFixed},
+    {"topdown", core::Algorithm::kPltTopDownCanonical,
+     core::PlanMode::kFixed},
+    {"eclat", core::Algorithm::kEclat, core::PlanMode::kFixed},
+    {"adaptive", core::Algorithm::kPltConditional, core::PlanMode::kAdaptive},
 };
 
 struct CellRun {
@@ -161,7 +162,6 @@ int main(int argc, char** argv) {
   using namespace plt;
   const Args args(argc, argv);
   if (!harness::apply_backend_flag(args)) return 2;
-  if (!harness::apply_plan_flag(args)) return 2;
   harness::TraceScope trace_scope(args);
   const double scale = args.get_double("scale", 1.0);
   const int reps = std::max(1, static_cast<int>(args.get_int("reps", 3)));

@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   using namespace plt;
   const Args args(argc, argv);
   if (!harness::apply_backend_flag(args)) return 2;
-  if (!harness::apply_plan_flag(args)) return 2;
   harness::TraceScope trace_scope(args);
   const double scale = args.get_double("scale", 1.0);
 

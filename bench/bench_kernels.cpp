@@ -106,19 +106,22 @@ struct EndToEndRow {
   bool identical = false;
 };
 
+// Mines on `backend`, then restores the process backend the run started
+// with (the --backend flag's choice for the rest of the report).
 double time_mine(const tdb::Database& db, Count minsup,
-                 core::Algorithm algorithm, const std::string& backend,
+                 core::Algorithm algorithm, kernels::Backend backend,
                  core::FrequentItemsets& out) {
+  const kernels::Backend before = kernels::active().backend;
+  kernels::set_backend(backend);
   double best = 0.0;
-  core::MineOptions options;
-  options.kernel_backend = backend;
   for (int rep = 0; rep < 3; ++rep) {
     Timer t;
-    core::MineResult result = core::mine(db, minsup, algorithm, options);
+    core::MineResult result = core::mine(db, minsup, algorithm);
     const double s = t.seconds();
     if (rep == 0 || s < best) best = s;
     out = std::move(result.itemsets);
   }
+  kernels::set_backend(before);
   return best;
 }
 
@@ -164,7 +167,6 @@ void write_json(const std::string& path, double scale,
 int main(int argc, char** argv) {
   const Args args(argc, argv);
   if (!harness::apply_backend_flag(args)) return 2;
-  if (!harness::apply_plan_flag(args)) return 2;
   harness::TraceScope trace_scope(args);
   const double scale = args.get_double("scale", 1.0);
   const std::string out_path = args.get("out", "BENCH_kernels.json");
@@ -337,10 +339,10 @@ int main(int argc, char** argv) {
     const Count minsup = grid.front();
     for (const auto& algo : algos) {
       core::FrequentItemsets scalar_out, simd_out;
-      const double scalar_s =
-          time_mine(db, minsup, algo.algorithm, "scalar", scalar_out);
-      const double simd_s =
-          time_mine(db, minsup, algo.algorithm, "simd", simd_out);
+      const double scalar_s = time_mine(
+          db, minsup, algo.algorithm, kernels::Backend::kScalar, scalar_out);
+      const double simd_s = time_mine(db, minsup, algo.algorithm,
+                                      kernels::best_supported(), simd_out);
       EndToEndRow row;
       row.dataset = sweep.dataset;
       row.algorithm = algo.name;

@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   using namespace plt;
   const Args args(argc, argv);
   if (!harness::apply_backend_flag(args)) return 2;
-  if (!harness::apply_plan_flag(args)) return 2;
   harness::TraceScope trace_scope(args);
   constexpr Item A = 1, B = 2, C = 3, D = 4, E = 5, F = 6;
   const auto db = tdb::Database::from_transactions({

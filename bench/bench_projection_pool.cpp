@@ -163,7 +163,6 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
 int main(int argc, char** argv) {
   const Args args(argc, argv);
   if (!harness::apply_backend_flag(args)) return 2;
-  if (!harness::apply_plan_flag(args)) return 2;
   harness::TraceScope trace_scope(args);
   const double scale = args.get_double("scale", 1.0);
   const std::string out_path =

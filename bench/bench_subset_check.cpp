@@ -188,19 +188,27 @@ BENCHMARK(BM_PairDecodeThenIncludes);
 
 }  // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): the shared --backend flag is
-// stripped before the remaining arguments reach google-benchmark.
+// Custom main instead of BENCHMARK_MAIN(): every flag the shared harness
+// consumed (--backend, --trace, --trace-folded) is stripped before the
+// remaining arguments reach google-benchmark, which exits on any flag it
+// does not know.
 int main(int argc, char** argv) {
   const plt::Args args(argc, argv);
   if (!plt::harness::apply_backend_flag(args)) return 2;
-  if (!plt::harness::apply_plan_flag(args)) return 2;
   plt::harness::TraceScope trace_scope(args);
-  std::vector<char*> rest;
-  for (int i = 0; i < argc; ++i) {
+  std::vector<char*> rest = {argv[0]};
+  for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];
-    if (arg == "--backend") { ++i; continue; }  // space-separated value
-    if (arg.rfind("--backend=", 0) == 0) continue;
-    rest.push_back(argv[i]);
+    const std::string_view name = arg.substr(0, arg.find('='));
+    if (name != "--backend" && name != "--trace" && name != "--trace-folded") {
+      rest.push_back(argv[i]);
+      continue;
+    }
+    // `--flag value`: Args took the next argument as the value unless it is
+    // itself a flag, so skip exactly what Args consumed.
+    if (name == arg && i + 1 < argc &&
+        std::string_view(argv[i + 1]).rfind("--", 0) != 0)
+      ++i;
   }
   int rest_argc = static_cast<int>(rest.size());
   benchmark::Initialize(&rest_argc, rest.data());

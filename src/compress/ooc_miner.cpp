@@ -87,10 +87,6 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
                                      const core::ItemsetSink& sink,
                                      OocStats* stats,
                                      const OocOptions& options) {
-  if (!core::select_plan(options.plan))
-    throw std::invalid_argument("mine_from_blob: unknown plan \"" +
-                                options.plan +
-                                "\" (expected fixed or adaptive)");
   const core::MiningControl* control = options.control;
   const std::uint64_t checks0 = control != nullptr ? control->checks() : 0;
   const std::uint64_t failpoint0 = FailpointRegistry::instance().total_hits();
@@ -206,7 +202,7 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
   // so there are no view-partition stats to hand over. Emission order is
   // strategy-invariant, so checkpoint records stay exact across plans.
   std::optional<core::Planner> planner;
-  if (core::active_plan() == core::PlanMode::kAdaptive) {
+  if (options.plan == core::PlanMode::kAdaptive) {
     planner.emplace(options.plan_config);
     engine.set_planner(&*planner);
   }
@@ -218,7 +214,7 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
   // reinserted from higher ranks alike — is the full path over ranks
   // 1..j-1, so CD_j is exactly single-path without scanning it.
   std::optional<core::Planner> rank_planner;
-  if (core::active_plan() == core::PlanMode::kAdaptive &&
+  if (options.plan == core::PlanMode::kAdaptive &&
       !options.partition_stats.empty()) {
     rank_planner.emplace(options.plan_config);
     rank_planner->set_partition_stats(options.partition_stats);

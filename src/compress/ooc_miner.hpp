@@ -51,12 +51,11 @@ struct OocOptions {
   /// With a checkpoint path set: replay a matching existing log instead of
   /// restarting from scratch. false always restarts (the log is rewritten).
   bool resume = true;
-  /// Execution plan ("", "fixed", "adaptive" — see core::select_plan).
-  /// Adaptive routes each streamed rank's conditional subtrees through the
-  /// planner; emissions stay byte-identical in content and order, so
-  /// checkpoints written under one plan replay under the other. Unknown
-  /// names throw std::invalid_argument.
-  std::string plan;
+  /// Execution plan of this call only. Adaptive routes each streamed
+  /// rank's conditional subtrees through the planner; emissions stay
+  /// byte-identical in content and order, so checkpoints written under one
+  /// plan replay under the other.
+  core::PlanMode plan = core::PlanMode::kFixed;
   /// Cost-model thresholds used when the adaptive plan is active.
   core::PlanConfig plan_config;
   /// Rank window to mine, inclusive (0 = unbounded end: the full range

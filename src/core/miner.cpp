@@ -9,14 +9,12 @@
 #include "baselines/fpgrowth.hpp"
 #include "baselines/hmine.hpp"
 #include <optional>
-#include <stdexcept>
 
 #include "core/builder.hpp"
 #include "core/conditional.hpp"
 #include "core/planner.hpp"
 #include "core/topdown.hpp"
 #include "core/validate.hpp"
-#include "kernels/kernels.hpp"
 #include "tdb/stats.hpp"
 #include "util/crc32c.hpp"
 #include "util/failpoint.hpp"
@@ -298,18 +296,10 @@ MineResult mine_impl(const tdb::Database& db, Count min_support,
 MineResult mine(const tdb::Database& db, Count min_support,
                 Algorithm algorithm, const MineOptions& options) {
   PLT_ASSERT(min_support >= 1, "min_support must be >= 1");
-  if (!kernels::select_backend(options.kernel_backend))
-    throw std::invalid_argument("mine: unknown or unavailable kernel "
-                                "backend \"" +
-                                options.kernel_backend + '"');
-  if (!select_plan(options.plan))
-    throw std::invalid_argument("mine: unknown plan \"" + options.plan +
-                                "\" (expected fixed or adaptive)");
-  // The planner is per-mine (it captures the post-selection kernel tables
-  // and, on the facade path, the view's partition stats).
+  // The planner is per-mine (it captures the kernel tables and, on the
+  // facade path, the view's partition stats).
   std::optional<Planner> planner;
-  if (active_plan() == PlanMode::kAdaptive)
-    planner.emplace(options.plan_config);
+  if (options.plan == PlanMode::kAdaptive) planner.emplace(options.plan_config);
   // Every mining path funnels through here, so this one wrapper gives all
   // fifteen algorithms their root spans: "mine" > "<algorithm-name>" >
   // (whatever the path records below — the baselines stay coarse, the PLT

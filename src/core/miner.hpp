@@ -44,18 +44,11 @@ struct MineOptions {
   /// Cooperative cancellation / deadline / memory budget, checked at
   /// projection boundaries on every algorithm path. Null = unlimited.
   const MiningControl* control = nullptr;
-  /// Kernel backend for this and subsequent mines ("", "auto", "scalar",
-  /// "simd", "sse42", "avx2" — see kernels::select_backend). Empty keeps
-  /// the process-wide selection; the switch is process-wide because every
-  /// backend computes identical functions. Unknown or unavailable names
-  /// throw std::invalid_argument.
-  std::string kernel_backend;
-  /// Execution plan ("", "fixed", "adaptive" — see core::select_plan).
-  /// Empty keeps the process-wide selection (default fixed, or PLT_PLAN).
-  /// Adaptive lets the planner pick the root strategy and per-subtree
-  /// strategies/backends from dataset statistics; the mined output is
-  /// byte-identical either way. Unknown names throw std::invalid_argument.
-  std::string plan;
+  /// Execution plan of this call only. Adaptive lets the planner pick the
+  /// root strategy and per-subtree strategies/backends from dataset
+  /// statistics; the mined output is byte-identical either way. (The
+  /// kernel backend is process configuration, see kernels::set_backend.)
+  PlanMode plan = PlanMode::kFixed;
   /// Cost-model thresholds used when the adaptive plan is active.
   PlanConfig plan_config;
 };

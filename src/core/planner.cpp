@@ -1,44 +1,10 @@
-// Plan-mode selection mirrors kernels/dispatch.cpp: one atomic holding
-// the process-wide mode, the PLT_PLAN environment variable resolved at
-// first use, and named selection that refuses unknown names. The cost
-// model itself lives in Planner — pure functions of (config, stats,
+// The cost model lives in Planner — pure functions of (config, stats,
 // shape), so a plan is reproducible from the trace counters it leaves.
+// Whether a mine plans at all is its caller's per-call PlanMode; nothing in
+// this file is process-wide.
 #include "core/planner.hpp"
 
-#include <atomic>
-#include <cstdlib>
-
 namespace plt::core {
-
-namespace {
-
-constexpr int kUnset = -1;
-
-std::atomic<int> g_mode{kUnset};
-
-int resolve_default() {
-  if (const char* env = std::getenv("PLT_PLAN")) {
-    const std::string name(env);
-    if (name == "adaptive") return static_cast<int>(PlanMode::kAdaptive);
-    // Unknown or "fixed" in the environment: fixed, never fail a process
-    // that did not ask for planning.
-  }
-  return static_cast<int>(PlanMode::kFixed);
-}
-
-int load_mode() {
-  int mode = g_mode.load(std::memory_order_acquire);
-  if (mode == kUnset) {
-    const int resolved = resolve_default();
-    if (g_mode.compare_exchange_strong(mode, resolved,
-                                       std::memory_order_acq_rel,
-                                       std::memory_order_acquire))
-      mode = resolved;  // first resolver published; losers use what they read
-  }
-  return mode;
-}
-
-}  // namespace
 
 const char* plan_name(PlanMode mode) {
   switch (mode) {
@@ -48,21 +14,11 @@ const char* plan_name(PlanMode mode) {
   return "?";
 }
 
-bool select_plan(const std::string& name) {
-  if (name.empty()) return true;  // keep the current selection
-  PlanMode mode;
-  if (name == "fixed") {
-    mode = PlanMode::kFixed;
-  } else if (name == "adaptive") {
-    mode = PlanMode::kAdaptive;
-  } else {
-    return false;
-  }
-  g_mode.store(static_cast<int>(mode), std::memory_order_release);
-  return true;
+std::optional<PlanMode> parse_plan(std::string_view name) {
+  if (name == plan_name(PlanMode::kFixed)) return PlanMode::kFixed;
+  if (name == plan_name(PlanMode::kAdaptive)) return PlanMode::kAdaptive;
+  return std::nullopt;
 }
-
-PlanMode active_plan() { return static_cast<PlanMode>(load_mode()); }
 
 Planner::Planner(const PlanConfig& config)
     : config_(config),

@@ -23,13 +23,18 @@
 // argument), so plans change time, never output. Every decision is
 // recorded as plan.* trace counters so a plan is auditable after the run.
 //
-// Selection mirrors the kernel-backend idiom: `--plan=fixed|adaptive` /
-// MineOptions::plan / the PLT_PLAN environment variable, default fixed so
-// golden traces and published numbers are untouched.
+// The plan is per-call state: each entry point's options carry a PlanMode
+// (MineOptions, ParallelOptions, OocOptions, ShardOptions, and the PLTM
+// manifest a shard worker reads), default fixed so golden traces and
+// published numbers are untouched, and the call builds its own Planner only
+// when asked for the adaptive plan. Concurrent mines with different plans
+// never see each other's choice. Plan names are parsed in two places only:
+// the --plan flag of plt-mine / plt-shard and decode_manifest.
 #pragma once
 
+#include <optional>
 #include <span>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "kernels/kernels.hpp"
@@ -45,15 +50,9 @@ enum class PlanMode {
 
 const char* plan_name(PlanMode mode);
 
-/// Selects the process-wide plan mode by name: "" keeps the current
-/// selection (a no-op that returns true), "fixed"/"adaptive" switch.
-/// Returns false on unknown names so CLI flags can refuse to run. When
-/// nothing ever selects, the PLT_PLAN environment variable (read at first
-/// use) decides, defaulting to fixed.
-bool select_plan(const std::string& name);
-
-/// The process-wide plan mode (resolving PLT_PLAN on first use).
-PlanMode active_plan();
+/// The inverse of plan_name: "fixed" or "adaptive", nullopt for any other
+/// name (empty included), so a CLI flag or a manifest can refuse it.
+std::optional<PlanMode> parse_plan(std::string_view name);
 
 /// Thresholds of the cost model. Defaults are seeded from the committed
 /// crossover benches (see DESIGN.md S25 for the calibration trail); every

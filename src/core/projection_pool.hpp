@@ -43,7 +43,7 @@ struct ProjectionStats {
   std::uint64_t bytes_recycled = 0;  ///< capacity retained across frame reuse
   std::uint64_t bytes_fresh = 0;     ///< capacity newly grown inside frames
   std::uint64_t steals = 0;  ///< work-stealing miner: chunks taken from peers
-  // Planner decisions (all zero under --plan=fixed). Subtree counts sum to
+  // Planner decisions (all zero under PlanMode::kFixed). Subtree counts sum to
   // the number of non-empty conditional databases the planner saw; the
   // narrow/wide pair counts per-call kernel-backend routing.
   std::uint64_t plan_pooled = 0;       ///< subtrees kept on the pooled walk

@@ -1,12 +1,14 @@
-// Shared --backend / --plan flags for every bench/example binary: forward
-// the names to kernels::select_backend / core::select_plan so a whole
-// sweep can be pinned to the scalar reference, a specific SIMD backend, or
-// the adaptive execution planner. When a flag is absent the matching
-// environment variable (PLT_KERNEL_BACKEND / PLT_PLAN, read at first use)
-// decides.
+// Shared command-line flags. --backend, on every bench/example binary,
+// forwards the name to kernels::select_backend so a whole sweep can be
+// pinned to the scalar reference or a specific SIMD backend; without it the
+// PLT_KERNEL_BACKEND environment variable (read at first use) decides.
+// --plan exists only on plt-mine and plt-shard, which hand the parsed
+// PlanMode to their mine calls; every other binary sets its plan per call
+// in code.
 #pragma once
 
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "core/planner.hpp"
@@ -32,21 +34,16 @@ inline bool apply_backend_flag(const Args& args, bool announce = true) {
   return true;
 }
 
-/// Applies `--plan=fixed|adaptive`. Returns false (after printing a
-/// diagnostic) on unknown names, so callers can `return 2` and a typo'd
-/// flag can't silently bench the wrong execution plan. Same announce
-/// convention as apply_backend_flag.
-inline bool apply_plan_flag(const Args& args, bool announce = true) {
-  const std::string name = args.get("plan", "");
-  if (!core::select_plan(name)) {
+/// Parses `--plan=fixed|adaptive` (absent = fixed). Returns nullopt (after
+/// printing a diagnostic) on any other name, so a typo'd flag can't
+/// silently mine under the wrong execution plan.
+inline std::optional<core::PlanMode> parse_plan_flag(const Args& args) {
+  const std::string name = args.get("plan", "fixed");
+  const std::optional<core::PlanMode> plan = core::parse_plan(name);
+  if (!plan)
     std::cerr << args.program() << ": unknown --plan \"" << name
               << "\" (expected fixed or adaptive)\n";
-    return false;
-  }
-  if (announce)
-    std::cout << "execution plan: " << core::plan_name(core::active_plan())
-              << "\n";
-  return true;
+  return plan;
 }
 
 }  // namespace plt::harness

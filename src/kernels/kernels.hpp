@@ -117,8 +117,10 @@ const Dispatch* dispatch_for(Backend backend);
 Backend best_supported();
 
 /// Forces a backend. Returns false (and leaves the active table unchanged)
-/// when that backend is unavailable. Process-wide: concurrent mines all see
-/// the switch, which is safe because backends compute identical functions.
+/// when that backend is unavailable. Process configuration, set once
+/// before mining starts (tests and benches comparing backends set it and
+/// restore it); no mine option selects a backend. Concurrent mines all see
+/// a switch, which is safe because backends compute identical functions.
 bool set_backend(Backend backend);
 
 /// Named selection for --backend flags and PLT_KERNEL_BACKEND:

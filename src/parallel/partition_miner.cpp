@@ -3,7 +3,6 @@
 #include <atomic>
 #include <exception>
 #include <optional>
-#include <stdexcept>
 #include <thread>
 
 #include "core/builder.hpp"
@@ -253,12 +252,8 @@ core::MineResult mine_parallel(const tdb::Database& db, Count min_support,
                                const ParallelOptions& options) {
   PLT_ASSERT(min_support >= 1, "min_support must be >= 1");
   PLT_ASSERT(options.threads >= 1, "need at least one thread");
-  if (!core::select_plan(options.plan))
-    throw std::invalid_argument("mine_parallel: unknown plan \"" +
-                                options.plan +
-                                "\" (expected fixed or adaptive)");
   std::optional<core::Planner> planner;
-  if (core::active_plan() == core::PlanMode::kAdaptive)
+  if (options.plan == core::PlanMode::kAdaptive)
     planner.emplace(options.plan_config);
   obs::AutoSession trace_session;
   core::MineResult result;

@@ -32,11 +32,10 @@ struct ParallelOptions {
   /// Cooperative cancellation / deadline / budget shared by all workers;
   /// each checks it before claiming a rank. Null = unlimited.
   const core::MiningControl* control = nullptr;
-  /// Execution plan ("", "fixed", "adaptive" — see core::select_plan).
-  /// Adaptive gives every worker engine the same shared planner, so plans
-  /// (and output — byte-identical anyway) stay thread-count-invariant.
-  /// Unknown names throw std::invalid_argument.
-  std::string plan;
+  /// Execution plan of this call only. Adaptive gives every worker engine
+  /// the same shared planner, so plans (and output — byte-identical
+  /// anyway) stay thread-count-invariant.
+  core::PlanMode plan = core::PlanMode::kFixed;
   /// Cost-model thresholds used when the adaptive plan is active.
   core::PlanConfig plan_config;
   /// Optional per-rank mine-latency distribution (one record per rank

@@ -14,7 +14,6 @@
 #include "compress/checkpoint.hpp"
 #include "compress/codec.hpp"
 #include "core/builder.hpp"
-#include "core/planner.hpp"
 #include "tdb/stats.hpp"
 #include "util/crc32c.hpp"
 #include "util/log.hpp"
@@ -94,10 +93,6 @@ Manifest prepare_job(const tdb::Database& db, Count min_support,
     throw std::invalid_argument("prepare_job: job directory required");
   if (options.workers == 0)
     throw std::invalid_argument("prepare_job: need at least one worker");
-  if (!core::select_plan(options.plan))
-    throw std::invalid_argument("prepare_job: unknown plan \"" +
-                                options.plan +
-                                "\" (expected fixed or adaptive)");
   std::filesystem::create_directories(options.dir);
 
   PLT_SPAN("shard-split");

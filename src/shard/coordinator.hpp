@@ -79,9 +79,9 @@ struct ShardOptions {
   /// Caller-side cancellation/deadline: when it trips, every live worker
   /// is killed and the latched status comes back. Null = unlimited.
   const core::MiningControl* control = nullptr;
-  /// Execution plan forwarded to workers via the manifest ("", "fixed",
-  /// "adaptive" — unknown names throw from prepare_job).
-  std::string plan;
+  /// Execution plan of this job, forwarded to every worker by name in the
+  /// manifest.
+  core::PlanMode plan = core::PlanMode::kFixed;
   tdb::ItemOrder item_order = tdb::ItemOrder::kById;
 };
 
@@ -106,8 +106,8 @@ struct ShardReport {
 };
 
 /// Phase 1: builds the PLT, writes blob + manifest into options.dir and
-/// returns the manifest. Throws std::invalid_argument on an unknown plan
-/// or empty dir, std::runtime_error on I/O failure.
+/// returns the manifest. Throws std::invalid_argument on an empty dir or
+/// zero workers, std::runtime_error on I/O failure.
 Manifest prepare_job(const tdb::Database& db, Count min_support,
                      const ShardOptions& options);
 

@@ -2,7 +2,9 @@
 
 #include <bit>
 #include <cstring>
+#include <optional>
 #include <stdexcept>
+#include <string_view>
 
 #include "compress/blob_format.hpp"
 #include "compress/varint.hpp"
@@ -125,8 +127,9 @@ std::vector<std::uint8_t> encode_manifest(const Manifest& manifest) {
     put_varint(out, spec.rank_lo);
     put_varint(out, spec.rank_hi);
   }
-  put_varint(out, manifest.plan.size());
-  out.insert(out.end(), manifest.plan.begin(), manifest.plan.end());
+  const std::string_view plan = core::plan_name(manifest.plan);
+  put_varint(out, plan.size());
+  out.insert(out.end(), plan.begin(), plan.end());
   seal(out);
   return out;
 }
@@ -190,8 +193,11 @@ Manifest decode_manifest(std::span<const std::uint8_t> bytes) {
   const std::uint64_t plan_len = get_varint(payload, at);
   if (plan_len > payload.size() - at)
     throw std::runtime_error(std::string(who) + ": truncated plan name");
-  manifest.plan.assign(reinterpret_cast<const char*>(payload.data()) + at,
-                       plan_len);
+  const std::optional<core::PlanMode> plan = core::parse_plan(
+      {reinterpret_cast<const char*>(payload.data()) + at, plan_len});
+  if (!plan)
+    throw std::runtime_error(std::string(who) + ": unknown plan name");
+  manifest.plan = *plan;
   at += plan_len;
   if (at != payload.size())
     throw std::runtime_error(std::string(who) + ": trailing bytes");

@@ -10,7 +10,8 @@
 //
 //   "PLTM" (manifest, coordinator -> workers): blob CRC, min_support,
 //   max_rank, the rank->item map, per-partition stats for the adaptive
-//   planner, the shard windows, and the plan name. One file per job
+//   planner, the shard windows, and the plan name ("fixed" or
+//   "adaptive"; any other name is rejected as hostile). One file per job
 //   directory; a worker needs nothing else besides the blob itself.
 //
 //   "PLTS" (summary, worker -> coordinator): per-shard mining statistics
@@ -25,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "core/planner.hpp"
 #include "tdb/stats.hpp"
 #include "util/common.hpp"
 
@@ -60,12 +62,13 @@ struct Manifest {
   /// single-path witness without rescanning the database.
   std::vector<tdb::PartitionStats> partition_stats;
   std::vector<ShardSpec> shards;
-  std::string plan;  ///< execution plan name ("", "fixed", "adaptive")
+  core::PlanMode plan = core::PlanMode::kFixed;  ///< travels by plan_name
 };
 
 std::vector<std::uint8_t> encode_manifest(const Manifest& manifest);
 /// Throws std::runtime_error on bad magic, truncation, CRC mismatch, or
-/// structurally impossible contents (empty/overlapping shard windows).
+/// structurally impossible contents (empty/overlapping shard windows, a
+/// plan name parse_plan does not know).
 Manifest decode_manifest(std::span<const std::uint8_t> bytes);
 
 /// Per-shard mining report; the trace JSON is the worker's own

@@ -5,11 +5,12 @@
 // (DESIGN.md S25 proves per-subtree strategies are emission-order
 // invariant, which is what keeps OOC checkpoint logs exact across plans).
 // Runs with structural validation on, and under tsan via the threaded
-// label (plans are shared immutably across parallel workers).
+// label (plans are shared immutably across parallel workers, and
+// concurrent mines each keep their own plan).
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <stdexcept>
+#include <thread>
 
 #include "compress/codec.hpp"
 #include "compress/ooc_miner.hpp"
@@ -24,10 +25,6 @@
 
 namespace plt {
 namespace {
-
-struct PlanGuard {
-  ~PlanGuard() { core::select_plan("fixed"); }
-};
 
 // Raw emission-order equality — stricter than FrequentItemsets::equal,
 // which canonicalizes both sides first.
@@ -53,24 +50,13 @@ core::PlanConfig subtree_only() {
   return config;
 }
 
-// MineOptions::plan switches the process-wide selection (mirroring
-// kernel_backend), so baselines must pin "fixed" explicitly — an earlier
-// adaptive run in the same test would otherwise leak into them.
-core::MineOptions fixed_plan() {
-  core::MineOptions options;
-  options.plan = "fixed";
-  return options;
-}
-
 TEST(AdaptiveDifferential, Table1EverySupport) {
-  PlanGuard guard;
   const auto db = testing::paper_table1();
   for (Count minsup = 1; minsup <= 6; ++minsup) {
-    const auto fixed = core::mine(db, minsup, core::Algorithm::kPltConditional,
-                                  fixed_plan());
+    const auto fixed = core::mine(db, minsup, core::Algorithm::kPltConditional);
 
     core::MineOptions adaptive;
-    adaptive.plan = "adaptive";
+    adaptive.plan = core::PlanMode::kAdaptive;
     const auto planned =
         core::mine(db, minsup, core::Algorithm::kPltConditional, adaptive);
     testing::expect_same_itemsets(fixed.itemsets, planned.itemsets,
@@ -87,7 +73,6 @@ TEST(AdaptiveDifferential, Table1EverySupport) {
 // Both sweep generators at bench scale-down: the exact matrix
 // bench_adaptive times, here only checked for output identity.
 TEST(AdaptiveDifferential, SweepGenerators) {
-  PlanGuard guard;
   core::set_validation_enabled(true);
   const struct {
     const char* dataset;
@@ -104,11 +89,10 @@ TEST(AdaptiveDifferential, SweepGenerators) {
   for (const auto& c : cases) {
     const auto db = harness::scaled_dataset(c.dataset, c.scale);
     const Count minsup = harness::absolute_support(db, c.fraction);
-    const auto fixed = core::mine(db, minsup, core::Algorithm::kPltConditional,
-                                  fixed_plan());
+    const auto fixed = core::mine(db, minsup, core::Algorithm::kPltConditional);
 
     core::MineOptions adaptive;
-    adaptive.plan = "adaptive";
+    adaptive.plan = core::PlanMode::kAdaptive;
     const auto planned =
         core::mine(db, minsup, core::Algorithm::kPltConditional, adaptive);
     testing::expect_same_itemsets(fixed.itemsets, planned.itemsets,
@@ -126,35 +110,62 @@ TEST(AdaptiveDifferential, SweepGenerators) {
 // The planner is shared by reference across workers; results must not
 // depend on the plan or the thread count.
 TEST(AdaptiveDifferential, ParallelThreadCounts) {
-  PlanGuard guard;
   const auto db = harness::scaled_dataset("quest-sparse", 0.05);
   const Count minsup = harness::absolute_support(db, 0.005);
-  const auto reference = core::mine(
-      db, minsup, core::Algorithm::kPltConditional, fixed_plan());
+  const auto reference =
+      core::mine(db, minsup, core::Algorithm::kPltConditional);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     parallel::ParallelOptions options;
     options.threads = threads;
-    options.plan = "adaptive";
+    options.plan = core::PlanMode::kAdaptive;
     const auto result = parallel::mine_parallel(db, minsup, options);
     testing::expect_same_itemsets(reference.itemsets, result.itemsets,
                                   "parallel adaptive");
   }
 }
 
-TEST(AdaptiveDifferential, ParallelRejectsUnknownPlan) {
-  PlanGuard guard;
-  parallel::ParallelOptions options;
-  options.plan = "bogus";
-  EXPECT_THROW(
-      parallel::mine_parallel(testing::paper_table1(), 2, options),
-      std::invalid_argument);
+// A plan belongs to its call: two threads mining at once, one adaptive
+// and one fixed, each get the sequential truth in raw emission order and
+// report their own plan. The plan is read from MineResult, not the trace,
+// so this also runs with the obs layer compiled out; under tsan it also
+// shows the two mines share no unsynchronized state.
+TEST(AdaptiveDifferential, ConcurrentMinesKeepTheirOwnPlan) {
+  const auto db = harness::scaled_dataset("quest-sparse", 0.05);
+  const Count minsup = harness::absolute_support(db, 0.005);
+  const auto truth = core::mine(db, minsup, core::Algorithm::kPltConditional);
+  core::MineOptions adaptive;
+  adaptive.plan = core::PlanMode::kAdaptive;
+  adaptive.plan_config = subtree_only();
+  const auto run = [&](const core::MineOptions& options) {
+    const bool planned = options.plan == core::PlanMode::kAdaptive;
+    for (int round = 0; round < 4; ++round) {
+      const auto result =
+          core::mine(db, minsup, core::Algorithm::kPltConditional, options);
+      expect_same_order(truth.itemsets, result.itemsets,
+                        planned ? "concurrent adaptive" : "concurrent fixed");
+      const core::ProjectionStats& p = result.projection;
+      const std::uint64_t decisions = p.plan_pooled + p.plan_single_path +
+                                      p.plan_eclat + p.plan_narrow +
+                                      p.plan_wide;
+      if (planned) {
+        EXPECT_EQ(result.plan_root, "conditional");
+        EXPECT_GT(decisions, 0u);
+      } else {
+        EXPECT_EQ(result.plan_root, "");
+        EXPECT_EQ(decisions, 0u);
+      }
+    }
+  };
+  std::thread planned_thread(run, std::cref(adaptive));
+  std::thread fixed_thread(run, core::MineOptions{});
+  planned_thread.join();
+  fixed_thread.join();
 }
 
 // The OOC walk streams subtrees through the same pooled engine; checkpoint
 // records replay emissions verbatim, so the raw order must be
 // plan-invariant (not just the canonical set).
 TEST(AdaptiveDifferential, OutOfCoreBlobPath) {
-  PlanGuard guard;
   const auto db = harness::scaled_dataset("short-dense", 0.05);
   const Count minsup = harness::absolute_support(db, 0.01);
   const auto built = core::build_from_database(db, minsup);
@@ -163,30 +174,19 @@ TEST(AdaptiveDifferential, OutOfCoreBlobPath) {
   for (Rank r = 1; r <= built.view.alphabet(); ++r)
     item_of[r - 1] = built.view.item_of(r);
 
-  compress::OocOptions fixed_ooc;
-  fixed_ooc.plan = "fixed";
   core::FrequentItemsets fixed;
   ASSERT_EQ(compress::mine_from_blob(blob, item_of, minsup,
-                                     core::collect_into(fixed), nullptr,
-                                     fixed_ooc),
+                                     core::collect_into(fixed)),
             core::MineStatus::kCompleted);
 
   compress::OocOptions adaptive;
-  adaptive.plan = "adaptive";
+  adaptive.plan = core::PlanMode::kAdaptive;
   core::FrequentItemsets planned;
   ASSERT_EQ(compress::mine_from_blob(blob, item_of, minsup,
                                      core::collect_into(planned), nullptr,
                                      adaptive),
             core::MineStatus::kCompleted);
   expect_same_order(fixed, planned, "ooc raw order");
-
-  compress::OocOptions bogus;
-  bogus.plan = "bogus";
-  core::FrequentItemsets sinkhole;
-  EXPECT_THROW(compress::mine_from_blob(blob, item_of, minsup,
-                                        core::collect_into(sinkhole),
-                                        nullptr, bogus),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Hand-built PLT2 blobs for the hostile-input tests. A writer never emits
-// zero or out-of-range positions, wrapping sums, or frames whose declared
-// entry count disagrees with their payload; these helpers build exactly
-// such bytes and seal them with correct header and frame CRCs, so they get
-// past the checksums and reach the value checks behind them.
+// Hand-built PLT2 blobs and re-sealed shard containers for the
+// hostile-input tests. A writer never emits zero or out-of-range positions,
+// wrapping sums, or frames whose declared entry count disagrees with their
+// payload; these helpers build exactly such bytes and seal them with
+// correct CRCs, so they get past the checksums and reach the value checks
+// behind them.
 #pragma once
 
 #include <cstdint>
@@ -107,6 +108,17 @@ inline void reseal_frame(std::vector<std::uint8_t>& blob,
       span.begin, span.payload_end - span.begin));
   for (std::size_t i = 0; i < 4; ++i)
     blob[span.payload_end + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+}
+
+/// Rewrites the trailing CRC32C of a PLTM manifest or PLTS summary (it
+/// covers everything between the magic and the CRC) after its bytes were
+/// mutated, so the mutation reaches the decoder's value checks.
+inline void reseal_container(std::vector<std::uint8_t>& bytes) {
+  const std::size_t crc_at = bytes.size() - 4;
+  const std::uint32_t crc = crc32c(
+      std::span<const std::uint8_t>(bytes).subspan(4, crc_at - 4));
+  for (std::size_t i = 0; i < 4; ++i)
+    bytes[crc_at + i] = static_cast<std::uint8_t>(crc >> (8 * i));
 }
 
 }  // namespace plt::testing

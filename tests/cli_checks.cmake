@@ -85,6 +85,32 @@ elseif(CHECK STREQUAL "trace-files")
   if(NOT folded MATCHES "trace;mine")
     message(FATAL_ERROR "folded trace missing the mine stack:\n${folded}")
   endif()
+elseif(CHECK STREQUAL "bench-harness-flags")
+  # bench_subset_check hands its arguments on to google-benchmark, which
+  # exits 1 on any flag it does not know, so every flag the shared harness
+  # consumed must be stripped first, in both the `--flag=value` and the
+  # `--flag value` form.
+  file(MAKE_DIRECTORY ${OUT_DIR})
+  file(REMOVE ${OUT_DIR}/subset_check_trace.json
+              ${OUT_DIR}/subset_check_trace.folded)
+  execute_process(COMMAND ${BENCH_SUBSET_CHECK} --backend=scalar
+                          --trace=${OUT_DIR}/subset_check_trace.json
+                          --trace-folded ${OUT_DIR}/subset_check_trace.folded
+                          --benchmark_min_time=0.01
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT code EQUAL 0)
+    message(FATAL_ERROR "bench_subset_check with harness flags exited "
+            "${code}:\n${err}")
+  endif()
+  if(PLT_OBS)
+    file(READ ${OUT_DIR}/subset_check_trace.json json)
+    if(NOT json MATCHES "plt-trace-v1")
+      message(FATAL_ERROR "bench_subset_check --trace wrote no "
+              "plt-trace-v1 file:\n${json}")
+    endif()
+  endif()
 elseif(CHECK STREQUAL "validate")
   # --validate must announce itself, run the structural checks on every PLT
   # the invocation builds, and leave the mined results unchanged.

@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -451,14 +450,11 @@ TEST(KernelEndToEnd, MineByteIdenticalAcrossBackends) {
     if (std::string(c.name) == "paper_table1")
       algorithms.push_back(core::Algorithm::kPltTopDownCanonical);
     for (const core::Algorithm algorithm : algorithms) {
-      core::MineOptions scalar_opt;
-      scalar_opt.kernel_backend = "scalar";
-      const core::MineResult ref = core::mine(c.db, minsup, algorithm,
-                                              scalar_opt);
+      kernels::set_backend(kernels::Backend::kScalar);
+      const core::MineResult ref = core::mine(c.db, minsup, algorithm);
       for (const Dispatch* d : simd_backends()) {
-        core::MineOptions opt;
-        opt.kernel_backend = d->name;
-        const core::MineResult got = core::mine(c.db, minsup, algorithm, opt);
+        kernels::set_backend(d->backend);
+        const core::MineResult got = core::mine(c.db, minsup, algorithm);
         expect_identical_emission(
             ref.itemsets, got.itemsets,
             std::string(c.name) + "/" + core::algorithm_name(algorithm) +
@@ -466,15 +462,6 @@ TEST(KernelEndToEnd, MineByteIdenticalAcrossBackends) {
       }
     }
   }
-}
-
-TEST(KernelEndToEnd, UnknownBackendThrows) {
-  const BackendGuard guard;
-  core::MineOptions opt;
-  opt.kernel_backend = "warp9";
-  EXPECT_THROW(core::mine(testing::paper_table1(), 2,
-                          core::Algorithm::kPltConditional, opt),
-               std::invalid_argument);
 }
 
 TEST(KernelEndToEnd, CountSupportsVerticalMatchesTrie) {

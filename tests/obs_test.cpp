@@ -95,8 +95,13 @@ class ObsTest : public ::testing::Test {
   void TearDown() override {
     set_enabled(false);
     FailpointRegistry::instance().disarm_all();
-    kernels::select_backend("auto");
+    kernels::set_backend(backend_before_);
   }
+
+  /// Backend-invariance tests run the scalar reference, then
+  /// kernels::best_supported(); TearDown restores the process backend.
+  static constexpr kernels::Backend kScalar = kernels::Backend::kScalar;
+  const kernels::Backend backend_before_ = kernels::active().backend;
 };
 
 TEST_F(ObsTest, SpanTreeAggregationAndQueries) {
@@ -189,12 +194,10 @@ TEST_F(ObsTest, HealthReportsBalancedNesting) {
 // backends. Durations are masked; everything else is byte-compared.
 TEST_F(ObsTest, GoldenTraceTable1Conditional) {
   const auto db = testing::paper_table1();
-  for (const char* backend : {"scalar", "simd"}) {
-    SCOPED_TRACE(backend);
-    core::MineOptions options;
-    options.kernel_backend = backend;
-    const auto result =
-        core::mine(db, 2, core::Algorithm::kPltConditional, options);
+  for (const kernels::Backend backend : {kScalar, kernels::best_supported()}) {
+    SCOPED_TRACE(kernels::backend_name(backend));
+    kernels::set_backend(backend);
+    const auto result = core::mine(db, 2, core::Algorithm::kPltConditional);
     ASSERT_NE(result.trace, nullptr);
     expect_matches_golden(masked_json(*result.trace),
                           "trace_table1_conditional.json");
@@ -203,12 +206,11 @@ TEST_F(ObsTest, GoldenTraceTable1Conditional) {
 
 TEST_F(ObsTest, GoldenTraceTable1TopDown) {
   const auto db = testing::paper_table1();
-  for (const char* backend : {"scalar", "simd"}) {
-    SCOPED_TRACE(backend);
-    core::MineOptions options;
-    options.kernel_backend = backend;
+  for (const kernels::Backend backend : {kScalar, kernels::best_supported()}) {
+    SCOPED_TRACE(kernels::backend_name(backend));
+    kernels::set_backend(backend);
     const auto result =
-        core::mine(db, 2, core::Algorithm::kPltTopDownCanonical, options);
+        core::mine(db, 2, core::Algorithm::kPltTopDownCanonical);
     ASSERT_NE(result.trace, nullptr);
     expect_matches_golden(masked_json(*result.trace),
                           "trace_table1_topdown.json");
@@ -350,12 +352,11 @@ TEST_F(ObsTest, TracingDoesNotChangeMiningOutput) {
 TEST_F(ObsTest, KernelCountersAreBackendInvariant) {
   const auto db = dense_workload();
   std::uint64_t scalar_calls = 0, scalar_bytes = 0;
-  for (const char* backend : {"scalar", "simd"}) {
-    SCOPED_TRACE(backend);
-    core::MineOptions options;
-    options.kernel_backend = backend;
+  for (const kernels::Backend backend : {kScalar, kernels::best_supported()}) {
+    SCOPED_TRACE(kernels::backend_name(backend));
+    kernels::set_backend(backend);
     const auto result =
-        core::mine(db, kDenseMinsup, core::Algorithm::kPltConditional, options);
+        core::mine(db, kDenseMinsup, core::Algorithm::kPltConditional);
     ASSERT_NE(result.trace, nullptr);
     const std::uint64_t calls =
         result.trace->counter_total("kernel.peel_prefixes.calls");
@@ -363,7 +364,7 @@ TEST_F(ObsTest, KernelCountersAreBackendInvariant) {
         result.trace->counter_total("kernel.peel_prefixes.bytes");
     EXPECT_GT(calls, 0u);
     EXPECT_GT(bytes, 0u);
-    if (std::string(backend) == "scalar") {
+    if (backend == kScalar) {
       scalar_calls = calls;
       scalar_bytes = bytes;
     } else {

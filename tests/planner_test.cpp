@@ -1,15 +1,22 @@
 // Adaptive execution planner (DESIGN.md S25): partition statistics pinned
 // against the paper's Table 1, the cost-model branches each forced through
-// a threshold config, plan-name validation, and the end-to-end contract —
-// every plan mines the identical itemsets, only the strategy audit trail
-// (MineResult::plan_root, ProjectionStats::plan_*) changes.
+// a threshold config, and the end-to-end contract — every plan mines the
+// identical itemsets, only the strategy audit trail (MineResult::plan_root,
+// ProjectionStats::plan_*) changes, and only for the call that asked for
+// it.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <functional>
 
+#include "compress/codec.hpp"
+#include "compress/ooc_miner.hpp"
+#include "core/builder.hpp"
 #include "core/miner.hpp"
 #include "core/planner.hpp"
 #include "core/rank.hpp"
+#include "harness/datasets.hpp"
+#include "harness/experiment.hpp"
+#include "parallel/partition_miner.hpp"
 #include "tdb/stats.hpp"
 #include "test_support.hpp"
 
@@ -18,11 +25,15 @@ namespace {
 
 constexpr Count kMinSup = 2;
 
-// Every test leaves the process on the fixed plan (the default) so test
-// order can't leak an adaptive selection into unrelated suites.
-struct PlanGuard {
-  ~PlanGuard() { select_plan("fixed"); }
-};
+// What a mine that never consulted the planner reports.
+void expect_unplanned(const MineResult& result) {
+  EXPECT_EQ(result.plan_root, "");
+  EXPECT_EQ(result.projection.plan_pooled, 0u);
+  EXPECT_EQ(result.projection.plan_single_path, 0u);
+  EXPECT_EQ(result.projection.plan_eclat, 0u);
+  EXPECT_EQ(result.projection.plan_narrow, 0u);
+  EXPECT_EQ(result.projection.plan_wide, 0u);
+}
 
 tdb::Database ranked_table1() {
   return build_ranked_view(plt::testing::paper_table1(), kMinSup).db;
@@ -250,36 +261,15 @@ TEST(Planner, SinglePathProbeUsesFullSuffix) {
   EXPECT_FALSE(resolved);
 }
 
-// -- plan selection and the facade audit trail ---------------------------
-
-TEST(Planner, SelectPlanValidation) {
-  PlanGuard guard;
-  EXPECT_TRUE(select_plan(""));  // keep current
-  EXPECT_TRUE(select_plan("adaptive"));
-  EXPECT_EQ(active_plan(), PlanMode::kAdaptive);
-  EXPECT_FALSE(select_plan("bogus"));
-  EXPECT_EQ(active_plan(), PlanMode::kAdaptive);  // failed select is a no-op
-  EXPECT_TRUE(select_plan("fixed"));
-  EXPECT_EQ(active_plan(), PlanMode::kFixed);
-}
-
-TEST(Planner, MineRejectsUnknownPlan) {
-  PlanGuard guard;
-  MineOptions options;
-  options.plan = "bogus";
-  EXPECT_THROW(mine(plt::testing::paper_table1(), kMinSup,
-                    Algorithm::kPltConditional, options),
-               std::invalid_argument);
-}
+// -- the facade audit trail, per call ------------------------------------
 
 TEST(Planner, AdaptiveRootAuditTrail) {
-  PlanGuard guard;
   const auto db = plt::testing::paper_table1();
   const auto fixed = mine(db, kMinSup, Algorithm::kPltConditional);
   EXPECT_EQ(fixed.plan_root, "");
 
   MineOptions adaptive;
-  adaptive.plan = "adaptive";
+  adaptive.plan = PlanMode::kAdaptive;
   // Table 1 trips the shallow-lattice eclat gate by default, so pin the
   // vertical root off to audit the conditional branch.
   adaptive.plan_config.allow_root_eclat = false;
@@ -302,12 +292,11 @@ TEST(Planner, AdaptiveRootAuditTrail) {
 // Forcing each subtree strategy must leave the counters showing only that
 // strategy ran (plus the unavoidable pooled frames above it).
 TEST(Planner, AdaptiveSubtreeCounters) {
-  PlanGuard guard;
   const auto db = plt::testing::paper_table1();
   const auto fixed = mine(db, kMinSup, Algorithm::kPltConditional);
 
   MineOptions pooled_only;
-  pooled_only.plan = "adaptive";
+  pooled_only.plan = PlanMode::kAdaptive;
   pooled_only.plan_config.allow_root_eclat = false;
   pooled_only.plan_config.allow_subtree_single_path = false;
   pooled_only.plan_config.allow_subtree_eclat = false;
@@ -344,15 +333,50 @@ TEST(Planner, AdaptiveSubtreeCounters) {
 // The fixed plan must not consult the planner at all: its projection
 // counters stay zero, keeping golden traces and published numbers intact.
 TEST(Planner, FixedPlanLeavesNoPlanCounters) {
-  PlanGuard guard;
-  const auto fixed =
-      mine(plt::testing::paper_table1(), kMinSup,
-           Algorithm::kPltConditional);
-  EXPECT_EQ(fixed.projection.plan_pooled, 0u);
-  EXPECT_EQ(fixed.projection.plan_single_path, 0u);
-  EXPECT_EQ(fixed.projection.plan_eclat, 0u);
-  EXPECT_EQ(fixed.projection.plan_narrow, 0u);
-  EXPECT_EQ(fixed.projection.plan_wide, 0u);
+  expect_unplanned(mine(plt::testing::paper_table1(), kMinSup,
+                        Algorithm::kPltConditional));
+}
+
+// A plan belongs to its call: after an adaptive mine through each entry
+// point, a default-options mine runs the fixed plan, on a workload where
+// the adaptive plan leaves a visible audit trail.
+TEST(Planner, PlanDoesNotLeakIntoLaterCalls) {
+  const auto db = harness::scaled_dataset("quest-sparse", 0.05);
+  const Count minsup = harness::absolute_support(db, 0.005);
+  const auto built = build_from_database(db, minsup);
+  const auto blob = compress::encode_plt(built.plt);
+  std::vector<Item> item_of(built.view.alphabet());
+  for (Rank r = 1; r <= built.view.alphabet(); ++r)
+    item_of[r - 1] = built.view.item_of(r);
+
+  const std::function<void()> adaptive_calls[] = {
+      [&] {
+        MineOptions options;
+        options.plan = PlanMode::kAdaptive;
+        EXPECT_NE(mine(db, minsup, Algorithm::kPltConditional, options)
+                      .plan_root,
+                  "");
+      },
+      [&] {
+        parallel::ParallelOptions options;
+        options.plan = PlanMode::kAdaptive;
+        EXPECT_GT(parallel::mine_parallel(db, minsup, options)
+                      .projection.plan_pooled,
+                  0u);
+      },
+      [&] {
+        compress::OocOptions options;
+        options.plan = PlanMode::kAdaptive;
+        EXPECT_EQ(compress::mine_from_blob(
+                      blob, item_of, minsup,
+                      [](std::span<const Item>, Count) {}, nullptr, options),
+                  MineStatus::kCompleted);
+      },
+  };
+  for (const auto& adaptive_call : adaptive_calls) {
+    adaptive_call();
+    expect_unplanned(mine(db, minsup, Algorithm::kPltConditional));
+  }
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
 // Robustness / failure-injection suite: randomly corrupted serialized
-// blobs (including corruption re-sealed behind valid CRCs) and hostile
-// FIMI inputs must produce clean errors (or, when the corruption happens
-// to decode, a structurally valid result) — never crashes, hangs, or
-// silent misuse.
+// blobs (including corruption re-sealed behind valid CRCs), mutated shard
+// manifests and summaries, and hostile FIMI inputs must produce clean
+// errors (or, when the corruption happens to decode, a structurally valid
+// result) — never crashes, hangs, or silent misuse.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <functional>
+#include <optional>
 #include <sstream>
 
 #include "blob_test_support.hpp"
@@ -16,7 +20,12 @@
 #include "core/miner.hpp"
 #include "core/topdown.hpp"
 #include "datagen/quest.hpp"
+#include "harness/datasets.hpp"
+#include "harness/experiment.hpp"
 #include "serve/blob_store.hpp"
+#include "shard/coordinator.hpp"
+#include "shard/spec.hpp"
+#include "shard/worker.hpp"
 #include "tdb/io.hpp"
 #include "test_support.hpp"
 #include "util/rng.hpp"
@@ -205,6 +214,96 @@ TEST(Fuzz, ValidCrcHostilePositionsThrowInEveryReader) {
     EXPECT_THROW((void)serve::load_blob(path), std::runtime_error);
     std::remove(path.c_str());
   }
+}
+
+// Every truncation (as cut, and re-sealed so the decoder's own length
+// checks see it), and every single-byte flip under several masks re-sealed
+// with a correct trailing CRC, of one PLTM/PLTS container. Each input must
+// decode or throw std::runtime_error; `on_decoded` gets every decoded one.
+template <typename Decoded>
+void fuzz_container(const std::vector<std::uint8_t>& bytes,
+                    Decoded (*decode)(std::span<const std::uint8_t>),
+                    const std::function<void(const Decoded&)>& on_decoded) {
+  const auto attempt = [&](std::span<const std::uint8_t> input) {
+    std::optional<Decoded> decoded;
+    try {
+      decoded = decode(input);
+    } catch (const std::runtime_error&) {
+      return;
+    }
+    on_decoded(*decoded);
+  };
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    attempt({bytes.data(), len});
+    if (len < 4 || len + 4 >= bytes.size()) continue;
+    std::vector<std::uint8_t> cut(bytes.begin(),
+                                  bytes.begin() +
+                                      static_cast<std::ptrdiff_t>(len));
+    cut.resize(len + 4);
+    testing::reseal_container(cut);
+    attempt(cut);
+  }
+  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
+    for (const std::uint8_t mask : {0x01, 0x10, 0x80, 0xFF}) {
+      auto flipped = bytes;
+      flipped[pos] ^= mask;
+      testing::reseal_container(flipped);
+      attempt(flipped);
+    }
+  }
+}
+
+// A real adaptive job's manifest, mutated: each one that decodes is handed
+// to both workers of the job, which must finish or fail cleanly (exit 0 or
+// 1) against the job's real blob.
+TEST(Fuzz, ShardManifestMutationsDecodeOrThrowAndWorkersNeverCrash) {
+  const auto db = harness::scaled_dataset("short-dense", 0.05);
+  const std::string dir = ::testing::TempDir() + "fuzz_manifest_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  shard::ShardOptions options;
+  options.dir = dir;
+  options.workers = 2;
+  options.plan = core::PlanMode::kAdaptive;
+  const shard::Manifest manifest =
+      shard::prepare_job(db, harness::absolute_support(db, 0.05), options);
+  ASSERT_EQ(manifest.shards.size(), 2u);
+  std::size_t decoded = 0;
+  fuzz_container<shard::Manifest>(
+      shard::encode_manifest(manifest), shard::decode_manifest,
+      [&](const shard::Manifest& mutated) {
+        ++decoded;
+        compress::write_blob_file(shard::encode_manifest(mutated),
+                                  shard::manifest_path(dir));
+        for (std::size_t k = 0; k < mutated.shards.size(); ++k) {
+          // A fresh mine each time, not a replay of an earlier log, so the
+          // mutated stats and windows reach the planner and the walk.
+          std::filesystem::remove(shard::checkpoint_path(dir, k));
+          const int code = shard::run_worker(dir, k);
+          EXPECT_TRUE(code == 0 || code == 1) << code;
+        }
+      });
+  EXPECT_GT(decoded, 0u);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(Fuzz, ShardSummaryMutationsDecodeOrThrow) {
+  shard::ShardSummary summary;
+  summary.shard_id = 1;
+  summary.rank_lo = 3;
+  summary.rank_hi = 17;
+  summary.itemsets = 1956;
+  summary.bytes_decoded = 4711;
+  summary.checkpoint_records = 15;
+  summary.wall_ns = 2'270'000;
+  summary.trace_json =
+      R"({"format":"plt-trace-v1","root":{"name":"trace","count":1,)"
+      R"("children":[{"name":"ooc-mine","count":1,"children":[]}]}})";
+  std::size_t decoded = 0;
+  fuzz_container<shard::ShardSummary>(
+      shard::encode_summary(summary), shard::decode_summary,
+      [&](const shard::ShardSummary&) { ++decoded; });
+  EXPECT_GT(decoded, 0u);
 }
 
 TEST(Fuzz, HostileFimiInputs) {

@@ -4,10 +4,12 @@
 // gets, hot swaps must never produce a wrong or dropped answer, the
 // admission-control path must reject with the typed OVERLOADED status
 // rather than queueing silently, and the merged trace tree recorded across
-// all worker threads must stay well-formed with only registered names.
+// all worker threads must stay well-formed with only registered names. A
+// reload that fails under traffic must leave the current blobs serving.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <random>
 #include <thread>
 
@@ -206,6 +208,70 @@ TEST(ServeConcurrency, HotSwapUnderTrafficNeverDropsOrCorrupts) {
   EXPECT_EQ(generation, 6u);
   EXPECT_GT(answered.load(), 0u);
   EXPECT_EQ(server.server().stats().generation, 6u);
+}
+
+// A reload whose file cannot load, under traffic: the served file is
+// replaced by a CRC-broken copy, then removed. Each admin reload gets a
+// typed error, the generation stays 1 and keeps answering correctly, and
+// once the good file is back the next reload is generation 2.
+TEST(ServeConcurrency, FailedReloadUnderTrafficKeepsServing) {
+  const std::string path = write_table1_blob(2, "failed_reload.plt");
+  const std::vector<std::uint8_t> good = compress::read_blob_file(path);
+  const core::BuiltPlt reference =
+      core::build_from_database(plt::testing::paper_table1(), 2);
+  TestServer server({path}, /*threads=*/2);
+  std::atomic<bool> done{false};
+  std::atomic<std::uint64_t> answered{0};
+  std::vector<std::thread> hammers;
+  for (int t = 0; t < 3; ++t) {
+    hammers.emplace_back([&] {
+      QueryClient client(server.port());
+      const std::vector<Rank> queries[] = {{1}, {1, 2}, {2, 3}, {1, 2, 4}};
+      while (!done.load(std::memory_order_acquire)) {
+        for (const std::vector<Rank>& ranks : queries) {
+          ASSERT_EQ(client.support(0, ranks),
+                    core::support_of(reference.plt, ranks));
+          answered.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+
+  // Reloads go through call(), which returns non-OK responses instead of
+  // throwing, so the hammers are always joined.
+  QueryClient admin(server.port());
+  std::uint32_t next_id = 1;
+  const auto reload = [&] {
+    Request request;
+    request.opcode = Opcode::kReload;
+    request.request_id = next_id++;
+    return admin.call(request);
+  };
+  const auto expect_reload_fails = [&](const char* why) {
+    const auto response = reload();
+    ASSERT_TRUE(response.has_value()) << why;
+    EXPECT_NE(response->status, Status::kOk) << why;
+    EXPECT_EQ(response->detail.rfind("reload failed", 0), 0u)
+        << why << ": " << response->detail;
+    EXPECT_EQ(server.server().stats().generation, 1u) << why;
+  };
+  std::vector<std::uint8_t> corrupt = good;
+  corrupt.back() ^= 0xFF;  // the last frame's CRC
+  compress::write_blob_file(corrupt, path);
+  expect_reload_fails("CRC-broken file");
+  std::filesystem::remove(path);
+  expect_reload_fails("missing file");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  compress::write_blob_file(good, path);
+  const auto restored = reload();
+  done.store(true, std::memory_order_release);
+  for (std::thread& thread : hammers) thread.join();
+  ASSERT_TRUE(restored.has_value());
+  EXPECT_EQ(restored->status, Status::kOk);
+  EXPECT_EQ(restored->generation, 2u);
+  EXPECT_GT(answered.load(), 0u);
+  std::filesystem::remove(path);
 }
 
 TEST(ServeConcurrency, BudgetExhaustionRejectsTypedNeverSilently) {

@@ -16,11 +16,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "blob_test_support.hpp"
 #include "compress/codec.hpp"
 #include "compress/ooc_miner.hpp"
 #include "core/builder.hpp"
@@ -188,7 +191,7 @@ TEST(ShardWire, ManifestRoundTrips) {
   manifest.partition_stats = tdb::compute_all_partition_stats(
       core::build_from_database(testing::paper_table1(), 2).view.db, 4);
   manifest.shards = split_shards({}, 5, 2);
-  manifest.plan = "adaptive";
+  manifest.plan = core::PlanMode::kAdaptive;
 
   const auto decoded = decode_manifest(encode_manifest(manifest));
   EXPECT_EQ(decoded.blob_crc, manifest.blob_crc);
@@ -231,6 +234,34 @@ TEST(ShardWire, ManifestRejectsCorruptionAndGarbage) {
 
   const std::vector<std::uint8_t> garbage = {'n', 'o', 'p', 'e', 0, 0, 0, 0};
   EXPECT_THROW((void)decode_manifest(garbage), std::runtime_error);
+}
+
+// The plan travels by name. A well-sealed manifest whose name parse_plan
+// does not know (empty included) is hostile input, not a default.
+TEST(ShardWire, ManifestRejectsUnknownPlanNames) {
+  Manifest manifest;
+  manifest.max_rank = 4;
+  manifest.item_of = {1, 2, 3, 4};
+  manifest.shards = split_shards({}, 4, 2);
+  const auto fixed = encode_manifest(manifest);
+  // The name is the last field: varint length, bytes, then the CRC.
+  const std::size_t name_at = fixed.size() - 4 - std::strlen("fixed") - 1;
+  const auto with_plan_name = [&](std::string_view name) {
+    std::vector<std::uint8_t> bytes(fixed.begin(),
+                                    fixed.begin() +
+                                        static_cast<std::ptrdiff_t>(name_at));
+    compress::put_varint(bytes, name.size());
+    bytes.insert(bytes.end(), name.begin(), name.end());
+    bytes.resize(bytes.size() + 4);
+    testing::reseal_container(bytes);
+    return bytes;
+  };
+  EXPECT_EQ(with_plan_name("fixed"), fixed);
+  EXPECT_EQ(decode_manifest(with_plan_name("adaptive")).plan,
+            core::PlanMode::kAdaptive);
+  EXPECT_THROW((void)decode_manifest(with_plan_name("")), std::runtime_error);
+  EXPECT_THROW((void)decode_manifest(with_plan_name("psychic")),
+               std::runtime_error);
 }
 
 TEST(ShardWire, ManifestRejectsWindowsThatDoNotTile) {
@@ -357,7 +388,7 @@ TEST_F(ShardTest, AdaptivePlanShardsStayByteIdentical) {
   const auto db = quest_db();
   const std::string dir = job_dir("quest_adaptive");
   ShardOptions opts = options(dir, 3);
-  opts.plan = "adaptive";
+  opts.plan = core::PlanMode::kAdaptive;
   Emissions sharded;
   ASSERT_EQ(mine_sharded(db, 3, collect_emissions(sharded), opts),
             core::MineStatus::kCompleted);
@@ -481,10 +512,6 @@ TEST_F(ShardTest, PrepareValidatesOptions) {
   const auto db = testing::paper_table1();
   ShardOptions no_dir;
   EXPECT_THROW((void)prepare_job(db, 2, no_dir), std::invalid_argument);
-
-  ShardOptions bad_plan = options(job_dir("t1_badplan"), 2);
-  bad_plan.plan = "psychic";
-  EXPECT_THROW((void)prepare_job(db, 2, bad_plan), std::invalid_argument);
 
   ShardOptions opts = options(job_dir("t1_run_nobin"), 2);
   const Manifest manifest = prepare_job(db, 2, opts);

@@ -95,8 +95,10 @@ int main(int argc, char** argv) {
   if (!harness::apply_backend_flag(args, /*announce=*/false)) return 2;
   // An unknown --plan refuses to run with the usage text, mirroring the
   // --backend contract: never silently mine under the wrong plan.
-  if (!harness::apply_plan_flag(args, /*announce=*/false))
-    return usage(argv[0]);
+  const std::optional<core::PlanMode> plan = harness::parse_plan_flag(args);
+  if (!plan) return usage(argv[0]);
+  core::MineOptions mine_options;
+  mine_options.plan = *plan;
   // One session around everything the invocation does (mining, queries,
   // serialization); written on every exit path by the destructor.
   harness::TraceScope trace(args);
@@ -183,7 +185,7 @@ int main(int argc, char** argv) {
     std::optional<core::FrequentItemsets> reference;
     for (const core::Algorithm algorithm : core::all_algorithms()) {
       try {
-        auto result = core::mine(db, minsup, algorithm);
+        auto result = core::mine(db, minsup, algorithm, mine_options);
         if (!reference) reference = result.itemsets;
         const bool agrees = core::FrequentItemsets::equal(
             *reference, result.itemsets);
@@ -212,7 +214,7 @@ int main(int argc, char** argv) {
 
   core::MineResult result;
   try {
-    result = core::mine(db, minsup, *algorithm);
+    result = core::mine(db, minsup, *algorithm, mine_options);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;

@@ -20,6 +20,7 @@
 // --merge replays the finished logs of an existing job directory.
 #include <chrono>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -128,8 +129,8 @@ int main(int argc, char** argv) {
   }
 
   if (!harness::apply_backend_flag(args, /*announce=*/false)) return 2;
-  if (!harness::apply_plan_flag(args, /*announce=*/false))
-    return usage(argv[0]);
+  const std::optional<core::PlanMode> plan = harness::parse_plan_flag(args);
+  if (!plan) return usage(argv[0]);
   harness::TraceScope trace(args);
   const auto limit = static_cast<std::size_t>(args.get_int("limit", 20));
   if (dir.empty()) return usage(argv[0]);
@@ -183,7 +184,7 @@ int main(int argc, char** argv) {
   options.dir = dir;
   options.workers = static_cast<std::size_t>(args.get_int("workers", 2));
   options.worker_binary = self_path(argv[0]);
-  options.plan = args.get("plan", "");
+  options.plan = *plan;
   options.launch_prefix = split_words(args.get("launch-prefix", ""));
   options.max_launch_attempts =
       static_cast<std::size_t>(args.get_int("retries", 2)) + 1;
