@@ -1,5 +1,6 @@
 #include "core/builder.hpp"
 
+#include "core/validate.hpp"
 #include "obs/trace.hpp"
 
 namespace plt::core {
@@ -28,6 +29,14 @@ Plt build_plt(const tdb::Database& ranked_db, Rank max_rank,
     }
   }
   return plt;
+}
+
+TreeView build_tree(const tdb::Database& ranked_db, Rank max_rank) {
+  PLT_SPAN("build-plt");
+  PLT_TRACE_COUNT("vectors-inserted", ranked_db.size());
+  TreeView tree = TreeView::from_ranked_rows(ranked_db, max_rank);
+  maybe_validate(tree, "build_tree");
+  return tree;
 }
 
 BuiltPlt build_from_database(const tdb::Database& db, Count min_support,

@@ -59,14 +59,6 @@ std::vector<std::pair<PosVec, Count>> conditional_database(const Plt& plt,
   return cond;
 }
 
-void mine_plt_conditional(Plt& plt, const std::vector<Item>& item_of,
-                          std::vector<Item>& suffix, Count min_support,
-                          const ItemsetSink& sink,
-                          const ConditionalOptions& options) {
-  ProjectionEngine engine;
-  engine.mine(plt, item_of, suffix, min_support, sink, options);
-}
-
 void mine_plt_conditional_recursive(Plt& plt,
                                     const std::vector<Item>& item_of,
                                     std::vector<Item>& suffix,
@@ -112,11 +104,12 @@ void mine_conditional(const RankedView& view, Count min_support,
                       const ConditionalOptions& options) {
   if (view.db.empty() || view.alphabet() == 0) return;
   const auto max_rank = static_cast<Rank>(view.alphabet());
-  Plt plt = build_plt(view.db, max_rank);
+  const TreeView tree = build_tree(view.db, max_rank);
   std::vector<Item> item_of(max_rank);
   for (Rank r = 1; r <= max_rank; ++r) item_of[r - 1] = view.item_of(r);
   std::vector<Item> suffix;
-  mine_plt_conditional(plt, item_of, suffix, min_support, sink, options);
+  ProjectionEngine engine;
+  engine.mine(tree, item_of, suffix, min_support, sink, options);
 }
 
 }  // namespace plt::core

@@ -1,12 +1,15 @@
 // The conditional approach (§5.1, Algorithm 3): pattern-growth mining over
 // the PLT. Ranks are processed high to low; the entries whose vector sum
 // equals rank j are exactly the projected transactions whose highest item is
-// j, so support(suffix ∪ {j}) is the frequency mass of bucket j. Each such
-// entry's prefix is re-inserted into the working PLT (so lower ranks see the
-// transaction without j) and, when the extension is frequent, also forms j's
-// conditional PLT, which is mined recursively. The anti-monotone property is
-// fully exploited: infrequent extensions terminate their branch, and
-// conditional databases are filtered to locally-frequent items.
+// j, so support(suffix ∪ {j}) is the frequency mass of bucket j. Lower ranks
+// must then see each such transaction without j: in the table form the
+// entry's prefix is re-inserted into the working PLT, while in the physical
+// tree that the top level mines (core/tree_view.hpp) the prefix is the
+// node's parent, so nothing is re-inserted. When the extension is frequent, the
+// prefixes also form j's conditional PLT, which is mined recursively. The
+// anti-monotone property is fully exploited: infrequent extensions
+// terminate their branch, and conditional databases are filtered to
+// locally-frequent items.
 #pragma once
 
 #include "core/itemset_collector.hpp"
@@ -27,22 +30,13 @@ void mine_conditional(const RankedView& view, Count min_support,
                       const ItemsetSink& sink,
                       const ConditionalOptions& options = {});
 
-/// Lower-level entry point shared by the parallel partition miner, the
-/// incremental store and the out-of-core blob miner: mines `plt` (consumed)
-/// whose local rank r reports as original item `item_of[r-1]`, with
-/// `suffix` (original item ids) already fixed. Runs on a pooled
-/// ProjectionEngine (see core/projection_pool.hpp); callers that mine many
-/// PLTs should hold an engine themselves and call its mine() directly so
-/// projection arenas recycle across calls.
-void mine_plt_conditional(Plt& plt, const std::vector<Item>& item_of,
-                          std::vector<Item>& suffix, Count min_support,
-                          const ItemsetSink& sink,
-                          const ConditionalOptions& options);
-
-/// The original recursive Algorithm 3, which builds a fresh conditional PLT
-/// (new arenas, hash indexes, sum buckets) at every recursion node. Kept as
-/// the reference implementation: differential tests and the E17 bench pin
-/// the pooled engine against it.
+/// The original recursive Algorithm 3 over the table form: mines `plt`
+/// (consumed — prefixes are re-inserted) whose local rank r reports as
+/// original item `item_of[r-1]`, with `suffix` (original item ids) already
+/// fixed, building a fresh conditional PLT (new arenas, hash indexes, sum
+/// buckets) at every recursion node. Kept as the reference implementation:
+/// differential tests and the E17 bench pin the pooled engine (see
+/// core/projection_pool.hpp) against it.
 void mine_plt_conditional_recursive(Plt& plt,
                                     const std::vector<Item>& item_of,
                                     std::vector<Item>& suffix,

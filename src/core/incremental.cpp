@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "core/projection_pool.hpp"
+#include "core/tree_view.hpp"
+
 namespace plt::core {
 
 IncrementalPlt::IncrementalPlt(Item max_item)
@@ -69,21 +72,17 @@ FrequentItemsets IncrementalPlt::mine(Count min_support,
   FrequentItemsets out;
   if (transactions_ == 0) return out;
 
-  // Working copy with only the live entries (removals leave zero-frequency
-  // tombstones in the maintained structure).
-  Plt working(plt_.max_rank());
-  plt_.for_each([&](Plt::Ref, std::span<const Pos> v,
-                    const Partition::Entry& e) {
-    if (e.freq > 0) working.add(v, e.freq);
-  });
+  // The tree of the live entries, weighted by frequency: removals leave
+  // zero-frequency tombstones in the maintained PLT, which from_plt skips.
+  const TreeView tree = TreeView::from_plt(plt_);
 
   // Ranks are raw item ids, so the rank -> item map is the identity.
   std::vector<Item> item_of(max_item_);
   for (Item i = 1; i <= max_item_; ++i) item_of[i - 1] = i;
   std::vector<Item> suffix;
   const auto sink = collect_into(out);
-  mine_plt_conditional(working, item_of, suffix, min_support, sink,
-                       options);
+  ProjectionEngine engine;
+  engine.mine(tree, item_of, suffix, min_support, sink, options);
   return out;
 }
 

@@ -14,7 +14,6 @@
 #include "core/conditional.hpp"
 #include "core/planner.hpp"
 #include "core/topdown.hpp"
-#include "core/validate.hpp"
 #include "tdb/stats.hpp"
 #include "util/crc32c.hpp"
 #include "util/failpoint.hpp"
@@ -128,10 +127,11 @@ MineResult mine_plt_family(const tdb::Database& db, Count min_support,
         PLT_TRACE_COUNT("plan.root.conditional", 1);
         result.plan_root = "conditional";
       }
-      Plt plt = build_plt(view.db, max_rank);
-      maybe_validate(plt, "mine: build_plt");
+      // The tree is the whole top-level working set: Algorithm 3 reads it
+      // without growing it, so its size is the budget's base.
+      const TreeView tree = build_tree(view.db, max_rank);
       result.build_seconds = build_timer.seconds();
-      result.structure_bytes = plt.memory_usage();
+      result.structure_bytes = tree.memory_usage();
       Timer mine_timer;
       ConditionalOptions cond;
       cond.filter_conditional_items =
@@ -143,7 +143,7 @@ MineResult mine_plt_family(const tdb::Database& db, Count min_support,
       engine.set_control(options.control, result.structure_bytes);
       if (algorithm == Algorithm::kPltConditional)
         engine.set_planner(planner);
-      engine.mine(plt, item_of, suffix, min_support, sink, cond);
+      engine.mine(tree, item_of, suffix, min_support, sink, cond);
       result.projection = engine.stats();
       result.mine_seconds = mine_timer.seconds();
       break;

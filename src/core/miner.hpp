@@ -57,7 +57,11 @@ struct MineResult {
   FrequentItemsets itemsets;
   double build_seconds = 0.0;  ///< structure construction (incl. first scan)
   double mine_seconds = 0.0;   ///< enumeration
-  std::size_t structure_bytes = 0;  ///< logical footprint of the built index
+  /// Logical footprint of the built index. For plt-conditional this is
+  /// the whole top-level working set — the physical tree, which mining
+  /// reads without growing — and the base a MiningControl memory budget
+  /// adds the projection engine's own bytes to.
+  std::size_t structure_bytes = 0;
   /// Projection-engine counters (zero for algorithms that don't project
   /// through the pooled engine — baselines, top-down).
   ProjectionStats projection;

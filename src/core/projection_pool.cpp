@@ -315,35 +315,59 @@ ProjectionEngine::Frame* ProjectionEngine::planned_project(
   return &frame;
 }
 
-void ProjectionEngine::mine(Plt& plt, const std::vector<Item>& item_of,
-                            std::vector<Item>& suffix, Count min_support,
-                            const ItemsetSink& sink,
+ProjectionEngine::Frame* ProjectionEngine::extend(
+    Rank j, Count support, std::size_t depth, const std::vector<Item>& items,
+    std::vector<Item>& suffix, Count min_support, const ItemsetSink& sink,
+    const ConditionalOptions& options) {
+  stats_.entries_projected += cond_.size();
+  PLT_TRACE_COUNT("ranks-processed", 1);
+  PLT_TRACE_COUNT("entries-projected", cond_.size());
+  if (support < min_support) return nullptr;  // anti-monotone cut
+
+  suffix.push_back(items[j - 1]);
+  emitted_ = suffix;
+  std::sort(emitted_.begin(), emitted_.end());
+  sink(emitted_, support);
+  PLT_TRACE_COUNT("itemsets-emitted", 1);
+
+  Frame* child = nullptr;
+  if (!cond_.empty()) {
+    if (planner_ == nullptr) {
+      Frame& frame = acquire(depth);
+      if (project_into(frame, j, min_support,
+                       options.filter_conditional_items, items))
+        child = &frame;
+    } else {
+      child = planned_project(j, depth, min_support, options, items, suffix,
+                              sink);
+    }
+  }
+  if (child == nullptr) suffix.pop_back();
+  return child;
+}
+
+void ProjectionEngine::walk(Plt& root, const std::vector<Item>& root_items,
+                            std::size_t base_depth, std::vector<Item>& suffix,
+                            Count min_support, const ItemsetSink& sink,
                             const ConditionalOptions& options) {
-  // One level per projection depth. Level 0 borrows the caller's PLT;
-  // deeper levels point into the pool. `j` is the rank the level will
+  // One level per projection depth. The root level borrows the caller's
+  // PLT; deeper levels point into the pool. `j` is the rank the level will
   // process next (Algorithm 3 walks ranks high to low).
-  struct Level {
-    Plt* plt;
-    const std::vector<Item>* items;
-    Rank j;
-  };
-  // One span for the whole iterative walk (the explicit stack interleaves
-  // depths, so per-node RAII spans cannot nest here); per-rank and
-  // per-projection activity lands in counters and the "projection" span.
-  PLT_SPAN("rank-loop");
-  std::vector<Level> stack;
-  stack.push_back({&plt, &item_of, plt.max_rank()});
-  interrupted_ = false;
+  std::vector<Level>& stack = stack_;
+  stack.clear();
+  stack.push_back({&root, &root_items, root.max_rank()});
 
   while (!stack.empty()) {
-    if (control_ != nullptr && check_control()) {
-      // Unwind cleanly: restore the caller's suffix (one pushed item per
-      // live child level) and leave already-emitted itemsets in the sink.
+    if (interrupted_ || (control_ != nullptr && check_control())) {
+      // A control stop, here or inside an in-place strategy of the last
+      // step. Unwind cleanly: restore the caller's suffix (one pushed item
+      // per live child level) and leave already-emitted itemsets in the
+      // sink.
+      interrupted_ = true;
       while (stack.size() > 1) {
         stack.pop_back();
         suffix.pop_back();
       }
-      interrupted_ = true;
       return;
     }
     Level& top = stack.back();
@@ -366,47 +390,68 @@ void ProjectionEngine::mine(Plt& plt, const std::vector<Item>& item_of,
           const auto stored = cond_.push(prefix, freq);
           p.add(stored, freq);
         });
-    stats_.entries_projected += cond_.size();
-    PLT_TRACE_COUNT("ranks-processed", 1);
-    PLT_TRACE_COUNT("entries-projected", cond_.size());
-    if (support < min_support) continue;  // anti-monotone cut
-
-    suffix.push_back((*top.items)[j - 1]);
-    emitted_ = suffix;
-    std::sort(emitted_.begin(), emitted_.end());
-    sink(emitted_, support);
-    PLT_TRACE_COUNT("itemsets-emitted", 1);
-
-    if (!cond_.empty()) {
-      Frame* child = nullptr;
-      if (planner_ == nullptr) {
-        Frame& frame = acquire(stack.size() - 1);
-        if (project_into(frame, j, min_support,
-                         options.filter_conditional_items, *top.items))
-          child = &frame;
-      } else {
-        child = planned_project(j, stack.size() - 1, min_support, options,
-                                *top.items, suffix, sink);
-        if (interrupted_) {
-          // A control stop fired inside an in-place strategy. Unwind like
-          // the loop-head check: drop rank j's suffix item, then one per
-          // live child level.
-          suffix.pop_back();
-          while (stack.size() > 1) {
-            stack.pop_back();
-            suffix.pop_back();
-          }
-          return;
-        }
-      }
-      if (child != nullptr) {
-        stack.push_back(
-            {&child->plt, &child->item_of, child->plt.max_rank()});
-        continue;  // the suffix item stays pushed while the child mines
-      }
-    }
-    suffix.pop_back();
+    const std::vector<Item>& items = *top.items;
+    Frame* child =
+        extend(j, support, base_depth + stack.size() - 1, items, suffix,
+               min_support, sink, options);
+    if (child != nullptr)  // the suffix item stays pushed while it mines
+      stack.push_back({&child->plt, &child->item_of, child->plt.max_rank()});
   }
+}
+
+void ProjectionEngine::mine(Plt& plt, const std::vector<Item>& item_of,
+                            std::vector<Item>& suffix, Count min_support,
+                            const ItemsetSink& sink,
+                            const ConditionalOptions& options) {
+  // One span for the whole iterative walk (the explicit stack interleaves
+  // depths, so per-node RAII spans cannot nest here); per-rank and
+  // per-projection activity lands in counters and the "projection" span.
+  PLT_SPAN("rank-loop");
+  interrupted_ = false;
+  walk(plt, item_of, 0, suffix, min_support, sink, options);
+}
+
+void ProjectionEngine::mine_rank(const TreeView& tree, Rank j,
+                                 const std::vector<Item>& item_of,
+                                 std::vector<Item>& suffix, Count min_support,
+                                 const ItemsetSink& sink,
+                                 const ConditionalOptions& options) {
+  interrupted_ = false;
+  if (control_ != nullptr && check_control()) {
+    interrupted_ = true;
+    return;
+  }
+  const std::span<const TreeView::NodeId> nodes = tree.bucket(j);
+  if (nodes.empty()) return;
+
+  // CD_j: the path of every rank-j node's parent, weighted by the node's
+  // support. The tree never changes, so lower ranks already see each of
+  // these rows without j — the paper's re-insert is the parent link.
+  cond_.clear();
+  Count support = 0;
+  for (const TreeView::NodeId id : nodes) {
+    const Count freq = tree.support(id);
+    support += freq;
+    if (const TreeView::NodeId parent = tree.node(id).parent;
+        parent != TreeView::kRoot)
+      cond_.push_path(tree, parent, freq);
+  }
+  Frame* child = extend(j, support, 0, item_of, suffix, min_support, sink,
+                        options);
+  if (child == nullptr) return;
+  walk(child->plt, child->item_of, 1, suffix, min_support, sink, options);
+  suffix.pop_back();
+}
+
+void ProjectionEngine::mine(const TreeView& tree,
+                            const std::vector<Item>& item_of,
+                            std::vector<Item>& suffix, Count min_support,
+                            const ItemsetSink& sink,
+                            const ConditionalOptions& options) {
+  PLT_SPAN("rank-loop");
+  interrupted_ = false;
+  for (Rank j = tree.max_rank(); j >= 1 && !interrupted_; --j)
+    mine_rank(tree, j, item_of, suffix, min_support, sink, options);
 }
 
 std::size_t ProjectionEngine::memory_usage() const {
@@ -414,6 +459,7 @@ std::size_t ProjectionEngine::memory_usage() const {
   for (const auto& frame : pool_)
     bytes += frame->plt.memory_usage() +
              frame->item_of.capacity() * sizeof(Item);
+  bytes += cond_.memory_usage() + stack_.capacity() * sizeof(Level);
   bytes += support_.capacity() * sizeof(Count) +
            to_child_.capacity() * sizeof(Rank) +
            sums_.capacity() * sizeof(Rank) +

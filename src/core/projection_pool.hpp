@@ -6,6 +6,9 @@
 // every recursion node. This engine removes all of that from the steady
 // state:
 //
+//   * the top level reads the physical tree (core/tree_view.hpp): CD_j is
+//     the parents' paths of the rank-j nodes, walked up parent links, so
+//     Algorithm 3's "Update PLT with V'" re-inserts nothing;
 //   * FlatCondDb — the conditional database is one contiguous Pos arena
 //     plus (offset, len, freq) records; prefixes are peeled exactly once.
 //   * a depth-indexed pool of recycled Plt frames — mining is DFS, so at
@@ -19,6 +22,7 @@
 // that visible (and bench_projection_pool records it).
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <span>
 #include <vector>
@@ -27,6 +31,7 @@
 #include "core/exec_control.hpp"
 #include "core/planner.hpp"
 #include "core/plt.hpp"
+#include "core/tree_view.hpp"
 
 namespace plt::core {
 
@@ -83,6 +88,16 @@ class FlatCondDb {
     return {arena_.data() + offset, prefix.size()};
   }
 
+  /// Appends the path from the root to tree node `id` as one prefix,
+  /// climbing parent links (positions arrive last to first).
+  void push_path(const TreeView& tree, TreeView::NodeId id, Count freq) {
+    const auto offset = static_cast<std::uint32_t>(arena_.size());
+    tree.climb(id, [&](Pos p) { arena_.push_back(p); });
+    std::reverse(arena_.begin() + offset, arena_.end());
+    records_.push_back(
+        {offset, static_cast<std::uint32_t>(arena_.size() - offset), freq});
+  }
+
   std::span<const Pos> positions(const Record& r) const {
     return {arena_.data() + r.offset, r.len};
   }
@@ -90,6 +105,11 @@ class FlatCondDb {
   /// The raw gap arena, all records back to back — the projection engine
   /// peels the whole thing with one kernel call and re-bases per record.
   const std::vector<Pos>& arena() const { return arena_; }
+
+  std::size_t memory_usage() const {
+    return arena_.capacity() * sizeof(Pos) +
+           records_.capacity() * sizeof(Record);
+  }
 
  private:
   std::vector<Pos> arena_;
@@ -101,9 +121,30 @@ class FlatCondDb {
 /// every projection after the first few recycles warm arenas.
 class ProjectionEngine {
  public:
-  /// Mines `plt` (consumed, same contract as mine_plt_conditional): every
-  /// frequent extension of `suffix` is reported through `sink` in original
-  /// item ids, exactly like the recursive reference path.
+  /// Algorithm 3 over the physical tree: mine_rank() for every rank from
+  /// tree.max_rank() down to 1. Tree rank r reports as `item_of[r-1]`;
+  /// every frequent extension of `suffix` is reported through `sink` in
+  /// the recursive reference path's exact order. The tree is only read.
+  void mine(const TreeView& tree, const std::vector<Item>& item_of,
+            std::vector<Item>& suffix, Count min_support,
+            const ItemsetSink& sink, const ConditionalOptions& options);
+
+  /// One top-level step of Algorithm 3 for rank `j`: fills CD_j from the
+  /// rank-j nodes (support(suffix ∪ {j}) is their support total), emits
+  /// suffix ∪ {j} when frequent, projects CD_j into a pooled frame and
+  /// mines it. Steps of different ranks are independent, so workers of
+  /// mine_parallel each run theirs against one shared tree.
+  void mine_rank(const TreeView& tree, Rank j,
+                 const std::vector<Item>& item_of, std::vector<Item>& suffix,
+                 Count min_support, const ItemsetSink& sink,
+                 const ConditionalOptions& options);
+
+  /// Mines `plt` (consumed, same contract as
+  /// mine_plt_conditional_recursive): every frequent extension of `suffix`
+  /// is reported through `sink` in original item ids, in the recursive
+  /// reference path's exact order. The table-form entry for callers that
+  /// hold a PLT rather than a tree (the blob path's per-rank projections,
+  /// the differential tests).
   void mine(Plt& plt, const std::vector<Item>& item_of,
             std::vector<Item>& suffix, Count min_support,
             const ItemsetSink& sink, const ConditionalOptions& options);
@@ -144,7 +185,8 @@ class ProjectionEngine {
     expand_path(items, upto, freq, suffix, sink);
   }
 
-  /// Heap bytes currently held by the pooled frames and scratch buffers.
+  /// Heap bytes currently held by the pooled frames, the conditional
+  /// database (whose largest fill is a top-level CD_j) and scratch buffers.
   std::size_t memory_usage() const;
 
  private:
@@ -154,7 +196,31 @@ class ProjectionEngine {
     Plt plt{1};
     std::vector<Item> item_of;
   };
+  /// One table level of the explicit stack: the PLT it walks, its
+  /// rank -> item translation, and the rank it processes next.
+  struct Level {
+    Plt* plt;
+    const std::vector<Item>* items;
+    Rank j;
+  };
 
+  /// The table-form walk (Algorithm 3 with "Update PLT with V'" as a
+  /// re-insert): mines `root` with its levels' frames at pool depths
+  /// base_depth and below. On a control stop it unwinds the suffix to its
+  /// state at entry and sets interrupted_.
+  void walk(Plt& root, const std::vector<Item>& root_items,
+            std::size_t base_depth, std::vector<Item>& suffix,
+            Count min_support, const ItemsetSink& sink,
+            const ConditionalOptions& options);
+  /// The step shared by tree and table levels once cond_ holds CD_j and
+  /// `support` is support(suffix ∪ {j}): counts, applies the anti-monotone
+  /// cut, emits, and projects CD_j into the frame at `depth`. Returns that
+  /// frame with items[j-1] left pushed on `suffix`, or null with `suffix`
+  /// restored (also on a control stop inside an in-place strategy).
+  Frame* extend(Rank j, Count support, std::size_t depth,
+                const std::vector<Item>& items, std::vector<Item>& suffix,
+                Count min_support, const ItemsetSink& sink,
+                const ConditionalOptions& options);
   Frame& acquire(std::size_t depth);
   /// One cooperative control check; memory is re-measured every few ticks
   /// (measuring walks the pool, so it is amortized off the hot path).
@@ -198,6 +264,7 @@ class ProjectionEngine {
                      const ItemsetSink& sink, std::size_t depth);
 
   std::vector<std::unique_ptr<Frame>> pool_;  ///< pool_[d] = depth d+1 frame
+  std::vector<Level> stack_;                  ///< walk()'s explicit stack
   FlatCondDb cond_;
   std::vector<Count> support_;  ///< scratch: local support per parent rank
   std::vector<Rank> to_child_;  ///< scratch: parent rank -> child rank

@@ -1,81 +1,216 @@
 #include "core/tree_view.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <sstream>
 
 namespace plt::core {
 
-TreeView::NodeId TreeView::ensure_child(NodeId parent, Pos position) {
-  auto& children = nodes_[parent].children;
-  const auto it = std::lower_bound(
-      children.begin(), children.end(), position,
-      [&](NodeId id, Pos p) { return nodes_[id].position < p; });
-  if (it != children.end() && nodes_[*it].position == position) return *it;
+namespace {
 
-  Node node;
-  node.position = position;
-  node.rank = nodes_[parent].rank + position;
-  node.parent = parent;
-  nodes_.push_back(node);
-  const auto id = static_cast<NodeId>(nodes_.size() - 1);
-  // nodes_ may have reallocated; re-take the children reference.
-  auto& fresh = nodes_[parent].children;
-  const auto pos_it = std::lower_bound(
-      fresh.begin(), fresh.end(), position,
-      [&](NodeId nid, Pos p) { return nodes_[nid].position < p; });
-  fresh.insert(pos_it, id);
-  return id;
+std::size_t common_prefix(std::span<const Rank> a, std::span<const Rank> b) {
+  const std::size_t n = std::min(a.size(), b.size());
+  std::size_t i = 0;
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
+bool lexicographic_less(std::span<const Rank> a, std::span<const Rank> b) {
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
+}
+
+/// Row ids sorted lexicographically by their rank lists. Each row's
+/// leading ranks are packed into one 64-bit key, as many as fit at
+/// bit_width(max_rank) bits each, with 0 (below every rank) past the row's
+/// end so a row sorts before its extensions. Most comparisons then read a
+/// contiguous array instead of the rows, and only rows sharing every packed
+/// rank compare their remainders.
+template <typename RowAt>  // RowAt(std::uint32_t) -> std::span<const Rank>
+std::vector<std::uint32_t> lexicographic_order(std::size_t rows,
+                                               Rank max_rank, RowAt&& row_at) {
+  struct Keyed {
+    std::uint64_t key;
+    std::uint32_t row;
+  };
+  const unsigned bits =
+      std::max(1u, static_cast<unsigned>(std::bit_width(max_rank)));
+  const std::size_t packed = 64 / bits;
+  std::vector<Keyed> keyed;
+  keyed.reserve(rows);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::span<const Rank> row = row_at(static_cast<std::uint32_t>(i));
+    if (row.empty()) continue;
+    std::uint64_t key = 0;
+    for (std::size_t k = 0; k < packed; ++k)
+      key = (key << bits) | (k < row.size() ? row[k] : 0);
+    keyed.push_back({key, static_cast<std::uint32_t>(i)});
+  }
+  std::sort(keyed.begin(), keyed.end(), [&](const Keyed& a, const Keyed& b) {
+    if (a.key != b.key) return a.key < b.key;
+    const std::span<const Rank> x = row_at(a.row), y = row_at(b.row);
+    return lexicographic_less(x.subspan(std::min(packed, x.size())),
+                              y.subspan(std::min(packed, y.size())));
+  });
+  std::vector<std::uint32_t> order(keyed.size());
+  for (std::size_t i = 0; i < keyed.size(); ++i) order[i] = keyed[i].row;
+  return order;
+}
+
+}  // namespace
+
+TreeView::TreeView(Rank max_rank) : max_rank_(max_rank) {
+  bucket_start_.assign(static_cast<std::size_t>(max_rank_) + 1, 0);
+}
+
+template <typename RowAt, typename WeightAt>
+void TreeView::assemble(std::span<const std::uint32_t> order, RowAt&& row_at,
+                        WeightAt&& weight_at) {
+  // Sorted rows share their common prefix with the row before them, so
+  // each row adds exactly the ranks past that prefix, in preorder. A first
+  // pass counts those nodes so the array is sized once.
+  std::size_t count = 1;
+  std::span<const Rank> prev;
+  for (const std::uint32_t i : order) {
+    const std::span<const Rank> row = row_at(i);
+    count += row.size() - common_prefix(prev, row);
+    prev = row;
+  }
+  PLT_ASSERT(ids_fit(count), "tree node count exceeds 32-bit node ids");
+  nodes_.assign(1, Node{});
+  supports_.assign(1, 0);
+  nodes_.reserve(count);
+  supports_.reserve(count);
+
+  std::vector<NodeId> path;  // path[d] = node at depth d+1 of the last row
+  prev = {};
+  for (const std::uint32_t i : order) {
+    const std::span<const Rank> row = row_at(i);
+    const Count weight = weight_at(i);
+    const std::size_t shared = common_prefix(prev, row);
+    path.resize(shared);
+    supports_[kRoot] += weight;
+    for (const NodeId id : path) supports_[id] += weight;
+    for (std::size_t d = shared; d < row.size(); ++d) {
+      const NodeId parent = d == 0 ? kRoot : path.back();
+      PLT_ASSERT(row[d] > nodes_[parent].rank && row[d] <= max_rank_,
+                 "tree rows must be strictly increasing ranks <= max_rank");
+      nodes_.push_back({parent, row[d]});
+      supports_.push_back(weight);
+      path.push_back(static_cast<NodeId>(nodes_.size() - 1));
+    }
+    prev = row;
+  }
+  index_buckets();
+}
+
+void TreeView::index_buckets() {
+  // Counting sort of node ids by rank; ids ascend, so every bucket lists
+  // its nodes in preorder.
+  bucket_start_.assign(static_cast<std::size_t>(max_rank_) + 1, 0);
+  for (std::size_t id = 1; id < nodes_.size(); ++id)
+    ++bucket_start_[nodes_[id].rank];
+  for (Rank j = 1; j <= max_rank_; ++j)
+    bucket_start_[j] += bucket_start_[j - 1];
+  std::vector<std::uint32_t> cursor(bucket_start_.begin(),
+                                    bucket_start_.end() - 1);
+  bucket_nodes_.resize(nodes_.size() - 1);
+  for (std::size_t id = 1; id < nodes_.size(); ++id)
+    bucket_nodes_[cursor[nodes_[id].rank - 1]++] = static_cast<NodeId>(id);
+}
+
+TreeView TreeView::from_ranked_rows(const tdb::Database& ranked_db,
+                                    Rank max_rank) {
+  PLT_ASSERT(ids_fit(ranked_db.size()), "row ids exceed 32 bits");
+  const auto row = [&](std::uint32_t t) { return ranked_db[t]; };
+  TreeView tree(max_rank);
+  tree.assemble(lexicographic_order(ranked_db.size(), max_rank, row), row,
+                [](std::uint32_t) { return Count{1}; });
+  return tree;
 }
 
 TreeView TreeView::from_plt(const Plt& plt) {
-  TreeView tree;
+  // Live vectors as rank rows, back to back (row i = ranks[start[i] ..
+  // start[i+1])); ordering positions and ranks lexicographically agree.
+  std::vector<Rank> ranks;
+  std::vector<std::size_t> start;
+  std::vector<Count> weights;
   plt.for_each([&](Plt::Ref, std::span<const Pos> v,
                    const Partition::Entry& e) {
-    NodeId node = kRoot;
-    for (const Pos p : v) node = tree.ensure_child(node, p);
-    tree.nodes_[node].freq += e.freq;
+    if (e.freq == 0) return;
+    start.push_back(ranks.size());
+    Rank acc = 0;
+    for (const Pos p : v) ranks.push_back(acc += p);
+    weights.push_back(e.freq);
   });
+  start.push_back(ranks.size());
+  PLT_ASSERT(ids_fit(weights.size()), "row ids exceed 32 bits");
+  const auto row = [&](std::uint32_t i) {
+    return std::span<const Rank>(ranks.data() + start[i],
+                                 start[i + 1] - start[i]);
+  };
+  TreeView tree(plt.max_rank());
+  tree.assemble(lexicographic_order(weights.size(), plt.max_rank(), row), row,
+                [&](std::uint32_t i) { return weights[i]; });
   return tree;
 }
 
 TreeView TreeView::full_lexicographic(Rank max_rank) {
   PLT_ASSERT(max_rank >= 1 && max_rank <= 16,
              "full lexicographic tree guarded to max_rank <= 16");
-  TreeView tree;
-  // Node for every non-empty subset: children of a node at rank r are the
-  // ranks r+1..max_rank, i.e. positions 1..max_rank-r.
+  TreeView tree(max_rank);
+  // Preorder DFS over every non-empty subset: the children of a node at
+  // rank r are the ranks r+1..max_rank, i.e. positions 1..max_rank-r.
   struct Frame {
     NodeId id;
-    Rank rank;
+    Rank next;
   };
-  std::vector<Frame> stack{{kRoot, 0}};
+  std::vector<Frame> stack{{kRoot, 1}};
   while (!stack.empty()) {
-    const Frame frame = stack.back();
-    stack.pop_back();
-    for (Rank next = frame.rank + 1; next <= max_rank; ++next) {
-      const NodeId child =
-          tree.ensure_child(frame.id, next - frame.rank);
-      stack.push_back({child, next});
+    const Frame top = stack.back();
+    if (top.next > max_rank) {
+      stack.pop_back();
+      continue;
     }
+    ++stack.back().next;
+    tree.nodes_.push_back({top.id, top.next});
+    tree.supports_.push_back(0);
+    stack.push_back(
+        {static_cast<NodeId>(tree.nodes_.size() - 1), top.next + 1});
   }
+  tree.index_buckets();
   return tree;
 }
 
 Plt TreeView::to_plt(Rank max_rank) const {
   Plt plt(max_rank);
   walk([&](NodeId id, std::size_t) {
-    if (nodes_[id].freq == 0) return;
-    plt.add(path(id), nodes_[id].freq);
+    const Count freq = end_freq(id);
+    if (freq > 0) plt.add(path(id), freq);
   });
   return plt;
 }
 
+std::vector<TreeView::NodeId> TreeView::children(NodeId id) const {
+  // In preorder, id's subtree is the run of nodes after it whose parents
+  // are id or later; its children are the ones whose parent is id.
+  std::vector<NodeId> out;
+  for (std::size_t i = std::size_t{id} + 1;
+       i < nodes_.size() && nodes_[i].parent >= id; ++i)
+    if (nodes_[i].parent == id) out.push_back(static_cast<NodeId>(i));
+  return out;
+}
+
+Count TreeView::end_freq(NodeId id) const {
+  Count freq = supports_[id];
+  for (const NodeId c : children(id)) freq -= supports_[c];
+  return freq;
+}
+
 TreeView::NodeId TreeView::child(NodeId id, Pos position) const {
-  const auto& children = nodes_[id].children;
-  const auto it = std::lower_bound(
-      children.begin(), children.end(), position,
-      [&](NodeId nid, Pos p) { return nodes_[nid].position < p; });
-  if (it != children.end() && nodes_[*it].position == position) return *it;
+  const Rank rank = nodes_[id].rank;
+  if (position == 0 || position > max_rank_ - rank) return kRoot;
+  for (const NodeId n : bucket(rank + position))
+    if (nodes_[n].parent == id) return n;
   return kRoot;
 }
 
@@ -90,8 +225,7 @@ TreeView::NodeId TreeView::find(std::span<const Pos> v) const {
 
 PosVec TreeView::path(NodeId id) const {
   PosVec v;
-  for (NodeId cur = id; cur != kRoot; cur = nodes_[cur].parent)
-    v.push_back(nodes_[cur].position);
+  climb(id, [&](Pos p) { v.push_back(p); });
   std::reverse(v.begin(), v.end());
   return v;
 }
@@ -100,20 +234,19 @@ std::string TreeView::to_string() const {
   std::ostringstream out;
   out << "(root)\n";
   walk([&](NodeId id, std::size_t depth) {
-    const Node& n = nodes_[id];
-    out << std::string(depth * 2, ' ') << n.position << " (rank " << n.rank
-        << ')';
-    if (n.freq > 0) out << " freq=" << n.freq;
+    out << std::string(depth * 2, ' ') << position(id) << " (rank "
+        << nodes_[id].rank << ')';
+    if (const Count freq = end_freq(id); freq > 0) out << " freq=" << freq;
     out << '\n';
   });
   return out.str();
 }
 
 std::size_t TreeView::memory_usage() const {
-  std::size_t bytes = nodes_.capacity() * sizeof(Node);
-  for (const Node& n : nodes_)
-    bytes += n.children.capacity() * sizeof(NodeId);
-  return bytes;
+  return nodes_.capacity() * sizeof(Node) +
+         supports_.capacity() * sizeof(Count) +
+         bucket_start_.capacity() * sizeof(std::uint32_t) +
+         bucket_nodes_.capacity() * sizeof(NodeId);
 }
 
 }  // namespace plt::core

@@ -1,16 +1,26 @@
 // Physical tree form of the PLT — the paper's Figure 3(b) ("a physical tree
 // may also be assumed", §4.2) and the full lexicographic tree of Figure 1.
 //
-// The table form (Plt) is the mining workhorse; the tree form materializes
-// the same information as a linked prefix tree whose edges are labelled with
-// *position values* (rank gaps), for navigation, visualization and teaching.
-// Conversion is lossless in both directions (tests enforce the round trip).
+// The tree is flat: nodes sit in lexicographic preorder, and each stores
+// its parent, its rank and its path support (the rows whose rank list
+// starts with the node's path). Parent and rank share one 8-byte link, so
+// a walk up the tree touches half the memory; supports sit apart. A
+// per-rank node index lists the nodes of each rank in preorder — Lemma
+// 4.1.1's sum buckets, since a node's path sums to its rank. The tree is
+// built once and never changes, which is what Algorithm 3's top level
+// needs: CD_j is read off the nodes of rank j by walking parent links, so
+// the paper's "Update PLT with V'" costs nothing (a node's prefix already
+// is its parent). What only navigation needs — children, end frequencies —
+// is computed on demand. Conversion to and from the table form is lossless
+// (tests enforce the round trip).
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "core/plt.hpp"
+#include "tdb/database.hpp"
 
 namespace plt::core {
 
@@ -18,28 +28,78 @@ class TreeView {
  public:
   using NodeId = std::uint32_t;
   static constexpr NodeId kRoot = 0;
+  /// Node ids are 32-bit: a tree may hold at most this many nodes (root
+  /// included). Construction aborts past it, as Partition::add does past a
+  /// 32-bit arena, and the validator rejects it.
+  static constexpr std::size_t kMaxNodes = 0xffffffffull;
+  static constexpr bool ids_fit(std::size_t node_count) {
+    return node_count <= kMaxNodes;
+  }
 
   struct Node {
-    Pos position = 0;      ///< edge label from the parent (rank gap)
-    Rank rank = 0;         ///< absolute rank = parent rank + position
-    Count freq = 0;        ///< frequency of the path itemset (0 = internal)
     NodeId parent = kRoot;
-    std::vector<NodeId> children;  ///< ordered by position ascending
+    Rank rank = 0;  ///< prefix sum of the path's positions (Lemma 4.1.1)
   };
 
-  /// Materializes the tree of every vector stored in `plt`.
+  /// The root alone over an alphabet of `max_rank` ranks.
+  explicit TreeView(Rank max_rank);
+
+  /// Algorithm 1 in tree form over an already-ranked database (items are
+  /// ranks 1..max_rank): every non-empty row, weighted 1.
+  static TreeView from_ranked_rows(const tdb::Database& ranked_db,
+                                   Rank max_rank);
+
+  /// The tree of every vector stored in `plt`, weighted by its frequency.
+  /// Zero-frequency entries (removal tombstones) contribute no path.
   static TreeView from_plt(const Plt& plt);
 
   /// The full lexicographic tree over an alphabet of `max_rank` items
-  /// (Figure 1 / Figure 2), with all path frequencies zero. Exponential in
+  /// (Figure 1 / Figure 2), with all supports zero. Exponential in
   /// max_rank — guarded to max_rank <= 16.
   static TreeView full_lexicographic(Rank max_rank);
 
-  /// Converts back to the table form (paths with freq > 0 become vectors).
+  /// Converts back to the table form: every path with a non-zero end
+  /// frequency becomes a vector.
   Plt to_plt(Rank max_rank) const;
 
+  Rank max_rank() const { return max_rank_; }
   std::size_t node_count() const { return nodes_.size(); }
   const Node& node(NodeId id) const { return nodes_[id]; }
+  /// Rows whose rank list starts with the path to `id` (the root's is
+  /// every row).
+  Count support(NodeId id) const { return supports_[id]; }
+  /// Mutable access, for corruption tests of the validator.
+  Node& node(NodeId id) { return nodes_[id]; }
+  Count& support(NodeId id) { return supports_[id]; }
+
+  /// Edge label from the parent (rank gap); 0 for the root.
+  Pos position(NodeId id) const {
+    return id == kRoot ? 0 : nodes_[id].rank - nodes_[nodes_[id].parent].rank;
+  }
+
+  /// Nodes of rank `j` in preorder (Lemma 4.1.1's sum-j bucket).
+  std::span<const NodeId> bucket(Rank j) const {
+    return {bucket_nodes_.data() + bucket_start_[j - 1],
+            bucket_start_[j] - bucket_start_[j - 1]};
+  }
+
+  /// Calls fn(position) for every edge from `id` up to the root: the
+  /// path's positions last to first, read off parent links.
+  template <typename Fn>
+  void climb(NodeId id, Fn&& fn) const {
+    while (id != kRoot) {
+      const Node& n = nodes_[id];
+      fn(static_cast<Pos>(n.rank - nodes_[n.parent].rank));
+      id = n.parent;
+    }
+  }
+
+  /// Children of `id` in position order (a scan of its preorder subtree).
+  std::vector<NodeId> children(NodeId id) const;
+
+  /// Rows whose rank list is exactly this path: support minus the
+  /// children's supports.
+  Count end_freq(NodeId id) const;
 
   /// Child of `id` along edge `position`, or kRoot if absent.
   NodeId child(NodeId id, Pos position) const;
@@ -51,28 +111,36 @@ class TreeView {
   /// The position vector of the path from the root to `id`.
   PosVec path(NodeId id) const;
 
-  /// Depth-first traversal; fn(NodeId, depth).
+  /// Preorder traversal; fn(NodeId, depth).
   template <typename Fn>
   void walk(Fn&& fn) const {
-    walk_rec(kRoot, 0, fn);
+    std::vector<std::size_t> depth(nodes_.size(), 0);
+    for (NodeId id = 1; id < nodes_.size(); ++id) {
+      depth[id] = depth[nodes_[id].parent] + 1;
+      fn(id, depth[id]);
+    }
   }
 
   /// ASCII rendering in the style of Figure 3(b): one node per line,
-  /// "pos(rank):freq", indented by depth.
+  /// "pos (rank r) freq=f" (end frequency), indented by depth.
   std::string to_string() const;
 
   std::size_t memory_usage() const;
 
  private:
-  NodeId ensure_child(NodeId parent, Pos position);
+  /// Builds the preorder nodes from rows given in lexicographic order
+  /// (equal rows adjacent), then the per-rank index.
+  template <typename RowAt, typename WeightAt>
+  void assemble(std::span<const std::uint32_t> order, RowAt&& row_at,
+                WeightAt&& weight_at);
+  void index_buckets();
 
-  template <typename Fn>
-  void walk_rec(NodeId id, std::size_t depth, Fn&& fn) const {
-    if (id != kRoot) fn(id, depth);
-    for (const NodeId c : nodes_[id].children) walk_rec(c, depth + 1, fn);
-  }
-
+  Rank max_rank_;
   std::vector<Node> nodes_{1};  // node 0 is the root
+  std::vector<Count> supports_{0};
+  /// bucket_nodes_[bucket_start_[j-1] .. bucket_start_[j]) = rank-j nodes.
+  std::vector<std::uint32_t> bucket_start_;
+  std::vector<NodeId> bucket_nodes_;
 };
 
 }  // namespace plt::core

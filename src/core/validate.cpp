@@ -6,7 +6,6 @@
 #include <string_view>
 
 #include "core/position_vector.hpp"
-#include "core/tree_view.hpp"
 
 namespace plt::core {
 
@@ -101,59 +100,126 @@ bool validate_partition_into(const Partition& p, Rank max_rank,
   return true;
 }
 
-void validate_tree_into(const Plt& plt, const ValidateOptions& options,
-                        ValidationReport& report) {
-  const TreeView tree = TreeView::from_plt(plt);
-  // Iterative DFS from the root; the root itself (rank 0, freq 0) carries
-  // no invariant of its own.
-  std::vector<TreeView::NodeId> stack{TreeView::kRoot};
-  while (!stack.empty()) {
-    const TreeView::NodeId id = stack.back();
-    stack.pop_back();
+std::string node_where(TreeView::NodeId id, Rank rank) {
+  return "tree node " + std::to_string(id) + " (rank " + std::to_string(rank) +
+         ")";
+}
+
+/// The physical-tree invariants. Returns false when the parent links
+/// themselves are broken (the remaining checks then have no tree to read).
+bool validate_tree_into(const TreeView& tree, ValidationReport& report) {
+  using NodeId = TreeView::NodeId;
+  const std::size_t n = tree.node_count();
+  if (!TreeView::ids_fit(n)) {
+    issue(report, "tree",
+          std::to_string(n) + " nodes exceed 32-bit node ids");
+    return false;
+  }
+  if (tree.node(TreeView::kRoot).rank != 0)
+    issue(report, "tree root", "root rank is not 0");
+  // Preorder: every node's parent lies on the root path of the node before
+  // it. `open` is that path; last_child[d] is the rank of open[d]'s latest
+  // child, which the next child must exceed (siblings by ascending rank).
+  std::vector<NodeId> open{TreeView::kRoot};
+  std::vector<Rank> last_child{0};
+  std::vector<Count> child_support(n, 0);
+  for (std::size_t i = 1; i < n; ++i) {
+    const auto id = static_cast<NodeId>(i);
     const TreeView::Node& node = tree.node(id);
-    if (id != TreeView::kRoot) ++report.nodes_checked;
-    Pos last_position = 0;
-    for (const TreeView::NodeId child_id : node.children) {
-      const TreeView::Node& child = tree.node(child_id);
-      const std::string where =
-          "tree node " + core::to_string(tree.path(child_id));
-      if (child.parent != id)
-        issue(report, where, "parent link does not point at its parent");
-      // Lexicographic child ordering (§4.2): children sorted by position,
-      // strictly — equal positions would be the same child twice.
-      if (child.position <= last_position && last_position != 0)
-        issue(report, where,
-              "children out of lexicographic order (position " +
-                  std::to_string(child.position) + " after " +
-                  std::to_string(last_position) + ")");
-      if (child.position == 0)
-        issue(report, where, "edge position is 0 (Definition 4.1.2)");
-      last_position = child.position;
-      // Rank/pos consistency (Lemma 4.1.1): rank is the prefix-sum of edge
-      // positions, bounded by the alphabet.
-      if (child.rank != node.rank + child.position)
-        issue(report, where,
-              "rank " + std::to_string(child.rank) +
-                  " != parent rank + position (" +
-                  std::to_string(node.rank + child.position) +
-                  ") (Lemma 4.1.1)");
-      if (child.rank > plt.max_rank())
-        issue(report, where,
-              "rank " + std::to_string(child.rank) + " exceeds max_rank " +
-                  std::to_string(plt.max_rank()));
-      // Support monotonicity along paths: in a prefix-closed table every
-      // transaction counted in an extension was counted in the prefix too.
-      if (options.expect_prefix_closed && id != TreeView::kRoot &&
-          node.freq < child.freq)
-        issue(report, where,
-              "support " + std::to_string(child.freq) +
-                  " exceeds its prefix's support " +
-                  std::to_string(node.freq) +
-                  " (monotonicity along paths)");
-      stack.push_back(child_id);
+    ++report.nodes_checked;
+    while (open.size() > 1 && open.back() != node.parent) {
+      open.pop_back();
+      last_child.pop_back();
     }
-    if (options.expect_prefix_closed && id != TreeView::kRoot &&
-        !node.children.empty() && node.freq == 0)
+    if (open.back() != node.parent) {
+      issue(report, node_where(id, node.rank),
+            "parent " + std::to_string(node.parent) +
+                " is not on the path of the node before it (lexicographic "
+                "preorder)");
+      return false;
+    }
+    const Rank parent_rank = tree.node(node.parent).rank;
+    if (node.rank <= parent_rank)
+      issue(report, node_where(id, node.rank),
+            "rank does not exceed its parent's rank " +
+                std::to_string(parent_rank) + " (Definition 4.1.2)");
+    else if (node.rank <= last_child.back())
+      issue(report, node_where(id, node.rank),
+            "sibling ranks out of lexicographic order (after " +
+                std::to_string(last_child.back()) + ")");
+    const std::size_t depth = open.size();
+    if (node.rank < depth || node.rank > tree.max_rank())
+      issue(report, node_where(id, node.rank),
+            "rank outside [depth " + std::to_string(depth) + ", max_rank " +
+                std::to_string(tree.max_rank()) + "] (Lemma 4.1.2)");
+    child_support[node.parent] += tree.support(id);
+    last_child.back() = node.rank;
+    open.push_back(id);
+    last_child.push_back(0);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto id = static_cast<NodeId>(i);
+    if (tree.support(id) < child_support[i])
+      issue(report, node_where(id, tree.node(id).rank),
+            "support " + std::to_string(tree.support(id)) +
+                " is below its children's total " +
+                std::to_string(child_support[i]));
+  }
+  // The per-rank index (Lemma 4.1.1 sum buckets) tiles the nodes: each
+  // sits exactly once, under its own rank.
+  std::vector<char> seen(n, 0);
+  std::size_t bucketed = 0;
+  for (Rank j = 1; j <= tree.max_rank(); ++j) {
+    for (const NodeId id : tree.bucket(j)) {
+      const std::string where = "rank bucket " + std::to_string(j);
+      if (id == TreeView::kRoot || id >= n) {
+        issue(report, where, "dangling node id " + std::to_string(id));
+        continue;
+      }
+      ++bucketed;
+      if (tree.node(id).rank != j)
+        issue(report, where,
+              node_where(id, tree.node(id).rank) + " is indexed under rank " +
+                  std::to_string(j) + " (Definition 4.1.3)");
+      if (seen[id] != 0)
+        issue(report, where,
+              node_where(id, tree.node(id).rank) +
+                  " is indexed more than once");
+      seen[id] = 1;
+    }
+  }
+  if (bucketed != n - 1)
+    issue(report, "rank index",
+          std::to_string(bucketed) + " indexed node(s) for " +
+              std::to_string(n - 1) + " nodes");
+  return true;
+}
+
+/// Support monotonicity of a prefix-closed table, read off its tree: every
+/// stored prefix's frequency (a node's end frequency) is at least each
+/// stored extension's, and no internal node is a path nobody stored.
+void validate_prefix_closed_into(const TreeView& tree,
+                                 ValidationReport& report) {
+  const std::size_t n = tree.node_count();
+  std::vector<Count> end_freq(n);
+  std::vector<char> internal(n, 0);
+  for (std::size_t i = 0; i < n; ++i)
+    end_freq[i] = tree.support(static_cast<TreeView::NodeId>(i));
+  for (std::size_t i = 1; i < n; ++i) {
+    const auto id = static_cast<TreeView::NodeId>(i);
+    end_freq[tree.node(id).parent] -= tree.support(id);
+    internal[tree.node(id).parent] = 1;
+  }
+  for (std::size_t i = 1; i < n; ++i) {
+    const auto id = static_cast<TreeView::NodeId>(i);
+    const TreeView::NodeId parent = tree.node(id).parent;
+    if (parent != TreeView::kRoot && end_freq[parent] < end_freq[i])
+      issue(report, "tree node " + core::to_string(tree.path(id)),
+            "support " + std::to_string(end_freq[i]) +
+                " exceeds its prefix's support " +
+                std::to_string(end_freq[parent]) +
+                " (monotonicity along paths)");
+    if (internal[i] != 0 && end_freq[i] == 0)
       issue(report, "tree node " + core::to_string(tree.path(id)),
             "internal node with frequency 0 in a prefix-closed table");
   }
@@ -224,8 +290,19 @@ ValidationReport validate(const Plt& plt, const ValidateOptions& options) {
       issue(report, "sum index",
             std::to_string(plt.num_vectors() - bucketed) +
                 " stored vector(s) missing from the sum index");
-    validate_tree_into(plt, options, report);
   }
+  // The tree form is only defined over well-formed vectors.
+  if (report.ok()) {
+    const TreeView tree = TreeView::from_plt(plt);
+    if (validate_tree_into(tree, report) && options.expect_prefix_closed)
+      validate_prefix_closed_into(tree, report);
+  }
+  return report;
+}
+
+ValidationReport validate(const TreeView& tree) {
+  ValidationReport report;
+  validate_tree_into(tree, report);
   return report;
 }
 
@@ -234,6 +311,14 @@ void validate_or_throw(const Plt& plt, const char* context,
   const ValidationReport report = validate(plt, options);
   if (report.ok()) return;
   throw ValidationError(std::string(context) + ": PLT validation failed (" +
+                        std::to_string(report.issues.size()) +
+                        " issue(s))\n" + report.to_string());
+}
+
+void validate_or_throw(const TreeView& tree, const char* context) {
+  const ValidationReport report = validate(tree);
+  if (report.ok()) return;
+  throw ValidationError(std::string(context) + ": tree validation failed (" +
                         std::to_string(report.issues.size()) +
                         " issue(s))\n" + report.to_string());
 }

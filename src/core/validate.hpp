@@ -14,9 +14,14 @@
 //   * Definition 4.1.3 — partition D_k holds vectors of exactly length k;
 //                       the sum index buckets each vector under its sum,
 //                       exactly once.
-//   * Lexicographic tree shape (§4.2, Figure 3(b)) — materialized children
-//                       are ordered by position ascending with strictly
-//                       increasing, in-range ranks along every path.
+//   * Lexicographic tree shape (§4.2, Figure 3(b)) — the physical tree
+//                       (core/tree_view.hpp) keeps its nodes in
+//                       lexicographic preorder with strictly increasing
+//                       ranks along every path, depth <= rank <= max_rank,
+//                       each node exactly once in its own rank's bucket,
+//                       support(n) >= Σ support(children), and a node count
+//                       that fits 32-bit ids. A PLT is checked through the
+//                       tree it converts to.
 //   * Property 4.1.1 (injectivity in practice) — no duplicate vectors in a
 //                       partition, and the hash index resolves every stored
 //                       vector back to its own entry.
@@ -25,11 +30,12 @@
 //                       prefix's frequency is >= each extension's.
 //
 // The checks are always compiled in; the *hooks* in the mining paths
-// (facade build, parallel build post-merge, per-rank CDs of mine_parallel,
-// OOC conditional projections, decode_plt) only fire when validation is
-// enabled via the PLT_VALIDATE env var, set_validation_enabled(), or the
-// plt-mine --validate flag. The validator opens no trace spans, so golden
-// traces are identical with validation on or off.
+// (build_tree, which serves the facade, mine_conditional and mine_parallel;
+// parallel build post-merge; OOC conditional projections; decode_plt) only
+// fire when validation is enabled via the PLT_VALIDATE env var,
+// set_validation_enabled(), or the plt-mine --validate flag. The validator
+// opens no trace spans, so golden traces are identical with validation on
+// or off.
 #pragma once
 
 #include <stdexcept>
@@ -37,6 +43,7 @@
 #include <vector>
 
 #include "core/plt.hpp"
+#include "core/tree_view.hpp"
 
 namespace plt::core {
 
@@ -68,9 +75,16 @@ struct ValidationReport {
 /// sum check; pass 0 when the alphabet is unknown (bounds are then skipped).
 ValidationReport validate(const Partition& partition, Rank max_rank = 0);
 
-/// Validates a whole PLT: every partition, the sum index, and the
-/// materialized lexicographic tree shape.
+/// Validates a whole PLT: every partition, the sum index, and — when those
+/// hold — the physical tree it converts to.
 ValidationReport validate(const Plt& plt, const ValidateOptions& options = {});
+
+/// Validates a physical tree: preorder links, ranks strictly increasing
+/// along paths (Definition 4.1.2), depth <= rank <= max_rank (Lemma 4.1.2),
+/// the per-rank index tiling every node once under its own rank (Lemma
+/// 4.1.1 / Definition 4.1.3), support(n) >= Σ support(children), and a node
+/// count within 32-bit ids.
+ValidationReport validate(const TreeView& tree);
 
 /// Raised by validate_or_throw; carries the full report text.
 class ValidationError : public std::runtime_error {
@@ -83,6 +97,7 @@ class ValidationError : public std::runtime_error {
 /// invalid; returns normally otherwise.
 void validate_or_throw(const Plt& plt, const char* context,
                        const ValidateOptions& options = {});
+void validate_or_throw(const TreeView& tree, const char* context);
 
 /// True when structural validation is requested for this process: the
 /// PLT_VALIDATE env var (unset/"0"/"off" = disabled, anything else =
@@ -98,6 +113,9 @@ void set_validation_enabled(bool enabled);
 inline void maybe_validate(const Plt& plt, const char* context,
                            const ValidateOptions& options = {}) {
   if (validation_enabled()) validate_or_throw(plt, context, options);
+}
+inline void maybe_validate(const TreeView& tree, const char* context) {
+  if (validation_enabled()) validate_or_throw(tree, context);
 }
 
 }  // namespace plt::core

@@ -7,7 +7,6 @@
 
 #include "core/builder.hpp"
 #include "core/projection_pool.hpp"
-#include "core/validate.hpp"
 #include "obs/trace.hpp"
 #include "util/crc32c.hpp"
 #include "util/failpoint.hpp"
@@ -59,41 +58,16 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
     return result;
   }
 
-  // One shared pass: every transaction [r1..rk] sends its prefix
-  // [r1..r_{i-1}] to partition CD_{r_i}. Prefixes are position vectors
-  // already, so each CD_j is collected directly as a per-rank PLT.
-  std::vector<core::Plt> partitions;
-  partitions.reserve(max_rank);
-  {
+  // One shared tree: every transaction [r1..rk] reaches CD_{r_i} as the
+  // path of its rank-r_i node's parent, so the per-rank partitions are the
+  // tree's rank buckets and nothing is materialized per rank.
+  const core::TreeView tree = [&] {
     PLT_SPAN("build-partitions");
     PLT_TRACE_COUNT("partitions", max_rank);
-    for (Rank j = 1; j <= max_rank; ++j)
-      partitions.emplace_back(std::max<Rank>(1, j - 1));
-
-    core::PosVec v;
-    for (std::size_t t = 0; t < view.db.size(); ++t) {
-      const auto ranks = view.db[t];
-      v.clear();
-      Rank prev = 0;
-      for (const Rank r : ranks) {
-        v.push_back(r - prev);
-        prev = r;
-      }
-      for (std::size_t i = ranks.size(); i-- > 1;) {
-        // Prefix of length i goes to CD of rank ranks[i].
-        partitions[ranks[i] - 1].add(std::span<const Pos>(v.data(), i), 1);
-      }
-    }
-  }
+    return core::build_tree(view.db, max_rank);
+  }();
   result.build_seconds = build_timer.seconds();
-  // Under PLT_VALIDATE every per-rank conditional database is structurally
-  // checked before any worker mines it (the merged output is only as good
-  // as the CDs it came from).
-  if (core::validation_enabled())
-    for (Rank j = 1; j <= max_rank; ++j)
-      core::validate_or_throw(partitions[j - 1],
-                              "mine_parallel: partition CD");
-  for (const auto& p : partitions) result.structure_bytes += p.memory_usage();
+  result.structure_bytes = tree.memory_usage();
 
   Timer mine_timer;
   // Ranks are raw view ranks in every subproblem, so one shared translation
@@ -129,19 +103,12 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
     PLT_FAILPOINT("parallel.mine_rank");
     std::optional<Timer> timer;
     if (latency != nullptr) timer.emplace();
-    const Rank j = static_cast<Rank>(idx + 1);
-    const auto sink = core::collect_into(per_rank[idx]);
-    // The 1-itemset {j} is frequent by construction of the view.
-    const Itemset single =
-        core::ranks_to_items(view, std::span<const Rank>(&j, 1));
-    sink(single, view.support_of(j));
-
-    core::Plt& cd = partitions[idx];
-    if (cd.num_vectors() > 0) {
-      std::vector<Item> suffix = {view.item_of(j)};
-      engine.mine(cd, item_of, suffix, min_support, sink,
-                  options.conditional);
-    }
+    // The same per-rank step as the sequential miner: {j} (frequent by
+    // construction of the view), then CD_j's projection, mined.
+    std::vector<Item> suffix;
+    engine.mine_rank(tree, static_cast<Rank>(idx + 1), item_of, suffix,
+                     min_support, core::collect_into(per_rank[idx]),
+                     options.conditional);
     if (latency != nullptr) latency->record_seconds(timer->seconds());
   };
 
@@ -164,9 +131,8 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
           engine.set_control(control, result.structure_bytes);
           // One shared read-only planner: decisions are pure functions of
           // shape + config, so plans stay thread-count-invariant no matter
-          // which worker claims a rank. No partition stats here — each
-          // engine mines inside CD_j, where engine-local depth 0 is not a
-          // view partition.
+          // which worker claims a rank. No partition stats here, so every
+          // subtree decision is shape-only (the single-path probe scans).
           engine.set_planner(planner);
           obs::LatencyHistogram* latency =
               worker_latency.empty() ? nullptr : &worker_latency[w];

@@ -5,15 +5,17 @@
 // The partition criterion is the vector sum: the conditional database of
 // rank j is derivable from transaction prefixes alone, so the per-item
 // subproblems {mine everything whose highest rank is j} are fully
-// independent. We materialize each CD_j in one shared pass over the ranked
-// database and mine the subproblems with a crew of workers over a
-// work-stealing claim queue: each worker drains its own contiguous window of
-// ranks through an atomic cursor and, when empty, steals chunks from the
-// fullest peer window — no mutex anywhere on the hot path. Every worker owns
-// a pooled ProjectionEngine, so conditional projections recycle arenas
-// across all the subproblems that worker touches. Results land in per-rank
-// slots (each written by exactly one worker) and are concatenated in rank
-// order afterwards, so the output is byte-identical for every thread count.
+// independent. One physical tree (core/tree_view.hpp) is built and shared
+// read-only: CD_j is the parents' paths of its rank-j nodes, which the
+// sequential miner's per-rank step reads the same way. A crew of workers
+// runs those steps over a work-stealing claim queue: each worker drains its
+// own contiguous window of ranks through an atomic cursor and, when empty,
+// steals chunks from the fullest peer window — no mutex anywhere on the hot
+// path. Every worker owns a pooled ProjectionEngine, so conditional
+// projections recycle arenas across all the subproblems that worker
+// touches. Results land in per-rank slots (each written by exactly one
+// worker) and are concatenated in rank order afterwards, so the output is
+// byte-identical for every thread count.
 #pragma once
 
 #include "core/conditional.hpp"

@@ -5,10 +5,13 @@
 // of the work-stealing parallel miner across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/builder.hpp"
 #include "core/conditional.hpp"
 #include "core/miner.hpp"
 #include "core/projection_pool.hpp"
+#include "core/tree_view.hpp"
 #include "datagen/quest.hpp"
 #include "parallel/partition_miner.hpp"
 #include "test_support.hpp"
@@ -226,6 +229,30 @@ TEST(ProjectionPool, MineResultCarriesProjectionStats) {
   // Baselines don't project through the engine.
   const auto fp = mine(db, 3, Algorithm::kFpGrowth);
   EXPECT_EQ(fp.projection.projections_built, 0u);
+}
+
+TEST(ProjectionPool, MemoryUsageCountsTheConditionalDatabase) {
+  // Above every rank's support nothing is emitted or projected, so no
+  // frame exists; the engine still holds the largest top-level CD_j, and
+  // a memory budget must see it.
+  const auto db = random_db(5, 200, 16, 0.5);
+  const TreeView tree = TreeView::from_ranked_rows(db, 16);
+  std::vector<Item> item_of(16);
+  for (Item i = 1; i <= 16; ++i) item_of[i - 1] = i;
+  std::size_t largest = 0;
+  for (Rank j = 1; j <= 16; ++j) {
+    std::size_t positions = 0;
+    for (const TreeView::NodeId id : tree.bucket(j))
+      tree.climb(tree.node(id).parent, [&](Pos) { ++positions; });
+    largest = std::max(largest, positions);
+  }
+  ProjectionEngine engine;
+  std::vector<Item> suffix;
+  FrequentItemsets out;
+  engine.mine(tree, item_of, suffix, db.size() + 1, collect_into(out), {});
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(engine.stats().projections_built, 0u);
+  EXPECT_GE(engine.memory_usage(), largest * sizeof(Pos));
 }
 
 TEST(ProjectionPool, ParallelByteIdenticalAcrossThreadCounts) {

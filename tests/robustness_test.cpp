@@ -8,11 +8,14 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <optional>
 #include <sstream>
 
 #include "blob_test_support.hpp"
+#include "compress/checkpoint.hpp"
 #include "compress/codec.hpp"
 #include "compress/index.hpp"
 #include "compress/ooc_miner.hpp"
@@ -304,6 +307,151 @@ TEST(Fuzz, ShardSummaryMutationsDecodeOrThrow) {
       shard::encode_summary(summary), shard::decode_summary,
       [&](const shard::ShardSummary&) { ++decoded; });
   EXPECT_GT(decoded, 0u);
+}
+
+// Byte ranges [start, crc_at) each CRC32C of a PLTK log seals: the header
+// after its magic, then every record. Parsed off a known-good log only.
+std::vector<std::pair<std::size_t, std::size_t>> pltk_sealed_spans(
+    std::span<const std::uint8_t> log) {
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  std::size_t offset = 8;  // magic + blob CRC
+  (void)compress::get_varint(log, offset);  // min_support
+  (void)compress::get_varint(log, offset);  // max_rank
+  spans.emplace_back(4, offset);
+  offset += 4;
+  while (offset < log.size()) {
+    const std::size_t start = offset;
+    (void)compress::get_varint(log, offset);  // rank
+    const std::uint64_t itemsets = compress::get_varint(log, offset);
+    for (std::uint64_t i = 0; i < itemsets; ++i) {
+      const std::uint64_t items = compress::get_varint(log, offset);
+      for (std::uint64_t k = 0; k <= items; ++k)  // items, then support
+        (void)compress::get_varint(log, offset);
+    }
+    spans.emplace_back(start, offset);
+    offset += 4;
+  }
+  EXPECT_EQ(offset, log.size());
+  return spans;
+}
+
+// The PLTK checkpoint-log reader under every truncation of a real log and
+// every single-byte flip under four masks. A cut or an unsealed flip fails
+// a CRC (header or record), so the resume drops that record and all after
+// it, re-mines their ranks, and the output stays byte-identical to an
+// uninterrupted mine. A flip re-sealed behind a valid CRC may parse as a
+// different record: the resume must then replay it (whatever it says) and
+// mine every rank below it exactly, or ignore the log — never crash.
+TEST(Fuzz, CheckpointLogMutationsResumeOrAreIgnored) {
+  datagen::QuestConfig cfg;
+  cfg.transactions = 30;
+  cfg.items = 8;
+  cfg.seed = 5;
+  const Count minsup = 3;
+  const auto built =
+      core::build_from_database(datagen::generate_quest(cfg), minsup);
+  const auto blob = compress::encode_plt(built.plt);
+  std::vector<Item> item_of(built.view.alphabet());
+  for (Rank r = 1; r <= built.view.alphabet(); ++r)
+    item_of[r - 1] = built.view.item_of(r);
+
+  core::FrequentItemsets reference;
+  ASSERT_EQ(compress::mine_from_blob(blob, item_of, minsup,
+                                     core::collect_into(reference)),
+            core::MineStatus::kCompleted);
+  const std::string path = ::testing::TempDir() + "fuzz_checkpoint_" +
+                           std::to_string(::getpid()) + ".pltk";
+  compress::OocOptions options;
+  options.checkpoint_path = path;
+  {
+    core::FrequentItemsets logged;
+    compress::mine_from_blob(blob, item_of, minsup,
+                             core::collect_into(logged), nullptr, options);
+  }
+  std::vector<std::uint8_t> log;
+  {
+    std::ifstream in(path, std::ios::binary);
+    log.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  compress::CheckpointLog records;
+  ASSERT_TRUE(compress::read_checkpoint(path, crc32c(blob), minsup,
+                                        built.plt.max_rank(), records));
+  ASSERT_EQ(records.records.size(), built.plt.max_rank());
+  const auto spans = pltk_sealed_spans(log);
+  ASSERT_EQ(spans.size(), records.records.size() + 1);
+
+  // Resumes from `bytes`; returns how many ranks were replayed.
+  const auto resume = [&](const std::vector<std::uint8_t>& bytes,
+                          core::FrequentItemsets& out) {
+    {
+      std::ofstream file(path, std::ios::binary | std::ios::trunc);
+      file.write(reinterpret_cast<const char*>(bytes.data()),
+                 static_cast<std::streamsize>(bytes.size()));
+    }
+    compress::OocStats stats;
+    EXPECT_EQ(compress::mine_from_blob(blob, item_of, minsup,
+                                       core::collect_into(out), &stats,
+                                       options),
+              core::MineStatus::kCompleted);
+    return stats.resumed_ranks;
+  };
+  const auto expect_identical = [&](const core::FrequentItemsets& out,
+                                    const std::string& label) {
+    ASSERT_EQ(out.size(), reference.size()) << label;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const auto a = out.itemset(i), b = reference.itemset(i);
+      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()) &&
+                  out.support(i) == reference.support(i))
+          << label << " at emission " << i;
+    }
+  };
+
+  for (std::size_t len = 0; len < log.size(); ++len) {
+    core::FrequentItemsets out;
+    resume(std::vector<std::uint8_t>(log.begin(), log.begin() + len), out);
+    expect_identical(out, "truncated to " + std::to_string(len));
+  }
+  std::size_t replayed_resealed = 0;
+  for (std::size_t pos = 0; pos < log.size(); ++pos) {
+    for (const std::uint8_t mask : {0x01, 0x10, 0x80, 0xFF}) {
+      const std::string label = "byte " + std::to_string(pos) + " ^ " +
+                                std::to_string(mask);
+      auto flipped = log;
+      flipped[pos] ^= mask;
+      {
+        core::FrequentItemsets out;
+        resume(flipped, out);
+        expect_identical(out, label + " unsealed");
+      }
+      const auto span = std::find_if(spans.begin(), spans.end(), [&](auto s) {
+        return pos >= s.first && pos < s.second;
+      });
+      if (span == spans.end()) continue;  // magic or a CRC slot itself
+      const std::uint32_t crc = crc32c(std::span<const std::uint8_t>(
+          flipped.data() + span->first, span->second - span->first));
+      for (std::size_t i = 0; i < 4; ++i)
+        flipped[span->second + i] = static_cast<std::uint8_t>(crc >> (8 * i));
+      core::FrequentItemsets out;
+      const std::uint64_t replayed = resume(flipped, out);
+      ASSERT_LE(replayed, records.records.size()) << label;
+      // Every rank below the replayed ones is mined afresh, so the output
+      // ends with exactly the reference's emissions for those ranks.
+      std::size_t tail_start = 0;
+      for (std::uint64_t r = 0; r < replayed; ++r)
+        tail_start += records.records[r].itemsets.size();
+      const std::size_t tail = reference.size() - tail_start;
+      ASSERT_GE(out.size(), tail) << label;
+      for (std::size_t i = 0; i < tail; ++i) {
+        const auto a = out.itemset(out.size() - tail + i);
+        const auto b = reference.itemset(tail_start + i);
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
+            << label << " resealed, mined emission " << i;
+      }
+      if (replayed > 0) ++replayed_resealed;
+    }
+  }
+  EXPECT_GT(replayed_resealed, 0u);
+  std::filesystem::remove(path);
 }
 
 TEST(Fuzz, HostileFimiInputs) {

@@ -3,6 +3,7 @@
 // lexicographic tree's combinatorics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "core/builder.hpp"
@@ -30,19 +31,20 @@ TEST(TreeView, PaperExampleTree) {
   // where possible. Root -> 1 -> 1 -> 1 holds ABC (freq 2).
   const auto abc = tree.find(PosVec{1, 1, 1});
   ASSERT_NE(abc, TreeView::kRoot);
-  EXPECT_EQ(tree.node(abc).freq, 2u);
+  EXPECT_EQ(tree.end_freq(abc), 2u);
   EXPECT_EQ(tree.node(abc).rank, 3u);
+  EXPECT_EQ(tree.support(abc), 3u);  // ABC twice, ABCD once
 
   // ABCD extends the same path: one more child [1].
   const auto abcd = tree.find(PosVec{1, 1, 1, 1});
   ASSERT_NE(abcd, TreeView::kRoot);
   EXPECT_EQ(tree.node(abcd).parent, abc);
-  EXPECT_EQ(tree.node(abcd).freq, 1u);
+  EXPECT_EQ(tree.end_freq(abcd), 1u);
 
-  // Internal nodes carry zero frequency.
+  // Internal nodes carry zero end frequency.
   const auto ab = tree.find(PosVec{1, 1});
   ASSERT_NE(ab, TreeView::kRoot);
-  EXPECT_EQ(tree.node(ab).freq, 0u);
+  EXPECT_EQ(tree.end_freq(ab), 0u);
 
   EXPECT_EQ(tree.find(PosVec{4}), TreeView::kRoot);  // no such path
 }
@@ -71,11 +73,11 @@ TEST(TreeView, ChildrenSortedByPosition) {
   plt.add(PosVec{1}, 1);
   plt.add(PosVec{2}, 1);
   const TreeView tree = TreeView::from_plt(plt);
-  const auto& root_children = tree.node(TreeView::kRoot).children;
+  const auto root_children = tree.children(TreeView::kRoot);
   ASSERT_EQ(root_children.size(), 3u);
-  EXPECT_EQ(tree.node(root_children[0]).position, 1u);
-  EXPECT_EQ(tree.node(root_children[1]).position, 2u);
-  EXPECT_EQ(tree.node(root_children[2]).position, 3u);
+  EXPECT_EQ(tree.position(root_children[0]), 1u);
+  EXPECT_EQ(tree.position(root_children[1]), 2u);
+  EXPECT_EQ(tree.position(root_children[2]), 3u);
 }
 
 TEST(TreeView, SharedPrefixesShareNodes) {
@@ -119,6 +121,51 @@ TEST(TreeView, RenderingContainsStructure) {
   EXPECT_NE(text.find("(root)"), std::string::npos);
   EXPECT_NE(text.find("freq=7"), std::string::npos);
   EXPECT_NE(text.find("rank 3"), std::string::npos);
+}
+
+TEST(TreeView, RankedRowsBuildTheTableFormsTree) {
+  // Algorithm 1 straight into the tree equals converting the table form:
+  // node for node, in preorder, with the same path supports.
+  const auto built = build_from_database(plt::testing::paper_table1(), 1);
+  const TreeView direct =
+      TreeView::from_ranked_rows(built.view.db, built.plt.max_rank());
+  const TreeView converted = TreeView::from_plt(built.plt);
+  ASSERT_EQ(direct.node_count(), converted.node_count());
+  for (TreeView::NodeId id = 0; id < direct.node_count(); ++id) {
+    EXPECT_EQ(direct.node(id).parent, converted.node(id).parent) << id;
+    EXPECT_EQ(direct.node(id).rank, converted.node(id).rank) << id;
+    EXPECT_EQ(direct.support(id), converted.support(id)) << id;
+  }
+  EXPECT_EQ(direct.support(TreeView::kRoot), 6u);  // every row
+}
+
+TEST(TreeView, RankBucketsListEveryNodeOfTheirRankInPreorder) {
+  const auto built = build_from_database(plt::testing::paper_table1(), 2);
+  const TreeView tree = TreeView::from_plt(built.plt);
+  std::size_t listed = 0;
+  Count rank4_support = 0;
+  for (Rank j = 1; j <= tree.max_rank(); ++j) {
+    const auto nodes = tree.bucket(j);
+    EXPECT_TRUE(std::is_sorted(nodes.begin(), nodes.end())) << j;
+    for (const TreeView::NodeId id : nodes) {
+      EXPECT_EQ(tree.node(id).rank, j);
+      if (j == 4) rank4_support += tree.support(id);
+    }
+    listed += nodes.size();
+  }
+  EXPECT_EQ(listed, tree.node_count() - 1);
+  // Σ support over a rank's nodes is that item's support (D: TIDs 3-6).
+  EXPECT_EQ(rank4_support, 4u);
+}
+
+TEST(TreeView, ZeroFrequencyEntriesAddNoPath) {
+  Plt plt(4);
+  plt.add(PosVec{1, 1}, 2);
+  plt.add(PosVec{3}, 1);
+  plt.partition(1)->entry(0).freq = 0;  // a removal tombstone
+  const TreeView tree = TreeView::from_plt(plt);
+  EXPECT_EQ(tree.node_count(), 3u);  // root, [1], [1,1]
+  EXPECT_EQ(tree.find(PosVec{3}), TreeView::kRoot);
 }
 
 TEST(TreeView, WalkDepths) {

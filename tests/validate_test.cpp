@@ -16,6 +16,7 @@
 #include "util/failpoint.hpp"
 
 #include <filesystem>
+#include <limits>
 
 namespace plt::core {
 namespace {
@@ -119,6 +120,106 @@ TEST(Validate, StandalonePartitionChecks) {
   EXPECT_TRUE(validate(partition, /*max_rank=*/0).ok());
   partition.entry(1).sum = 77;
   EXPECT_FALSE(validate(partition, /*max_rank=*/4).ok());
+}
+
+// --- the physical tree Algorithm 3's top level mines: one rejected
+// corruption per invariant ------------------------------------------------
+
+/// Table 1's tree: A(1) > B(2) > C(3) > D(4), A > B > D, B > C > D, C > D.
+TreeView table1_tree() {
+  const auto built = build_from_database(plt::testing::paper_table1(), 2);
+  return build_tree(built.view.db, built.plt.max_rank());
+}
+
+TEST(Validate, SoundTreePasses) {
+  const TreeView tree = table1_tree();
+  const ValidationReport report = validate(tree);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(report.nodes_checked, tree.node_count() - 1);
+  EXPECT_TRUE(validate(TreeView::full_lexicographic(6)).ok());
+  EXPECT_TRUE(validate(TreeView(3)).ok());
+}
+
+TEST(Validate, TreeRanksMustIncreaseAlongPaths) {
+  TreeView tree = table1_tree();
+  const TreeView::NodeId abc = tree.find(PosVec{1, 1, 1});
+  ASSERT_NE(abc, TreeView::kRoot);
+  tree.node(abc).rank = tree.node(tree.node(abc).parent).rank;  // Def. 4.1.2
+  const ValidationReport report = validate(tree);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.to_string().find("Definition 4.1.2"), std::string::npos)
+      << report.to_string();
+  EXPECT_THROW(validate_or_throw(tree, "test"), ValidationError);
+}
+
+TEST(Validate, TreeRankAboveMaxRankRejected) {
+  TreeView tree = table1_tree();
+  const TreeView::NodeId abcd = tree.find(PosVec{1, 1, 1, 1});
+  ASSERT_NE(abcd, TreeView::kRoot);
+  tree.node(abcd).rank = tree.max_rank() + 1;  // Lemma 4.1.2 upper bound
+  const ValidationReport report = validate(tree);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.to_string().find("Lemma 4.1.2"), std::string::npos)
+      << report.to_string();
+}
+
+TEST(Validate, TreeNodeOutsideItsRankBucketRejected) {
+  // Rows {1,3} and {2} over 8 ranks: moving the leaf from rank 3 to rank 5
+  // keeps every path increasing and in bounds, but the rank index still
+  // files it under 3 (Lemma 4.1.1 sum buckets, Definition 4.1.3 tiling).
+  TreeView tree = TreeView::from_ranked_rows(
+      tdb::Database::from_rows({{1, 3}, {2}}), 8);
+  const TreeView::NodeId leaf = tree.find(PosVec{1, 2});
+  ASSERT_NE(leaf, TreeView::kRoot);
+  ASSERT_TRUE(validate(tree).ok());
+  tree.node(leaf).rank = 5;
+  const ValidationReport report = validate(tree);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.to_string().find("indexed under rank 3"),
+            std::string::npos)
+      << report.to_string();
+}
+
+TEST(Validate, TreeSupportBelowChildrenRejected) {
+  TreeView tree = table1_tree();
+  const TreeView::NodeId ab = tree.find(PosVec{1, 1});
+  ASSERT_NE(ab, TreeView::kRoot);
+  tree.support(ab) = 1;  // its children ABC and ABD hold 3 + 1 rows
+  const ValidationReport report = validate(tree);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.to_string().find("below its children's total"),
+            std::string::npos)
+      << report.to_string();
+}
+
+TEST(Validate, TreeParentLinkOutOfPreorderRejected) {
+  TreeView tree = table1_tree();
+  const TreeView::NodeId a = tree.find(PosVec{1});
+  ASSERT_NE(a, TreeView::kRoot);
+  tree.node(a).parent = static_cast<TreeView::NodeId>(tree.node_count() - 1);
+  const ValidationReport report = validate(tree);
+  ASSERT_FALSE(report.ok());
+  EXPECT_NE(report.to_string().find("preorder"), std::string::npos)
+      << report.to_string();
+}
+
+TEST(Validate, TreeNodeCountMustFitThirtyTwoBitIds) {
+  // A tree past 2^32 nodes cannot be allocated in a test, so this checks
+  // the one predicate the builder's abort and the validator share, at its
+  // boundary.
+  EXPECT_TRUE(TreeView::ids_fit(TreeView::kMaxNodes));
+  EXPECT_FALSE(TreeView::ids_fit(TreeView::kMaxNodes + 1));
+  EXPECT_EQ(TreeView::kMaxNodes,
+            std::size_t{std::numeric_limits<TreeView::NodeId>::max()});
+}
+
+TEST(Validate, HookRejectsCorruptTreeOnlyWhenEnabled) {
+  TreeView tree = table1_tree();
+  tree.support(TreeView::kRoot) = 0;
+  const ValidationOn guard;
+  EXPECT_THROW(maybe_validate(tree, "corrupted"), ValidationError);
+  set_validation_enabled(false);
+  EXPECT_NO_THROW(maybe_validate(tree, "corrupted"));
 }
 
 TEST(Validate, EnabledToggleOverridesEnv) {
