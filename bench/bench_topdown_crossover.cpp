@@ -6,9 +6,9 @@
 // threshold down to 1 and reports where (if anywhere) top-down wins.
 // Also ablates the two top-down variants (canonical vs paper-staged sweep).
 // Emits BENCH_topdown_crossover.json (--out FILE): per-cell timings with the
-// dataset statistics the adaptive planner consumes, plus the winner per
-// support level — the evidence the planner's root choice rests on: pooled
-// conditional wins every cell, so top-down is never a root candidate.
+// dataset statistics, plus the winner per support level — the evidence
+// that pooled conditional wins every cell, so top-down stays an explicit
+// Algorithm and is never chosen on a caller's behalf.
 #include <fstream>
 #include <iostream>
 
@@ -38,7 +38,7 @@ void write_cells(std::ofstream& out, const std::vector<harness::Cell>& cells) {
 
 // Fastest non-failed algorithm per support level, with the ratio the
 // conditional strategy pays there — the crossover gap that keeps top-down
-// expansion out of the adaptive planner's root choice.
+// expansion an explicit Algorithm.
 void write_winners(std::ofstream& out,
                    const std::vector<harness::Cell>& cells) {
   std::vector<Count> supports;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
@@ -198,27 +197,6 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
   // One engine for the whole blob: every rank's conditional PLT recycles
   // the same pooled frames.
   core::ProjectionEngine engine;
-  // Shape-only planning: the streamed subtrees are inside one rank's CD,
-  // so there are no view-partition stats to hand over. Emission order is
-  // strategy-invariant, so checkpoint records stay exact across plans.
-  std::optional<core::Planner> planner;
-  if (options.plan == core::PlanMode::kAdaptive) {
-    planner.emplace(options.plan_config);
-    engine.set_planner(&*planner);
-  }
-  // Rank-level planning is a separate planner that owns the caller's view
-  // partition stats (the engine above must stay shape-only — its depth-0
-  // is inside CD_j, not a view partition). Only the O(1) resolved witness
-  // is used: partitions at or above rank j all full paths proves that every
-  // vector the walk can feed into CD_j — original members and prefixes
-  // reinserted from higher ranks alike — is the full path over ranks
-  // 1..j-1, so CD_j is exactly single-path without scanning it.
-  std::optional<core::Planner> rank_planner;
-  if (options.plan == core::PlanMode::kAdaptive &&
-      !options.partition_stats.empty()) {
-    rank_planner.emplace(options.plan_config);
-    rank_planner->set_partition_stats(options.partition_stats);
-  }
 
   CheckpointRecord record;
   // All emissions of the current rank flow through this wrapper so the
@@ -266,28 +244,7 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
         std::sort(emitted.begin(), emitted.end());
         rank_sink(emitted, support);
       }
-      bool resolved_single_path = false;
-      if (!cond.empty() && rank_planner &&
-          rank_planner->wants_single_path_probe(j, &resolved_single_path) &&
-          resolved_single_path) {
-        // Witnessed single-path subtree: every conditional vector is the
-        // full path over ranks 1..j-1, so every subset shares one support
-        // (the path's total frequency) and the whole subtree expands
-        // without building a conditional PLT. The expansion order is the
-        // pooled walk's own order, so emissions — and therefore checkpoint
-        // records — stay byte-identical to the fixed plan.
-        Count total = 0;
-        for (const auto& [v, freq] : cond) total += freq;
-        if (total >= min_support) {
-          PLT_TRACE_COUNT("plan.rank.single-path", 1);
-          const std::vector<Item> path_items(item_of.begin(),
-                                             item_of.begin() + (j - 1));
-          engine.set_control(control, overlay.live_bytes());
-          engine.expand_single_path(path_items, static_cast<Rank>(j - 1),
-                                    total, suffix, rank_sink);
-          if (engine.interrupted()) return finish(control->status());
-        }
-      } else if (!cond.empty()) {
+      if (!cond.empty()) {
         core::ConditionalProjection child = core::make_conditional_plt(
             cond, j, min_support, cond_options.filter_conditional_items);
         // Under PLT_VALIDATE each conditional projection — including the

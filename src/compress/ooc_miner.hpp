@@ -4,6 +4,9 @@
 // base vectors stream out of the blob bucket by bucket (highest rank
 // first); only the re-inserted prefixes and the per-item conditional PLTs
 // live in memory, which is exactly the working set of one partition task.
+// Each rank's conditional PLT is mined by the projection engine, whose
+// subtree cost model decides from shapes alone; its emission order is
+// strategy-invariant, so checkpoint records stay exact.
 //
 // The rank walk doubles as a recovery boundary: with a checkpoint path
 // configured, every completed rank appends one record (see checkpoint.hpp)
@@ -19,9 +22,7 @@
 #include "compress/index.hpp"
 #include "core/exec_control.hpp"
 #include "core/itemset_collector.hpp"
-#include "core/planner.hpp"
 #include "obs/trace.hpp"
-#include "tdb/stats.hpp"
 
 namespace plt::compress {
 
@@ -51,13 +52,6 @@ struct OocOptions {
   /// With a checkpoint path set: replay a matching existing log instead of
   /// restarting from scratch. false always restarts (the log is rewritten).
   bool resume = true;
-  /// Execution plan of this call only. Adaptive routes each streamed
-  /// rank's conditional subtrees through the planner; emissions stay
-  /// byte-identical in content and order, so checkpoints written under one
-  /// plan replay under the other.
-  core::PlanMode plan = core::PlanMode::kFixed;
-  /// Cost-model thresholds used when the adaptive plan is active.
-  core::PlanConfig plan_config;
   /// Rank window to mine, inclusive (0 = unbounded end: the full range
   /// [1, max_rank]). This is the shard-worker unit: rank partitions are
   /// independent by construction (Def 4.1.3), so a worker that streams the
@@ -70,16 +64,6 @@ struct OocOptions {
   /// std::invalid_argument when the window is empty or exceeds max_rank.
   Rank rank_lo = 0;
   Rank rank_hi = 0;
-  /// Per-partition stats of the ranked view the blob was built from (entry
-  /// j-1 describes partition j, as compute_all_partition_stats returns).
-  /// Optional; consulted only under the adaptive plan, by a rank-level
-  /// planner that owns these *view* stats — the projection engine itself
-  /// stays shape-only, because its depth-0 subtrees live inside one rank's
-  /// conditional database and must not be mistaken for view partitions.
-  /// The win is the O(1) single-path witness: when every partition at or
-  /// above a streamed rank is all full paths, that rank's whole subtree
-  /// expands without building a conditional PLT.
-  std::vector<tdb::PartitionStats> partition_stats;
 };
 
 /// Mines every frequent itemset of the PLT serialized in `blob` at

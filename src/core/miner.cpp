@@ -8,13 +8,9 @@
 #include "baselines/eclat.hpp"
 #include "baselines/fpgrowth.hpp"
 #include "baselines/hmine.hpp"
-#include <optional>
-
 #include "core/builder.hpp"
 #include "core/conditional.hpp"
-#include "core/planner.hpp"
 #include "core/topdown.hpp"
-#include "tdb/stats.hpp"
 #include "util/crc32c.hpp"
 #include "util/failpoint.hpp"
 #include "util/timer.hpp"
@@ -87,8 +83,7 @@ struct ResilienceScope {
 };
 
 MineResult mine_plt_family(const tdb::Database& db, Count min_support,
-                           Algorithm algorithm, const MineOptions& options,
-                           Planner* planner) {
+                           Algorithm algorithm, const MineOptions& options) {
   MineResult result;
   Timer build_timer;
   RankedView view = build_ranked_view(db, min_support, options.item_order);
@@ -99,34 +94,6 @@ MineResult mine_plt_family(const tdb::Database& db, Count min_support,
     case Algorithm::kPltConditionalNoFilter: {
       if (view.alphabet() == 0) break;
       const auto max_rank = static_cast<Rank>(view.alphabet());
-      // Root planning: only the default algorithm is up for grabs (the
-      // no-filter ablation must stay the literal Algorithm 3), and only
-      // when the adaptive plan is active. The view's global + partition
-      // stats are one extra pass; every decision lands in plan.* counters.
-      if (planner != nullptr && algorithm == Algorithm::kPltConditional) {
-        Planner::Root root;
-        {
-          PLT_SPAN("plan");
-          const tdb::Stats stats = tdb::compute_stats(view.db);
-          auto partitions =
-              tdb::compute_all_partition_stats(view.db, max_rank);
-          root = planner->choose_root(stats, partitions, min_support);
-          planner->set_partition_stats(std::move(partitions));
-        }
-        if (root == Planner::Root::kEclat) {
-          PLT_TRACE_COUNT("plan.root.eclat", 1);
-          result.plan_root = "eclat";
-          baselines::BaselineStats stats;
-          baselines::mine_eclat(db, min_support, sink, &stats,
-                                options.control);
-          result.build_seconds = stats.build_seconds;
-          result.mine_seconds = stats.mine_seconds;
-          result.structure_bytes = stats.structure_bytes;
-          return result;
-        }
-        PLT_TRACE_COUNT("plan.root.conditional", 1);
-        result.plan_root = "conditional";
-      }
       // The tree is the whole top-level working set: Algorithm 3 reads it
       // without growing it, so its size is the budget's base.
       const TreeView tree = build_tree(view.db, max_rank);
@@ -141,8 +108,6 @@ MineResult mine_plt_family(const tdb::Database& db, Count min_support,
       std::vector<Item> suffix;
       ProjectionEngine engine;
       engine.set_control(options.control, result.structure_bytes);
-      if (algorithm == Algorithm::kPltConditional)
-        engine.set_planner(planner);
       engine.mine(tree, item_of, suffix, min_support, sink, cond);
       result.projection = engine.stats();
       result.mine_seconds = mine_timer.seconds();
@@ -187,8 +152,7 @@ MineResult mine_plt_family(const tdb::Database& db, Count min_support,
 }
 
 MineResult mine_impl(const tdb::Database& db, Count min_support,
-                     Algorithm algorithm, const MineOptions& options,
-                     Planner* planner) {
+                     Algorithm algorithm, const MineOptions& options) {
   const MiningControl* control = options.control;
   const ResilienceScope scope(control);
   switch (algorithm) {
@@ -196,8 +160,8 @@ MineResult mine_impl(const tdb::Database& db, Count min_support,
     case Algorithm::kPltConditionalNoFilter:
     case Algorithm::kPltTopDownCanonical:
     case Algorithm::kPltTopDownSweep: {
-      MineResult result = mine_plt_family(db, min_support, algorithm,
-                                          options, planner);
+      MineResult result =
+          mine_plt_family(db, min_support, algorithm, options);
       scope.finish(result);
       return result;
     }
@@ -296,10 +260,6 @@ MineResult mine_impl(const tdb::Database& db, Count min_support,
 MineResult mine(const tdb::Database& db, Count min_support,
                 Algorithm algorithm, const MineOptions& options) {
   PLT_ASSERT(min_support >= 1, "min_support must be >= 1");
-  // The planner is per-mine (it captures the kernel tables and, on the
-  // facade path, the view's partition stats).
-  std::optional<Planner> planner;
-  if (options.plan == PlanMode::kAdaptive) planner.emplace(options.plan_config);
   // Every mining path funnels through here, so this one wrapper gives all
   // fifteen algorithms their root spans: "mine" > "<algorithm-name>" >
   // (whatever the path records below — the baselines stay coarse, the PLT
@@ -309,8 +269,7 @@ MineResult mine(const tdb::Database& db, Count min_support,
   {
     PLT_SPAN("mine");
     obs::Span algorithm_span(algorithm_name(algorithm));
-    result = mine_impl(db, min_support, algorithm, options,
-                       planner ? &*planner : nullptr);
+    result = mine_impl(db, min_support, algorithm, options);
     // status_counter_name maps every MineStatus onto a registered
     // status.* literal. plt-lint: allow(span-registry)
     PLT_TRACE_COUNT(status_counter_name(result.status), 1);

@@ -1,6 +1,8 @@
 // Unified mining facade: one entry point over every algorithm in the repo —
 // the paper's two PLT approaches plus the literature baselines — so tests,
-// examples and benches drive them identically.
+// examples and benches drive them identically. The algorithm is the whole
+// choice: both plt-conditional variants run the projection engine, which
+// picks each subtree's strategy from its shape (core/planner.hpp).
 #pragma once
 
 #include <string>
@@ -16,7 +18,7 @@ namespace plt::core {
 
 enum class Algorithm {
   kPltConditional,      ///< §5.1 Algorithm 3 (with item filtering)
-  kPltConditionalNoFilter,  ///< literal Algorithm 3 (ablation)
+  kPltConditionalNoFilter,  ///< Algorithm 3 without item filtering (ablation)
   kPltTopDownCanonical, ///< §5 Algorithm 2, lazy tail-drops
   kPltTopDownSweep,     ///< §5 Algorithm 2, prefixes at construction
   kAis,                 ///< Agrawal, Imielinski & Swami, SIGMOD'93 [1]
@@ -44,13 +46,6 @@ struct MineOptions {
   /// Cooperative cancellation / deadline / memory budget, checked at
   /// projection boundaries on every algorithm path. Null = unlimited.
   const MiningControl* control = nullptr;
-  /// Execution plan of this call only. Adaptive lets the planner pick the
-  /// root strategy and per-subtree strategies/backends from dataset
-  /// statistics; the mined output is byte-identical either way. (The
-  /// kernel backend is process configuration, see kernels::set_backend.)
-  PlanMode plan = PlanMode::kFixed;
-  /// Cost-model thresholds used when the adaptive plan is active.
-  PlanConfig plan_config;
 };
 
 struct MineResult {
@@ -74,9 +69,6 @@ struct MineResult {
   /// Set when status == kBudgetExceeded: how to retry within the budget
   /// (e.g. switch to the out-of-core blob path).
   std::string degradation_hint;
-  /// Root strategy the adaptive planner executed ("conditional" or
-  /// "eclat"); empty under the fixed plan or for non-planned algorithms.
-  std::string plan_root;
   /// The aggregated span tree of this mine (see obs/trace.hpp), set when
   /// runtime tracing is enabled (PLT_TRACE / obs::set_enabled) and no outer
   /// TraceSession was active — an outer session (plt-mine --trace, bench

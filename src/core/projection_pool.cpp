@@ -47,8 +47,7 @@ ProjectionEngine::Frame& ProjectionEngine::acquire(std::size_t depth) {
 
 Rank ProjectionEngine::peel_and_count(const kernels::Dispatch& kernel,
                                       Rank parent_max, Count keep_threshold,
-                                      const std::vector<Item>& parent_items,
-                                      std::vector<Item>& child_items) {
+                                      const std::vector<Item>& parent_items) {
   // Peel the whole conditional arena to absolute ranks in one kernel call:
   // sums_[k] is the running mod-2^32 total of every gap up to k, and each
   // record re-bases by subtracting the sum just before its offset — exact
@@ -71,12 +70,12 @@ Rank ProjectionEngine::peel_and_count(const kernels::Dispatch& kernel,
   }
 
   to_child_.assign(parent_max, 0);
-  child_items.clear();
+  child_items_.clear();
   Rank child_ranks = 0;
   for (Rank r = 1; r <= parent_max; ++r) {
     if (support_[r - 1] >= keep_threshold && support_[r - 1] > 0) {
       to_child_[r - 1] = ++child_ranks;
-      child_items.push_back(parent_items[r - 1]);
+      child_items_.push_back(parent_items[r - 1]);
     }
   }
   return child_ranks;
@@ -101,19 +100,6 @@ void ProjectionEngine::build_frame(Frame& frame, Rank child_ranks) {
   ++stats_.projections_built;
   const std::size_t now = frame.plt.memory_usage();
   if (now > retained) stats_.bytes_fresh += now - retained;
-}
-
-bool ProjectionEngine::project_into(Frame& frame, Rank parent_max,
-                                    Count min_support, bool filter_items,
-                                    const std::vector<Item>& parent_items) {
-  PLT_SPAN("projection");
-  const Count keep_threshold = filter_items ? min_support : 1;
-  const Rank child_ranks = peel_and_count(kernels::active(), parent_max,
-                                          keep_threshold, parent_items,
-                                          frame.item_of);
-  if (child_ranks == 0) return false;
-  build_frame(frame, child_ranks);
-  return true;
 }
 
 bool ProjectionEngine::probe_single_path(Rank child_ranks) const {
@@ -160,7 +146,7 @@ void ProjectionEngine::eclat_mine(Rank child_ranks, Count min_support,
   // Vertical view of the peeled cond_: per child rank, the sorted list of
   // record ids containing it (a counting sort over the arena), weighted
   // by record frequency. Small shallow shapes intersect faster than they
-  // re-project — the planner only routes those here.
+  // re-project — the cost model only routes those here.
   const std::vector<FlatCondDb::Record>& records = cond_.records();
   tid_offsets_.assign(child_ranks + 1, 0);
   for (const FlatCondDb::Record& rec : records) {
@@ -211,7 +197,7 @@ void ProjectionEngine::eclat_descend(std::span<const std::uint32_t> tids,
       if (depth >= eclat_pool_.size()) eclat_pool_.resize(depth + 1);
       std::vector<std::uint32_t>& out = eclat_pool_[depth];
       out.resize(std::min(tids.size(), base.size()) + 4);
-      const bool wide = planner_->wide_for(tids.size() + base.size());
+      const bool wide = planner_.wide_for(tids.size() + base.size());
       if (wide) {
         PLT_TRACE_COUNT("plan.backend.wide", 1);
         ++stats_.plan_wide;
@@ -219,7 +205,7 @@ void ProjectionEngine::eclat_descend(std::span<const std::uint32_t> tids,
         PLT_TRACE_COUNT("plan.backend.narrow", 1);
         ++stats_.plan_narrow;
       }
-      const std::size_t n = planner_->dispatch(wide).intersect_sorted(
+      const std::size_t n = Planner::dispatch(wide).intersect_sorted(
           tids.data(), tids.size(), base.data(), base.size(), out.data());
       obs::count_kernel("kernel.intersect_sorted.calls",
                         "kernel.intersect_sorted.bytes",
@@ -229,7 +215,7 @@ void ProjectionEngine::eclat_descend(std::span<const std::uint32_t> tids,
     Count support = 0;
     for (const std::uint32_t t : set) support += rec_freq_[t];
     if (support < min_support) continue;
-    suffix.push_back(planned_items_[i - 1]);
+    suffix.push_back(child_items_[i - 1]);
     emitted_ = suffix;
     std::sort(emitted_.begin(), emitted_.end());
     sink(emitted_, support);
@@ -241,7 +227,7 @@ void ProjectionEngine::eclat_descend(std::span<const std::uint32_t> tids,
   }
 }
 
-ProjectionEngine::Frame* ProjectionEngine::planned_project(
+ProjectionEngine::Frame* ProjectionEngine::project(
     Rank j, std::size_t depth, Count min_support,
     const ConditionalOptions& options, const std::vector<Item>& parent_items,
     std::vector<Item>& suffix, const ItemsetSink& sink) {
@@ -250,9 +236,9 @@ ProjectionEngine::Frame* ProjectionEngine::planned_project(
       options.filter_conditional_items ? min_support : 1;
   // Backend choice for the peel: tiny arenas take the scalar table, wide
   // ones the process-active SIMD table. Counters are named by intent
-  // (narrow/wide), not by backend, so adaptive traces stay
-  // backend-invariant like every other exported quantity.
-  const bool wide = planner_->wide_for(cond_.arena().size());
+  // (narrow/wide), not by backend, so traces stay backend-invariant like
+  // every other exported quantity.
+  const bool wide = planner_.wide_for(cond_.arena().size());
   if (wide) {
     PLT_TRACE_COUNT("plan.backend.wide", 1);
     ++stats_.plan_wide;
@@ -261,41 +247,30 @@ ProjectionEngine::Frame* ProjectionEngine::planned_project(
     ++stats_.plan_narrow;
   }
   const Rank child_ranks =
-      peel_and_count(planner_->dispatch(wide), j, keep_threshold,
-                     parent_items, planned_items_);
+      peel_and_count(Planner::dispatch(wide), j, keep_threshold,
+                     parent_items);
   if (child_ranks == 0) return nullptr;
 
+  // The shape alone decides: one record is trivially one path, more take
+  // the O(positions) probe when single-path expansion is allowed.
   SubtreeShape shape;
   shape.records = cond_.size();
-  shape.positions = cond_.arena().size();
   shape.child_ranks = child_ranks;
-  // Depth-0 subtree j of the facade's walk is CD_j, whose partition stats
-  // the planner holds: they can answer the single-path question in O(1)
-  // (all-full suffix) and veto Eclat on dense partitions.
-  const Rank top_rank = depth == 0 ? j : 0;
-  const tdb::PartitionStats* partition =
-      depth == 0 ? planner_->partition(j) : nullptr;
-  bool resolved = false;
-  if (shape.records == 1) {
-    shape.single_path = true;  // one record is trivially one path
-  } else if (planner_->wants_single_path_probe(top_rank, &resolved)) {
-    shape.single_path = probe_single_path(child_ranks);
-  } else {
-    shape.single_path = resolved;
-  }
+  shape.single_path =
+      shape.records == 1 || (planner_.config().allow_subtree_single_path &&
+                             probe_single_path(child_ranks));
 
-  switch (planner_->choose_subtree(shape, partition)) {
+  switch (planner_.choose_subtree(shape)) {
     case Planner::Subtree::kSinglePath: {
       PLT_TRACE_COUNT("plan.subtree.single-path", 1);
       ++stats_.plan_single_path;
       Count total = 0;
       for (const FlatCondDb::Record& rec : cond_.records())
         total += rec.freq;
-      // total can only miss min_support in the no-filter ablation (the
-      // planner is not attached there), but guard anyway: every subset
-      // shares this support, so an infrequent path emits nothing.
+      // total can only miss min_support in the no-filter ablation: every
+      // subset shares this support, so an infrequent path emits nothing.
       if (total >= min_support)
-        expand_path(planned_items_, child_ranks, total, suffix, sink);
+        expand_path(child_items_, child_ranks, total, suffix, sink);
       return nullptr;
     }
     case Planner::Subtree::kEclat: {
@@ -310,7 +285,7 @@ ProjectionEngine::Frame* ProjectionEngine::planned_project(
   PLT_TRACE_COUNT("plan.subtree.pooled", 1);
   ++stats_.plan_pooled;
   Frame& frame = acquire(depth);
-  frame.item_of.assign(planned_items_.begin(), planned_items_.end());
+  frame.item_of.assign(child_items_.begin(), child_items_.end());
   build_frame(frame, child_ranks);
   return &frame;
 }
@@ -330,18 +305,9 @@ ProjectionEngine::Frame* ProjectionEngine::extend(
   sink(emitted_, support);
   PLT_TRACE_COUNT("itemsets-emitted", 1);
 
-  Frame* child = nullptr;
-  if (!cond_.empty()) {
-    if (planner_ == nullptr) {
-      Frame& frame = acquire(depth);
-      if (project_into(frame, j, min_support,
-                       options.filter_conditional_items, items))
-        child = &frame;
-    } else {
-      child = planned_project(j, depth, min_support, options, items, suffix,
-                              sink);
-    }
-  }
+  Frame* child = cond_.empty() ? nullptr
+                               : project(j, depth, min_support, options,
+                                         items, suffix, sink);
   if (child == nullptr) suffix.pop_back();
   return child;
 }
@@ -465,7 +431,7 @@ std::size_t ProjectionEngine::memory_usage() const {
            sums_.capacity() * sizeof(Rank) +
            mapped_.capacity() * sizeof(Pos) +
            emitted_.capacity() * sizeof(Item);
-  bytes += planned_items_.capacity() * sizeof(Item) +
+  bytes += child_items_.capacity() * sizeof(Item) +
            tid_offsets_.capacity() * sizeof(std::uint32_t) +
            tid_cursor_.capacity() * sizeof(std::uint32_t) +
            tid_arena_.capacity() * sizeof(std::uint32_t) +

@@ -48,9 +48,9 @@ struct ProjectionStats {
   std::uint64_t bytes_recycled = 0;  ///< capacity retained across frame reuse
   std::uint64_t bytes_fresh = 0;     ///< capacity newly grown inside frames
   std::uint64_t steals = 0;  ///< work-stealing miner: chunks taken from peers
-  // Planner decisions (all zero under PlanMode::kFixed). Subtree counts sum to
-  // the number of non-empty conditional databases the planner saw; the
-  // narrow/wide pair counts per-call kernel-backend routing.
+  // Cost-model decisions. Subtree counts sum to the number of conditional
+  // databases with at least one surviving rank; the narrow/wide pair counts
+  // per-call kernel-backend routing.
   std::uint64_t plan_pooled = 0;       ///< subtrees kept on the pooled walk
   std::uint64_t plan_single_path = 0;  ///< subtrees expanded as one path
   std::uint64_t plan_eclat = 0;        ///< subtrees mined by intersection
@@ -119,8 +119,21 @@ class FlatCondDb {
 /// The pooled, iterative Algorithm 3. One engine per thread; reuse it across
 /// many mine() calls (the parallel partition miner holds one per worker) so
 /// every projection after the first few recycles warm arenas.
+///
+/// Every conditional database with a surviving rank goes through the
+/// subtree cost model (core/planner.hpp): pooled projection, single-path
+/// expansion, or tidset intersection, and each data-parallel kernel call
+/// is routed to the scalar or SIMD table by input width. All three
+/// strategies emit the exact same itemsets in the exact same order
+/// (DESIGN.md S25), so only time changes.
 class ProjectionEngine {
  public:
+  /// `config` forces the cost model's thresholds; the default is what
+  /// every mining entry point runs. Tests and bench_adaptive pass their
+  /// own to pin one strategy.
+  explicit ProjectionEngine(const PlanConfig& config = {})
+      : planner_(config) {}
+
   /// Algorithm 3 over the physical tree: mine_rank() for every rank from
   /// tree.max_rank() down to 1. Tree rank r reports as `item_of[r-1]`;
   /// every frequent extension of `suffix` is reported through `sink` in
@@ -164,27 +177,6 @@ class ProjectionEngine {
   /// True when the last mine() was stopped early by the attached control.
   bool interrupted() const { return interrupted_; }
 
-  /// Attaches the adaptive planner (null = fixed mode, the default): every
-  /// non-empty conditional database is then routed to the strategy the
-  /// cost model picks — pooled projection (unchanged walk), single-path
-  /// expansion, or tidset intersection — and each data-parallel kernel
-  /// call is routed to the scalar or SIMD table by input width. All three
-  /// strategies emit the exact same itemsets in the exact same order
-  /// (DESIGN.md S25), so only time changes. The planner must outlive the
-  /// mine; one const planner may be shared across worker engines.
-  void set_planner(const Planner* planner) { planner_ = planner; }
-
-  /// Public entry for a subtree proven single-path by an external witness
-  /// (the OOC walk's rank-level planner): emits every subset of
-  /// items[0..upto) at constant support `freq`, byte-identical — content
-  /// and order — to mine() over the equivalent one-path conditional PLT.
-  /// Honors the attached control (check interrupted() afterwards).
-  void expand_single_path(std::span<const Item> items, Rank upto, Count freq,
-                          std::vector<Item>& suffix, const ItemsetSink& sink) {
-    interrupted_ = false;
-    expand_path(items, upto, freq, suffix, sink);
-  }
-
   /// Heap bytes currently held by the pooled frames, the conditional
   /// database (whose largest fill is a top-level CD_j) and scratch buffers.
   std::size_t memory_usage() const;
@@ -227,27 +219,23 @@ class ProjectionEngine {
   bool check_control();
   /// Peels cond_'s arena with the given kernel table, counts per-parent-
   /// rank support, and compacts the survivors: fills sums_, support_,
-  /// to_child_ and `child_items`. Returns the number of surviving ranks.
+  /// to_child_ and child_items_. Returns the number of surviving ranks.
   Rank peel_and_count(const kernels::Dispatch& kernel, Rank parent_max,
                       Count keep_threshold,
-                      const std::vector<Item>& parent_items,
-                      std::vector<Item>& child_items);
+                      const std::vector<Item>& parent_items);
   /// Builds frame.plt from the peeled + compacted cond_ (sums_/to_child_
   /// as left by peel_and_count; child_ranks must be > 0).
   void build_frame(Frame& frame, Rank child_ranks);
-  /// Projects cond_ (vectors over parent ranks 1..parent_max) into `frame`,
-  /// filtering and compacting ranks exactly like make_conditional_plt.
-  /// Returns false when no rank survives (nothing to mine below).
-  bool project_into(Frame& frame, Rank parent_max, Count min_support,
-                    bool filter_items, const std::vector<Item>& parent_items);
-  /// Adaptive analog of project_into: peels, asks the planner, and either
-  /// mines the subtree in place (single-path / Eclat; returns null) or
-  /// builds a pooled frame for the caller to push (returns it). Sets
+  /// Peels CD_j (cond_, vectors over parent ranks 1..j), asks the cost
+  /// model, and either mines the subtree in place (single-path / Eclat;
+  /// returns null) or builds a pooled frame at `depth` for the caller to
+  /// push (returns it). Ranks are filtered and compacted exactly like
+  /// make_conditional_plt. Returns null when no rank survives, and sets
   /// interrupted_ when a control stop fires inside an in-place strategy.
-  Frame* planned_project(Rank j, std::size_t depth, Count min_support,
-                         const ConditionalOptions& options,
-                         const std::vector<Item>& parent_items,
-                         std::vector<Item>& suffix, const ItemsetSink& sink);
+  Frame* project(Rank j, std::size_t depth, Count min_support,
+                 const ConditionalOptions& options,
+                 const std::vector<Item>& parent_items,
+                 std::vector<Item>& suffix, const ItemsetSink& sink);
   /// True when every record keeps all `child_ranks` ranks (one shared
   /// path); reads sums_/to_child_ as left by peel_and_count.
   bool probe_single_path(Rank child_ranks) const;
@@ -271,15 +259,14 @@ class ProjectionEngine {
   std::vector<Rank> sums_;      ///< scratch: peeled prefix sums of the arena
   PosVec mapped_;               ///< scratch: one re-mapped child vector
   Itemset emitted_;             ///< scratch: sorted itemset handed to sinks
-  // Planned-strategy scratch (only touched when a planner is attached).
-  std::vector<Item> planned_items_;  ///< child rank -> original item
+  std::vector<Item> child_items_;  ///< scratch: child rank -> original item
   std::vector<std::uint32_t> tid_offsets_;  ///< rank -> tid_arena_ slice
   std::vector<std::uint32_t> tid_cursor_;   ///< fill cursors for the arena
   std::vector<std::uint32_t> tid_arena_;    ///< record ids, per-rank sorted
   std::vector<Count> rec_freq_;             ///< record id -> frequency
   std::vector<std::vector<std::uint32_t>> eclat_pool_;  ///< per-depth tids
   ProjectionStats stats_;
-  const Planner* planner_ = nullptr;
+  Planner planner_;
   const MiningControl* control_ = nullptr;
   std::size_t control_base_bytes_ = 0;
   std::uint64_t control_tick_ = 0;

@@ -32,7 +32,6 @@ inline constexpr std::string_view kSpans[] = {
     "ooc-mine",
     "ooc-resume",
     "ooc-warm",
-    "plan",
     "projection",
     "rank-loop",
     "serve-load-blob",
@@ -67,9 +66,6 @@ inline constexpr std::string_view kCounters[] = {
     "partitions",
     "plan.backend.narrow",
     "plan.backend.wide",
-    "plan.rank.single-path",
-    "plan.root.conditional",
-    "plan.root.eclat",
     "plan.subtree.eclat",
     "plan.subtree.pooled",
     "plan.subtree.single-path",

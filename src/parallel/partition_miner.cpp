@@ -32,8 +32,7 @@ struct alignas(64) ClaimWindow {
 
 core::MineResult mine_parallel_impl(const tdb::Database& db,
                                     Count min_support,
-                                    const ParallelOptions& options,
-                                    const core::Planner* planner) {
+                                    const ParallelOptions& options) {
   core::MineResult result;
   const core::MiningControl* control = options.control;
   const std::uint64_t checks0 = control != nullptr ? control->checks() : 0;
@@ -129,11 +128,6 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
         try {
           core::ProjectionEngine engine;
           engine.set_control(control, result.structure_bytes);
-          // One shared read-only planner: decisions are pure functions of
-          // shape + config, so plans stay thread-count-invariant no matter
-          // which worker claims a rank. No partition stats here, so every
-          // subtree decision is shape-only (the single-path probe scans).
-          engine.set_planner(planner);
           obs::LatencyHistogram* latency =
               worker_latency.empty() ? nullptr : &worker_latency[w];
           std::uint64_t steals = 0;
@@ -218,15 +212,11 @@ core::MineResult mine_parallel(const tdb::Database& db, Count min_support,
                                const ParallelOptions& options) {
   PLT_ASSERT(min_support >= 1, "min_support must be >= 1");
   PLT_ASSERT(options.threads >= 1, "need at least one thread");
-  std::optional<core::Planner> planner;
-  if (options.plan == core::PlanMode::kAdaptive)
-    planner.emplace(options.plan_config);
   obs::AutoSession trace_session;
   core::MineResult result;
   {
     PLT_SPAN("mine-parallel");
-    result = mine_parallel_impl(db, min_support, options,
-                                planner ? &*planner : nullptr);
+    result = mine_parallel_impl(db, min_support, options);
     PLT_TRACE_COUNT("itemsets-total", result.itemsets.size());
   }
   result.trace = trace_session.finish();

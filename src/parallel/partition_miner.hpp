@@ -13,9 +13,11 @@
 // steals chunks from the fullest peer window — no mutex anywhere on the hot
 // path. Every worker owns a pooled ProjectionEngine, so conditional
 // projections recycle arenas across all the subproblems that worker
-// touches. Results land in per-rank slots (each written by exactly one
-// worker) and are concatenated in rank order afterwards, so the output is
-// byte-identical for every thread count.
+// touches, and its subtree decisions depend on each CD's shape alone — the
+// same decisions whichever worker claims a rank. Results land in per-rank
+// slots (each written by exactly one worker) and are concatenated in rank
+// order afterwards, so the output is byte-identical for every thread
+// count.
 #pragma once
 
 #include "core/conditional.hpp"
@@ -34,12 +36,6 @@ struct ParallelOptions {
   /// Cooperative cancellation / deadline / budget shared by all workers;
   /// each checks it before claiming a rank. Null = unlimited.
   const core::MiningControl* control = nullptr;
-  /// Execution plan of this call only. Adaptive gives every worker engine
-  /// the same shared planner, so plans (and output — byte-identical
-  /// anyway) stay thread-count-invariant.
-  core::PlanMode plan = core::PlanMode::kFixed;
-  /// Cost-model thresholds used when the adaptive plan is active.
-  core::PlanConfig plan_config;
   /// Optional per-rank mine-latency distribution (one record per rank
   /// task, whichever worker ran it). Per-worker histograms merge by bucket
   /// addition, so the merged distribution is thread-count-invariant in

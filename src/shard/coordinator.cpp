@@ -107,16 +107,13 @@ Manifest prepare_job(const tdb::Database& db, Count min_support,
   manifest.blob_crc = crc32c(blob);
   manifest.min_support = min_support;
   manifest.max_rank = max_rank;
-  manifest.plan = options.plan;
   manifest.item_of.reserve(max_rank);
   for (Rank r = 1; r <= max_rank; ++r)
     manifest.item_of.push_back(built.view.item_of(r));
-  if (max_rank > 0) {
-    manifest.partition_stats =
-        tdb::compute_all_partition_stats(built.view.db, max_rank);
-    manifest.shards =
-        split_shards(manifest.partition_stats, max_rank, options.workers);
-  }
+  if (max_rank > 0)
+    manifest.shards = split_shards(
+        tdb::compute_all_partition_stats(built.view.db, max_rank), max_rank,
+        options.workers);
   compress::write_blob_file(encode_manifest(manifest),
                             manifest_path(options.dir));
   PLT_TRACE_COUNT("shard.workers", manifest.shards.size());

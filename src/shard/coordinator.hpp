@@ -6,8 +6,8 @@
 //
 //   prepare_job  — build the PLT once, serialize it as the PLT2 blob, and
 //                  write the job manifest: shard windows balanced by
-//                  per-partition work weights, the rank->item map, the
-//                  partition stats for the workers' adaptive planners.
+//                  per-partition work weights (computed here and not
+//                  shipped), and the rank->item map.
 //   run_workers  — fan out one process per shard (fork/exec of
 //                  `plt-shard --worker`, or a caller-supplied launcher),
 //                  supervise them, and survive failures: a worker that
@@ -79,9 +79,6 @@ struct ShardOptions {
   /// Caller-side cancellation/deadline: when it trips, every live worker
   /// is killed and the latched status comes back. Null = unlimited.
   const core::MiningControl* control = nullptr;
-  /// Execution plan of this job, forwarded to every worker by name in the
-  /// manifest.
-  core::PlanMode plan = core::PlanMode::kFixed;
   tdb::ItemOrder item_order = tdb::ItemOrder::kById;
 };
 

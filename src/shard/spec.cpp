@@ -1,10 +1,7 @@
 #include "shard/spec.hpp"
 
-#include <bit>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
-#include <string_view>
 
 #include "compress/blob_format.hpp"
 #include "compress/varint.hpp"
@@ -19,19 +16,8 @@ using compress::get_varint;
 using compress::put_varint;
 using compress::read_u32le;
 
-constexpr char kManifestMagic[4] = {'P', 'L', 'T', 'M'};
+constexpr char kManifestMagic[4] = {'P', 'L', 'M', '2'};
 constexpr char kSummaryMagic[4] = {'P', 'L', 'T', 'S'};
-
-// Doubles travel as their IEEE-754 bit pattern in a varint: byte-exact
-// round-trip, no locale or formatting wobble, and the CRC covers them like
-// any other field.
-void put_double(std::vector<std::uint8_t>& out, double value) {
-  put_varint(out, std::bit_cast<std::uint64_t>(value));
-}
-
-double get_double(std::span<const std::uint8_t> in, std::size_t& offset) {
-  return std::bit_cast<double>(get_varint(in, offset));
-}
 
 void check_magic(std::span<const std::uint8_t> bytes, const char (&magic)[4],
                  const char* who) {
@@ -112,24 +98,11 @@ std::vector<std::uint8_t> encode_manifest(const Manifest& manifest) {
   put_varint(out, manifest.max_rank);
   put_varint(out, manifest.item_of.size());
   for (const Item item : manifest.item_of) put_varint(out, item);
-  put_varint(out, manifest.partition_stats.size());
-  for (const tdb::PartitionStats& s : manifest.partition_stats) {
-    put_varint(out, s.rank);
-    put_varint(out, s.transactions);
-    put_varint(out, s.prefix_items);
-    put_varint(out, s.max_prefix_len);
-    put_double(out, s.avg_prefix_len);
-    put_double(out, s.density);
-    put_double(out, s.support_gini);
-  }
   put_varint(out, manifest.shards.size());
   for (const ShardSpec& spec : manifest.shards) {
     put_varint(out, spec.rank_lo);
     put_varint(out, spec.rank_hi);
   }
-  const std::string_view plan = core::plan_name(manifest.plan);
-  put_varint(out, plan.size());
-  out.insert(out.end(), plan.begin(), plan.end());
   seal(out);
   return out;
 }
@@ -154,21 +127,6 @@ Manifest decode_manifest(std::span<const std::uint8_t> bytes) {
   manifest.item_of.reserve(items);
   for (std::uint64_t i = 0; i < items; ++i)
     manifest.item_of.push_back(static_cast<Item>(get_varint(payload, at)));
-  const std::uint64_t stat_count = get_varint(payload, at);
-  if (stat_count > payload.size())
-    throw std::runtime_error(std::string(who) + ": impossible stats count");
-  manifest.partition_stats.reserve(stat_count);
-  for (std::uint64_t i = 0; i < stat_count; ++i) {
-    tdb::PartitionStats s;
-    s.rank = static_cast<Rank>(get_varint(payload, at));
-    s.transactions = get_varint(payload, at);
-    s.prefix_items = get_varint(payload, at);
-    s.max_prefix_len = get_varint(payload, at);
-    s.avg_prefix_len = get_double(payload, at);
-    s.density = get_double(payload, at);
-    s.support_gini = get_double(payload, at);
-    manifest.partition_stats.push_back(s);
-  }
   const std::uint64_t shard_count = get_varint(payload, at);
   if (shard_count > payload.size())
     throw std::runtime_error(std::string(who) + ": impossible shard count");
@@ -190,15 +148,6 @@ Manifest decode_manifest(std::span<const std::uint8_t> bytes) {
   if (shard_count > 0 && expected_hi != 0)
     throw std::runtime_error(std::string(who) +
                              ": shard windows do not reach rank 1");
-  const std::uint64_t plan_len = get_varint(payload, at);
-  if (plan_len > payload.size() - at)
-    throw std::runtime_error(std::string(who) + ": truncated plan name");
-  const std::optional<core::PlanMode> plan = core::parse_plan(
-      {reinterpret_cast<const char*>(payload.data()) + at, plan_len});
-  if (!plan)
-    throw std::runtime_error(std::string(who) + ": unknown plan name");
-  manifest.plan = *plan;
-  at += plan_len;
   if (at != payload.size())
     throw std::runtime_error(std::string(who) + ": trailing bytes");
   return manifest;

@@ -8,11 +8,11 @@
 // + trailing CRC32C over everything after the magic), so a torn or
 // corrupted file is rejected before any value is trusted:
 //
-//   "PLTM" (manifest, coordinator -> workers): blob CRC, min_support,
-//   max_rank, the rank->item map, per-partition stats for the adaptive
-//   planner, the shard windows, and the plan name ("fixed" or
-//   "adaptive"; any other name is rejected as hostile). One file per job
-//   directory; a worker needs nothing else besides the blob itself.
+//   "PLM2" (manifest, coordinator -> workers): blob CRC, min_support,
+//   max_rank, the rank->item map and the shard windows. One file per job
+//   directory; a worker needs nothing else besides the blob itself. A
+//   manifest in the earlier "PLTM" layout is refused by its magic before
+//   any field is read; its job must be split again.
 //
 //   "PLTS" (summary, worker -> coordinator): per-shard mining statistics
 //   plus the worker's plt-trace-v1 JSON when tracing was enabled. Written
@@ -26,7 +26,6 @@
 #include <string>
 #include <vector>
 
-#include "core/planner.hpp"
 #include "tdb/stats.hpp"
 #include "util/common.hpp"
 
@@ -57,18 +56,13 @@ struct Manifest {
   Count min_support = 0;
   Rank max_rank = 0;
   std::vector<Item> item_of;  ///< item_of[r-1] = original item of rank r
-  /// Per-partition stats of the source view (entry j-1 = partition j),
-  /// forwarded so workers can run the adaptive planner's rank-level
-  /// single-path witness without rescanning the database.
-  std::vector<tdb::PartitionStats> partition_stats;
   std::vector<ShardSpec> shards;
-  core::PlanMode plan = core::PlanMode::kFixed;  ///< travels by plan_name
 };
 
 std::vector<std::uint8_t> encode_manifest(const Manifest& manifest);
-/// Throws std::runtime_error on bad magic, truncation, CRC mismatch, or
-/// structurally impossible contents (empty/overlapping shard windows, a
-/// plan name parse_plan does not know).
+/// Throws std::runtime_error on bad magic (the older PLTM layout
+/// included), truncation, CRC mismatch, or structurally impossible
+/// contents (empty/overlapping shard windows).
 Manifest decode_manifest(std::span<const std::uint8_t> bytes);
 
 /// Per-shard mining report; the trace JSON is the worker's own

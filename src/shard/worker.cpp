@@ -40,10 +40,8 @@ int run_worker(const std::string& dir, std::size_t shard_id) {
     compress::OocOptions options;
     options.checkpoint_path = checkpoint_path(dir, shard_id);
     options.resume = true;
-    options.plan = manifest.plan;
     options.rank_lo = spec.rank_lo;
     options.rank_hi = spec.rank_hi;
-    options.partition_stats = manifest.partition_stats;
 
     // The checkpoint log is the result channel; the sink only counts.
     std::uint64_t emitted = 0;

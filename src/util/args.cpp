@@ -35,6 +35,15 @@ std::vector<std::string> Args::keys() const {
   return keys;
 }
 
+std::string Args::first_unknown(std::span<const char* const> known) const {
+  for (const auto& [key, value] : flags_) {
+    bool listed = false;
+    for (const char* flag : known) listed = listed || key == flag;
+    if (!listed) return key;
+  }
+  return "";
+}
+
 std::string Args::get(const std::string& key,
                       const std::string& fallback) const {
   const auto it = flags_.find(key);

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,10 @@ class Args {
   /// Every flag key that was passed (sorted) — lets strict tools reject
   /// unknown flags instead of silently ignoring typos.
   std::vector<std::string> keys() const;
+
+  /// The first passed flag (in sorted order) that is not in `known`, or
+  /// "" when every flag is known.
+  std::string first_unknown(std::span<const char* const> known) const;
 
   const std::string& program() const { return program_; }
 

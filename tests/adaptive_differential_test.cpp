@@ -1,192 +1,163 @@
-// Differential suite for the adaptive execution planner: on the paper's
-// Table 1 and scaled-down versions of both sweep generators, the adaptive
-// plan must produce exactly what the fixed plan produces — canonically
-// always, and in raw emission order whenever the root strategy is pinned
-// (DESIGN.md S25 proves per-subtree strategies are emission-order
-// invariant, which is what keeps OOC checkpoint logs exact across plans).
-// Runs with structural validation on, and under tsan via the threaded
-// label (plans are shared immutably across parallel workers, and
-// concurrent mines each keep their own plan).
+// Differential suite for the entry points that run the projection engine
+// and its subtree cost model outside core::mine: mine_parallel at 1, 2
+// and 4 threads (its per-rank blocks in ascending rank order), and
+// mine_from_blob over the full rank range and two rank windows, each
+// pinned to the recursive reference in raw emission order (DESIGN.md S25
+// proves the cost model's strategies are emission-order invariant, which
+// is what keeps OOC checkpoint logs and shard merges exact). Together with
+// tree_differential_test every path runs on Table 1, both sweep
+// generators, quest-sparse at three supports and degenerate shapes. Runs
+// with structural validation on, and under tsan via the threaded label
+// (worker engines share one tree, and concurrent engines each keep their
+// own configuration).
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <string>
 #include <thread>
 
 #include "compress/codec.hpp"
 #include "compress/ooc_miner.hpp"
-#include "core/builder.hpp"
 #include "core/miner.hpp"
-#include "core/planner.hpp"
+#include "core/projection_pool.hpp"
 #include "core/validate.hpp"
-#include "harness/datasets.hpp"
-#include "harness/experiment.hpp"
+#include "differential_support.hpp"
 #include "parallel/partition_miner.hpp"
-#include "test_support.hpp"
 
 namespace plt {
 namespace {
 
-// Raw emission-order equality — stricter than FrequentItemsets::equal,
-// which canonicalizes both sides first.
-void expect_same_order(const core::FrequentItemsets& fixed,
-                       const core::FrequentItemsets& adaptive,
-                       const char* label) {
-  ASSERT_EQ(fixed.size(), adaptive.size()) << label;
-  for (std::size_t i = 0; i < fixed.size(); ++i) {
-    ASSERT_EQ(fixed.support(i), adaptive.support(i))
-        << label << " at emission " << i;
-    const auto a = fixed.itemset(i);
-    const auto b = adaptive.itemset(i);
-    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-        << label << " at emission " << i;
+using testing::DiffCase;
+using testing::expect_same_order;
+
+// mine_parallel concatenates its per-rank slots ranks low to high, each
+// slot in the reference's raw order.
+void check_parallel(const DiffCase& c,
+                    const core::FrequentItemsets& truth) {
+  const core::FrequentItemsets expected =
+      testing::rank_blocks_ascending(truth);
+  for (const std::size_t threads :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+    parallel::ParallelOptions options;
+    options.threads = threads;
+    expect_same_order(expected,
+                      parallel::mine_parallel(c.db, c.minsup, options).itemsets,
+                      "mine_parallel " + std::to_string(threads) + " threads");
   }
 }
 
-// A config that pins the root to the conditional engine so only the
-// per-subtree strategies differ — the regime where raw order must match.
-core::PlanConfig subtree_only() {
-  core::PlanConfig config;
-  config.allow_root_eclat = false;
-  return config;
+core::FrequentItemsets mine_blob(const std::vector<std::uint8_t>& blob,
+                                 const std::vector<Item>& item_of,
+                                 Count minsup, Rank lo, Rank hi) {
+  core::FrequentItemsets out;
+  compress::OocOptions options;
+  options.rank_lo = lo;
+  options.rank_hi = hi;
+  EXPECT_EQ(compress::mine_from_blob(blob, item_of, minsup,
+                                     core::collect_into(out), nullptr,
+                                     options),
+            core::MineStatus::kCompleted);
+  return out;
+}
+
+// The full range, then the windows [mid+1, max_rank] and [1, mid]: each
+// window must emit exactly its slice of the reference. Ranks follow item
+// ids (ItemOrder::kById), so an emission's top rank is above mid exactly
+// when its largest item is above item_of[mid-1].
+void check_blob(const DiffCase& c, const core::FrequentItemsets& truth) {
+  const auto built = core::build_from_database(c.db, c.minsup);
+  const auto max_rank = static_cast<Rank>(built.view.alphabet());
+  if (max_rank == 0) return;  // an empty blob has no rank window to mine
+  const auto blob = compress::encode_plt(built.plt);
+  const std::vector<Item> item_of = testing::items_of(built.view);
+  expect_same_order(truth, mine_blob(blob, item_of, c.minsup, 0, 0),
+                    "mine_from_blob full range");
+  if (max_rank < 2) return;
+  const Rank mid = max_rank / 2;
+  core::FrequentItemsets high;
+  core::FrequentItemsets low;
+  for (std::size_t i = 0; i < truth.size(); ++i) {
+    const auto items = truth.itemset(i);
+    (items.back() > item_of[mid - 1] ? high : low)
+        .add(items, truth.support(i));
+  }
+  expect_same_order(high,
+                    mine_blob(blob, item_of, c.minsup, mid + 1, max_rank),
+                    "mine_from_blob upper window");
+  expect_same_order(low, mine_blob(blob, item_of, c.minsup, 1, mid),
+                    "mine_from_blob lower window");
+}
+
+void check_entry_points(const DiffCase& c) {
+  SCOPED_TRACE(c.label + " minsup " + std::to_string(c.minsup));
+  const core::FrequentItemsets truth = testing::mine_reference(c.db, c.minsup);
+  check_parallel(c, truth);
+  check_blob(c, truth);
 }
 
 TEST(AdaptiveDifferential, Table1EverySupport) {
-  const auto db = testing::paper_table1();
-  for (Count minsup = 1; minsup <= 6; ++minsup) {
-    const auto fixed = core::mine(db, minsup, core::Algorithm::kPltConditional);
-
-    core::MineOptions adaptive;
-    adaptive.plan = core::PlanMode::kAdaptive;
-    const auto planned =
-        core::mine(db, minsup, core::Algorithm::kPltConditional, adaptive);
-    testing::expect_same_itemsets(fixed.itemsets, planned.itemsets,
-                                  "table1 adaptive");
-
-    core::MineOptions pinned = adaptive;
-    pinned.plan_config = subtree_only();
-    const auto ordered =
-        core::mine(db, minsup, core::Algorithm::kPltConditional, pinned);
-    expect_same_order(fixed.itemsets, ordered.itemsets, "table1 raw order");
-  }
+  for (const DiffCase& c : testing::table1_cases()) check_entry_points(c);
 }
 
-// Both sweep generators at bench scale-down: the exact matrix
-// bench_adaptive times, here only checked for output identity.
 TEST(AdaptiveDifferential, SweepGenerators) {
   core::set_validation_enabled(true);
-  const struct {
-    const char* dataset;
-    double scale;
-    double fraction;
-  } cases[] = {
-      {"quest-sparse", 0.05, 0.01},
-      {"quest-sparse", 0.05, 0.002},
-      {"chess-like", 0.05, 0.85},
-      {"chess-like", 0.05, 0.70},
-      {"short-dense", 0.05, 0.05},
-      {"short-dense", 0.05, 0.001},
-  };
-  for (const auto& c : cases) {
-    const auto db = harness::scaled_dataset(c.dataset, c.scale);
-    const Count minsup = harness::absolute_support(db, c.fraction);
-    const auto fixed = core::mine(db, minsup, core::Algorithm::kPltConditional);
-
-    core::MineOptions adaptive;
-    adaptive.plan = core::PlanMode::kAdaptive;
-    const auto planned =
-        core::mine(db, minsup, core::Algorithm::kPltConditional, adaptive);
-    testing::expect_same_itemsets(fixed.itemsets, planned.itemsets,
-                                  c.dataset);
-
-    core::MineOptions pinned = adaptive;
-    pinned.plan_config = subtree_only();
-    const auto ordered =
-        core::mine(db, minsup, core::Algorithm::kPltConditional, pinned);
-    expect_same_order(fixed.itemsets, ordered.itemsets, c.dataset);
-  }
+  for (const DiffCase& c : testing::sweep_cases()) check_entry_points(c);
   core::set_validation_enabled(false);
 }
 
-// The planner is shared by reference across workers; results must not
-// depend on the plan or the thread count.
 TEST(AdaptiveDifferential, ParallelThreadCounts) {
-  const auto db = harness::scaled_dataset("quest-sparse", 0.05);
-  const Count minsup = harness::absolute_support(db, 0.005);
-  const auto reference =
-      core::mine(db, minsup, core::Algorithm::kPltConditional);
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-    parallel::ParallelOptions options;
-    options.threads = threads;
-    options.plan = core::PlanMode::kAdaptive;
-    const auto result = parallel::mine_parallel(db, minsup, options);
-    testing::expect_same_itemsets(reference.itemsets, result.itemsets,
-                                  "parallel adaptive");
-  }
+  for (const auto& cases :
+       {testing::quest_sparse_cases(), testing::degenerate_cases()})
+    for (const DiffCase& c : cases) {
+      SCOPED_TRACE(c.label + " minsup " + std::to_string(c.minsup));
+      check_parallel(c, testing::mine_reference(c.db, c.minsup));
+    }
 }
 
-// A plan belongs to its call: two threads mining at once, one adaptive
-// and one fixed, each get the sequential truth in raw emission order and
-// report their own plan. The plan is read from MineResult, not the trace,
+TEST(AdaptiveDifferential, OutOfCoreBlobPath) {
+  for (const auto& cases :
+       {testing::quest_sparse_cases(), testing::degenerate_cases()})
+    for (const DiffCase& c : cases) {
+      SCOPED_TRACE(c.label + " minsup " + std::to_string(c.minsup));
+      check_blob(c, testing::mine_reference(c.db, c.minsup));
+    }
+}
+
+// A configuration belongs to its engine: two threads mining at once, one
+// engine on the default cost model and one forced to pooled-only, each get
+// the reference in raw emission order and report only their own
+// decisions. The decisions are read from ProjectionStats, not the trace,
 // so this also runs with the obs layer compiled out; under tsan it also
-// shows the two mines share no unsynchronized state.
+// shows the two engines share no unsynchronized state.
 TEST(AdaptiveDifferential, ConcurrentMinesKeepTheirOwnPlan) {
   const auto db = harness::scaled_dataset("quest-sparse", 0.05);
   const Count minsup = harness::absolute_support(db, 0.005);
-  const auto truth = core::mine(db, minsup, core::Algorithm::kPltConditional);
-  core::MineOptions adaptive;
-  adaptive.plan = core::PlanMode::kAdaptive;
-  adaptive.plan_config = subtree_only();
-  const auto run = [&](const core::MineOptions& options) {
-    const bool planned = options.plan == core::PlanMode::kAdaptive;
+  const auto truth = testing::mine_reference(db, minsup);
+  const auto view = core::build_ranked_view(db, minsup);
+  const auto max_rank = static_cast<Rank>(view.alphabet());
+  const core::TreeView tree = core::build_tree(view.db, max_rank);
+  const std::vector<Item> item_of = testing::items_of(view);
+  const auto run = [&](const core::PlanConfig& config, bool pooled) {
+    core::ProjectionEngine engine(config);
     for (int round = 0; round < 4; ++round) {
-      const auto result =
-          core::mine(db, minsup, core::Algorithm::kPltConditional, options);
-      expect_same_order(truth.itemsets, result.itemsets,
-                        planned ? "concurrent adaptive" : "concurrent fixed");
-      const core::ProjectionStats& p = result.projection;
-      const std::uint64_t decisions = p.plan_pooled + p.plan_single_path +
-                                      p.plan_eclat + p.plan_narrow +
-                                      p.plan_wide;
-      if (planned) {
-        EXPECT_EQ(result.plan_root, "conditional");
-        EXPECT_GT(decisions, 0u);
+      engine.reset_stats();
+      core::FrequentItemsets out;
+      std::vector<Item> suffix;
+      engine.mine(tree, item_of, suffix, minsup, core::collect_into(out), {});
+      expect_same_order(truth, out,
+                        pooled ? "concurrent pooled-only" : "concurrent model");
+      const core::ProjectionStats& p = engine.stats();
+      EXPECT_GT(p.plan_pooled, 0u);
+      if (pooled) {
+        EXPECT_EQ(p.plan_single_path + p.plan_eclat, 0u);
       } else {
-        EXPECT_EQ(result.plan_root, "");
-        EXPECT_EQ(decisions, 0u);
+        EXPECT_GT(p.plan_single_path + p.plan_eclat, 0u);
       }
     }
   };
-  std::thread planned_thread(run, std::cref(adaptive));
-  std::thread fixed_thread(run, core::MineOptions{});
-  planned_thread.join();
-  fixed_thread.join();
-}
-
-// The OOC walk streams subtrees through the same pooled engine; checkpoint
-// records replay emissions verbatim, so the raw order must be
-// plan-invariant (not just the canonical set).
-TEST(AdaptiveDifferential, OutOfCoreBlobPath) {
-  const auto db = harness::scaled_dataset("short-dense", 0.05);
-  const Count minsup = harness::absolute_support(db, 0.01);
-  const auto built = core::build_from_database(db, minsup);
-  const auto blob = compress::encode_plt(built.plt);
-  std::vector<Item> item_of(built.view.alphabet());
-  for (Rank r = 1; r <= built.view.alphabet(); ++r)
-    item_of[r - 1] = built.view.item_of(r);
-
-  core::FrequentItemsets fixed;
-  ASSERT_EQ(compress::mine_from_blob(blob, item_of, minsup,
-                                     core::collect_into(fixed)),
-            core::MineStatus::kCompleted);
-
-  compress::OocOptions adaptive;
-  adaptive.plan = core::PlanMode::kAdaptive;
-  core::FrequentItemsets planned;
-  ASSERT_EQ(compress::mine_from_blob(blob, item_of, minsup,
-                                     core::collect_into(planned), nullptr,
-                                     adaptive),
-            core::MineStatus::kCompleted);
-  expect_same_order(fixed, planned, "ooc raw order");
+  std::thread model_thread(run, core::PlanConfig{}, false);
+  std::thread pooled_thread(run, testing::pooled_only(), true);
+  model_thread.join();
+  pooled_thread.join();
 }
 
 }  // namespace

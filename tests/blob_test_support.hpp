@@ -110,7 +110,7 @@ inline void reseal_frame(std::vector<std::uint8_t>& blob,
     blob[span.payload_end + i] = static_cast<std::uint8_t>(crc >> (8 * i));
 }
 
-/// Rewrites the trailing CRC32C of a PLTM manifest or PLTS summary (it
+/// Rewrites the trailing CRC32C of a PLM2 manifest or PLTS summary (it
 /// covers everything between the magic and the CRC) after its bytes were
 /// mutated, so the mutation reaches the decoder's value checks.
 inline void reseal_container(std::vector<std::uint8_t>& bytes) {

@@ -19,47 +19,33 @@ if(CHECK STREQUAL "bad-backend")
             "${err}")
   endif()
 elseif(CHECK STREQUAL "bad-plan")
-  # An unknown --plan must refuse to run (exit non-zero, usage text), never
-  # silently mine under the wrong execution plan.
-  execute_process(COMMAND ${PLT_MINE} --dataset short-dense --scale 0.2
-                          --minsup 2 --plan bogus
-                  RESULT_VARIABLE code
-                  OUTPUT_VARIABLE out
-                  ERROR_VARIABLE err)
-  if(code EQUAL 0)
-    message(FATAL_ERROR "plt-mine accepted an unknown --plan (exit 0)")
-  endif()
-  if(NOT err MATCHES "unknown --plan")
-    message(FATAL_ERROR
-            "missing/garbled diagnostic for unknown plan; stderr was:\n"
-            "${err}")
-  endif()
-elseif(CHECK STREQUAL "plan-identity")
-  # The planner's whole contract at the CLI: --plan adaptive and the default
-  # fixed plan print byte-identical itemsets.
-  execute_process(COMMAND ${PLT_MINE} --dataset short-dense --scale 0.2
-                          --minsup-frac 0.01 --limit 0 --plan fixed
-                  RESULT_VARIABLE fixed_code
-                  OUTPUT_VARIABLE fixed_out
-                  ERROR_VARIABLE fixed_err)
-  if(NOT fixed_code EQUAL 0)
-    message(FATAL_ERROR "plt-mine --plan fixed exited ${fixed_code}:\n"
-            "${fixed_err}")
-  endif()
-  execute_process(COMMAND ${PLT_MINE} --dataset short-dense --scale 0.2
-                          --minsup-frac 0.01 --limit 0 --plan adaptive
-                  RESULT_VARIABLE adaptive_code
-                  OUTPUT_VARIABLE adaptive_out
-                  ERROR_VARIABLE adaptive_err)
-  if(NOT adaptive_code EQUAL 0)
-    message(FATAL_ERROR "plt-mine --plan adaptive exited ${adaptive_code}:\n"
-            "${adaptive_err}")
-  endif()
-  if(NOT fixed_out STREQUAL adaptive_out)
-    message(FATAL_ERROR "--plan adaptive changed the mined output:\n"
-            "--- fixed ---\n${fixed_out}"
-            "--- adaptive ---\n${adaptive_out}")
-  endif()
+  # Flags are strict on plt-mine and plt-shard (every mode): --plan, which
+  # no longer exists, and a misspelled flag must both refuse to run (exit
+  # non-zero, "unknown flag --X" plus the usage text), never be silently
+  # ignored.
+  set(job ${OUT_DIR}/bad_flag_job)
+  foreach(case
+      "plt-mine|plan|${PLT_MINE};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;--plan;adaptive"
+      "plt-mine|minsuup|${PLT_MINE};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;--minsuup;5"
+      "plt-shard|plan|${PLT_SHARD};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;--dir;${job};--plan;adaptive"
+      "plt-shard|wokers|${PLT_SHARD};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;--dir;${job};--wokers;9"
+      "plt-shard --worker|plan|${PLT_SHARD};--worker;--dir;${job};--shard;0;--plan;adaptive"
+      "plt-shard --merge|wokers|${PLT_SHARD};--merge;--dir;${job};--wokers;9")
+    string(REPLACE "|" ";" fields "${case}")
+    list(POP_FRONT fields tool flag)
+    execute_process(COMMAND ${fields}
+                    RESULT_VARIABLE code
+                    OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    if(code EQUAL 0)
+      message(FATAL_ERROR "${tool} accepted --${flag} (exit 0)")
+    endif()
+    if(NOT err MATCHES "unknown flag --${flag}\n" OR NOT err MATCHES "usage:")
+      message(FATAL_ERROR
+              "${tool}: missing diagnostic for --${flag}; stderr was:\n"
+              "${err}")
+    endif()
+  endforeach()
 elseif(CHECK STREQUAL "trace-files")
   # --trace / --trace-folded must produce well-formed exports covering the
   # run. Only registered when the obs layer is compiled in (PLT_OBS=ON).

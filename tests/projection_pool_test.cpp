@@ -148,11 +148,17 @@ TEST(ProjectionPool, RecyclingDominatesOnDeepWorkloads) {
   // A 14-item transaction repeated: depth-13 conditional chains with many
   // siblings per depth. The pool holds one frame per depth, so recycled
   // acquisitions must dwarf fresh ones (the acceptance criterion's >= 2x).
+  // Every conditional database here is one path, which the default cost
+  // model expands without projecting, so the engine is pinned to the
+  // pooled walk.
   tdb::Database db;
   std::vector<Item> row;
   for (Item i = 1; i <= 14; ++i) row.push_back(i);
   for (int i = 0; i < 3; ++i) db.add(row);
-  ProjectionEngine engine;
+  PlanConfig pooled_only;
+  pooled_only.allow_subtree_single_path = false;
+  pooled_only.allow_subtree_eclat = false;
+  ProjectionEngine engine(pooled_only);
   const auto mined = mine_pooled(db, 3, &engine);
   EXPECT_EQ(mined.size(), (1u << 14) - 1);
   const ProjectionStats& stats = engine.stats();

@@ -221,7 +221,7 @@ TEST(Fuzz, ValidCrcHostilePositionsThrowInEveryReader) {
 
 // Every truncation (as cut, and re-sealed so the decoder's own length
 // checks see it), and every single-byte flip under several masks re-sealed
-// with a correct trailing CRC, of one PLTM/PLTS container. Each input must
+// with a correct trailing CRC, of one PLM2/PLTS container. Each input must
 // decode or throw std::runtime_error; `on_decoded` gets every decoded one.
 template <typename Decoded>
 void fuzz_container(const std::vector<std::uint8_t>& bytes,
@@ -256,9 +256,9 @@ void fuzz_container(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-// A real adaptive job's manifest, mutated: each one that decodes is handed
-// to both workers of the job, which must finish or fail cleanly (exit 0 or
-// 1) against the job's real blob.
+// A real job's manifest, mutated: each one that decodes is handed to both
+// workers of the job, which must finish or fail cleanly (exit 0 or 1)
+// against the job's real blob.
 TEST(Fuzz, ShardManifestMutationsDecodeOrThrowAndWorkersNeverCrash) {
   const auto db = harness::scaled_dataset("short-dense", 0.05);
   const std::string dir = ::testing::TempDir() + "fuzz_manifest_" +
@@ -267,7 +267,6 @@ TEST(Fuzz, ShardManifestMutationsDecodeOrThrowAndWorkersNeverCrash) {
   shard::ShardOptions options;
   options.dir = dir;
   options.workers = 2;
-  options.plan = core::PlanMode::kAdaptive;
   const shard::Manifest manifest =
       shard::prepare_job(db, harness::absolute_support(db, 0.05), options);
   ASSERT_EQ(manifest.shards.size(), 2u);
@@ -280,7 +279,7 @@ TEST(Fuzz, ShardManifestMutationsDecodeOrThrowAndWorkersNeverCrash) {
                                   shard::manifest_path(dir));
         for (std::size_t k = 0; k < mutated.shards.size(); ++k) {
           // A fresh mine each time, not a replay of an earlier log, so the
-          // mutated stats and windows reach the planner and the walk.
+          // mutated windows and item map reach the walk.
           std::filesystem::remove(shard::checkpoint_path(dir, k));
           const int code = shard::run_worker(dir, k);
           EXPECT_TRUE(code == 0 || code == 1) << code;

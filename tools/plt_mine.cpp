@@ -15,6 +15,9 @@
 // Output:     --output text|csv (default text), --limit N (rows shown)
 // Tracing:    --trace FILE               span-tree JSON for the whole run
 //             --trace-folded FILE        flamegraph-folded stacks
+//
+// Flags are strict: an unknown flag is a usage error (exit 2), never
+// silently ignored.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -52,7 +55,7 @@ int usage(const char* argv0) {
       << "  [--rules [--minconf C]] [--serialize FILE | --emit-blob FILE]\n"
       << "  [--stats]\n"
       << "  [--output text|csv] [--limit N] [--scale S]\n"
-      << "  [--backend scalar|sse42|avx2|simd|auto] [--plan fixed|adaptive]\n"
+      << "  [--backend scalar|sse42|avx2|simd|auto]\n"
       << "  [--validate] [--trace FILE] [--trace-folded FILE]\n"
       << "datasets: ";
   for (const auto& spec : datagen::dataset_registry())
@@ -60,6 +63,12 @@ int usage(const char* argv0) {
   std::cerr << '\n';
   return 2;
 }
+
+const char* const kKnownFlags[] = {
+    "input", "dataset", "scale", "minsup", "minsup-frac", "algorithm",
+    "closed", "closed-native", "maximal", "top-k", "contains", "rules",
+    "minconf", "serialize", "emit-blob", "stats", "output", "limit",
+    "backend", "validate", "trace", "trace-folded"};
 
 std::optional<core::Algorithm> parse_algorithm(const std::string& name) {
   for (const core::Algorithm algorithm : core::all_algorithms())
@@ -92,13 +101,12 @@ void print_itemsets(const core::FrequentItemsets& itemsets,
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+  if (const std::string key = args.first_unknown(kKnownFlags);
+      !key.empty()) {
+    std::cerr << "error: unknown flag --" << key << '\n';
+    return usage(argv[0]);
+  }
   if (!harness::apply_backend_flag(args, /*announce=*/false)) return 2;
-  // An unknown --plan refuses to run with the usage text, mirroring the
-  // --backend contract: never silently mine under the wrong plan.
-  const std::optional<core::PlanMode> plan = harness::parse_plan_flag(args);
-  if (!plan) return usage(argv[0]);
-  core::MineOptions mine_options;
-  mine_options.plan = *plan;
   // One session around everything the invocation does (mining, queries,
   // serialization); written on every exit path by the destructor.
   harness::TraceScope trace(args);
@@ -185,7 +193,7 @@ int main(int argc, char** argv) {
     std::optional<core::FrequentItemsets> reference;
     for (const core::Algorithm algorithm : core::all_algorithms()) {
       try {
-        auto result = core::mine(db, minsup, algorithm, mine_options);
+        auto result = core::mine(db, minsup, algorithm);
         if (!reference) reference = result.itemsets;
         const bool agrees = core::FrequentItemsets::equal(
             *reference, result.itemsets);
@@ -214,7 +222,7 @@ int main(int argc, char** argv) {
 
   core::MineResult result;
   try {
-    result = core::mine(db, minsup, *algorithm, mine_options);
+    result = core::mine(db, minsup, *algorithm);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;

@@ -40,13 +40,10 @@ std::vector<Rank> parse_ranks(const std::string& text) {
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
-  for (const std::string& key : args.keys()) {
-    bool known = false;
-    for (const char* flag : kKnownFlags) known = known || key == flag;
-    if (!known) {
-      std::cerr << "error: unknown flag --" << key << '\n';
-      return usage(argv[0]);
-    }
+  if (const std::string key = args.first_unknown(kKnownFlags);
+      !key.empty()) {
+    std::cerr << "error: unknown flag --" << key << '\n';
+    return usage(argv[0]);
   }
   if (!args.has("port") || !args.has("op")) return usage(argv[0]);
 

@@ -7,7 +7,7 @@
 // single-process emission order.
 //
 //   plt-shard --dataset quest-sparse --minsup-frac 0.005 --workers 4 \
-//             --dir /tmp/job [--plan adaptive] [--timeout-ms N]
+//             --dir /tmp/job [--timeout-ms N]
 //             [--retries N] [--launch-prefix "taskset -c 0-3"]
 //
 // Worker mode (what the coordinator execs; also runnable by hand or over
@@ -18,9 +18,11 @@
 // Split-only + external launch: --emit-commands writes the job directory
 // and prints one worker command line per shard instead of launching;
 // --merge replays the finished logs of an existing job directory.
+//
+// Flags are strict in every mode: an unknown flag is a usage error
+// (exit 2), never silently ignored.
 #include <chrono>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,7 +49,7 @@ int usage(const char* argv0) {
   std::cerr
       << "usage: " << argv0 << " (--input FILE | --dataset NAME) --dir DIR\n"
       << "  [--minsup N | --minsup-frac F] [--workers N] [--scale S]\n"
-      << "  [--plan fixed|adaptive] [--timeout-ms N] [--retries N]\n"
+      << "  [--timeout-ms N] [--retries N]\n"
       << "  [--launch-prefix \"CMD ARGS\"] [--emit-commands] [--limit N]\n"
       << "  [--trace FILE] [--trace-folded FILE]\n"
       << "or: " << argv0 << " --worker --dir DIR --shard K\n"
@@ -58,6 +60,13 @@ int usage(const char* argv0) {
   std::cerr << '\n';
   return 2;
 }
+
+// Every mode's flags: one list, so a flag is never valid in one spelling
+// and silently ignored in another.
+const char* const kKnownFlags[] = {
+    "input", "dataset", "scale", "minsup", "minsup-frac", "dir", "workers",
+    "timeout-ms", "retries", "launch-prefix", "emit-commands", "limit",
+    "backend", "trace", "trace-folded", "worker", "shard", "merge"};
 
 // The path the coordinator re-execs for workers: this binary.
 std::string self_path(const char* argv0) {
@@ -119,6 +128,11 @@ std::vector<std::string> split_words(const std::string& line) {
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
+  if (const std::string key = args.first_unknown(kKnownFlags);
+      !key.empty()) {
+    std::cerr << "error: unknown flag --" << key << '\n';
+    return usage(argv[0]);
+  }
   const std::string dir = args.get("dir", "");
 
   // -- worker mode: one shard, then exit with the worker's status --
@@ -129,8 +143,6 @@ int main(int argc, char** argv) {
   }
 
   if (!harness::apply_backend_flag(args, /*announce=*/false)) return 2;
-  const std::optional<core::PlanMode> plan = harness::parse_plan_flag(args);
-  if (!plan) return usage(argv[0]);
   harness::TraceScope trace(args);
   const auto limit = static_cast<std::size_t>(args.get_int("limit", 20));
   if (dir.empty()) return usage(argv[0]);
@@ -184,7 +196,6 @@ int main(int argc, char** argv) {
   options.dir = dir;
   options.workers = static_cast<std::size_t>(args.get_int("workers", 2));
   options.worker_binary = self_path(argv[0]);
-  options.plan = *plan;
   options.launch_prefix = split_words(args.get("launch-prefix", ""));
   options.max_launch_attempts =
       static_cast<std::size_t>(args.get_int("retries", 2)) + 1;
