@@ -1,8 +1,9 @@
-// E11 — out-of-core-style mining from the serialized blob (the indexing
-// claim of §1/§6 made operational): conditional mining where the base
-// vectors stream from the varint blob via the sum-bucket index and only the
-// prefix overlay lives in memory. Compares against fully in-memory mining
-// and reports the working-set sizes.
+// E11 — mining from the serialized blob (§1/§6's large-database claim made
+// operational): one checked pass over the varint blob builds the physical
+// prefix tree, and Algorithm 3's rank loop mines it exactly as the
+// in-memory path does. Compares against fully in-memory mining and reports
+// the blob, the table-form PLT and the tree side by side. Exits 1 if the
+// two paths disagree on any row.
 #include <iostream>
 
 #include "compress/codec.hpp"
@@ -28,8 +29,9 @@ int main(int argc, char** argv) {
   harness::print_banner(std::cout, "E11", "mining from the serialized blob",
                         "sections 1/6 (indexing for large databases)");
 
-  Table table({"dataset", "minsup", "blob", "in-mem PLT", "overlay peak",
+  Table table({"dataset", "minsup", "blob", "in-mem PLT", "tree",
                "ooc mine", "in-mem mine", "frequent", "identical"});
+  bool all_identical = true;
 
   const struct {
     const char* dataset;
@@ -62,22 +64,29 @@ int main(int argc, char** argv) {
         core::mine(db, minsup, core::Algorithm::kPltConditional).itemsets;
     const double mem_seconds = mem_timer.seconds();
 
+    const bool identical =
+        core::FrequentItemsets::equal(ooc_mined, std::move(mem_mined));
+    all_identical = all_identical && identical;
     table.add_row(
         {c.dataset, std::to_string(minsup), format_bytes(blob.size()),
          format_bytes(built.plt.memory_usage()),
          format_bytes(stats.peak_overlay_bytes),
          format_duration(ooc_seconds), format_duration(mem_seconds),
-         std::to_string(ooc_mined.size()),
-         core::FrequentItemsets::equal(ooc_mined, std::move(mem_mined))
-             ? "yes"
-             : "NO"});
+         std::to_string(ooc_mined.size()), identical ? "yes" : "NO"});
   }
   std::cout << table.to_text();
   std::cout << "\nExpected shape: identical itemsets; the blob is several\n"
-               "times smaller than the in-memory structure and the resident\n"
-               "overlay (re-inserted prefixes only) stays below the full\n"
-               "PLT footprint, at a modest decode-time overhead — i.e. the\n"
-               "index makes the structure minable without residing in\n"
-               "memory, which is the paper's 'large databases' argument.\n";
+               "times smaller than the in-memory PLT. The blob path holds\n"
+               "the same physical tree the in-memory mine does (larger or\n"
+               "smaller than the table-form PLT, by dataset), and its mine\n"
+               "time is close to the in-memory one: it decodes the blob\n"
+               "where the in-memory path builds from the database. The blob\n"
+               "is the compact form to store and ship, the tree the form to\n"
+               "mine.\n";
+  if (!all_identical) {
+    std::cerr << "bench_ooc_mining: blob-path itemsets differ from the "
+                 "in-memory mine\n";
+    return 1;
+  }
   return 0;
 }

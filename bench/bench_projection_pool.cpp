@@ -58,7 +58,8 @@ Prepared prepare(const tdb::Database& db, Count minsup) {
   return p;
 }
 
-// Both paths re-build the PLT (mining consumes it) so the timed section is
+// The recursive path re-builds the PLT (mining consumes it); the pooled
+// paths build the tree of the same PLT. Either way the timed section is
 // mine-only and identical in inputs.
 double time_recursive(const Prepared& p, Count minsup,
                       core::FrequentItemsets& out) {
@@ -71,14 +72,18 @@ double time_recursive(const Prepared& p, Count minsup,
   return timer.seconds();
 }
 
+core::TreeView pooled_tree(const Prepared& p) {
+  return core::TreeView::from_plt(
+      core::build_plt(p.view.db, static_cast<Rank>(p.view.alphabet())));
+}
+
 double time_pooled(const Prepared& p, Count minsup,
                    core::ProjectionEngine& engine,
                    core::FrequentItemsets& out) {
-  core::Plt plt =
-      core::build_plt(p.view.db, static_cast<Rank>(p.view.alphabet()));
+  const core::TreeView tree = pooled_tree(p);
   std::vector<Item> suffix;
   Timer timer;
-  engine.mine(plt, p.item_of, suffix, minsup, core::collect_into(out), {});
+  engine.mine(tree, p.item_of, suffix, minsup, core::collect_into(out), {});
   return timer.seconds();
 }
 
@@ -89,15 +94,14 @@ double time_controlled(const Prepared& p, Count minsup,
                        core::ProjectionEngine& engine,
                        core::FrequentItemsets& out,
                        std::uint64_t& checks) {
-  core::Plt plt =
-      core::build_plt(p.view.db, static_cast<Rank>(p.view.alphabet()));
+  const core::TreeView tree = pooled_tree(p);
   core::MiningControl control =
       core::MiningControl::with_deadline(std::chrono::hours(24));
   control.set_memory_budget(std::size_t{1} << 40);
   std::vector<Item> suffix;
   Timer timer;
-  engine.set_control(&control, plt.memory_usage());
-  engine.mine(plt, p.item_of, suffix, minsup, core::collect_into(out), {});
+  engine.set_control(&control, tree.memory_usage());
+  engine.mine(tree, p.item_of, suffix, minsup, core::collect_into(out), {});
   const double seconds = timer.seconds();
   engine.set_control(nullptr, 0);
   checks = control.checks();

@@ -6,12 +6,13 @@
 // single-process OOC mine of the same blob, with the coordinator's own
 // overhead (split = build+encode+stats, merge = log replay) broken out
 // separately, plus the per-shard wall-time distribution as a latency
-// histogram. Emits BENCH_shard.json (--out FILE).
+// histogram. Emits BENCH_shard.json (--out FILE). Exits 1 if any worker
+// count mines a different itemset set than the single-process mine.
 //
 // NUMA note: the coordinator launches plain child processes; on multi-
 // socket hosts pin each worker with --launch-prefix (e.g.
-// "numactl --cpunodebind=0 --membind=0" or "taskset -c 0-7") so a shard's
-// prefix overlay stays local to the socket that streams its blob window.
+// "numactl --cpunodebind=0 --membind=0" or "taskset -c 0-7") so the tree a
+// shard builds stays local to the socket that mines its window.
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -57,7 +58,7 @@ void write_json(const std::string& path, double scale, Count minsup,
       << ", \"frequent_itemsets\": " << single_itemsets << "},\n"
       << "  \"numa_note\": \"pin workers via --launch-prefix, e.g. "
          "'numactl --cpunodebind=0 --membind=0' or 'taskset -c 0-7', to "
-         "keep each shard's overlay socket-local\",\n"
+         "keep each shard's tree socket-local\",\n"
       << "  \"rows\": [\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
@@ -104,9 +105,9 @@ int main(int argc, char** argv) {
 
   // Single-process reference: the exact OOC walk the workers run, in this
   // process with no coordinator — the floor any sharded run is measured
-  // against.
+  // against, and the itemsets every sharded run must reproduce.
   double single_seconds = 0.0;
-  std::size_t single_itemsets = 0;
+  core::FrequentItemsets single;
   {
     const auto built = core::build_from_database(db, minsup);
     const auto blob = compress::encode_plt(built.plt);
@@ -115,11 +116,11 @@ int main(int argc, char** argv) {
       item_of[r - 1] = built.view.item_of(r);
     Timer timer;
     compress::mine_from_blob(blob, item_of, minsup,
-                             [&](std::span<const Item>, Count) {
-                               ++single_itemsets;
-                             });
+                             core::collect_into(single));
     single_seconds = timer.seconds();
   }
+  const std::size_t single_itemsets = single.size();
+  bool all_identical = true;
 
   Table table({"workers", "split", "mine", "merge", "total", "speedup",
                "efficiency", "shard p50", "shard max", "frequent"});
@@ -135,14 +136,19 @@ int main(int argc, char** argv) {
     options.worker_binary = PLT_SHARD_BIN;
     fs::remove_all(options.dir);
 
-    std::size_t itemsets = 0;
+    core::FrequentItemsets sharded;
     Timer total;
-    shard::mine_sharded(db, minsup,
-                        [&](std::span<const Item>, Count) { ++itemsets; },
-                        options, &row.report);
+    shard::mine_sharded(db, minsup, core::collect_into(sharded), options,
+                        &row.report);
     row.total_seconds = total.seconds();
+    const std::size_t itemsets = sharded.size();
     row.itemsets = itemsets;
     fs::remove_all(options.dir);
+    if (!core::FrequentItemsets::equal(single, std::move(sharded))) {
+      std::cerr << "DISAGREEMENT: " << workers
+                << " workers mined different itemsets than one process\n";
+      all_identical = false;
+    }
 
     const double base = rows.empty() ? row.report.mine_seconds
                                      : rows.front().report.mine_seconds;
@@ -174,12 +180,14 @@ int main(int argc, char** argv) {
              single_seconds, single_itemsets, rows);
 
   std::cout << "\nExpected shape: every worker count yields the same\n"
-               "itemsets; the worker phase shrinks toward mine/N on\n"
-               "multi-core hosts (bounded by the heaviest shard, so the\n"
-               "weighted split matters), while split and merge stay small\n"
-               "and constant — that pair is the coordinator's whole\n"
-               "overhead. On one core the sweep shows process-launch\n"
-               "overhead instead of speedup. Pin workers per the NUMA note\n"
-               "on multi-socket machines.\n";
+               "itemsets. Each worker builds the blob's whole tree, then\n"
+               "mines only its window, so the worker phase shrinks toward\n"
+               "build + mine/N on multi-core hosts (bounded by the heaviest\n"
+               "shard, so the weighted split matters), while split and\n"
+               "merge stay small and constant — that pair is the\n"
+               "coordinator's whole overhead. On one core the sweep shows\n"
+               "process-launch overhead instead of speedup. Pin workers per\n"
+               "the NUMA note on multi-socket machines.\n";
+  if (!all_identical) return 1;
   return 0;
 }

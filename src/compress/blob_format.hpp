@@ -16,6 +16,8 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/plt.hpp"
@@ -72,10 +74,47 @@ PartitionFrame read_partition_frame(std::span<const std::uint8_t> blob,
 /// it). Throws std::runtime_error on truncated input. The kernel dispatch
 /// makes the block decode SIMD on supporting hosts; every backend decodes
 /// identical bytes to identical values. The values are not range-checked
-/// here: build_index and decode_plt check each entry once (see
+/// here: for_each_checked_entry checks each entry once (see
 /// core::checked_sum).
 void decode_blob_entry(std::span<const std::uint8_t> blob,
                        std::size_t& offset, std::uint32_t length,
                        core::PosVec& v, Count& freq);
+
+/// The one checked entry reader behind every whole-blob consumer
+/// (decode_plt, build_index, mine_from_blob). Walks the frames after
+/// `header`: each frame's CRC is verified before its payload is read,
+/// every entry passes core::checked_sum (positions >= 1, overflow-safe sum
+/// <= max_rank) before anyone sees it, and each frame's entry stream must
+/// end exactly at its payload end. Calls
+/// on_entry(frame, entry_offset, positions, sum, freq) for every entry in
+/// stored order, then on_frame(frame) once the frame's landing check has
+/// passed. Throws std::runtime_error prefixed with `who` at the first
+/// failed check; callbacks may have seen earlier entries by then.
+template <typename OnEntry, typename OnFrame>
+void for_each_checked_entry(std::span<const std::uint8_t> blob,
+                            const BlobHeader& header, const char* who,
+                            OnEntry&& on_entry, OnFrame&& on_frame) {
+  std::size_t offset = header.body_offset;
+  core::PosVec v;
+  for (std::uint64_t p = 0; p < header.partitions; ++p) {
+    const PartitionFrame frame =
+        read_partition_frame(blob, offset, header, who);
+    for (std::uint64_t e = 0; e < frame.entries; ++e) {
+      const std::size_t entry_offset = offset;
+      Count freq = 0;
+      decode_blob_entry(blob, offset, frame.length, v, freq);
+      const Rank sum = core::checked_sum(v, header.max_rank);
+      if (sum == 0)
+        throw std::runtime_error(std::string(who) +
+                                 ": invalid position vector");
+      on_entry(frame, entry_offset, std::span<const Pos>(v), sum, freq);
+    }
+    if (offset != frame.payload_end)
+      throw std::runtime_error(std::string(who) +
+                               ": partition payload length mismatch");
+    on_frame(frame);
+    offset = frame.payload_end + 4;  // CRC verified by the frame reader
+  }
+}
 
 }  // namespace plt::compress

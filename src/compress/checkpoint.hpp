@@ -1,10 +1,10 @@
 // Rank-granular checkpoint log for out-of-core mining. The OOC miner walks
-// ranks max_rank..1; after a rank completes (its bucket streamed, its
-// conditional subtree fully mined), one record with every itemset that rank
-// emitted is appended and flushed. A crash therefore loses at most the
-// in-flight rank: on resume the log replays the recorded emissions verbatim
-// and mining continues from the first unrecorded rank, producing output
-// byte-identical to an uninterrupted run.
+// ranks max_rank..1; after a rank completes (its conditional subtree fully
+// mined), one record with every itemset that rank emitted is appended and
+// flushed. A crash therefore loses at most the in-flight rank: on resume
+// the log replays the recorded emissions verbatim and mining continues
+// from the first unrecorded rank, producing output byte-identical to an
+// uninterrupted run.
 //
 // Layout ("PLTK"):
 //   "PLTK" | u32le blob_crc | varint min_support | varint max_rank |

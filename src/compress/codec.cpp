@@ -81,26 +81,13 @@ core::Plt decode_plt(std::span<const std::uint8_t> bytes) {
   PLT_FAILPOINT("codec.decode");
   const BlobHeader header = read_blob_header(bytes, "decode_plt");
   core::Plt plt(header.max_rank);
-
-  std::size_t offset = header.body_offset;
-  core::PosVec v;
-  for (std::uint64_t p = 0; p < header.partitions; ++p) {
-    const PartitionFrame frame =
-        read_partition_frame(bytes, offset, header, "decode_plt");
-    for (std::uint64_t e = 0; e < frame.entries; ++e) {
-      Count freq = 0;
-      decode_blob_entry(bytes, offset, frame.length, v, freq);
-      if (!core::is_valid(v, header.max_rank))
-        throw std::runtime_error("decode_plt: invalid position vector");
-      plt.add(v, freq);
-    }
-    if (offset != frame.payload_end)
-      throw std::runtime_error(
-          "decode_plt: partition payload length mismatch");
-    offset = frame.payload_end + 4;  // CRC verified by the frame reader
-  }
+  for_each_checked_entry(
+      bytes, header, "decode_plt",
+      [&](const PartitionFrame&, std::size_t, std::span<const Pos> v, Rank,
+          Count freq) { plt.add(v, freq); },
+      [](const PartitionFrame&) {});
   // Untrusted-input path: under PLT_VALIDATE the decoded structure gets the
-  // full whole-tree check on top of the per-entry range check above.
+  // full whole-tree check on top of the reader's per-entry check.
   core::maybe_validate(plt, "decode_plt");
   return plt;
 }

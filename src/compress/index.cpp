@@ -1,7 +1,5 @@
 #include "compress/index.hpp"
 
-#include <stdexcept>
-
 #include "compress/blob_format.hpp"
 #include "util/common.hpp"
 
@@ -20,36 +18,19 @@ BlobIndex build_index(std::span<const std::uint8_t> blob) {
   BlobIndex index;
   index.max_rank = header.max_rank;
   index.buckets.resize(index.max_rank);
-
-  std::size_t offset = header.body_offset;
-  core::PosVec v;
-  for (std::uint64_t p = 0; p < header.partitions; ++p) {
-    // The frame reader verifies the CRC and bounds-checks the declared
-    // lengths before any entry byte is interpreted.
-    const PartitionFrame frame =
-        read_partition_frame(blob, offset, header, "build_index");
-    BlobIndex::PartitionRange range;
-    range.length = frame.length;
-    range.entries = frame.entries;
-    range.begin = offset;
-    for (std::uint64_t e = 0; e < frame.entries; ++e) {
-      const std::uint64_t entry_offset = offset;
-      Count freq = 0;
-      decode_blob_entry(blob, offset, frame.length, v, freq);
-      // The same per-entry check decode_plt applies: every later reader of
-      // these buckets (serve scans, the OOC overlay) trusts the positions.
-      const Rank sum = core::checked_sum(v, index.max_rank);
-      if (sum == 0)
-        throw std::runtime_error("build_index: invalid position vector");
-      index.buckets[sum - 1].emplace_back(frame.length, entry_offset);
-    }
-    range.end = offset;
-    if (offset != frame.payload_end)
-      throw std::runtime_error(
-          "build_index: partition payload length mismatch");
-    offset = frame.payload_end + 4;  // skip the verified CRC
-    index.partitions.push_back(range);
-  }
+  // The checked reader verifies every CRC and every entry's positions
+  // before an entry lands in a bucket: every later reader of these buckets
+  // (serve scans) trusts them.
+  for_each_checked_entry(
+      blob, header, "build_index",
+      [&](const PartitionFrame& frame, std::size_t entry_offset,
+          std::span<const Pos>, Rank sum, Count) {
+        index.buckets[sum - 1].emplace_back(frame.length, entry_offset);
+      },
+      [&](const PartitionFrame& frame) {
+        index.partitions.push_back({frame.length, frame.payload_begin,
+                                    frame.payload_end, frame.entries});
+      });
   return index;
 }
 

@@ -1,7 +1,7 @@
 // Partition/bucket index over a serialized PLT: byte ranges per partition
 // and per vector-sum bucket, enabling selective decode — the "indexing
-// techniques" of §1/§6 and the enabler of partitioned (out-of-core or
-// parallel) mining: a worker can decode exactly the bucket for item j.
+// techniques" of §1/§6: plt-serve decodes exactly the buckets a query's
+// ranks can reach.
 #pragma once
 
 #include <cstdint>

@@ -1,12 +1,12 @@
-// Out-of-core-style mining straight from a serialized PLT blob — the
-// payoff of the paper's indexing claim (§1/§6): with the sum-bucket index,
-// the conditional approach never needs the whole structure decoded. The
-// base vectors stream out of the blob bucket by bucket (highest rank
-// first); only the re-inserted prefixes and the per-item conditional PLTs
-// live in memory, which is exactly the working set of one partition task.
-// Each rank's conditional PLT is mined by the projection engine, whose
-// subtree cost model decides from shapes alone; its emission order is
-// strategy-invariant, so checkpoint records stay exact.
+// Mining straight from a serialized PLT blob, the miner every plt-shard
+// worker runs. One checked pass over the blob's entries (every frame CRC,
+// every entry's positions) builds the physical tree of core/tree_view.hpp,
+// weighted by frequency; the projection engine's mine_rank() then runs
+// Algorithm 3's rank loop over it, exactly as core::mine does. The tree is
+// only read, so the paper's "Update PLT with V'" re-insert costs nothing
+// and a rank window or a resume only changes which ranks are mined. The
+// engine's subtree cost model decides from shapes alone and its emission
+// order is strategy-invariant, so checkpoint records stay exact.
 //
 // The rank walk doubles as a recovery boundary: with a checkpoint path
 // configured, every completed rank appends one record (see checkpoint.hpp)
@@ -15,11 +15,12 @@
 // uninterrupted mine (tests enforce it).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <vector>
 
-#include "compress/index.hpp"
 #include "core/exec_control.hpp"
 #include "core/itemset_collector.hpp"
 #include "obs/trace.hpp"
@@ -27,13 +28,15 @@
 namespace plt::compress {
 
 struct OocStats {
-  std::size_t bytes_decoded = 0;     ///< blob bytes visited
-  std::size_t peak_overlay_bytes = 0; ///< in-memory prefix overlay footprint
+  /// Entry bytes decoded to build the tree: every entry once, whatever the
+  /// rank window.
+  std::size_t bytes_decoded = 0;
+  /// The physical tree's bytes (TreeView::memory_usage), the resident
+  /// structure the rank loop reads. The name predates the tree; perfbench
+  /// reads the field under it.
+  std::size_t peak_overlay_bytes = 0;
   std::uint64_t checkpoint_records = 0;  ///< rank records written this run
   std::uint64_t resumed_ranks = 0;   ///< ranks replayed from a checkpoint
-  /// Ranks streamed without emitting (window warm-up above rank_hi plus the
-  /// re-streamed prefix of a resumed run).
-  std::uint64_t warmed_ranks = 0;
   core::ResilienceStats resilience;  ///< control/failpoint/CRC activity
   /// Aggregated span tree of this run when tracing was enabled and no outer
   /// session owned the walk (same contract as MineResult::trace); null
@@ -54,13 +57,11 @@ struct OocOptions {
   bool resume = true;
   /// Rank window to mine, inclusive (0 = unbounded end: the full range
   /// [1, max_rank]). This is the shard-worker unit: rank partitions are
-  /// independent by construction (Def 4.1.3), so a worker that streams the
-  /// ranks above rank_hi *without emitting* (the same warm pass a resume
-  /// performs — the overlay is a pure function of (blob, ranks processed))
-  /// and then mines rank_hi..rank_lo emits exactly the window's slice of
-  /// the full-range emission sequence. The checkpoint binding folds a
-  /// proper sub-window into the blob CRC (see window_binding_crc), so logs
-  /// from different windows never cross-replay. Throws
+  /// independent by construction (Def 4.1.3), and the tree is built from
+  /// every entry, so mining rank_hi..rank_lo emits exactly the window's
+  /// slice of the full-range emission sequence. The checkpoint binding
+  /// folds a proper sub-window into the blob CRC (see window_binding_crc),
+  /// so logs from different windows never cross-replay. Throws
   /// std::invalid_argument when the window is empty or exceeds max_rank.
   Rank rank_lo = 0;
   Rank rank_hi = 0;

@@ -76,9 +76,7 @@ struct ResilienceScope {
     result.status = control->status();
     if (result.status == MineStatus::kBudgetExceeded)
       result.degradation_hint =
-          "memory budget exceeded: serialize the database with encode_plt() "
-          "and mine the blob out of core via mine_from_blob(), which streams "
-          "one rank bucket at a time";
+          "memory budget exceeded: raise min_support or the memory budget";
   }
 };
 

@@ -67,7 +67,7 @@ struct MineResult {
   /// process-wide counters, exact for the control's own checks).
   ResilienceStats resilience;
   /// Set when status == kBudgetExceeded: how to retry within the budget
-  /// (e.g. switch to the out-of-core blob path).
+  /// (raise min_support or the budget).
   std::string degradation_hint;
   /// The aggregated span tree of this mine (see obs/trace.hpp), set when
   /// runtime tracing is enabled (PLT_TRACE / obs::set_enabled) and no outer

@@ -313,11 +313,11 @@ ProjectionEngine::Frame* ProjectionEngine::extend(
 }
 
 void ProjectionEngine::walk(Plt& root, const std::vector<Item>& root_items,
-                            std::size_t base_depth, std::vector<Item>& suffix,
-                            Count min_support, const ItemsetSink& sink,
+                            std::vector<Item>& suffix, Count min_support,
+                            const ItemsetSink& sink,
                             const ConditionalOptions& options) {
-  // One level per projection depth. The root level borrows the caller's
-  // PLT; deeper levels point into the pool. `j` is the rank the level will
+  // One level per projection depth, all pointing into the pool; level d
+  // projects into the frame at depth d + 1. `j` is the rank the level will
   // process next (Algorithm 3 walks ranks high to low).
   std::vector<Level>& stack = stack_;
   stack.clear();
@@ -357,24 +357,11 @@ void ProjectionEngine::walk(Plt& root, const std::vector<Item>& root_items,
           p.add(stored, freq);
         });
     const std::vector<Item>& items = *top.items;
-    Frame* child =
-        extend(j, support, base_depth + stack.size() - 1, items, suffix,
-               min_support, sink, options);
+    Frame* child = extend(j, support, stack.size(), items, suffix,
+                          min_support, sink, options);
     if (child != nullptr)  // the suffix item stays pushed while it mines
       stack.push_back({&child->plt, &child->item_of, child->plt.max_rank()});
   }
-}
-
-void ProjectionEngine::mine(Plt& plt, const std::vector<Item>& item_of,
-                            std::vector<Item>& suffix, Count min_support,
-                            const ItemsetSink& sink,
-                            const ConditionalOptions& options) {
-  // One span for the whole iterative walk (the explicit stack interleaves
-  // depths, so per-node RAII spans cannot nest here); per-rank and
-  // per-projection activity lands in counters and the "projection" span.
-  PLT_SPAN("rank-loop");
-  interrupted_ = false;
-  walk(plt, item_of, 0, suffix, min_support, sink, options);
 }
 
 void ProjectionEngine::mine_rank(const TreeView& tree, Rank j,
@@ -405,7 +392,7 @@ void ProjectionEngine::mine_rank(const TreeView& tree, Rank j,
   Frame* child = extend(j, support, 0, item_of, suffix, min_support, sink,
                         options);
   if (child == nullptr) return;
-  walk(child->plt, child->item_of, 1, suffix, min_support, sink, options);
+  walk(child->plt, child->item_of, suffix, min_support, sink, options);
   suffix.pop_back();
 }
 
@@ -414,6 +401,9 @@ void ProjectionEngine::mine(const TreeView& tree,
                             std::vector<Item>& suffix, Count min_support,
                             const ItemsetSink& sink,
                             const ConditionalOptions& options) {
+  // One span for the whole rank loop (the walk's explicit stack interleaves
+  // depths, so per-node RAII spans cannot nest here); per-rank and
+  // per-projection activity lands in counters and the "projection" span.
   PLT_SPAN("rank-loop");
   interrupted_ = false;
   for (Rank j = tree.max_rank(); j >= 1 && !interrupted_; --j)

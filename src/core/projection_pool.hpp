@@ -146,21 +146,12 @@ class ProjectionEngine {
   /// rank-j nodes (support(suffix ∪ {j}) is their support total), emits
   /// suffix ∪ {j} when frequent, projects CD_j into a pooled frame and
   /// mines it. Steps of different ranks are independent, so workers of
-  /// mine_parallel each run theirs against one shared tree.
+  /// mine_parallel each run theirs against one shared tree, and
+  /// mine_from_blob runs only the ranks of its window.
   void mine_rank(const TreeView& tree, Rank j,
                  const std::vector<Item>& item_of, std::vector<Item>& suffix,
                  Count min_support, const ItemsetSink& sink,
                  const ConditionalOptions& options);
-
-  /// Mines `plt` (consumed, same contract as
-  /// mine_plt_conditional_recursive): every frequent extension of `suffix`
-  /// is reported through `sink` in original item ids, in the recursive
-  /// reference path's exact order. The table-form entry for callers that
-  /// hold a PLT rather than a tree (the blob path's per-rank projections,
-  /// the differential tests).
-  void mine(Plt& plt, const std::vector<Item>& item_of,
-            std::vector<Item>& suffix, Count min_support,
-            const ItemsetSink& sink, const ConditionalOptions& options);
 
   const ProjectionStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
@@ -174,7 +165,8 @@ class ProjectionEngine {
     control_base_bytes_ = base_bytes;
   }
 
-  /// True when the last mine() was stopped early by the attached control.
+  /// True when the last mine() or mine_rank() was stopped early by the
+  /// attached control.
   bool interrupted() const { return interrupted_; }
 
   /// Heap bytes currently held by the pooled frames, the conditional
@@ -196,14 +188,14 @@ class ProjectionEngine {
     Rank j;
   };
 
-  /// The table-form walk (Algorithm 3 with "Update PLT with V'" as a
-  /// re-insert): mines `root` with its levels' frames at pool depths
-  /// base_depth and below. On a control stop it unwinds the suffix to its
-  /// state at entry and sets interrupted_.
+  /// The table-form walk below the tree's top level (Algorithm 3 with
+  /// "Update PLT with V'" as a re-insert): mines `root`, the depth-0
+  /// frame, with its levels' frames at pool depths 1 and below. On a
+  /// control stop it unwinds the suffix to its state at entry and sets
+  /// interrupted_.
   void walk(Plt& root, const std::vector<Item>& root_items,
-            std::size_t base_depth, std::vector<Item>& suffix,
-            Count min_support, const ItemsetSink& sink,
-            const ConditionalOptions& options);
+            std::vector<Item>& suffix, Count min_support,
+            const ItemsetSink& sink, const ConditionalOptions& options);
   /// The step shared by tree and table levels once cond_ holds CD_j and
   /// `support` is support(suffix ∪ {j}): counts, applies the anti-monotone
   /// cut, emits, and projects CD_j into the frame at `depth`. Returns that

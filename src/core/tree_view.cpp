@@ -4,6 +4,8 @@
 #include <bit>
 #include <sstream>
 
+#include "core/validate.hpp"
+
 namespace plt::core {
 
 namespace {
@@ -128,30 +130,35 @@ TreeView TreeView::from_ranked_rows(const tdb::Database& ranked_db,
   return tree;
 }
 
-TreeView TreeView::from_plt(const Plt& plt) {
-  // Live vectors as rank rows, back to back (row i = ranks[start[i] ..
-  // start[i+1])); ordering positions and ranks lexicographically agree.
-  std::vector<Rank> ranks;
-  std::vector<std::size_t> start;
-  std::vector<Count> weights;
-  plt.for_each([&](Plt::Ref, std::span<const Pos> v,
-                   const Partition::Entry& e) {
-    if (e.freq == 0) return;
-    start.push_back(ranks.size());
-    Rank acc = 0;
-    for (const Pos p : v) ranks.push_back(acc += p);
-    weights.push_back(e.freq);
-  });
+void TreeView::Rows::add(std::span<const Pos> v, Count weight) {
+  if (weight == 0) return;
+  Rank acc = 0;
+  for (const Pos p : v) ranks.push_back(acc += p);
   start.push_back(ranks.size());
-  PLT_ASSERT(ids_fit(weights.size()), "row ids exceed 32 bits");
+  weights.push_back(weight);
+}
+
+TreeView TreeView::from_rows(const Rows& rows, Rank max_rank,
+                             const char* context) {
+  // Ordering positions and ranks lexicographically agree, so rows sort by
+  // their rank lists alone.
+  PLT_ASSERT(ids_fit(rows.size()), "row ids exceed 32 bits");
   const auto row = [&](std::uint32_t i) {
-    return std::span<const Rank>(ranks.data() + start[i],
-                                 start[i + 1] - start[i]);
+    return std::span<const Rank>(rows.ranks.data() + rows.start[i],
+                                 rows.start[i + 1] - rows.start[i]);
   };
-  TreeView tree(plt.max_rank());
-  tree.assemble(lexicographic_order(weights.size(), plt.max_rank(), row), row,
-                [&](std::uint32_t i) { return weights[i]; });
+  TreeView tree(max_rank);
+  tree.assemble(lexicographic_order(rows.size(), max_rank, row), row,
+                [&](std::uint32_t i) { return rows.weights[i]; });
+  maybe_validate(tree, context);
   return tree;
+}
+
+TreeView TreeView::from_plt(const Plt& plt) {
+  Rows rows;
+  plt.for_each([&](Plt::Ref, std::span<const Pos> v,
+                   const Partition::Entry& e) { rows.add(v, e.freq); });
+  return from_rows(rows, plt.max_rank(), "TreeView::from_plt");
 }
 
 TreeView TreeView::full_lexicographic(Rank max_rank) {

@@ -49,6 +49,26 @@ class TreeView {
   static TreeView from_ranked_rows(const tdb::Database& ranked_db,
                                    Rank max_rank);
 
+  /// Weighted rank rows, back to back: row i is ranks[start[i] ..
+  /// start[i+1]), counted weights[i] times.
+  struct Rows {
+    std::vector<Rank> ranks;
+    std::vector<std::size_t> start{0};
+    std::vector<Count> weights;
+
+    /// Appends a well-formed position vector as its rank row (prefix
+    /// sums). A zero weight (a removal tombstone) adds no row.
+    void add(std::span<const Pos> v, Count weight);
+    std::size_t size() const { return weights.size(); }
+  };
+
+  /// The tree of `rows` over ranks 1..max_rank: the one rows-to-tree
+  /// builder, behind from_plt and the out-of-core blob miner. Under
+  /// PLT_VALIDATE the result passes the structural validator (`context`
+  /// names the caller in its error).
+  static TreeView from_rows(const Rows& rows, Rank max_rank,
+                            const char* context);
+
   /// The tree of every vector stored in `plt`, weighted by its frequency.
   /// Zero-frequency entries (removal tombstones) contribute no path.
   static TreeView from_plt(const Plt& plt);

@@ -31,7 +31,6 @@ inline constexpr std::string_view kSpans[] = {
     "mine-rank",
     "ooc-mine",
     "ooc-resume",
-    "ooc-warm",
     "projection",
     "rank-loop",
     "serve-load-blob",
@@ -88,7 +87,6 @@ inline constexpr std::string_view kCounters[] = {
     "status.unknown",
     "transactions",
     "vectors-inserted",
-    "warmed-ranks",
 };
 
 constexpr bool is_registered_span_name(std::string_view name) {

@@ -2,11 +2,11 @@
 // coordinator and its worker processes together (S26). A shard is a
 // contiguous rank window [rank_lo, rank_hi] over one shared PLT2 blob:
 // rank partitions are independent by construction (Def 4.1.3), so a worker
-// that warms the overlay above rank_hi and then mines rank_hi..rank_lo
-// emits exactly the window's slice of the full-range OOC emission
-// sequence. Both formats follow the house container rules (magic + varints
-// + trailing CRC32C over everything after the magic), so a torn or
-// corrupted file is rejected before any value is trusted:
+// that builds the blob's physical tree and mines rank_hi..rank_lo emits
+// exactly the window's slice of the full-range OOC emission sequence.
+// Both formats follow the house container rules (magic + varints +
+// trailing CRC32C over everything after the magic), so a torn or corrupted
+// file is rejected before any value is trusted:
 //
 //   "PLM2" (manifest, coordinator -> workers): blob CRC, min_support,
 //   max_rank, the rank->item map and the shard windows. One file per job
@@ -75,6 +75,8 @@ struct ShardSummary {
   std::uint64_t bytes_decoded = 0;
   std::uint64_t checkpoint_records = 0;
   std::uint64_t resumed_ranks = 0;
+  /// Always 0: workers no longer stream ranks without emitting. Kept in
+  /// the PLTS layout so existing readers keep decoding it.
   std::uint64_t warmed_ranks = 0;
   std::uint64_t wall_ns = 0;  ///< worker wall time for the mine
   std::string trace_json;

@@ -71,7 +71,6 @@ int run_worker(const std::string& dir, std::size_t shard_id) {
     summary.bytes_decoded = stats.bytes_decoded;
     summary.checkpoint_records = stats.checkpoint_records;
     summary.resumed_ranks = stats.resumed_ranks;
-    summary.warmed_ranks = stats.warmed_ranks;
     summary.wall_ns = static_cast<std::uint64_t>(wall.seconds() * 1e9);
     if (session) {
       if (const auto tree = session->finish())

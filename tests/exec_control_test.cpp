@@ -115,7 +115,7 @@ TEST(ExecControl, TinyBudgetDegradesWithHint) {
   options.control = &control;
   const auto result = mine(db, 3, Algorithm::kPltConditional, options);
   EXPECT_EQ(result.status, MineStatus::kBudgetExceeded);
-  EXPECT_NE(result.degradation_hint.find("mine_from_blob"),
+  EXPECT_NE(result.degradation_hint.find("min_support"),
             std::string::npos);
 }
 

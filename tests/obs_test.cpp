@@ -441,8 +441,8 @@ TEST_F(ObsTest, OocCrashAndResumeTracesAreWellFormed) {
     EXPECT_FALSE(session_active());
   }
 
-  // Resume: the trace must carry the warm-replay span, the resumed-rank
-  // count, the checkpoint spans and the streaming byte counter.
+  // Resume: the trace must carry the replay span, the resumed-rank count,
+  // the checkpoint spans and the decoded-byte counter.
   compress::OocOptions options;
   options.checkpoint_path = path;
   compress::OocStats stats;

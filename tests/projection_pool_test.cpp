@@ -42,7 +42,7 @@ FrequentItemsets mine_pooled(const tdb::Database& db, Count minsup,
   const auto view = build_ranked_view(db, minsup);
   if (view.alphabet() == 0) return out;
   const auto max_rank = static_cast<Rank>(view.alphabet());
-  Plt plt = build_plt(view.db, max_rank);
+  const TreeView tree = TreeView::from_plt(build_plt(view.db, max_rank));
   std::vector<Item> item_of(max_rank);
   for (Rank r = 1; r <= max_rank; ++r) item_of[r - 1] = view.item_of(r);
   std::vector<Item> suffix;
@@ -50,7 +50,7 @@ FrequentItemsets mine_pooled(const tdb::Database& db, Count minsup,
   options.filter_conditional_items = filter;
   ProjectionEngine local;
   ProjectionEngine& used = engine ? *engine : local;
-  used.mine(plt, item_of, suffix, minsup, collect_into(out), options);
+  used.mine(tree, item_of, suffix, minsup, collect_into(out), options);
   return out;
 }
 

@@ -198,8 +198,8 @@ TEST(Fuzz, ResealedPayloadCorruptionReachesValueChecks) {
 
 // Hostile entries behind valid CRCs over max_rank 4: {0xFFFFFFFF, 2}, whose
 // u32 position sum wraps to 1, and {0, 3}, with a zero position. Every
-// reader must refuse both with a typed error; indexing them would hand the
-// out-of-core overlay a bucket index out of range.
+// reader must refuse both with a typed error; accepting them would hand
+// serve's bucket index and the blob miner's tree ranks out of range.
 TEST(Fuzz, ValidCrcHostilePositionsThrowInEveryReader) {
   const std::vector<Item> item_of = {1, 2, 3, 4};
   for (const std::vector<std::uint32_t>& positions :

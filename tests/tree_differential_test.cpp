@@ -3,8 +3,8 @@
 // degenerate shapes, every engine configuration must emit exactly what the
 // recursive reference emits, in raw order —
 //   * core::mine (the tree-fed top level, CD_j off parent links);
-//   * the engine fed the table form (prefixes re-inserted), which must also
-//     do exactly the tree-fed engine's projection work and decisions;
+//   * the engine fed the tree of the table form (TreeView::from_plt, the
+//     rows-to-tree builder the blob miner also runs);
 //   * the engine forced through PlanConfig to pooled-only, to single-path
 //     without Eclat, and to Eclat for every shape;
 //   * the no-filter ablation, against the reference with filtering off.
@@ -25,8 +25,8 @@ using testing::DiffCase;
 using testing::expect_same_order;
 using testing::items_of;
 
-// The engine built with `config`, fed the tree (as core::mine does) or the
-// table form of the same ranked view.
+// The engine built with `config`, fed the tree of the ranked view (as
+// core::mine does) or the tree of its table form.
 core::ProjectionStats mine_engine(const tdb::Database& db, Count minsup,
                                   const core::PlanConfig& config,
                                   bool table_fed,
@@ -34,17 +34,13 @@ core::ProjectionStats mine_engine(const tdb::Database& db, Count minsup,
   const auto view = core::build_ranked_view(db, minsup);
   if (view.alphabet() == 0) return {};
   const auto max_rank = static_cast<Rank>(view.alphabet());
+  const core::TreeView tree =
+      table_fed ? core::TreeView::from_plt(core::build_plt(view.db, max_rank))
+                : core::build_tree(view.db, max_rank);
   core::ProjectionEngine engine(config);
   std::vector<Item> suffix;
-  if (table_fed) {
-    core::Plt plt = core::build_plt(view.db, max_rank);
-    engine.mine(plt, items_of(view), suffix, minsup, core::collect_into(out),
-                {});
-  } else {
-    const core::TreeView tree = core::build_tree(view.db, max_rank);
-    engine.mine(tree, items_of(view), suffix, minsup,
-                core::collect_into(out), {});
-  }
+  engine.mine(tree, items_of(view), suffix, minsup, core::collect_into(out),
+              {});
   return engine.stats();
 }
 
@@ -71,17 +67,8 @@ void check_case(const DiffCase& c) {
   expect_same_order(truth, tree_fed.itemsets, "core::mine");
 
   core::FrequentItemsets table_out;
-  const core::ProjectionStats table =
-      mine_engine(c.db, c.minsup, {}, /*table_fed=*/true, table_out);
-  expect_same_order(truth, table_out, "table-fed engine");
-  const core::ProjectionStats& tree = tree_fed.projection;
-  EXPECT_EQ(tree.projections_built, table.projections_built);
-  EXPECT_EQ(tree.entries_projected, table.entries_projected);
-  EXPECT_EQ(tree.plan_pooled, table.plan_pooled);
-  EXPECT_EQ(tree.plan_single_path, table.plan_single_path);
-  EXPECT_EQ(tree.plan_eclat, table.plan_eclat);
-  EXPECT_EQ(tree.plan_narrow, table.plan_narrow);
-  EXPECT_EQ(tree.plan_wide, table.plan_wide);
+  (void)mine_engine(c.db, c.minsup, {}, /*table_fed=*/true, table_out);
+  expect_same_order(truth, table_out, "engine fed the table form's tree");
 
   const struct {
     const char* label;

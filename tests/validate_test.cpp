@@ -305,7 +305,8 @@ TEST(Validate, OocResumeValidatesConditionals) {
                  InjectedFault);
     FailpointRegistry::instance().disarm_all();
   }
-  // The resumed run re-derives every conditional PLT under validation.
+  // The resumed run rebuilds the blob's whole tree, which the tree
+  // builder's hook validates before any rank is mined.
   compress::OocOptions options;
   options.checkpoint_path = path;
   compress::OocStats stats;
