@@ -185,7 +185,6 @@ int main(int argc, char** argv) {
 
   std::vector<std::uint32_t> gaps(n_words);
   for (auto& g : gaps) g = 1 + static_cast<std::uint32_t>(rng.next_below(8));
-  std::vector<std::uint32_t> sums(n_words);
 
   std::vector<std::uint32_t> words(n_words);
   for (auto& w : words) {
@@ -215,11 +214,6 @@ int main(int argc, char** argv) {
   const std::size_t hash_chunk = 64;
 
   const MicroCase cases[] = {
-      {"peel_prefixes", n_words,
-       [&](const kernels::Dispatch& d) {
-         d.peel_prefixes(gaps.data(), sums.data(), gaps.size());
-         return std::uint64_t{sums.back()} ^ sums[sums.size() / 2];
-       }},
       {"hash_positions", n_words,
        [&](const kernels::Dispatch& d) {
          std::uint64_t h = 0;
@@ -378,8 +372,8 @@ int main(int argc, char** argv) {
   write_json(out_path, scale, micro, e2e, trace_summary);
   std::cout << "\nWrote " << out_path << ".\n"
             << "Expected shape: the SIMD rows beat scalar on the\n"
-            << "bandwidth-bound kernels (intersect, varint blocks, prefix\n"
-            << "sums); every backend produces identical checksums and\n"
+            << "bandwidth-bound kernels (intersect, varint blocks); every\n"
+            << "backend produces identical checksums and\n"
             << "identical mined itemsets (contract rule #1).\n";
   return all_agree ? 0 : 1;
 }

@@ -1,11 +1,11 @@
 // E17 — the allocation-free conditional projection engine: pooled iterative
-// Algorithm 3 (recycled PLT arenas, flat conditional-db buffer, explicit
-// stack) against the seed recursive path that allocates a fresh conditional
-// PLT per recursion node. Sweeps the dense datasets at falling support —
-// exactly the regime where the paper says conditional projections should be
-// cheapest — and records times plus the engine's recycling counters to a
-// BENCH_*.json so before/after is machine-readable. Exits non-zero if the
-// two paths ever disagree on the mined itemsets.
+// Algorithm 3 (tree frames rebuilt in place, flat conditional-db buffer,
+// explicit stack) against the seed recursive path that allocates a fresh
+// conditional PLT per recursion node. Sweeps the dense datasets at falling
+// support — exactly the regime where the paper says conditional projections
+// should be cheapest — and records times plus the engine's recycling
+// counters to a BENCH_*.json so before/after is machine-readable. Exits
+// non-zero if the two paths ever disagree on the mined itemsets.
 #include <chrono>
 #include <fstream>
 #include <iostream>

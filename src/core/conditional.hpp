@@ -4,8 +4,9 @@
 // j, so support(suffix ∪ {j}) is the frequency mass of bucket j. Lower ranks
 // must then see each such transaction without j: in the table form the
 // entry's prefix is re-inserted into the working PLT, while in the physical
-// tree that the top level mines (core/tree_view.hpp) the prefix is the
-// node's parent, so nothing is re-inserted. When the extension is frequent, the
+// tree that the projection engine mines at every depth
+// (core/tree_view.hpp, core/projection_pool.hpp) the prefix is the node's
+// parent, so nothing is re-inserted. When the extension is frequent, the
 // prefixes also form j's conditional PLT, which is mined recursively. The
 // anti-monotone property is fully exploited: infrequent extensions
 // terminate their branch, and conditional databases are filtered to
@@ -43,11 +44,12 @@ void mine_plt_conditional_recursive(Plt& plt,
                                     Count min_support, const ItemsetSink& sink,
                                     const ConditionalOptions& options);
 
-/// The one bucket traversal behind Algorithm 3's "extract CD_j" step, shared
-/// by conditional_database(), the recursive reference miner and the pooled
-/// engine: visits the prefix of every projectable entry of bucket `j`
-/// (length > 1, freq > 0) and returns the bucket's total frequency mass,
-/// which is support(suffix ∪ {j}).
+/// The one table-form bucket traversal behind Algorithm 3's "extract CD_j"
+/// step, shared by conditional_database() and the recursive reference
+/// miner (the pooled engine reads CD_j off tree parent links instead):
+/// visits the prefix of every projectable entry of bucket `j` (length > 1,
+/// freq > 0) and returns the bucket's total frequency mass, which is
+/// support(suffix ∪ {j}).
 template <typename Fn>  // Fn(std::span<const Pos> prefix, Count freq)
 Count for_each_bucket_prefix(const Plt& plt, Rank j, Fn&& fn) {
   Count support = 0;

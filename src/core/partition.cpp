@@ -1,7 +1,5 @@
 #include "core/partition.hpp"
 
-#include <algorithm>
-
 #include "kernels/kernels.hpp"
 
 namespace plt::core {
@@ -74,13 +72,6 @@ Partition::EntryId Partition::add(std::span<const Pos> v, Count freq,
   index_[slot] = id + 1;
   created = true;
   return id;
-}
-
-std::size_t Partition::reset() {
-  arena_.clear();
-  entries_.clear();
-  std::fill(index_.begin(), index_.end(), 0u);
-  return memory_usage();
 }
 
 void Partition::reserve(std::size_t entries) {

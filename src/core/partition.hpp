@@ -42,11 +42,6 @@ class Partition {
   /// Entry id of the vector, or kNoEntry.
   EntryId find(std::span<const Pos> v) const;
 
-  /// Empties the partition while keeping the arena, entry and hash-index
-  /// capacity for reuse (the projection pool's recycling primitive).
-  /// Returns the number of heap bytes retained.
-  std::size_t reset();
-
   /// Pre-sizes for `entries` total entries (`entries * length` arena words),
   /// growing the hash index past its load factor up front so a bulk merge
   /// rehashes at most once.

@@ -10,9 +10,9 @@
 //     collapses to one vector (every subset shares one support; no
 //     projection needed), tidset intersection for small shallow shapes,
 //     pooled projection for everything else.
-//   * kernel backend — per data-parallel call: tiny inputs take the scalar
-//     table (SIMD setup costs more than it saves), wide inputs keep the
-//     process-active SIMD table.
+//   * kernel backend — per intersect call of the tidset strategy: tiny
+//     inputs take the scalar table (SIMD setup costs more than it saves),
+//     wide inputs keep the process-active SIMD table.
 //
 // The root strategy is not planned: it is the caller's Algorithm
 // (Algorithm::kEclat is the vertical root). All subtree strategies agree
@@ -49,7 +49,7 @@ struct PlanConfig {
 };
 
 /// Per-subtree shape handed to the cost model: everything the engine
-/// already knows after peeling + counting one conditional database.
+/// already knows after counting one conditional database.
 struct SubtreeShape {
   std::size_t records = 0;    ///< conditional-db entries
   Rank child_ranks = 0;       ///< ranks surviving the support filter

@@ -37,21 +37,6 @@ Count Plt::freq_of(std::span<const Pos> v) const {
   return id == Partition::kNoEntry ? 0 : partitions_[k - 1].entry(id).freq;
 }
 
-std::size_t Plt::reset(Rank max_rank) {
-  PLT_ASSERT(max_rank >= 1, "a PLT needs at least one rank");
-  max_rank_ = max_rank;
-  std::size_t retained = 0;
-  for (auto& p : partitions_) retained += p.reset();
-  // Buckets beyond the new alphabet are kept (empty) so their capacity
-  // survives a later reset to a wider alphabet.
-  if (buckets_.size() < max_rank_) buckets_.resize(max_rank_);
-  for (auto& b : buckets_) {
-    b.clear();
-    retained += b.capacity() * sizeof(Ref);
-  }
-  return retained;
-}
-
 void Plt::reserve_for_merge(const Plt& source) {
   for (std::uint32_t k = 1; k <= source.partitions_.size(); ++k) {
     const Partition& src = source.partitions_[k - 1];

@@ -36,12 +36,6 @@ class Plt {
   /// Frequency of an exact vector (0 if absent).
   Count freq_of(std::span<const Pos> v) const;
 
-  /// Empties the PLT and re-targets it at a (possibly different) alphabet of
-  /// `max_rank` ranks, retaining every partition arena, hash index and sum
-  /// bucket's capacity. This is what makes conditional projections recyclable
-  /// instead of freshly allocated. Returns the heap bytes retained.
-  std::size_t reset(Rank max_rank);
-
   /// Pre-sizes this PLT so that merge_plt(*this, source) appends without
   /// incremental growth: partitions up to source's longest vector exist with
   /// entry/arena headroom, and sum buckets are reserved.

@@ -45,29 +45,12 @@ ProjectionEngine::Frame& ProjectionEngine::acquire(std::size_t depth) {
   return *pool_[depth];
 }
 
-Rank ProjectionEngine::peel_and_count(const kernels::Dispatch& kernel,
-                                      Rank parent_max, Count keep_threshold,
-                                      const std::vector<Item>& parent_items) {
-  // Peel the whole conditional arena to absolute ranks in one kernel call:
-  // sums_[k] is the running mod-2^32 total of every gap up to k, and each
-  // record re-bases by subtracting the sum just before its offset — exact
-  // under wrap-around, and the wide prefix-sum is where the SIMD backends
-  // earn their keep (see kernels.hpp peel_prefixes).
-  const std::vector<Pos>& arena = cond_.arena();
-  sums_.resize(arena.size());
-  kernel.peel_prefixes(arena.data(), sums_.data(), arena.size());
-  obs::count_kernel("kernel.peel_prefixes.calls",
-                    "kernel.peel_prefixes.bytes",
-                    arena.size() * sizeof(Pos));
-
+Rank ProjectionEngine::count_ranks(Rank parent_max, Count keep_threshold,
+                                   const std::vector<Item>& parent_items) {
   // Local support of every parent rank appearing in the conditional db.
   support_.assign(parent_max, 0);
-  for (const FlatCondDb::Record& r : cond_.records()) {
-    const Rank base = r.offset == 0 ? 0 : sums_[r.offset - 1];
-    const std::uint32_t end = r.offset + r.len;
-    for (std::uint32_t i = r.offset; i < end; ++i)
-      support_[sums_[i] - base - 1] += r.freq;
-  }
+  for (const FlatCondDb::Record& rec : cond_.records())
+    for (const Rank r : cond_.ranks(rec)) support_[r - 1] += rec.freq;
 
   to_child_.assign(parent_max, 0);
   child_items_.clear();
@@ -82,36 +65,46 @@ Rank ProjectionEngine::peel_and_count(const kernels::Dispatch& kernel,
 }
 
 void ProjectionEngine::build_frame(Frame& frame, Rank child_ranks) {
-  const std::size_t retained = frame.plt.reset(child_ranks);
-  stats_.bytes_recycled += retained;
+  // Each record becomes one row of surviving child ranks (the map is
+  // monotone, so rows stay ascending); a record with none left adds no
+  // row, and one that repeats the row before it (the two differed only in
+  // filtered ranks) adds its weight to that row. The frame's tree is then
+  // rebuilt in place from those rows.
+  rows_.clear();
   for (const FlatCondDb::Record& rec : cond_.records()) {
-    mapped_.clear();
-    const Rank base = rec.offset == 0 ? 0 : sums_[rec.offset - 1];
-    const std::uint32_t end = rec.offset + rec.len;
-    Rank prev_child = 0;
-    for (std::uint32_t i = rec.offset; i < end; ++i) {
-      const Rank c = to_child_[sums_[i] - base - 1];
-      if (c == 0) continue;  // filtered item
-      mapped_.push_back(c - prev_child);
-      prev_child = c;
+    const std::size_t begin = rows_.ranks.size();
+    for (const Rank r : cond_.ranks(rec))
+      if (const Rank c = to_child_[r - 1]; c != 0) rows_.ranks.push_back(c);
+    const auto row = rows_.ranks.begin() + static_cast<std::ptrdiff_t>(begin);
+    if (row == rows_.ranks.end()) continue;  // every rank filtered
+    if (const std::size_t n = rows_.size(); n > 0) {
+      const auto last = rows_.ranks.begin() +
+                        static_cast<std::ptrdiff_t>(rows_.start[n - 1]);
+      if (std::equal(last, row, row, rows_.ranks.end())) {
+        rows_.ranks.resize(begin);
+        rows_.weights.back() += rec.freq;
+        continue;
+      }
     }
-    if (!mapped_.empty()) frame.plt.add(mapped_, rec.freq);
+    rows_.start.push_back(rows_.ranks.size());
+    rows_.weights.push_back(rec.freq);
   }
+  const std::size_t retained = frame.tree.memory_usage();
+  stats_.bytes_recycled += retained;
+  frame.tree.rebuild(rows_, child_ranks, "ProjectionEngine frame");
   ++stats_.projections_built;
-  const std::size_t now = frame.plt.memory_usage();
+  const std::size_t now = frame.tree.memory_usage();
   if (now > retained) stats_.bytes_fresh += now - retained;
 }
 
 bool ProjectionEngine::probe_single_path(Rank child_ranks) const {
   // One shared path iff every record keeps all surviving ranks: kept
-  // positions are strictly increasing child ranks, so keeping child_ranks
-  // of them means the record maps to exactly {1..child_ranks}.
+  // ranks are strictly increasing child ranks, so keeping child_ranks of
+  // them means the record maps to exactly {1..child_ranks}.
   for (const FlatCondDb::Record& rec : cond_.records()) {
-    const Rank base = rec.offset == 0 ? 0 : sums_[rec.offset - 1];
-    const std::uint32_t end = rec.offset + rec.len;
     std::uint32_t kept = 0;
-    for (std::uint32_t i = rec.offset; i < end; ++i)
-      kept += to_child_[sums_[i] - base - 1] != 0 ? 1u : 0u;
+    for (const Rank r : cond_.ranks(rec))
+      kept += to_child_[r - 1] != 0 ? 1u : 0u;
     if (kept != child_ranks) return false;
   }
   return true;
@@ -143,33 +136,24 @@ void ProjectionEngine::expand_path(std::span<const Item> items, Rank upto,
 void ProjectionEngine::eclat_mine(Rank child_ranks, Count min_support,
                                   std::vector<Item>& suffix,
                                   const ItemsetSink& sink) {
-  // Vertical view of the peeled cond_: per child rank, the sorted list of
-  // record ids containing it (a counting sort over the arena), weighted
-  // by record frequency. Small shallow shapes intersect faster than they
+  // Vertical view of cond_: per child rank, the sorted list of record ids
+  // containing it (a counting sort over the arena), weighted by record
+  // frequency. Small shallow shapes intersect faster than they
   // re-project — the cost model only routes those here.
   const std::vector<FlatCondDb::Record>& records = cond_.records();
   tid_offsets_.assign(child_ranks + 1, 0);
-  for (const FlatCondDb::Record& rec : records) {
-    const Rank base = rec.offset == 0 ? 0 : sums_[rec.offset - 1];
-    const std::uint32_t end = rec.offset + rec.len;
-    for (std::uint32_t i = rec.offset; i < end; ++i) {
-      const Rank c = to_child_[sums_[i] - base - 1];
-      if (c != 0) ++tid_offsets_[c];
-    }
-  }
+  for (const FlatCondDb::Record& rec : records)
+    for (const Rank r : cond_.ranks(rec))
+      if (const Rank c = to_child_[r - 1]; c != 0) ++tid_offsets_[c];
   for (Rank c = 1; c <= child_ranks; ++c) tid_offsets_[c] += tid_offsets_[c - 1];
   tid_cursor_.assign(tid_offsets_.begin(), tid_offsets_.end());
   tid_arena_.resize(tid_offsets_[child_ranks]);
   rec_freq_.resize(records.size());
   for (std::uint32_t t = 0; t < records.size(); ++t) {
-    const FlatCondDb::Record& rec = records[t];
-    rec_freq_[t] = rec.freq;
-    const Rank base = rec.offset == 0 ? 0 : sums_[rec.offset - 1];
-    const std::uint32_t end = rec.offset + rec.len;
-    for (std::uint32_t i = rec.offset; i < end; ++i) {
-      const Rank c = to_child_[sums_[i] - base - 1];
-      if (c != 0) tid_arena_[tid_cursor_[c - 1]++] = t;
-    }
+    rec_freq_[t] = records[t].freq;
+    for (const Rank r : cond_.ranks(records[t]))
+      if (const Rank c = to_child_[r - 1]; c != 0)
+        tid_arena_[tid_cursor_[c - 1]++] = t;
   }
   eclat_descend({}, child_ranks, min_support, suffix, sink, 0);
 }
@@ -234,21 +218,7 @@ ProjectionEngine::Frame* ProjectionEngine::project(
   PLT_SPAN("projection");
   const Count keep_threshold =
       options.filter_conditional_items ? min_support : 1;
-  // Backend choice for the peel: tiny arenas take the scalar table, wide
-  // ones the process-active SIMD table. Counters are named by intent
-  // (narrow/wide), not by backend, so traces stay backend-invariant like
-  // every other exported quantity.
-  const bool wide = planner_.wide_for(cond_.arena().size());
-  if (wide) {
-    PLT_TRACE_COUNT("plan.backend.wide", 1);
-    ++stats_.plan_wide;
-  } else {
-    PLT_TRACE_COUNT("plan.backend.narrow", 1);
-    ++stats_.plan_narrow;
-  }
-  const Rank child_ranks =
-      peel_and_count(Planner::dispatch(wide), j, keep_threshold,
-                     parent_items);
+  const Rank child_ranks = count_ranks(j, keep_threshold, parent_items);
   if (child_ranks == 0) return nullptr;
 
   // The shape alone decides: one record is trivially one path, more take
@@ -290,10 +260,26 @@ ProjectionEngine::Frame* ProjectionEngine::project(
   return &frame;
 }
 
-ProjectionEngine::Frame* ProjectionEngine::extend(
-    Rank j, Count support, std::size_t depth, const std::vector<Item>& items,
-    std::vector<Item>& suffix, Count min_support, const ItemsetSink& sink,
+ProjectionEngine::Frame* ProjectionEngine::step(
+    const TreeView& tree, Rank j, std::size_t depth,
+    const std::vector<Item>& items, std::vector<Item>& suffix,
+    Count min_support, const ItemsetSink& sink,
     const ConditionalOptions& options) {
+  const std::span<const TreeView::NodeId> nodes = tree.bucket(j);
+  if (nodes.empty()) return nullptr;
+
+  // CD_j: the path of every rank-j node's parent, weighted by the node's
+  // support. The tree never changes, so lower ranks already see each of
+  // these rows without j — the paper's re-insert is the parent link.
+  cond_.clear();
+  Count support = 0;
+  for (const TreeView::NodeId id : nodes) {
+    const Count freq = tree.support(id);
+    support += freq;
+    if (const TreeView::NodeId parent = tree.node(id).parent;
+        parent != TreeView::kRoot)
+      cond_.push_path(tree, parent, freq);
+  }
   stats_.entries_projected += cond_.size();
   PLT_TRACE_COUNT("ranks-processed", 1);
   PLT_TRACE_COUNT("entries-projected", cond_.size());
@@ -312,16 +298,16 @@ ProjectionEngine::Frame* ProjectionEngine::extend(
   return child;
 }
 
-void ProjectionEngine::walk(Plt& root, const std::vector<Item>& root_items,
-                            std::vector<Item>& suffix, Count min_support,
-                            const ItemsetSink& sink,
+void ProjectionEngine::walk(const Frame& root, std::vector<Item>& suffix,
+                            Count min_support, const ItemsetSink& sink,
                             const ConditionalOptions& options) {
   // One level per projection depth, all pointing into the pool; level d
-  // projects into the frame at depth d + 1. `j` is the rank the level will
-  // process next (Algorithm 3 walks ranks high to low).
+  // projects into the frame at depth d + 1, which no live level reads. `j`
+  // is the rank the level will process next (Algorithm 3 walks ranks high
+  // to low).
   std::vector<Level>& stack = stack_;
   stack.clear();
-  stack.push_back({&root, &root_items, root.max_rank()});
+  stack.push_back({&root.tree, &root.item_of, root.tree.max_rank()});
 
   while (!stack.empty()) {
     if (interrupted_ || (control_ != nullptr && check_control())) {
@@ -345,22 +331,10 @@ void ProjectionEngine::walk(Plt& root, const std::vector<Item>& root_items,
       continue;
     }
     const Rank j = top.j--;
-    Plt& p = *top.plt;
-    if (p.bucket(j).empty()) continue;
-
-    cond_.clear();
-    const Count support = for_each_bucket_prefix(
-        p, j, [&](std::span<const Pos> prefix, Count freq) {
-          // Peel once into the flat buffer; the stored span serves both the
-          // working-PLT update ("Update PLT with V'") and the projection.
-          const auto stored = cond_.push(prefix, freq);
-          p.add(stored, freq);
-        });
-    const std::vector<Item>& items = *top.items;
-    Frame* child = extend(j, support, stack.size(), items, suffix,
-                          min_support, sink, options);
+    Frame* child = step(*top.tree, j, stack.size(), *top.items, suffix,
+                        min_support, sink, options);
     if (child != nullptr)  // the suffix item stays pushed while it mines
-      stack.push_back({&child->plt, &child->item_of, child->plt.max_rank()});
+      stack.push_back({&child->tree, &child->item_of, child->tree.max_rank()});
   }
 }
 
@@ -374,25 +348,10 @@ void ProjectionEngine::mine_rank(const TreeView& tree, Rank j,
     interrupted_ = true;
     return;
   }
-  const std::span<const TreeView::NodeId> nodes = tree.bucket(j);
-  if (nodes.empty()) return;
-
-  // CD_j: the path of every rank-j node's parent, weighted by the node's
-  // support. The tree never changes, so lower ranks already see each of
-  // these rows without j — the paper's re-insert is the parent link.
-  cond_.clear();
-  Count support = 0;
-  for (const TreeView::NodeId id : nodes) {
-    const Count freq = tree.support(id);
-    support += freq;
-    if (const TreeView::NodeId parent = tree.node(id).parent;
-        parent != TreeView::kRoot)
-      cond_.push_path(tree, parent, freq);
-  }
-  Frame* child = extend(j, support, 0, item_of, suffix, min_support, sink,
-                        options);
+  Frame* child =
+      step(tree, j, 0, item_of, suffix, min_support, sink, options);
   if (child == nullptr) return;
-  walk(child->plt, child->item_of, suffix, min_support, sink, options);
+  walk(*child, suffix, min_support, sink, options);
   suffix.pop_back();
 }
 
@@ -413,13 +372,14 @@ void ProjectionEngine::mine(const TreeView& tree,
 std::size_t ProjectionEngine::memory_usage() const {
   std::size_t bytes = 0;
   for (const auto& frame : pool_)
-    bytes += frame->plt.memory_usage() +
+    bytes += frame->tree.memory_usage() +
              frame->item_of.capacity() * sizeof(Item);
   bytes += cond_.memory_usage() + stack_.capacity() * sizeof(Level);
   bytes += support_.capacity() * sizeof(Count) +
            to_child_.capacity() * sizeof(Rank) +
-           sums_.capacity() * sizeof(Rank) +
-           mapped_.capacity() * sizeof(Pos) +
+           rows_.ranks.capacity() * sizeof(Rank) +
+           rows_.start.capacity() * sizeof(std::size_t) +
+           rows_.weights.capacity() * sizeof(Count) +
            emitted_.capacity() * sizeof(Item);
   bytes += child_items_.capacity() * sizeof(Item) +
            tid_offsets_.capacity() * sizeof(std::uint32_t) +

@@ -1,19 +1,19 @@
 // The allocation-free conditional projection engine. The paper's central
 // performance claim (§6) is that conditional mining is cheap because each
-// projection is a small flat matrix — but a naive Algorithm 3 spends its
-// time allocating those matrices: a fresh Plt (partition arenas, hash
-// indexes, sum buckets) plus one heap PosVec per conditional-db entry at
-// every recursion node. This engine removes all of that from the steady
-// state:
+// projection is a small flat structure — but a naive Algorithm 3 spends
+// its time allocating those structures: a fresh Plt (partition arenas,
+// hash indexes, sum buckets) plus one heap PosVec per conditional-db entry
+// at every recursion node, and re-inserting every peeled prefix into it.
+// This engine removes all of that from the steady state:
 //
-//   * the top level reads the physical tree (core/tree_view.hpp): CD_j is
-//     the parents' paths of the rank-j nodes, walked up parent links, so
-//     Algorithm 3's "Update PLT with V'" re-inserts nothing;
-//   * FlatCondDb — the conditional database is one contiguous Pos arena
-//     plus (offset, len, freq) records; prefixes are peeled exactly once.
-//   * a depth-indexed pool of recycled Plt frames — mining is DFS, so at
-//     most one projection per depth is live; frame d is reset() (capacity
-//     retained) and reused by every node at depth d.
+//   * every level mines a physical tree (core/tree_view.hpp): CD_j is the
+//     parents' paths of the rank-j nodes, walked up parent links, so
+//     Algorithm 3's "Update PLT with V'" re-inserts nothing at any depth;
+//   * FlatCondDb — the conditional database is one contiguous rank arena
+//     plus (offset, len, freq) records, filled by climbing the tree once;
+//   * a depth-indexed pool of recycled tree frames — mining is DFS, so at
+//     most one projection per depth is live; frame d is rebuilt in place
+//     (capacity retained) by every projection at depth d.
 //   * an explicit stack replaces the C++ call stack, so projection state
 //     lives in the pool and deep conditional chains cannot overflow.
 //
@@ -30,15 +30,14 @@
 #include "core/conditional.hpp"
 #include "core/exec_control.hpp"
 #include "core/planner.hpp"
-#include "core/plt.hpp"
 #include "core/tree_view.hpp"
 
 namespace plt::core {
 
 /// Cheap engine counters, surfaced through MineResult and BENCH JSON.
 struct ProjectionStats {
-  std::uint64_t projections_built = 0;  ///< conditional PLTs constructed
-  std::uint64_t entries_projected = 0;  ///< prefixes peeled into flat cond DBs
+  std::uint64_t projections_built = 0;  ///< conditional tree frames built
+  std::uint64_t entries_projected = 0;  ///< records read into flat cond DBs
   /// Frame acquisitions served by recycling an existing pool frame vs by
   /// constructing a new one. The seed recursive path performs one fresh
   /// allocation per projection, so `projections_built - fresh_allocations`
@@ -50,7 +49,7 @@ struct ProjectionStats {
   std::uint64_t steals = 0;  ///< work-stealing miner: chunks taken from peers
   // Cost-model decisions. Subtree counts sum to the number of conditional
   // databases with at least one surviving rank; the narrow/wide pair counts
-  // per-call kernel-backend routing.
+  // the kernel-backend routing of the tidset strategy's intersect calls.
   std::uint64_t plan_pooled = 0;       ///< subtrees kept on the pooled walk
   std::uint64_t plan_single_path = 0;  ///< subtrees expanded as one path
   std::uint64_t plan_eclat = 0;        ///< subtrees mined by intersection
@@ -60,7 +59,7 @@ struct ProjectionStats {
   void merge(const ProjectionStats& other);
 };
 
-/// Flat conditional database: one contiguous Pos arena plus per-entry
+/// Flat conditional database: one contiguous rank arena plus per-entry
 /// (offset, len, freq) records — replaces vector<pair<PosVec, Count>> so a
 /// whole conditional db costs zero allocations once capacity is warm.
 class FlatCondDb {
@@ -78,54 +77,43 @@ class FlatCondDb {
   bool empty() const { return records_.empty(); }
   std::size_t size() const { return records_.size(); }
 
-  /// Appends one prefix; the returned span (into the arena) stays valid
-  /// until the next push.
-  std::span<const Pos> push(std::span<const Pos> prefix, Count freq) {
-    const auto offset = static_cast<std::uint32_t>(arena_.size());
-    arena_.insert(arena_.end(), prefix.begin(), prefix.end());
-    records_.push_back(
-        {offset, static_cast<std::uint32_t>(prefix.size()), freq});
-    return {arena_.data() + offset, prefix.size()};
-  }
-
-  /// Appends the path from the root to tree node `id` as one prefix,
-  /// climbing parent links (positions arrive last to first).
+  /// Appends the path from the root to tree node `id` as one record of
+  /// ascending ranks, climbing parent links (tree nodes store ranks, so
+  /// nothing is peeled).
   void push_path(const TreeView& tree, TreeView::NodeId id, Count freq) {
     const auto offset = static_cast<std::uint32_t>(arena_.size());
-    tree.climb(id, [&](Pos p) { arena_.push_back(p); });
+    for (; id != TreeView::kRoot; id = tree.node(id).parent)
+      arena_.push_back(tree.node(id).rank);
     std::reverse(arena_.begin() + offset, arena_.end());
     records_.push_back(
         {offset, static_cast<std::uint32_t>(arena_.size() - offset), freq});
   }
 
-  std::span<const Pos> positions(const Record& r) const {
+  std::span<const Rank> ranks(const Record& r) const {
     return {arena_.data() + r.offset, r.len};
   }
   const std::vector<Record>& records() const { return records_; }
-  /// The raw gap arena, all records back to back — the projection engine
-  /// peels the whole thing with one kernel call and re-bases per record.
-  const std::vector<Pos>& arena() const { return arena_; }
 
   std::size_t memory_usage() const {
-    return arena_.capacity() * sizeof(Pos) +
+    return arena_.capacity() * sizeof(Rank) +
            records_.capacity() * sizeof(Record);
   }
 
  private:
-  std::vector<Pos> arena_;
+  std::vector<Rank> arena_;
   std::vector<Record> records_;
 };
 
 /// The pooled, iterative Algorithm 3. One engine per thread; reuse it across
 /// many mine() calls (the parallel partition miner holds one per worker) so
-/// every projection after the first few recycles warm arenas.
+/// every projection after the first few recycles warm arrays.
 ///
 /// Every conditional database with a surviving rank goes through the
 /// subtree cost model (core/planner.hpp): pooled projection, single-path
-/// expansion, or tidset intersection, and each data-parallel kernel call
-/// is routed to the scalar or SIMD table by input width. All three
-/// strategies emit the exact same itemsets in the exact same order
-/// (DESIGN.md S25), so only time changes.
+/// expansion, or tidset intersection, and each intersect call is routed to
+/// the scalar or SIMD table by input width. All three strategies emit the
+/// exact same itemsets in the exact same order (DESIGN.md S25), so only
+/// time changes.
 class ProjectionEngine {
  public:
   /// `config` forces the cost model's thresholds; the default is what
@@ -145,9 +133,9 @@ class ProjectionEngine {
   /// One top-level step of Algorithm 3 for rank `j`: fills CD_j from the
   /// rank-j nodes (support(suffix ∪ {j}) is their support total), emits
   /// suffix ∪ {j} when frequent, projects CD_j into a pooled frame and
-  /// mines it. Steps of different ranks are independent, so workers of
-  /// mine_parallel each run theirs against one shared tree, and
-  /// mine_from_blob runs only the ranks of its window.
+  /// mines it with the same step at every depth. Steps of different ranks
+  /// are independent, so workers of mine_parallel each run theirs against
+  /// one shared tree, and mine_from_blob runs only the ranks of its window.
   void mine_rank(const TreeView& tree, Rank j,
                  const std::vector<Item>& item_of, std::vector<Item>& suffix,
                  Count min_support, const ItemsetSink& sink,
@@ -174,51 +162,48 @@ class ProjectionEngine {
   std::size_t memory_usage() const;
 
  private:
-  /// One recycled projection frame: the conditional PLT for a depth plus
+  /// One recycled projection frame: the conditional tree for a depth plus
   /// its local-rank -> original-item translation.
   struct Frame {
-    Plt plt{1};
+    TreeView tree{1};
     std::vector<Item> item_of;
   };
-  /// One table level of the explicit stack: the PLT it walks, its
-  /// rank -> item translation, and the rank it processes next.
+  /// One level of the explicit stack: the tree it mines, its rank -> item
+  /// translation, and the rank it processes next.
   struct Level {
-    Plt* plt;
+    const TreeView* tree;
     const std::vector<Item>* items;
     Rank j;
   };
 
-  /// The table-form walk below the tree's top level (Algorithm 3 with
-  /// "Update PLT with V'" as a re-insert): mines `root`, the depth-0
-  /// frame, with its levels' frames at pool depths 1 and below. On a
-  /// control stop it unwinds the suffix to its state at entry and sets
-  /// interrupted_.
-  void walk(Plt& root, const std::vector<Item>& root_items,
-            std::vector<Item>& suffix, Count min_support,
+  /// Mines `root`, the depth-0 frame, with its levels' frames at pool
+  /// depths 1 and below. On a control stop it unwinds the suffix to its
+  /// state at entry and sets interrupted_.
+  void walk(const Frame& root, std::vector<Item>& suffix, Count min_support,
             const ItemsetSink& sink, const ConditionalOptions& options);
-  /// The step shared by tree and table levels once cond_ holds CD_j and
-  /// `support` is support(suffix ∪ {j}): counts, applies the anti-monotone
-  /// cut, emits, and projects CD_j into the frame at `depth`. Returns that
-  /// frame with items[j-1] left pushed on `suffix`, or null with `suffix`
-  /// restored (also on a control stop inside an in-place strategy).
-  Frame* extend(Rank j, Count support, std::size_t depth,
-                const std::vector<Item>& items, std::vector<Item>& suffix,
-                Count min_support, const ItemsetSink& sink,
-                const ConditionalOptions& options);
+  /// Algorithm 3's step for rank `j` of `tree`, the same at every depth:
+  /// fills cond_ with CD_j read off the rank-j nodes' parent links, counts,
+  /// applies the anti-monotone cut, emits, and projects CD_j into the
+  /// frame at `depth`. Returns that frame with items[j-1] left pushed on
+  /// `suffix`, or null with `suffix` restored (also on a control stop
+  /// inside an in-place strategy).
+  Frame* step(const TreeView& tree, Rank j, std::size_t depth,
+              const std::vector<Item>& items, std::vector<Item>& suffix,
+              Count min_support, const ItemsetSink& sink,
+              const ConditionalOptions& options);
   Frame& acquire(std::size_t depth);
   /// One cooperative control check; memory is re-measured every few ticks
   /// (measuring walks the pool, so it is amortized off the hot path).
   bool check_control();
-  /// Peels cond_'s arena with the given kernel table, counts per-parent-
-  /// rank support, and compacts the survivors: fills sums_, support_,
-  /// to_child_ and child_items_. Returns the number of surviving ranks.
-  Rank peel_and_count(const kernels::Dispatch& kernel, Rank parent_max,
-                      Count keep_threshold,
-                      const std::vector<Item>& parent_items);
-  /// Builds frame.plt from the peeled + compacted cond_ (sums_/to_child_
-  /// as left by peel_and_count; child_ranks must be > 0).
+  /// Counts cond_'s per-parent-rank support and compacts the survivors:
+  /// fills support_, to_child_ and child_items_. Returns the number of
+  /// surviving ranks.
+  Rank count_ranks(Rank parent_max, Count keep_threshold,
+                   const std::vector<Item>& parent_items);
+  /// Rebuilds frame.tree from cond_'s records mapped through to_child_
+  /// (as left by count_ranks; child_ranks must be > 0).
   void build_frame(Frame& frame, Rank child_ranks);
-  /// Peels CD_j (cond_, vectors over parent ranks 1..j), asks the cost
+  /// Counts CD_j (cond_, rank lists over parent ranks 1..j), asks the cost
   /// model, and either mines the subtree in place (single-path / Eclat;
   /// returns null) or builds a pooled frame at `depth` for the caller to
   /// push (returns it). Ranks are filtered and compacted exactly like
@@ -229,14 +214,14 @@ class ProjectionEngine {
                  const std::vector<Item>& parent_items,
                  std::vector<Item>& suffix, const ItemsetSink& sink);
   /// True when every record keeps all `child_ranks` ranks (one shared
-  /// path); reads sums_/to_child_ as left by peel_and_count.
+  /// path); reads to_child_ as left by count_ranks.
   bool probe_single_path(Rank child_ranks) const;
   /// Emits every subset of items[0..upto) at constant support `freq`, in
   /// the exact order the pooled walk would (rank high to low, DFS).
   void expand_path(std::span<const Item> items, Rank upto, Count freq,
                    std::vector<Item>& suffix, const ItemsetSink& sink);
-  /// Mines the peeled cond_ by sorted-tidset intersection (records as
-  /// tids, freq-weighted support), emission-order identical to pooling.
+  /// Mines cond_ by sorted-tidset intersection (records as tids,
+  /// freq-weighted support), emission-order identical to pooling.
   void eclat_mine(Rank child_ranks, Count min_support,
                   std::vector<Item>& suffix, const ItemsetSink& sink);
   void eclat_descend(std::span<const std::uint32_t> tids, Rank below,
@@ -248,8 +233,7 @@ class ProjectionEngine {
   FlatCondDb cond_;
   std::vector<Count> support_;  ///< scratch: local support per parent rank
   std::vector<Rank> to_child_;  ///< scratch: parent rank -> child rank
-  std::vector<Rank> sums_;      ///< scratch: peeled prefix sums of the arena
-  PosVec mapped_;               ///< scratch: one re-mapped child vector
+  TreeView::Rows rows_;         ///< scratch: cond_ in child ranks
   Itemset emitted_;             ///< scratch: sorted itemset handed to sinks
   std::vector<Item> child_items_;  ///< scratch: child rank -> original item
   std::vector<std::uint32_t> tid_offsets_;  ///< rank -> tid_arena_ slice

@@ -6,13 +6,15 @@
 // starts with the node's path). Parent and rank share one 8-byte link, so
 // a walk up the tree touches half the memory; supports sit apart. A
 // per-rank node index lists the nodes of each rank in preorder — Lemma
-// 4.1.1's sum buckets, since a node's path sums to its rank. The tree is
-// built once and never changes, which is what Algorithm 3's top level
-// needs: CD_j is read off the nodes of rank j by walking parent links, so
+// 4.1.1's sum buckets, since a node's path sums to its rank. A tree never
+// changes while it is mined, which is what Algorithm 3 needs at every
+// depth: CD_j is read off the nodes of rank j by walking parent links, so
 // the paper's "Update PLT with V'" costs nothing (a node's prefix already
-// is its parent). What only navigation needs — children, end frequencies —
-// is computed on demand. Conversion to and from the table form is lossless
-// (tests enforce the round trip).
+// is its parent). The projection engine's conditional frames are trees
+// too, each rebuilt in place for the next projection (rebuild()). What
+// only navigation needs — children, end frequencies — is computed on
+// demand. Conversion to and from the table form is lossless (tests enforce
+// the round trip).
 #pragma once
 
 #include <span>
@@ -60,6 +62,12 @@ class TreeView {
     /// sums). A zero weight (a removal tombstone) adds no row.
     void add(std::span<const Pos> v, Count weight);
     std::size_t size() const { return weights.size(); }
+    /// Empties the rows, keeping every array's capacity.
+    void clear() {
+      ranks.clear();
+      start.assign(1, 0);
+      weights.clear();
+    }
   };
 
   /// The tree of `rows` over ranks 1..max_rank: the one rows-to-tree
@@ -68,6 +76,12 @@ class TreeView {
   /// names the caller in its error).
   static TreeView from_rows(const Rows& rows, Rank max_rank,
                             const char* context);
+
+  /// Makes this tree from_rows(rows, max_rank, context) in place: the
+  /// node, support and bucket arrays and the sort scratch keep their
+  /// capacity, so a tree rebuilt for every projection stops allocating
+  /// once it has seen its largest input. Validated like from_rows.
+  void rebuild(const Rows& rows, Rank max_rank, const char* context);
 
   /// The tree of every vector stored in `plt`, weighted by its frequency.
   /// Zero-frequency entries (removal tombstones) contribute no path.
@@ -148,11 +162,30 @@ class TreeView {
   std::size_t memory_usage() const;
 
  private:
-  /// Builds the preorder nodes from rows given in lexicographic order
-  /// (equal rows adjacent), then the per-rank index.
+  /// A row id with its leading ranks packed into one 64-bit sort key.
+  struct SortKey {
+    std::uint64_t key;
+    std::uint32_t row;
+  };
+
+  /// The tree of `rows` rows (RowAt(i) -> span<const Rank>, WeightAt(i) ->
+  /// Count), built once: it keeps no sort scratch.
   template <typename RowAt, typename WeightAt>
-  void assemble(std::span<const std::uint32_t> order, RowAt&& row_at,
-                WeightAt&& weight_at);
+  static TreeView build_once(Rank max_rank, std::size_t rows, RowAt&& row_at,
+                             WeightAt&& weight_at);
+  /// Fills order_ with the non-empty row ids in an order assemble() takes
+  /// (their given order when it qualifies, else sorted through keys_) and
+  /// returns the number of nodes they make, root included.
+  template <typename RowAt>
+  std::size_t order_rows(std::size_t rows, RowAt&& row_at);
+  /// The number of nodes the rows in order_ make, root included, or 0 when
+  /// assemble() cannot take them in that order.
+  template <typename RowAt>
+  std::size_t count_nodes(RowAt&& row_at);
+  /// Builds the `count` preorder nodes of the rows in order_, then the
+  /// per-rank index.
+  template <typename RowAt, typename WeightAt>
+  void assemble(std::size_t count, RowAt&& row_at, WeightAt&& weight_at);
   void index_buckets();
 
   Rank max_rank_;
@@ -161,6 +194,11 @@ class TreeView {
   /// bucket_nodes_[bucket_start_[j-1] .. bucket_start_[j]) = rank-j nodes.
   std::vector<std::uint32_t> bucket_start_;
   std::vector<NodeId> bucket_nodes_;
+  // Build scratch, kept across rebuild() calls.
+  std::vector<SortKey> keys_;
+  std::vector<std::uint32_t> order_;
+  std::vector<NodeId> path_;  ///< path_[d] = node at depth d+1 of the last row
+  std::vector<Rank> last_child_;  ///< see count_nodes()
 };
 
 }  // namespace plt::core

@@ -1,10 +1,9 @@
 // AVX2 backend. The 8 hash lanes fit one ymm register exactly — this is
-// why the shared hash shape is 8 lanes of u32 (see scalar_impl.hpp). The
-// prefix peel runs 8-wide with intra-lane shifts, a cross-lane low-total
-// broadcast, and a running carry. Intersection runs its own 8x8 block
-// compare; group-varint reuses the 128-bit shuffle code (simd128_impl.hpp)
-// — it is byte-shuffle bound, not width bound. Compiled with -mavx2; only
-// referenced by dispatch.cpp under PLT_KERNELS_HAVE_AVX2.
+// why the shared hash shape is 8 lanes of u32 (see scalar_impl.hpp).
+// Intersection runs its own 8x8 block compare; group-varint reuses the
+// 128-bit shuffle code (simd128_impl.hpp) — it is byte-shuffle bound, not
+// width bound. Compiled with -mavx2; only referenced by dispatch.cpp under
+// PLT_KERNELS_HAVE_AVX2.
 #include <immintrin.h>
 
 #include "kernels/backends.hpp"
@@ -32,32 +31,6 @@ std::uint64_t avx2_hash_positions(const std::uint32_t* v, std::size_t n) {
   alignas(32) std::uint32_t lanes[8];
   _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), state);
   return detail::hash_finish(lanes, v, i, n);
-}
-
-void avx2_peel_prefixes(const std::uint32_t* gaps, std::uint32_t* sums,
-                        std::size_t n) {
-  __m256i carry = _mm256_setzero_si256();
-  const __m256i bcast7 = _mm256_set1_epi32(7);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    __m256i x = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(gaps + i));
-    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 4));
-    x = _mm256_add_epi32(x, _mm256_slli_si256(x, 8));
-    // Push the low 128-lane's total into every element of the high lane.
-    __m256i low = _mm256_permute2x128_si256(x, x, 0x08);  // [0, x_low]
-    low = _mm256_shuffle_epi32(low, _MM_SHUFFLE(3, 3, 3, 3));
-    x = _mm256_add_epi32(x, low);
-    x = _mm256_add_epi32(x, carry);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(sums + i), x);
-    carry = _mm256_permutevar8x32_epi32(x, bcast7);
-  }
-  std::uint32_t acc =
-      static_cast<std::uint32_t>(_mm256_extract_epi32(carry, 0));
-  for (; i < n; ++i) {
-    acc += gaps[i];
-    sums[i] = acc;
-  }
 }
 
 bool avx2_equals_positions(const std::uint32_t* a, const std::uint32_t* b,
@@ -211,7 +184,6 @@ std::uint32_t avx2_sum_positions(const std::uint32_t* positions,
 constexpr Dispatch kAvx2Dispatch = {
     Backend::kAVX2,
     "avx2",
-    avx2_peel_prefixes,
     avx2_hash_positions,
     avx2_equals_positions,
     detail::simd128_encode_varint_block,

@@ -1,8 +1,7 @@
 // Runtime-dispatched data-parallel kernels for the hot loops the profile
-// actually shows: prefix peeling into flat conditional databases, position
-// vector hashing/equality behind the Partition index, group-varint block
-// coding inside PLT2 frames, sorted-u32 tidlist intersection, and the
-// horizontal reductions behind support tallies.
+// actually shows: position vector hashing/equality behind the Partition
+// index, group-varint block coding inside PLT2 frames, sorted-u32 tidlist
+// intersection, and the horizontal reductions behind support tallies.
 //
 // Architecture (see DESIGN.md "Vectorized kernel layer"):
 //
@@ -43,14 +42,6 @@ inline constexpr std::size_t kDecodeError = static_cast<std::size_t>(-1);
 struct Dispatch {
   Backend backend;
   const char* name;
-
-  /// Inclusive prefix sums: sums[i] = gaps[0] + ... + gaps[i], mod 2^32.
-  /// The projection engine runs this over a whole FlatCondDb arena in one
-  /// call and re-bases each record by subtracting the sum before its
-  /// offset — the mod-2^32 wrap-around makes that exact regardless of the
-  /// arena's running total (differential tests cover near-UINT32_MAX sums).
-  void (*peel_prefixes)(const std::uint32_t* gaps, std::uint32_t* sums,
-                        std::size_t n);
 
   /// Block-wise position-vector hash (8 independent 32-bit lanes folded
   /// into a splitmix-finalized 64-bit value). All backends produce the

@@ -7,7 +7,6 @@ namespace {
 constexpr Dispatch kScalarDispatch = {
     Backend::kScalar,
     "scalar",
-    detail::scalar_peel_prefixes,
     detail::scalar_hash_positions,
     detail::scalar_equals_positions,
     detail::scalar_encode_varint_block,

@@ -59,17 +59,6 @@ inline std::uint64_t scalar_hash_positions(const std::uint32_t* v,
   return hash_finish(lanes, v, i, n);
 }
 
-// ---- prefix peel ---------------------------------------------------------
-
-inline void scalar_peel_prefixes(const std::uint32_t* gaps,
-                                 std::uint32_t* sums, std::size_t n) {
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += gaps[i];  // mod 2^32 by design; callers re-base per record
-    sums[i] = acc;
-  }
-}
-
 // ---- equality ------------------------------------------------------------
 
 inline bool scalar_equals_positions(const std::uint32_t* a,

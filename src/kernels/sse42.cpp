@@ -1,8 +1,8 @@
 // SSE4.2 backend. Absorbs the same 8 hash lanes as the scalar reference in
-// two 128-bit halves, runs the 4-wide prefix sum with a broadcast carry,
-// and shares the 128-bit group-varint / intersection code with AVX2 via
-// simd128_impl.hpp. Compiled with -msse4.2 (see src/CMakeLists.txt); only
-// referenced by dispatch.cpp under PLT_KERNELS_HAVE_SSE42.
+// two 128-bit halves, and shares the 128-bit group-varint / intersection
+// code with AVX2 via simd128_impl.hpp. Compiled with -msse4.2 (see
+// src/CMakeLists.txt); only referenced by dispatch.cpp under
+// PLT_KERNELS_HAVE_SSE42.
 #include <immintrin.h>
 
 #include "kernels/backends.hpp"
@@ -35,25 +35,6 @@ std::uint64_t sse42_hash_positions(const std::uint32_t* v, std::size_t n) {
   _mm_store_si128(reinterpret_cast<__m128i*>(lanes), lo);
   _mm_store_si128(reinterpret_cast<__m128i*>(lanes + 4), hi);
   return detail::hash_finish(lanes, v, i, n);
-}
-
-void sse42_peel_prefixes(const std::uint32_t* gaps, std::uint32_t* sums,
-                         std::size_t n) {
-  __m128i carry = _mm_setzero_si128();
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    __m128i x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(gaps + i));
-    x = _mm_add_epi32(x, _mm_slli_si128(x, 4));
-    x = _mm_add_epi32(x, _mm_slli_si128(x, 8));
-    x = _mm_add_epi32(x, carry);
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(sums + i), x);
-    carry = _mm_shuffle_epi32(x, _MM_SHUFFLE(3, 3, 3, 3));
-  }
-  std::uint32_t acc = static_cast<std::uint32_t>(_mm_cvtsi128_si32(carry));
-  for (; i < n; ++i) {
-    acc += gaps[i];
-    sums[i] = acc;
-  }
 }
 
 bool sse42_equals_positions(const std::uint32_t* a, const std::uint32_t* b,
@@ -102,7 +83,6 @@ std::uint32_t sse42_sum_positions(const std::uint32_t* positions,
 constexpr Dispatch kSse42Dispatch = {
     Backend::kSSE42,
     "sse42",
-    sse42_peel_prefixes,
     sse42_hash_positions,
     sse42_equals_positions,
     detail::simd128_encode_varint_block,

@@ -60,8 +60,6 @@ inline constexpr std::string_view kCounters[] = {
     "kernel.intersect_count.calls",
     "kernel.intersect_sorted.bytes",
     "kernel.intersect_sorted.calls",
-    "kernel.peel_prefixes.bytes",
-    "kernel.peel_prefixes.calls",
     "partitions",
     "plan.backend.narrow",
     "plan.backend.wide",

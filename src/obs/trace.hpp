@@ -177,7 +177,7 @@ inline void count(const char* name, std::uint64_t delta = 1) {
 }
 
 /// Kernel-dispatch accounting: one call + `bytes` bytes through the named
-/// kernel entry point ("kernel.peel_prefixes", ...). Counter names carry
+/// kernel entry point ("kernel.intersect_sorted", ...). Counter names carry
 /// no backend tag so traces stay byte-identical across scalar/SIMD
 /// backends; the active backend is reported once, as export metadata.
 inline void count_kernel(const char* calls_name, const char* bytes_name,

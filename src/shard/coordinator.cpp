@@ -14,7 +14,6 @@
 #include "compress/checkpoint.hpp"
 #include "compress/codec.hpp"
 #include "core/builder.hpp"
-#include "tdb/stats.hpp"
 #include "util/crc32c.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -111,9 +110,8 @@ Manifest prepare_job(const tdb::Database& db, Count min_support,
   for (Rank r = 1; r <= max_rank; ++r)
     manifest.item_of.push_back(built.view.item_of(r));
   if (max_rank > 0)
-    manifest.shards = split_shards(
-        tdb::compute_all_partition_stats(built.view.db, max_rank), max_rank,
-        options.workers);
+    manifest.shards = split_shards(rank_weights(built.view.db, max_rank),
+                                   max_rank, options.workers);
   compress::write_blob_file(encode_manifest(manifest),
                             manifest_path(options.dir));
   PLT_TRACE_COUNT("shard.workers", manifest.shards.size());

@@ -49,18 +49,31 @@ void seal(std::vector<std::uint8_t>& out) {
 
 }  // namespace
 
-std::vector<ShardSpec> split_shards(std::span<const tdb::PartitionStats> stats,
+std::vector<std::uint64_t> rank_weights(const tdb::Database& ranked_db,
+                                        Rank max_rank) {
+  std::vector<std::uint64_t> weights(max_rank, 0);
+  for (std::size_t t = 0; t < ranked_db.size(); ++t) {
+    const std::span<const Item> row = ranked_db[t];
+    for (std::size_t k = 0; k < row.size(); ++k) {
+      PLT_ASSERT(row[k] >= 1 && row[k] <= max_rank,
+                 "rank_weights: row item is not a rank in 1..max_rank");
+      weights[row[k] - 1] += k;
+    }
+  }
+  return weights;
+}
+
+std::vector<ShardSpec> split_shards(std::span<const std::uint64_t> weights,
                                     Rank max_rank, std::size_t shards) {
   if (shards == 0) throw std::invalid_argument("split_shards: zero shards");
   if (max_rank == 0) throw std::invalid_argument("split_shards: empty range");
   shards = std::min<std::size_t>(shards, max_rank);
 
-  // Work weight of partition j: its conditional database size plus a
-  // constant for the fixed per-rank cost. Uniform when stats are absent.
+  // Work weight of rank j: the positions of its conditional database plus
+  // a constant for the fixed per-rank cost. Uniform when weights are
+  // absent.
   const auto weight = [&](Rank j) -> std::uint64_t {
-    if (stats.size() < j) return 1;
-    const tdb::PartitionStats& s = stats[j - 1];
-    return 1 + s.transactions + s.prefix_items;
+    return weights.size() < j ? 1 : 1 + weights[j - 1];
   };
   std::uint64_t remaining_weight = 0;
   for (Rank j = 1; j <= max_rank; ++j) remaining_weight += weight(j);

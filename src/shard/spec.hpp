@@ -26,7 +26,7 @@
 #include <string>
 #include <vector>
 
-#include "tdb/stats.hpp"
+#include "tdb/database.hpp"
 #include "util/common.hpp"
 
 namespace plt::shard {
@@ -40,15 +40,23 @@ struct ShardSpec {
   Rank rank_hi = 0;
 };
 
+/// Per-rank work weights of a ranked database (items are ranks
+/// 1..max_rank, ascending within a row): weights[j-1] counts the positions
+/// CD_j holds when every row is one record, so each row adds k to the
+/// weight of its k-th rank (0-based) — the ranks below it, which
+/// mine_rank(j) reads off parent links. A rank weighs what its own CD_j
+/// costs, whichever rank tops the rows that hold it.
+std::vector<std::uint64_t> rank_weights(const tdb::Database& ranked_db,
+                                        Rank max_rank);
+
 /// Splits [1, max_rank] into at most `shards` contiguous windows, balanced
-/// by per-partition work weight (1 + transactions + prefix_items from
-/// `stats`, or uniform when stats are empty). Windows are returned in
+/// by per-rank work weight (1 + weights[j-1], the constant for the fixed
+/// per-rank cost; uniform when `weights` is empty). Windows are returned in
 /// shard-id order: shard 0 holds max_rank. Never returns an empty window;
 /// fewer than `shards` specs come back when max_rank is small. Throws
 /// std::invalid_argument when shards == 0 or max_rank == 0.
-std::vector<ShardSpec> split_shards(
-    std::span<const tdb::PartitionStats> stats, Rank max_rank,
-    std::size_t shards);
+std::vector<ShardSpec> split_shards(std::span<const std::uint64_t> weights,
+                                    Rank max_rank, std::size_t shards);
 
 /// Everything a worker needs to know about the job, minus the blob bytes.
 struct Manifest {

@@ -49,106 +49,6 @@ Stats compute_stats(const Database& db) {
   return s;
 }
 
-namespace {
-
-// Gini over a support vector, sorted-values formula (matches the global
-// Stats computation). Takes ownership of the scratch because it sorts.
-double gini_of(std::vector<Count>& nonzero) {
-  if (nonzero.size() < 2) return 0.0;
-  std::sort(nonzero.begin(), nonzero.end());
-  const auto n = static_cast<double>(nonzero.size());
-  const double total = static_cast<double>(
-      kernels::active().sum_counts(nonzero.data(), nonzero.size()));
-  double weighted = 0.0;
-  for (std::size_t i = 0; i < nonzero.size(); ++i)
-    weighted += static_cast<double>(i + 1) * static_cast<double>(nonzero[i]);
-  return (2.0 * weighted) / (n * total) - (n + 1.0) / n;
-}
-
-// Folds one partition member (a ranked transaction with max rank ==
-// s.rank) into the running stats; `support` accumulates per-rank counts
-// over the conditional prefix (everything below the top rank).
-void fold_member(PartitionStats& s, std::span<const Item> transaction,
-                 std::vector<Count>& support) {
-  const std::size_t prefix_len = transaction.size() - 1;
-  s.transactions += 1;
-  s.prefix_items += prefix_len;
-  s.max_prefix_len = std::max(s.max_prefix_len, prefix_len);
-  for (std::size_t i = 0; i + 1 < transaction.size(); ++i) {
-    const Item rank = transaction[i];
-    PLT_ASSERT(rank >= 1 && rank < s.rank, "partition member not ranked");
-    support[rank - 1] += 1;
-  }
-}
-
-// Derived fields (averages, density, skew) once every member is folded.
-void finish(PartitionStats& s, std::vector<Count>& support) {
-  if (s.transactions > 0)
-    s.avg_prefix_len = static_cast<double>(s.prefix_items) /
-                       static_cast<double>(s.transactions);
-  if (s.rank > 1)
-    s.density = s.avg_prefix_len / static_cast<double>(s.rank - 1);
-  std::vector<Count> nonzero;
-  nonzero.reserve(support.size());
-  for (const Count c : support)
-    if (c > 0) nonzero.push_back(c);
-  s.support_gini = gini_of(nonzero);
-}
-
-// Max element rather than back(): ranked transactions are sorted
-// ascending by contract, but the stats must not silently mis-bucket a
-// caller-built database that is not.
-Item top_rank(std::span<const Item> transaction) {
-  return *std::max_element(transaction.begin(), transaction.end());
-}
-
-}  // namespace
-
-PartitionStats compute_partition_stats(const Database& ranked_db,
-                                       Rank partition) {
-  PLT_ASSERT(partition >= 1, "partition ranks start at 1");
-  PartitionStats s;
-  s.rank = partition;
-  std::vector<Count> support(partition > 0 ? partition - 1 : 0, 0);
-  for (std::size_t i = 0; i < ranked_db.size(); ++i) {
-    const auto transaction = ranked_db[i];
-    if (transaction.empty() || top_rank(transaction) != partition) continue;
-    fold_member(s, transaction, support);
-  }
-  finish(s, support);
-  return s;
-}
-
-std::vector<PartitionStats> compute_all_partition_stats(
-    const Database& ranked_db, Rank max_rank) {
-  std::vector<PartitionStats> all(max_rank);
-  for (Rank j = 1; j <= max_rank; ++j) all[j - 1].rank = j;
-  // Bucket transaction indices by top rank, then fold each partition with
-  // one reusable support scratch: O(total items) overall instead of one
-  // full scan per partition.
-  std::vector<std::vector<std::size_t>> members(max_rank);
-  for (std::size_t i = 0; i < ranked_db.size(); ++i) {
-    const auto transaction = ranked_db[i];
-    if (transaction.empty()) continue;
-    const Item top = top_rank(transaction);
-    if (top < 1 || top > max_rank) continue;
-    members[top - 1].push_back(i);
-  }
-  std::vector<Count> support(max_rank > 0 ? max_rank - 1 : 0, 0);
-  for (Rank j = 1; j <= max_rank; ++j) {
-    PartitionStats& s = all[j - 1];
-    // Only [0, j-1) can be dirty from earlier partitions: fold_member for
-    // partition j writes ranks below j, and partitions are processed in
-    // ascending order, so the tail is still zero and finish() may scan it.
-    std::fill(support.begin(),
-              support.begin() + static_cast<std::ptrdiff_t>(j - 1), 0);
-    for (const std::size_t i : members[j - 1])
-      fold_member(s, ranked_db[i], support);
-    finish(s, support);
-  }
-  return all;
-}
-
 std::string to_string(const Stats& s) {
   std::ostringstream out;
   out << "transactions:   " << s.transactions << '\n'

@@ -30,34 +30,4 @@ Stats compute_stats(const Database& db);
 /// Multi-line human-readable rendering.
 std::string to_string(const Stats& stats);
 
-/// Statistics of one rank partition (Def 4.1.3): the transactions whose
-/// highest rank equals `rank`, described by the conditional prefixes they
-/// contribute (the transaction minus its top rank — exactly what CD_rank
-/// mines). These are the per-subtree signals the execution planner feeds
-/// its cost model, so they are cheap: one pass over the partition.
-struct PartitionStats {
-  Rank rank = 0;                ///< the partition's top rank
-  std::size_t transactions = 0;  ///< vectors whose max rank == rank
-  std::size_t prefix_items = 0;  ///< total conditional-prefix positions
-  std::size_t max_prefix_len = 0;
-  double avg_prefix_len = 0.0;
-  /// avg_prefix_len / (rank - 1): 1.0 means every prefix holds every
-  /// possible lower rank (a single full path); 0 for rank 1.
-  double density = 0.0;
-  /// Gini coefficient of the per-rank supports inside the prefixes;
-  /// 0 = uniform, ->1 = heavily skewed.
-  double support_gini = 0.0;
-};
-
-/// Stats for one partition of a *ranked* database (items are ranks; see
-/// core::RankedView). O(total items) scan; ranks above `partition` and
-/// empty transactions are ignored.
-PartitionStats compute_partition_stats(const Database& ranked_db,
-                                       Rank partition);
-
-/// All partitions 1..max_rank in one pass over the database. Entry j-1
-/// describes partition j and matches compute_partition_stats(db, j).
-std::vector<PartitionStats> compute_all_partition_stats(
-    const Database& ranked_db, Rank max_rank);
-
 }  // namespace plt::tdb

@@ -90,65 +90,6 @@ TEST(KernelDispatch, BestSupportedHasTable) {
   EXPECT_NE(kernels::dispatch_for(kernels::best_supported()), nullptr);
 }
 
-TEST(KernelDiff, PeelPrefixes) {
-  const auto backends = simd_backends();
-  if (backends.empty()) GTEST_SKIP() << "no SIMD backend compiled/supported";
-  Rng rng(1);
-  for (const std::size_t n : kSizes) {
-    const auto gaps = random_words(rng, n, 1, 50);
-    std::vector<std::uint32_t> ref(n), got(n);
-    kernels::scalar_dispatch().peel_prefixes(gaps.data(), ref.data(), n);
-    for (const Dispatch* d : backends) {
-      std::fill(got.begin(), got.end(), 0u);
-      d->peel_prefixes(gaps.data(), got.data(), n);
-      EXPECT_EQ(ref, got) << d->name << " n=" << n;
-    }
-  }
-}
-
-TEST(KernelDiff, PeelPrefixesWrapsMod32) {
-  const auto backends = simd_backends();
-  if (backends.empty()) GTEST_SKIP() << "no SIMD backend compiled/supported";
-  // Values near UINT32_MAX force the running sum to wrap many times; every
-  // backend must wrap identically (the projection engine's re-basing
-  // subtraction relies on exact mod-2^32 behaviour).
-  Rng rng(2);
-  const auto gaps =
-      random_words(rng, 133, 0xf0000000u, std::numeric_limits<std::uint32_t>::max());
-  std::vector<std::uint32_t> ref(gaps.size()), got(gaps.size());
-  kernels::scalar_dispatch().peel_prefixes(gaps.data(), ref.data(),
-                                           gaps.size());
-  for (const Dispatch* d : backends) {
-    d->peel_prefixes(gaps.data(), got.data(), gaps.size());
-    EXPECT_EQ(ref, got) << d->name;
-  }
-  // Spot-check the wrap is real arithmetic mod 2^32, not saturation.
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < gaps.size(); ++i) {
-    acc += gaps[i];
-    ASSERT_EQ(ref[i], acc);
-  }
-}
-
-TEST(KernelDiff, PeelPrefixesUnalignedOffsets) {
-  const auto backends = simd_backends();
-  if (backends.empty()) GTEST_SKIP() << "no SIMD backend compiled/supported";
-  Rng rng(3);
-  const auto gaps = random_words(rng, 200, 1, 9);
-  std::vector<std::uint32_t> ref(gaps.size()), got(gaps.size());
-  for (std::size_t off = 0; off < 9; ++off) {
-    const std::size_t n = gaps.size() - off;
-    kernels::scalar_dispatch().peel_prefixes(gaps.data() + off, ref.data(),
-                                             n);
-    for (const Dispatch* d : backends) {
-      d->peel_prefixes(gaps.data() + off, got.data(), n);
-      EXPECT_TRUE(std::equal(ref.begin(), ref.begin() + static_cast<std::ptrdiff_t>(n),
-                             got.begin()))
-          << d->name << " off=" << off;
-    }
-  }
-}
-
 TEST(KernelDiff, HashPositions) {
   const auto backends = simd_backends();
   if (backends.empty()) GTEST_SKIP() << "no SIMD backend compiled/supported";

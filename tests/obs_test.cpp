@@ -260,8 +260,8 @@ TEST_F(ObsTest, CountersAreMonotoneAcrossMines) {
   EXPECT_EQ(mine2->count, 2 * mine1->count);
   for (const char* counter :
        {"ranks-processed", "entries-projected", "itemsets-emitted",
-        "itemsets-total", "kernel.peel_prefixes.calls",
-        "kernel.peel_prefixes.bytes"}) {
+        "itemsets-total", "kernel.intersect_sorted.calls",
+        "kernel.intersect_sorted.bytes"}) {
     SCOPED_TRACE(counter);
     EXPECT_EQ(twice->counter_total(counter),
               2 * once.trace->counter_total(counter));
@@ -359,9 +359,9 @@ TEST_F(ObsTest, KernelCountersAreBackendInvariant) {
         core::mine(db, kDenseMinsup, core::Algorithm::kPltConditional);
     ASSERT_NE(result.trace, nullptr);
     const std::uint64_t calls =
-        result.trace->counter_total("kernel.peel_prefixes.calls");
+        result.trace->counter_total("kernel.intersect_sorted.calls");
     const std::uint64_t bytes =
-        result.trace->counter_total("kernel.peel_prefixes.bytes");
+        result.trace->counter_total("kernel.intersect_sorted.bytes");
     EXPECT_GT(calls, 0u);
     EXPECT_GT(bytes, 0u);
     if (backend == kScalar) {

@@ -1,131 +1,19 @@
-// Subtree cost model (DESIGN.md S25): partition statistics pinned against
-// the paper's Table 1 (the shard coordinator's split weights), the
-// cost-model branches each forced through a threshold config, and the
-// engine's contract — every forced strategy mines the identical itemsets,
-// only the decision counters (ProjectionStats::plan_*) change.
+// Subtree cost model (DESIGN.md S25): the cost-model branches each forced
+// through a threshold config, and the engine's contract — every forced
+// strategy mines the identical itemsets, only the decision counters
+// (ProjectionStats::plan_*) change.
 #include <gtest/gtest.h>
 
 #include "core/builder.hpp"
 #include "core/miner.hpp"
 #include "core/planner.hpp"
 #include "core/rank.hpp"
-#include "tdb/stats.hpp"
 #include "test_support.hpp"
 
 namespace plt::core {
 namespace {
 
 constexpr Count kMinSup = 2;
-
-tdb::Database ranked_table1() {
-  return build_ranked_view(plt::testing::paper_table1(), kMinSup).db;
-}
-
-// -- satellite: compute_partition_stats pinned on Table 1 ----------------
-
-// Ranked Table 1 (A..D = 1..4): partition 4 holds ABCD, ABD, BCD, CD —
-// conditional prefixes {1,2,3}, {1,2}, {2,3}, {3}.
-TEST(PartitionStats, Table1Partition4) {
-  const auto s = tdb::compute_partition_stats(ranked_table1(), 4);
-  EXPECT_EQ(s.rank, 4u);
-  EXPECT_EQ(s.transactions, 4u);
-  EXPECT_EQ(s.prefix_items, 8u);
-  EXPECT_EQ(s.max_prefix_len, 3u);
-  EXPECT_DOUBLE_EQ(s.avg_prefix_len, 2.0);
-  EXPECT_NEAR(s.density, 2.0 / 3.0, 1e-12);
-  // Prefix supports of ranks 1..3 are {2, 3, 3}: Gini = 1/12.
-  EXPECT_NEAR(s.support_gini, 1.0 / 12.0, 1e-12);
-}
-
-// Partition 3 holds ABC x2 — two identical full prefixes {1,2}.
-TEST(PartitionStats, Table1Partition3) {
-  const auto s = tdb::compute_partition_stats(ranked_table1(), 3);
-  EXPECT_EQ(s.transactions, 2u);
-  EXPECT_EQ(s.prefix_items, 4u);
-  EXPECT_EQ(s.max_prefix_len, 2u);
-  EXPECT_DOUBLE_EQ(s.avg_prefix_len, 2.0);
-  EXPECT_DOUBLE_EQ(s.density, 1.0);
-  EXPECT_DOUBLE_EQ(s.support_gini, 0.0);
-}
-
-// No Table 1 transaction tops out at rank 1 or 2.
-TEST(PartitionStats, Table1EmptyPartitions) {
-  const auto db = ranked_table1();
-  for (const Rank j : {Rank{1}, Rank{2}}) {
-    const auto s = tdb::compute_partition_stats(db, j);
-    EXPECT_EQ(s.rank, j);
-    EXPECT_EQ(s.transactions, 0u);
-    EXPECT_EQ(s.prefix_items, 0u);
-    EXPECT_DOUBLE_EQ(s.density, 0.0);
-    EXPECT_DOUBLE_EQ(s.support_gini, 0.0);
-  }
-}
-
-TEST(PartitionStats, AllPartitionsMatchSingleScan) {
-  const auto db = ranked_table1();
-  const auto all = tdb::compute_all_partition_stats(db, 4);
-  ASSERT_EQ(all.size(), 4u);
-  for (Rank j = 1; j <= 4; ++j) {
-    const auto one = tdb::compute_partition_stats(db, j);
-    EXPECT_EQ(all[j - 1].rank, one.rank);
-    EXPECT_EQ(all[j - 1].transactions, one.transactions);
-    EXPECT_EQ(all[j - 1].prefix_items, one.prefix_items);
-    EXPECT_EQ(all[j - 1].max_prefix_len, one.max_prefix_len);
-    EXPECT_DOUBLE_EQ(all[j - 1].avg_prefix_len, one.avg_prefix_len);
-    EXPECT_DOUBLE_EQ(all[j - 1].density, one.density);
-    EXPECT_DOUBLE_EQ(all[j - 1].support_gini, one.support_gini);
-  }
-}
-
-TEST(PartitionStats, EmptyDatabase) {
-  const auto s = tdb::compute_partition_stats(tdb::Database{}, 3);
-  EXPECT_EQ(s.rank, 3u);
-  EXPECT_EQ(s.transactions, 0u);
-  EXPECT_DOUBLE_EQ(s.density, 0.0);
-}
-
-// Rank-1 partitions have no conditional prefixes by construction, so every
-// prefix statistic is zero even with members present.
-TEST(PartitionStats, SingleItemPartition) {
-  const auto db = tdb::Database::from_transactions({{1}, {1}, {1}});
-  const auto s = tdb::compute_partition_stats(db, 1);
-  EXPECT_EQ(s.transactions, 3u);
-  EXPECT_EQ(s.prefix_items, 0u);
-  EXPECT_EQ(s.max_prefix_len, 0u);
-  EXPECT_DOUBLE_EQ(s.density, 0.0);
-}
-
-TEST(PartitionStats, AllIdenticalTransactions) {
-  const auto db = tdb::Database::from_transactions(
-      {{1, 2, 3}, {1, 2, 3}, {1, 2, 3}, {1, 2, 3}});
-  const auto s = tdb::compute_partition_stats(db, 3);
-  EXPECT_EQ(s.transactions, 4u);
-  EXPECT_DOUBLE_EQ(s.density, 1.0);
-  EXPECT_DOUBLE_EQ(s.support_gini, 0.0);
-}
-
-// Max-rank boundaries: the top partition of compute_all_partition_stats
-// absorbs exactly the transactions whose highest rank IS max_rank;
-// transactions topping out above the requested range are skipped, not
-// misfiled into the top partition, and directly probing a partition above
-// every present rank yields the zeroed "no members" shape.
-TEST(PartitionStats, MaxRankBoundary) {
-  const auto db = tdb::Database::from_transactions(
-      {{1, 2, 3, 4}, {2, 4}, {1, 2}, {1, 6}});
-  const auto all = tdb::compute_all_partition_stats(db, 4);
-  ASSERT_EQ(all.size(), 4u);
-  EXPECT_EQ(all[3].rank, 4u);
-  EXPECT_EQ(all[3].transactions, 2u);  // {1,2,3,4}, {2,4}; {1,6} tops at 6
-  EXPECT_EQ(all[3].prefix_items, 4u);  // prefixes {1,2,3} and {2}
-  EXPECT_EQ(all[1].transactions, 1u);  // {1,2}
-  EXPECT_EQ(all[0].transactions, 0u);
-
-  const auto s = tdb::compute_partition_stats(db, 5);
-  EXPECT_EQ(s.rank, 5u);
-  EXPECT_EQ(s.transactions, 0u);
-  EXPECT_EQ(s.prefix_items, 0u);
-  EXPECT_DOUBLE_EQ(s.density, 0.0);
-}
 
 // -- cost-model branches, each forced through the config -----------------
 

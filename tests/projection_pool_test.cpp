@@ -1,8 +1,9 @@
 // Projection-pool engine tests: differential agreement of the pooled
 // iterative Algorithm 3 against the seed recursive path and FP-growth on
 // randomized dense + sparse databases, recycling/counter semantics, the
-// Plt/Partition reset-and-reuse primitives, and byte-identical determinism
-// of the work-stealing parallel miner across thread counts.
+// flat conditional database's layout, and byte-identical determinism of
+// the work-stealing parallel miner across thread counts. (The in-place
+// tree rebuild behind every pooled frame is tested in tree_view_test.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -172,11 +173,20 @@ TEST(ProjectionPool, RecyclingDominatesOnDeepWorkloads) {
 }
 
 TEST(ProjectionPool, FlatCondDbLayout) {
+  // Rows {1,2,4} x3 and {4} x7: push_path records a node's root path as
+  // ascending ranks, read off the tree's parent links.
+  TreeView::Rows rows;
+  rows.add(PosVec{1, 1, 2}, 3);
+  rows.add(PosVec{4}, 7);
+  const TreeView tree = TreeView::from_rows(rows, 4, "FlatCondDbLayout");
+  const TreeView::NodeId deep = tree.find(PosVec{1, 1, 2});
+  const TreeView::NodeId top = tree.find(PosVec{4});
+  ASSERT_NE(deep, TreeView::kRoot);
+  ASSERT_NE(top, TreeView::kRoot);
+
   FlatCondDb db;
-  const PosVec a{1, 2, 1};
-  const PosVec b{4};
-  db.push(a, 3);
-  db.push(b, 7);
+  db.push_path(tree, deep, 3);
+  db.push_path(tree, top, 7);
   ASSERT_EQ(db.size(), 2u);
   const auto& records = db.records();
   EXPECT_EQ(records[0].offset, 0u);
@@ -184,47 +194,13 @@ TEST(ProjectionPool, FlatCondDbLayout) {
   EXPECT_EQ(records[0].freq, 3u);
   EXPECT_EQ(records[1].offset, 3u);
   EXPECT_EQ(records[1].len, 1u);
-  const auto va = db.positions(records[0]);
-  EXPECT_TRUE(std::equal(va.begin(), va.end(), a.begin(), a.end()));
+  EXPECT_EQ(records[1].freq, 7u);
+  const auto deep_ranks = db.ranks(records[0]);
+  EXPECT_EQ(std::vector<Rank>(deep_ranks.begin(), deep_ranks.end()),
+            (std::vector<Rank>{1, 2, 4}));
+  EXPECT_EQ(db.ranks(records[1])[0], 4u);
   db.clear();
   EXPECT_TRUE(db.empty());
-}
-
-TEST(ProjectionPool, PltResetRetargetsAndReuses) {
-  Plt plt(6);
-  plt.add(PosVec{1, 2}, 2);
-  plt.add(PosVec{3, 1, 2}, 1);
-  ASSERT_EQ(plt.num_vectors(), 2u);
-
-  // Reset to a smaller alphabet: empty, capacity retained.
-  plt.reset(3);
-  EXPECT_EQ(plt.max_rank(), 3u);
-  EXPECT_EQ(plt.num_vectors(), 0u);
-  EXPECT_EQ(plt.total_freq(), 0u);
-  EXPECT_EQ(plt.max_len(), 0u);
-  EXPECT_EQ(plt.freq_of(PosVec{1, 2}), 0u);
-
-  plt.add(PosVec{1, 2}, 5);
-  EXPECT_EQ(plt.freq_of(PosVec{1, 2}), 5u);
-  ASSERT_EQ(plt.bucket(3).size(), 1u);
-
-  // Reset back to a wider alphabet works too.
-  plt.reset(8);
-  plt.add(PosVec{5, 3}, 1);
-  EXPECT_EQ(plt.freq_of(PosVec{5, 3}), 1u);
-  EXPECT_EQ(plt.bucket(3).size(), 0u);
-}
-
-TEST(ProjectionPool, PartitionResetKeepsIndexConsistent) {
-  Partition p(2);
-  for (Pos x = 1; x <= 40; ++x) p.add(PosVec{x, 1}, x);
-  const std::size_t bytes = p.reset();
-  EXPECT_GT(bytes, 0u);  // capacity retained for reuse
-  EXPECT_TRUE(p.empty());
-  EXPECT_EQ(p.find(PosVec{3, 1}), Partition::kNoEntry);
-  for (Pos x = 1; x <= 10; ++x) p.add(PosVec{1, x}, 1);
-  EXPECT_EQ(p.size(), 10u);
-  EXPECT_NE(p.find(PosVec{1, 7}), Partition::kNoEntry);
 }
 
 TEST(ProjectionPool, MineResultCarriesProjectionStats) {
@@ -258,7 +234,7 @@ TEST(ProjectionPool, MemoryUsageCountsTheConditionalDatabase) {
   engine.mine(tree, item_of, suffix, db.size() + 1, collect_into(out), {});
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(engine.stats().projections_built, 0u);
-  EXPECT_GE(engine.memory_usage(), largest * sizeof(Pos));
+  EXPECT_GE(engine.memory_usage(), largest * sizeof(Rank));
 }
 
 TEST(ProjectionPool, ParallelByteIdenticalAcrossThreadCounts) {

@@ -13,6 +13,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -163,15 +164,50 @@ TEST(ShardSplit, MoreShardsThanRanksClampsToOnePerRank) {
 }
 
 TEST(ShardSplit, BalancesByPartitionWeight) {
-  // All the weight sits on the top two ranks: a 2-way split must give the
-  // first shard a much narrower window than the uniform split would.
-  std::vector<tdb::PartitionStats> stats(100);
-  for (Rank j = 1; j <= 100; ++j) stats[j - 1].rank = j;
-  stats[99].prefix_items = 5000;
-  stats[98].prefix_items = 5000;
-  const auto specs = split_shards(stats, 100, 2);
-  ASSERT_EQ(specs.size(), 2u);
-  EXPECT_LE(specs[0].rank_hi - specs[0].rank_lo, 5u);
+  // Every row is the full path 1..6, so every row tops out at rank 6, yet
+  // each rank mines its own CD_j: rank j reads j-1 positions per row.
+  const std::uint64_t n = 10;
+  const std::vector<Item> row{1, 2, 3, 4, 5, 6};
+  tdb::Database ranked;
+  for (std::uint64_t i = 0; i < n; ++i) ranked.add(row);
+  const std::vector<std::uint64_t> positions = rank_weights(ranked, 6);
+  EXPECT_EQ(positions, (std::vector<std::uint64_t>{0, n, 2 * n, 3 * n, 4 * n,
+                                                   5 * n}));
+  // The CD positions of the heaviest window: what its worker mines.
+  const auto heaviest = [&](const std::vector<ShardSpec>& specs) {
+    std::uint64_t most = 0;
+    for (const ShardSpec& spec : specs) {
+      std::uint64_t sum = 0;
+      for (Rank j = spec.rank_lo; j <= spec.rank_hi; ++j)
+        sum += positions[j - 1];
+      most = std::max(most, sum);
+    }
+    return most;
+  };
+  const auto by_positions = split_shards(positions, 6, 2);
+  ASSERT_EQ(by_positions.size(), 2u);
+  EXPECT_EQ(by_positions[0].rank_lo, 5u);
+  EXPECT_EQ(by_positions[1].rank_hi, 4u);
+
+  // Weighting each rank by the rows whose top rank it is (rows plus their
+  // prefix positions) puts all of them on rank 6 and picks another
+  // window, whose other side then holds more of the work.
+  const std::vector<std::uint64_t> top_rank{0, 0, 0, 0, 0, n + 5 * n};
+  const auto by_top = split_shards(top_rank, 6, 2);
+  ASSERT_EQ(by_top.size(), 2u);
+  EXPECT_EQ(by_top[0].rank_lo, 6u);
+  EXPECT_EQ(by_top[1].rank_hi, 5u);
+  EXPECT_EQ(heaviest(by_positions), 9 * n);
+  EXPECT_EQ(heaviest(by_top), 10 * n);
+}
+
+TEST(ShardSplit, RankWeightsCountEachRanksConditionalPositions) {
+  // Ranked Table 1 (A..D = 1..4) holds ABCD, ABD, BCD, CD and ABC twice.
+  // CD_4's records are {1,2,3}, {1,2}, {2,3} and {3}: 8 positions.
+  const auto ranked =
+      core::build_ranked_view(plt::testing::paper_table1(), 2).db;
+  EXPECT_EQ(rank_weights(ranked, 4),
+            (std::vector<std::uint64_t>{0, 4, 7, 8}));
 }
 
 TEST(ShardSplit, RejectsImpossibleRequests) {

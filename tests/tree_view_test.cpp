@@ -1,14 +1,19 @@
 // Tests for the physical tree form (Figure 3(b)/Figure 1): construction
-// from the table form, lossless round trip, navigation, and the full
+// from the table form, lossless round trip, navigation, the in-place
+// rebuild behind the projection engine's pooled frames, and the full
 // lexicographic tree's combinatorics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "core/builder.hpp"
 #include "core/tree_view.hpp"
+#include "core/validate.hpp"
 #include "test_support.hpp"
+#include "util/rng.hpp"
 
 namespace plt::core {
 namespace {
@@ -177,6 +182,77 @@ TEST(TreeView, WalkDepths) {
     depths.push_back(depth);
   });
   EXPECT_EQ(depths, (std::vector<std::size_t>{1, 2, 3}));
+}
+
+/// `count` random rows over ranks 1..max_rank (duplicates, prefixes of
+/// one another and empty rows included), weights 1..5, as rank lists.
+std::vector<std::vector<Rank>> random_rank_rows(Rng& rng, std::size_t count,
+                                                Rank max_rank) {
+  std::vector<std::vector<Rank>> out(count);
+  for (auto& row : out)
+    for (Rank r = 1; r <= max_rank; ++r)
+      if (rng.next_bool(0.35)) row.push_back(r);
+  for (std::size_t i = 1; i + 1 < count; i += 7) {
+    out[i + 1] = out[i];  // an exact duplicate
+    if (!out[i].empty()) out[i].pop_back();  // a prefix of its neighbour
+  }
+  return out;
+}
+
+TreeView::Rows rows_of(const std::vector<std::vector<Rank>>& rank_rows,
+                       Rng& rng) {
+  TreeView::Rows rows;
+  for (const auto& ranks : rank_rows) {
+    PosVec gaps;
+    Rank prev = 0;
+    for (const Rank r : ranks) gaps.push_back(r - std::exchange(prev, r));
+    rows.add(gaps, 1 + rng.next_below(5));
+  }
+  return rows;
+}
+
+void expect_same_tree(const TreeView& got, const TreeView& want) {
+  ASSERT_EQ(got.max_rank(), want.max_rank());
+  ASSERT_EQ(got.node_count(), want.node_count());
+  for (TreeView::NodeId id = 0; id < want.node_count(); ++id) {
+    EXPECT_EQ(got.node(id).parent, want.node(id).parent) << id;
+    EXPECT_EQ(got.node(id).rank, want.node(id).rank) << id;
+    EXPECT_EQ(got.support(id), want.support(id)) << id;
+  }
+  for (Rank j = 1; j <= want.max_rank(); ++j) {
+    const auto a = got.bucket(j), b = want.bucket(j);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end())) << j;
+  }
+}
+
+TEST(TreeView, RebuildInPlaceMatchesFromRows) {
+  // One tree rebuilt three times: a large random row set, a smaller one
+  // given in lexicographic order (no sort needed), then a wider alphabet.
+  // Each rebuild equals from_rows on the same rows and validates; the
+  // smaller rebuild keeps every array's capacity.
+  Rng rng(11);
+  TreeView tree(1);
+  auto large = random_rank_rows(rng, 400, 12);
+  auto small = random_rank_rows(rng, 60, 12);
+  std::sort(small.begin(), small.end());
+  const auto wide = random_rank_rows(rng, 200, 40);
+
+  const TreeView::Rows large_rows = rows_of(large, rng);
+  tree.rebuild(large_rows, 12, "RebuildInPlaceMatchesFromRows");
+  expect_same_tree(tree, TreeView::from_rows(large_rows, 12, "large"));
+  EXPECT_TRUE(validate(tree).ok());
+  const std::size_t large_bytes = tree.memory_usage();
+
+  const TreeView::Rows small_rows = rows_of(small, rng);
+  tree.rebuild(small_rows, 12, "RebuildInPlaceMatchesFromRows");
+  expect_same_tree(tree, TreeView::from_rows(small_rows, 12, "small"));
+  EXPECT_TRUE(validate(tree).ok());
+  EXPECT_EQ(tree.memory_usage(), large_bytes);
+
+  const TreeView::Rows wide_rows = rows_of(wide, rng);
+  tree.rebuild(wide_rows, 40, "RebuildInPlaceMatchesFromRows");
+  expect_same_tree(tree, TreeView::from_rows(wide_rows, 40, "wide"));
+  EXPECT_TRUE(validate(tree).ok());
 }
 
 }  // namespace
