@@ -16,7 +16,6 @@
 #include <fstream>
 #include <iostream>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include "core/builder.hpp"
@@ -136,18 +135,6 @@ bool run_cell(const tdb::Database& db, Count minsup, const Strategy& s,
   return agrees;
 }
 
-// The "model name" line of /proc/cpuinfo, or "unknown".
-std::string cpu_model() {
-  std::ifstream in("/proc/cpuinfo");
-  for (std::string line; std::getline(in, line);) {
-    if (line.rfind("model name", 0) != 0) continue;
-    const auto colon = line.find(':');
-    if (colon != std::string::npos && colon + 2 <= line.size())
-      return line.substr(colon + 2);
-  }
-  return "unknown";
-}
-
 void write_json(const std::string& path, double scale, int reps,
                 const std::vector<std::pair<std::string, tdb::Stats>>& stats,
                 const std::vector<MatrixCell>& cells) {
@@ -155,9 +142,7 @@ void write_json(const std::string& path, double scale, int reps,
   out << "{\n  \"experiment\": \"E20\",\n"
       << "  \"title\": \"subtree cost model vs pooled-only engine and "
          "eclat\",\n"
-      << "  \"host\": {\"nproc\": " << std::thread::hardware_concurrency()
-      << ", \"cpu\": \"" << cpu_model() << "\", \"backend\": \""
-      << kernels::active().name << "\"},\n"
+      << "  \"host\": " << harness::host_json() << ",\n"
       << "  \"scale\": " << scale << ",\n  \"reps\": " << reps << ",\n"
       << "  \"datasets\": [\n";
   for (std::size_t i = 0; i < stats.size(); ++i) {

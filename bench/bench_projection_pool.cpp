@@ -4,8 +4,10 @@
 // conditional PLT per recursion node. Sweeps the dense datasets at falling
 // support — exactly the regime where the paper says conditional projections
 // should be cheapest — and records times plus the engine's recycling
-// counters to a BENCH_*.json so before/after is machine-readable. Exits
-// non-zero if the two paths ever disagree on the mined itemsets.
+// counters to a BENCH_*.json so before/after is machine-readable, with the
+// frames (and their rows) whose rows came out of tree order and took the
+// tree builder's radix distribution. Exits non-zero if the two paths ever
+// disagree on the mined itemsets.
 #include <chrono>
 #include <fstream>
 #include <iostream>
@@ -113,6 +115,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
   std::ofstream out(path);
   out << "{\n  \"experiment\": \"E17\",\n"
       << "  \"title\": \"allocation-free conditional projection engine\",\n"
+      << "  \"host\": " << harness::host_json() << ",\n"
       << "  \"scale\": " << scale << ",\n";
   if (!trace_summary.empty()) out << "  \"trace\": " << trace_summary << ",\n";
   out << "  \"rows\": [\n";
@@ -156,6 +159,8 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
         << ", \"recycled_allocations\": " << r.stats.recycled_allocations
         << ", \"bytes_fresh\": " << r.stats.bytes_fresh
         << ", \"bytes_recycled\": " << r.stats.bytes_recycled
+        << ", \"frames_reordered\": " << r.stats.frames_reordered
+        << ", \"rows_reordered\": " << r.stats.rows_reordered
         << ", \"alloc_reduction\": " << alloc_reduction << "}"
         << (i + 1 < rows.size() ? "," : "") << '\n';
   }
@@ -188,7 +193,8 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   Table table({"dataset", "minsup", "frequent", "recursive", "pooled",
                "speedup", "kern spd", "ctl ovh%", "trc ovh%", "projections",
-               "fresh", "recycled", "recycled B"});
+               "fresh", "recycled", "recycled B", "reordered",
+               "rows reord"});
   bool all_agree = true;
   for (const auto& c : cases) {
     const auto db = harness::scaled_dataset(c.dataset, scale);
@@ -318,7 +324,9 @@ int main(int argc, char** argv) {
            std::to_string(row.stats.projections_built),
            std::to_string(row.stats.fresh_allocations),
            std::to_string(row.stats.recycled_allocations),
-           format_bytes(row.stats.bytes_recycled)});
+           format_bytes(row.stats.bytes_recycled),
+           std::to_string(row.stats.frames_reordered),
+           std::to_string(row.stats.rows_reordered)});
     }
   }
   std::cout << table.to_text();

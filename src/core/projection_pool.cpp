@@ -20,6 +20,8 @@ void ProjectionStats::merge(const ProjectionStats& other) {
   plan_eclat += other.plan_eclat;
   plan_narrow += other.plan_narrow;
   plan_wide += other.plan_wide;
+  frames_reordered += other.frames_reordered;
+  rows_reordered += other.rows_reordered;
 }
 
 bool ProjectionEngine::check_control() {
@@ -45,13 +47,8 @@ ProjectionEngine::Frame& ProjectionEngine::acquire(std::size_t depth) {
   return *pool_[depth];
 }
 
-Rank ProjectionEngine::count_ranks(Rank parent_max, Count keep_threshold,
-                                   const std::vector<Item>& parent_items) {
-  // Local support of every parent rank appearing in the conditional db.
-  support_.assign(parent_max, 0);
-  for (const FlatCondDb::Record& rec : cond_.records())
-    for (const Rank r : cond_.ranks(rec)) support_[r - 1] += rec.freq;
-
+Rank ProjectionEngine::compact_ranks(Rank parent_max, Count keep_threshold,
+                                     const std::vector<Item>& parent_items) {
   to_child_.assign(parent_max, 0);
   child_items_.clear();
   Rank child_ranks = 0;
@@ -68,30 +65,40 @@ void ProjectionEngine::build_frame(Frame& frame, Rank child_ranks) {
   // Each record becomes one row of surviving child ranks (the map is
   // monotone, so rows stay ascending); a record with none left adds no
   // row, and one that repeats the row before it (the two differed only in
-  // filtered ranks) adds its weight to that row. The frame's tree is then
-  // rebuilt in place from those rows.
+  // filtered ranks) adds its weight to that row. Every rank is written and
+  // only a surviving one advances the cursor, so the map takes no branch;
+  // the rows never outgrow cond_'s ranks. The frame's tree is then rebuilt
+  // in place from those rows.
   rows_.clear();
+  rows_.ranks.resize(cond_.rank_count());
+  Rank* const out = rows_.ranks.data();
+  std::size_t n = 0;
   for (const FlatCondDb::Record& rec : cond_.records()) {
-    const std::size_t begin = rows_.ranks.size();
-    for (const Rank r : cond_.ranks(rec))
-      if (const Rank c = to_child_[r - 1]; c != 0) rows_.ranks.push_back(c);
-    const auto row = rows_.ranks.begin() + static_cast<std::ptrdiff_t>(begin);
-    if (row == rows_.ranks.end()) continue;  // every rank filtered
-    if (const std::size_t n = rows_.size(); n > 0) {
-      const auto last = rows_.ranks.begin() +
-                        static_cast<std::ptrdiff_t>(rows_.start[n - 1]);
-      if (std::equal(last, row, row, rows_.ranks.end())) {
-        rows_.ranks.resize(begin);
+    const std::size_t begin = n;
+    for (const Rank r : cond_.ranks(rec)) {
+      const Rank c = to_child_[r - 1];
+      out[n] = c;
+      n += c != 0 ? 1 : 0;
+    }
+    if (n == begin) continue;  // every rank filtered
+    if (const std::size_t rows = rows_.size(); rows > 0) {
+      const std::size_t last = rows_.start[rows - 1];
+      if (std::equal(out + last, out + begin, out + begin, out + n)) {
+        n = begin;
         rows_.weights.back() += rec.freq;
         continue;
       }
     }
-    rows_.start.push_back(rows_.ranks.size());
+    rows_.start.push_back(n);
     rows_.weights.push_back(rec.freq);
   }
+  rows_.ranks.resize(n);
   const std::size_t retained = frame.tree.memory_usage();
   stats_.bytes_recycled += retained;
-  frame.tree.rebuild(rows_, child_ranks, "ProjectionEngine frame");
+  if (frame.tree.rebuild(rows_, child_ranks, "ProjectionEngine frame")) {
+    ++stats_.frames_reordered;
+    stats_.rows_reordered += rows_.size();
+  }
   ++stats_.projections_built;
   const std::size_t now = frame.tree.memory_usage();
   if (now > retained) stats_.bytes_fresh += now - retained;
@@ -218,7 +225,7 @@ ProjectionEngine::Frame* ProjectionEngine::project(
   PLT_SPAN("projection");
   const Count keep_threshold =
       options.filter_conditional_items ? min_support : 1;
-  const Rank child_ranks = count_ranks(j, keep_threshold, parent_items);
+  const Rank child_ranks = compact_ranks(j, keep_threshold, parent_items);
   if (child_ranks == 0) return nullptr;
 
   // The shape alone decides: one record is trivially one path, more take
@@ -269,16 +276,18 @@ ProjectionEngine::Frame* ProjectionEngine::step(
   if (nodes.empty()) return nullptr;
 
   // CD_j: the path of every rank-j node's parent, weighted by the node's
-  // support. The tree never changes, so lower ranks already see each of
-  // these rows without j — the paper's re-insert is the parent link.
+  // support, counted per rank on the way up. The tree never changes, so
+  // lower ranks already see each of these rows without j — the paper's
+  // re-insert is the parent link.
   cond_.clear();
+  support_.assign(j, 0);
   Count support = 0;
   for (const TreeView::NodeId id : nodes) {
     const Count freq = tree.support(id);
     support += freq;
     if (const TreeView::NodeId parent = tree.node(id).parent;
         parent != TreeView::kRoot)
-      cond_.push_path(tree, parent, freq);
+      cond_.push_path(tree, parent, freq, support_);
   }
   stats_.entries_projected += cond_.size();
   PLT_TRACE_COUNT("ranks-processed", 1);

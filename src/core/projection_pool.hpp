@@ -55,6 +55,10 @@ struct ProjectionStats {
   std::uint64_t plan_eclat = 0;        ///< subtrees mined by intersection
   std::uint64_t plan_narrow = 0;       ///< calls routed to the scalar table
   std::uint64_t plan_wide = 0;         ///< calls kept on the active table
+  /// Frame rebuilds whose rows did not come in tree order and took the
+  /// tree builder's radix distribution, and the rows of those frames.
+  std::uint64_t frames_reordered = 0;
+  std::uint64_t rows_reordered = 0;
 
   void merge(const ProjectionStats& other);
 };
@@ -76,14 +80,21 @@ class FlatCondDb {
   }
   bool empty() const { return records_.empty(); }
   std::size_t size() const { return records_.size(); }
+  /// Ranks held by all records together.
+  std::size_t rank_count() const { return arena_.size(); }
 
   /// Appends the path from the root to tree node `id` as one record of
   /// ascending ranks, climbing parent links (tree nodes store ranks, so
-  /// nothing is peeled).
-  void push_path(const TreeView& tree, TreeView::NodeId id, Count freq) {
+  /// nothing is peeled), and adds `freq` to support[r-1] for each rank r
+  /// on it.
+  void push_path(const TreeView& tree, TreeView::NodeId id, Count freq,
+                 std::span<Count> support) {
     const auto offset = static_cast<std::uint32_t>(arena_.size());
-    for (; id != TreeView::kRoot; id = tree.node(id).parent)
-      arena_.push_back(tree.node(id).rank);
+    for (; id != TreeView::kRoot; id = tree.node(id).parent) {
+      const Rank rank = tree.node(id).rank;
+      arena_.push_back(rank);
+      support[rank - 1] += freq;
+    }
     std::reverse(arena_.begin() + offset, arena_.end());
     records_.push_back(
         {offset, static_cast<std::uint32_t>(arena_.size() - offset), freq});
@@ -182,11 +193,11 @@ class ProjectionEngine {
   void walk(const Frame& root, std::vector<Item>& suffix, Count min_support,
             const ItemsetSink& sink, const ConditionalOptions& options);
   /// Algorithm 3's step for rank `j` of `tree`, the same at every depth:
-  /// fills cond_ with CD_j read off the rank-j nodes' parent links, counts,
-  /// applies the anti-monotone cut, emits, and projects CD_j into the
-  /// frame at `depth`. Returns that frame with items[j-1] left pushed on
-  /// `suffix`, or null with `suffix` restored (also on a control stop
-  /// inside an in-place strategy).
+  /// fills cond_ with CD_j read off the rank-j nodes' parent links and
+  /// support_ with its per-rank supports, applies the anti-monotone cut,
+  /// emits, and projects CD_j into the frame at `depth`. Returns that
+  /// frame with items[j-1] left pushed on `suffix`, or null with `suffix`
+  /// restored (also on a control stop inside an in-place strategy).
   Frame* step(const TreeView& tree, Rank j, std::size_t depth,
               const std::vector<Item>& items, std::vector<Item>& suffix,
               Count min_support, const ItemsetSink& sink,
@@ -195,26 +206,27 @@ class ProjectionEngine {
   /// One cooperative control check; memory is re-measured every few ticks
   /// (measuring walks the pool, so it is amortized off the hot path).
   bool check_control();
-  /// Counts cond_'s per-parent-rank support and compacts the survivors:
-  /// fills support_, to_child_ and child_items_. Returns the number of
-  /// surviving ranks.
-  Rank count_ranks(Rank parent_max, Count keep_threshold,
-                   const std::vector<Item>& parent_items);
+  /// Compacts the parent ranks whose support_ (as step() left it) passes
+  /// `keep_threshold`: fills to_child_ and child_items_. Returns the
+  /// number of surviving ranks.
+  Rank compact_ranks(Rank parent_max, Count keep_threshold,
+                     const std::vector<Item>& parent_items);
   /// Rebuilds frame.tree from cond_'s records mapped through to_child_
-  /// (as left by count_ranks; child_ranks must be > 0).
+  /// (as left by compact_ranks; child_ranks must be > 0).
   void build_frame(Frame& frame, Rank child_ranks);
-  /// Counts CD_j (cond_, rank lists over parent ranks 1..j), asks the cost
-  /// model, and either mines the subtree in place (single-path / Eclat;
-  /// returns null) or builds a pooled frame at `depth` for the caller to
-  /// push (returns it). Ranks are filtered and compacted exactly like
-  /// make_conditional_plt. Returns null when no rank survives, and sets
-  /// interrupted_ when a control stop fires inside an in-place strategy.
+  /// Compacts CD_j's surviving ranks (cond_, rank lists over parent ranks
+  /// 1..j, counted in support_), asks the cost model, and either mines the
+  /// subtree in place (single-path / Eclat; returns null) or builds a
+  /// pooled frame at `depth` for the caller to push (returns it). Ranks
+  /// are filtered and compacted exactly like make_conditional_plt.
+  /// Returns null when no rank survives, and sets interrupted_ when a
+  /// control stop fires inside an in-place strategy.
   Frame* project(Rank j, std::size_t depth, Count min_support,
                  const ConditionalOptions& options,
                  const std::vector<Item>& parent_items,
                  std::vector<Item>& suffix, const ItemsetSink& sink);
   /// True when every record keeps all `child_ranks` ranks (one shared
-  /// path); reads to_child_ as left by count_ranks.
+  /// path); reads to_child_ as left by compact_ranks.
   bool probe_single_path(Rank child_ranks) const;
   /// Emits every subset of items[0..upto) at constant support `freq`, in
   /// the exact order the pooled walk would (rank high to low, DFS).
@@ -231,7 +243,7 @@ class ProjectionEngine {
   std::vector<std::unique_ptr<Frame>> pool_;  ///< pool_[d] = depth d+1 frame
   std::vector<Level> stack_;                  ///< walk()'s explicit stack
   FlatCondDb cond_;
-  std::vector<Count> support_;  ///< scratch: local support per parent rank
+  std::vector<Count> support_;  ///< scratch: CD_j's support per parent rank
   std::vector<Rank> to_child_;  ///< scratch: parent rank -> child rank
   TreeView::Rows rows_;         ///< scratch: cond_ in child ranks
   Itemset emitted_;             ///< scratch: sorted itemset handed to sinks

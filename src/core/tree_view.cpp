@@ -1,8 +1,8 @@
 #include "core/tree_view.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <sstream>
+#include <utility>
 
 #include "core/validate.hpp"
 
@@ -10,16 +10,18 @@ namespace plt::core {
 
 namespace {
 
-std::size_t common_prefix(std::span<const Rank> a, std::span<const Rank> b) {
+/// The length of a's and b's common prefix; their first `from` ranks are
+/// known equal.
+std::size_t common_prefix(std::span<const Rank> a, std::span<const Rank> b,
+                          std::size_t from = 0) {
   const std::size_t n = std::min(a.size(), b.size());
-  std::size_t i = 0;
+  std::size_t i = from;
   while (i < n && a[i] == b[i]) ++i;
   return i;
 }
 
-bool lexicographic_less(std::span<const Rank> a, std::span<const Rank> b) {
-  return std::lexicographical_compare(a.begin(), a.end(), b.begin(), b.end());
-}
+/// Ranges of at most this many rows finish with an insertion sort.
+constexpr std::uint32_t kSmallRange = 32;
 
 }  // namespace
 
@@ -55,41 +57,102 @@ std::size_t TreeView::count_nodes(RowAt&& row_at) {
 }
 
 template <typename RowAt>
-std::size_t TreeView::order_rows(std::size_t rows, RowAt&& row_at) {
-  // Rows read off a tree's rank bucket (a conditional database) mostly
-  // come in an order assemble() takes as it is; the rest are sorted.
+std::size_t TreeView::order_rows(std::size_t rows, RowAt&& row_at,
+                                  bool& distributed) {
+  // Rows read off a tree's rank bucket (a conditional database) often
+  // come in an order assemble() takes as it is; the rest are distributed.
   order_.clear();
   for (std::size_t i = 0; i < rows; ++i)
     if (!row_at(static_cast<std::uint32_t>(i)).empty())
       order_.push_back(static_cast<std::uint32_t>(i));
-  if (const std::size_t count = count_nodes(row_at); count != 0) return count;
+  const std::size_t count = count_nodes(row_at);
+  distributed = count == 0;
+  return distributed ? distribute(row_at) : count;
+}
 
-  // Each row's leading ranks are packed into one 64-bit key, as many as fit
-  // at bit_width(max_rank) bits each, with 0 (below every rank) past the
-  // row's end so a row sorts before its extensions. Most comparisons then
-  // read a contiguous array instead of the rows, and only rows sharing
-  // every packed rank compare their remainders.
-  const unsigned bits =
-      std::max(1u, static_cast<unsigned>(std::bit_width(max_rank_)));
-  const std::size_t packed = 64 / bits;
-  keys_.clear();
-  for (const std::uint32_t i : order_) {
-    const std::span<const Rank> row = row_at(i);
-    std::uint64_t key = 0;
-    for (std::size_t k = 0; k < packed; ++k)
-      key = (key << bits) | (k < row.size() ? row[k] : 0);
-    keys_.push_back({key, i});
+template <typename RowAt>
+std::size_t TreeView::distribute(RowAt&& row_at) {
+  // Algorithm 1's distribution, one rank position at a time. A task is a
+  // range of order_ whose rows share their first `depth` ranks: the path
+  // to one node, counted already. Its rows are counting-sorted by their
+  // rank at depth, 0 standing for a row that ends there so it goes first;
+  // tally is indexed by rank but only the distinct ranks seen are touched.
+  // Each distinct rank is one child node, and its run is the child's task.
+  Radix& r = radix_;
+  if (r.tally.size() <= max_rank_) r.tally.resize(max_rank_ + std::size_t{1});
+  r.digits.resize(order_.size());
+  r.spill.resize(order_.size());
+  r.tasks.assign(1, {0, static_cast<std::uint32_t>(order_.size()), 0});
+  std::size_t count = 1;
+  while (!r.tasks.empty()) {
+    const Task task = r.tasks.back();
+    r.tasks.pop_back();
+    if (task.end - task.begin <= kSmallRange) {
+      count += finish_small(task.begin, task.end, task.depth, row_at);
+      continue;
+    }
+    r.seen.clear();
+    for (std::uint32_t k = task.begin; k < task.end; ++k) {
+      const std::span<const Rank> row = row_at(order_[k]);
+      const Rank digit = task.depth < row.size() ? row[task.depth] : 0;
+      PLT_ASSERT(digit <= max_rank_, "tree rows must be ranks <= max_rank");
+      r.digits[k] = digit;
+      if (r.tally[digit]++ == 0) r.seen.push_back(digit);
+    }
+    std::sort(r.seen.begin(), r.seen.end());
+    if (r.seen.size() > 1) {
+      // tally becomes each rank's run start, then its end as rows land.
+      std::uint32_t at = task.begin;
+      for (const Rank digit : r.seen) at += std::exchange(r.tally[digit], at);
+      for (std::uint32_t k = task.begin; k < task.end; ++k)
+        r.spill[r.tally[r.digits[k]]++] = order_[k];
+      std::copy(r.spill.begin() + task.begin, r.spill.begin() + task.end,
+                order_.begin() + task.begin);
+    } else {
+      r.tally[r.seen[0]] = task.end;
+    }
+    std::uint32_t begin = task.begin;
+    for (const Rank digit : r.seen) {
+      const std::uint32_t end = std::exchange(r.tally[digit], 0);
+      if (digit != 0) {
+        ++count;
+        if (end - begin == 1)  // a lone row: the rest of it is one path
+          count += row_at(order_[begin]).size() - (task.depth + 1);
+        else
+          r.tasks.push_back({begin, end, task.depth + 1});
+      }
+      begin = end;
+    }
   }
-  std::sort(keys_.begin(), keys_.end(),
-            [&](const SortKey& a, const SortKey& b) {
-              if (a.key != b.key) return a.key < b.key;
-              const std::span<const Rank> x = row_at(a.row),
-                                          y = row_at(b.row);
-              return lexicographic_less(x.subspan(std::min(packed, x.size())),
-                                        y.subspan(std::min(packed, y.size())));
-            });
-  for (std::size_t i = 0; i < keys_.size(); ++i) order_[i] = keys_[i].row;
-  return count_nodes(row_at);
+  return count;
+}
+
+template <typename RowAt>
+std::size_t TreeView::finish_small(std::uint32_t begin, std::uint32_t end,
+                                   std::uint32_t depth, RowAt&& row_at) {
+  // Rows compare from depth on; a row sorts before its extensions.
+  const auto less = [&](std::uint32_t a, std::uint32_t b) {
+    const std::span<const Rank> x = row_at(a), y = row_at(b);
+    return std::lexicographical_compare(x.begin() + depth, x.end(),
+                                        y.begin() + depth, y.end());
+  };
+  for (std::uint32_t k = begin + 1; k < end; ++k) {
+    const std::uint32_t row = order_[k];
+    std::uint32_t at = k;
+    for (; at > begin && less(row, order_[at - 1]); --at)
+      order_[at] = order_[at - 1];
+    order_[at] = row;
+  }
+  // Each row then adds the ranks past its common prefix with the row
+  // before it; the first shares only the range's `depth` ranks.
+  std::size_t count = 0;
+  std::span<const Rank> prev = row_at(order_[begin]).first(depth);
+  for (std::uint32_t k = begin; k < end; ++k) {
+    const std::span<const Rank> row = row_at(order_[k]);
+    count += row.size() - common_prefix(prev, row, depth);
+    prev = row;
+  }
+  return count;
 }
 
 template <typename RowAt, typename WeightAt>
@@ -120,6 +183,7 @@ void TreeView::assemble(std::size_t count, RowAt&& row_at,
     supports_[path_.back()] += weight_at(i);
     prev = row;
   }
+  PLT_ASSERT(nodes_.size() == count, "tree builder miscounted its nodes");
   for (std::size_t id = nodes_.size() - 1; id >= 1; --id)
     supports_[nodes_[id].parent] += supports_[id];
   index_buckets();
@@ -147,10 +211,11 @@ TreeView TreeView::build_once(Rank max_rank, std::size_t rows, RowAt&& row_at,
                               WeightAt&& weight_at) {
   PLT_ASSERT(ids_fit(rows), "row ids exceed 32 bits");
   TreeView tree(max_rank);
-  const std::size_t count = tree.order_rows(rows, row_at);
-  // The sort keys go before the nodes are allocated, so the two never
-  // share the build's peak; a tree built once keeps no scratch.
-  std::vector<SortKey>().swap(tree.keys_);
+  bool distributed = false;
+  const std::size_t count = tree.order_rows(rows, row_at, distributed);
+  // The radix scratch goes before the nodes are allocated, so the two
+  // never share the build's peak; a tree built once keeps no scratch.
+  tree.radix_ = {};
   tree.assemble(count, row_at, weight_at);
   std::vector<std::uint32_t>().swap(tree.order_);
   std::vector<NodeId>().swap(tree.path_);
@@ -197,13 +262,15 @@ TreeView TreeView::from_rows(const Rows& rows, Rank max_rank,
   return tree;
 }
 
-void TreeView::rebuild(const Rows& rows, Rank max_rank, const char* context) {
+bool TreeView::rebuild(const Rows& rows, Rank max_rank, const char* context) {
   PLT_ASSERT(ids_fit(rows.size()), "row ids exceed 32 bits");
   max_rank_ = max_rank;
   const auto row = rows_at(rows);
-  assemble(order_rows(rows.size(), row), row,
-           [&](std::uint32_t i) { return rows.weights[i]; });
+  bool distributed = false;
+  const std::size_t count = order_rows(rows.size(), row, distributed);
+  assemble(count, row, [&](std::uint32_t i) { return rows.weights[i]; });
   maybe_validate(*this, context);
+  return distributed;
 }
 
 TreeView TreeView::from_plt(const Plt& plt) {
@@ -306,10 +373,16 @@ std::size_t TreeView::memory_usage() const {
          supports_.capacity() * sizeof(Count) +
          bucket_start_.capacity() * sizeof(std::uint32_t) +
          bucket_nodes_.capacity() * sizeof(NodeId) +
-         keys_.capacity() * sizeof(SortKey) +
          order_.capacity() * sizeof(std::uint32_t) +
          path_.capacity() * sizeof(NodeId) +
-         last_child_.capacity() * sizeof(Rank);
+         last_child_.capacity() * sizeof(Rank) + radix_.memory_usage();
+}
+
+std::size_t TreeView::Radix::memory_usage() const {
+  return digits.capacity() * sizeof(Rank) +
+         spill.capacity() * sizeof(std::uint32_t) +
+         tally.capacity() * sizeof(std::uint32_t) +
+         seen.capacity() * sizeof(Rank) + tasks.capacity() * sizeof(Task);
 }
 
 }  // namespace plt::core

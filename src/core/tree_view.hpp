@@ -11,7 +11,10 @@
 // depth: CD_j is read off the nodes of rank j by walking parent links, so
 // the paper's "Update PLT with V'" costs nothing (a node's prefix already
 // is its parent). The projection engine's conditional frames are trees
-// too, each rebuilt in place for the next projection (rebuild()). What
+// too, each rebuilt in place for the next projection (rebuild()). Every
+// builder orders its rows as Algorithm 1 does, by distribution rather than
+// comparison: rows not already in tree order go through an MSD radix pass
+// over rank positions, which also counts the nodes to allocate. What
 // only navigation needs — children, end frequencies — is computed on
 // demand. Conversion to and from the table form is lossless (tests enforce
 // the round trip).
@@ -78,10 +81,11 @@ class TreeView {
                             const char* context);
 
   /// Makes this tree from_rows(rows, max_rank, context) in place: the
-  /// node, support and bucket arrays and the sort scratch keep their
+  /// node, support and bucket arrays and the build scratch keep their
   /// capacity, so a tree rebuilt for every projection stops allocating
-  /// once it has seen its largest input. Validated like from_rows.
-  void rebuild(const Rows& rows, Rank max_rank, const char* context);
+  /// once it has seen its largest input. Validated like from_rows. Returns
+  /// true when the rows did not come in tree order and were distributed.
+  bool rebuild(const Rows& rows, Rank max_rank, const char* context);
 
   /// The tree of every vector stored in `plt`, weighted by its frequency.
   /// Zero-frequency entries (removal tombstones) contribute no path.
@@ -162,26 +166,30 @@ class TreeView {
   std::size_t memory_usage() const;
 
  private:
-  /// A row id with its leading ranks packed into one 64-bit sort key.
-  struct SortKey {
-    std::uint64_t key;
-    std::uint32_t row;
-  };
-
   /// The tree of `rows` rows (RowAt(i) -> span<const Rank>, WeightAt(i) ->
-  /// Count), built once: it keeps no sort scratch.
+  /// Count), built once: it keeps no build scratch.
   template <typename RowAt, typename WeightAt>
   static TreeView build_once(Rank max_rank, std::size_t rows, RowAt&& row_at,
                              WeightAt&& weight_at);
   /// Fills order_ with the non-empty row ids in an order assemble() takes
-  /// (their given order when it qualifies, else sorted through keys_) and
-  /// returns the number of nodes they make, root included.
+  /// (their given order when it qualifies, else distribute()'s; sets
+  /// `distributed` to which) and returns the number of nodes they make,
+  /// root included.
   template <typename RowAt>
-  std::size_t order_rows(std::size_t rows, RowAt&& row_at);
+  std::size_t order_rows(std::size_t rows, RowAt&& row_at, bool& distributed);
   /// The number of nodes the rows in order_ make, root included, or 0 when
   /// assemble() cannot take them in that order.
   template <typename RowAt>
   std::size_t count_nodes(RowAt&& row_at);
+  /// Puts order_ in lexicographic order by MSD radix distribution over
+  /// rank positions and returns the number of nodes, root included.
+  template <typename RowAt>
+  std::size_t distribute(RowAt&& row_at);
+  /// Insertion-sorts order_[begin, end), whose rows share their first
+  /// `depth` ranks, and returns the nodes below depth they make.
+  template <typename RowAt>
+  std::size_t finish_small(std::uint32_t begin, std::uint32_t end,
+                           std::uint32_t depth, RowAt&& row_at);
   /// Builds the `count` preorder nodes of the rows in order_, then the
   /// per-rank index.
   template <typename RowAt, typename WeightAt>
@@ -195,10 +203,22 @@ class TreeView {
   std::vector<std::uint32_t> bucket_start_;
   std::vector<NodeId> bucket_nodes_;
   // Build scratch, kept across rebuild() calls.
-  std::vector<SortKey> keys_;
-  std::vector<std::uint32_t> order_;
+  std::vector<std::uint32_t> order_;  ///< non-empty row ids, assemble() order
   std::vector<NodeId> path_;  ///< path_[d] = node at depth d+1 of the last row
   std::vector<Rank> last_child_;  ///< see count_nodes()
+  /// A range of order_ whose rows share their first `depth` ranks.
+  struct Task {
+    std::uint32_t begin, end, depth;
+  };
+  /// distribute()'s scratch.
+  struct Radix {
+    std::vector<Rank> digits;  ///< digits[k] = rank at depth of order_[k]
+    std::vector<std::uint32_t> spill;  ///< scatter target
+    std::vector<std::uint32_t> tally;  ///< per rank, all zero between tasks
+    std::vector<Rank> seen;            ///< the distinct ranks of a task
+    std::vector<Task> tasks;
+    std::size_t memory_usage() const;
+  } radix_;
 };
 
 }  // namespace plt::core

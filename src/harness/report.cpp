@@ -1,14 +1,33 @@
 #include "harness/report.hpp"
 
 #include <algorithm>
+#include <fstream>
 #include <map>
 #include <ostream>
+#include <thread>
 
+#include "kernels/kernels.hpp"
 #include "util/memory.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace plt::harness {
+
+std::string host_json() {
+  std::string cpu = "unknown";
+  std::ifstream in("/proc/cpuinfo");
+  for (std::string line; std::getline(in, line);) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos &&
+        colon + 2 <= line.size()) {
+      cpu = line.substr(colon + 2);
+      break;
+    }
+  }
+  return "{\"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
+         ", \"cpu\": \"" + cpu + "\", \"backend\": \"" +
+         kernels::active().name + "\"}";
+}
 
 void print_banner(std::ostream& os, const std::string& experiment_id,
                   const std::string& title, const std::string& paper_anchor) {

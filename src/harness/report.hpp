@@ -21,4 +21,9 @@ void print_banner(std::ostream& os, const std::string& experiment_id,
 /// Per-support "who wins" summary: fastest algorithm per support level.
 void print_winners(std::ostream& os, const std::vector<Cell>& cells);
 
+/// The host a BENCH_*.json was measured on, as a JSON object: online CPU
+/// count, the "model name" of /proc/cpuinfo ("unknown" without one) and
+/// the dispatched kernel backend.
+std::string host_json();
+
 }  // namespace plt::harness

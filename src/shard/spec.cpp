@@ -79,8 +79,10 @@ std::vector<ShardSpec> split_shards(std::span<const std::uint64_t> weights,
   for (Rank j = 1; j <= max_rank; ++j) remaining_weight += weight(j);
 
   // Greedy top-down split: walk max_rank..1 (the mining order) and close a
-  // window once it reaches its fair share of the remaining weight, always
-  // leaving at least one rank per remaining shard.
+  // window at its fair share of the remaining weight. The rank that
+  // crosses the share joins the window only when that lands nearer the
+  // share than stopping before it. At least one rank is left per remaining
+  // shard.
   std::vector<ShardSpec> specs;
   specs.reserve(shards);
   Rank hi = max_rank;
@@ -91,9 +93,11 @@ std::vector<ShardSpec> split_shards(std::span<const std::uint64_t> weights,
     Rank lo = hi;
     std::uint64_t taken = weight(hi);
     while (lo > 1 && taken < target &&
-           (lo - 1) >= static_cast<Rank>(remaining_shards - 1) + 1) {
+           (lo - 1) >= static_cast<Rank>(remaining_shards)) {
+      const std::uint64_t next = taken + weight(lo - 1);
+      if (next >= target && target - taken < next - target) break;
       --lo;
-      taken += weight(lo);
+      taken = next;
     }
     if (k + 1 == shards) lo = 1;  // last shard absorbs the tail
     specs.push_back({k, lo, hi});

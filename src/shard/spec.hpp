@@ -51,10 +51,11 @@ std::vector<std::uint64_t> rank_weights(const tdb::Database& ranked_db,
 
 /// Splits [1, max_rank] into at most `shards` contiguous windows, balanced
 /// by per-rank work weight (1 + weights[j-1], the constant for the fixed
-/// per-rank cost; uniform when `weights` is empty). Windows are returned in
-/// shard-id order: shard 0 holds max_rank. Never returns an empty window;
-/// fewer than `shards` specs come back when max_rank is small. Throws
-/// std::invalid_argument when shards == 0 or max_rank == 0.
+/// per-rank cost; uniform when `weights` is empty): each window closes at
+/// the rank boundary nearest its share of the remaining weight. Windows
+/// are returned in shard-id order: shard 0 holds max_rank. Never returns
+/// an empty window; fewer than `shards` specs come back when max_rank is
+/// small. Throws std::invalid_argument when shards == 0 or max_rank == 0.
 std::vector<ShardSpec> split_shards(std::span<const std::uint64_t> weights,
                                     Rank max_rank, std::size_t shards);
 

@@ -174,7 +174,8 @@ TEST(ProjectionPool, RecyclingDominatesOnDeepWorkloads) {
 
 TEST(ProjectionPool, FlatCondDbLayout) {
   // Rows {1,2,4} x3 and {4} x7: push_path records a node's root path as
-  // ascending ranks, read off the tree's parent links.
+  // ascending ranks, read off the tree's parent links, and adds its weight
+  // to each of those ranks' support.
   TreeView::Rows rows;
   rows.add(PosVec{1, 1, 2}, 3);
   rows.add(PosVec{4}, 7);
@@ -185,8 +186,9 @@ TEST(ProjectionPool, FlatCondDbLayout) {
   ASSERT_NE(top, TreeView::kRoot);
 
   FlatCondDb db;
-  db.push_path(tree, deep, 3);
-  db.push_path(tree, top, 7);
+  std::vector<Count> support(4, 0);
+  db.push_path(tree, deep, 3, support);
+  db.push_path(tree, top, 7, support);
   ASSERT_EQ(db.size(), 2u);
   const auto& records = db.records();
   EXPECT_EQ(records[0].offset, 0u);
@@ -199,6 +201,8 @@ TEST(ProjectionPool, FlatCondDbLayout) {
   EXPECT_EQ(std::vector<Rank>(deep_ranks.begin(), deep_ranks.end()),
             (std::vector<Rank>{1, 2, 4}));
   EXPECT_EQ(db.ranks(records[1])[0], 4u);
+  EXPECT_EQ(db.rank_count(), 4u);
+  EXPECT_EQ(support, (std::vector<Count>{3, 3, 0, 10}));
   db.clear();
   EXPECT_TRUE(db.empty());
 }

@@ -201,6 +201,21 @@ TEST(ShardSplit, BalancesByPartitionWeight) {
   EXPECT_EQ(heaviest(by_top), 10 * n);
 }
 
+TEST(ShardSplit, StopsBeforeARankThatOvershootsTheShare) {
+  // Ranks 1..4 weigh 1, n+1, 2n+1 and 3n+1: the first window's share is
+  // 3n+2. Rank 4 falls one short of it and rank 3 would overshoot it by
+  // 2n, so the window closes at [4] (3n+1 against 3n+3 for [1,3]) instead
+  // of taking [3,4] (5n+2 against n+2).
+  const std::uint64_t n = 10;
+  const std::vector<std::uint64_t> weights{0, n, 2 * n, 3 * n};
+  const auto specs = split_shards(weights, 4, 2);
+  ASSERT_EQ(specs.size(), 2u);
+  EXPECT_EQ(specs[0].rank_hi, 4u);
+  EXPECT_EQ(specs[0].rank_lo, 4u);
+  EXPECT_EQ(specs[1].rank_hi, 3u);
+  EXPECT_EQ(specs[1].rank_lo, 1u);
+}
+
 TEST(ShardSplit, RankWeightsCountEachRanksConditionalPositions) {
   // Ranked Table 1 (A..D = 1..4) holds ABCD, ABD, BCD, CD and ABC twice.
   // CD_4's records are {1,2,3}, {1,2}, {2,3} and {3}: 8 positions.

@@ -255,5 +255,122 @@ TEST(TreeView, RebuildInPlaceMatchesFromRows) {
   EXPECT_TRUE(validate(tree).ok());
 }
 
+/// Weighted rank rows, kept apart from TreeView::Rows so that one set can
+/// be handed to the builders in several orders.
+using WeightedRows = std::vector<std::pair<std::vector<Rank>, Count>>;
+
+WeightedRows weighted(const std::vector<std::vector<Rank>>& rank_rows,
+                      Rng& rng) {
+  WeightedRows out;
+  for (const auto& ranks : rank_rows)
+    out.emplace_back(ranks, 1 + rng.next_below(5));
+  return out;
+}
+
+TreeView::Rows rows_in_order(const WeightedRows& rows) {
+  TreeView::Rows out;
+  for (const auto& [ranks, weight] : rows) {
+    PosVec gaps;
+    Rank prev = 0;
+    for (const Rank r : ranks) gaps.push_back(r - std::exchange(prev, r));
+    out.add(gaps, weight);
+  }
+  return out;
+}
+
+/// Builds `rows` pre-sorted (an order the builder takes as it is), then
+/// shuffled and reversed through from_rows and through rebuild() of one
+/// reused tree: every tree must equal the pre-sorted one node for node and
+/// validate.
+void expect_order_free(WeightedRows rows, Rank max_rank, Rng& rng) {
+  std::sort(rows.begin(), rows.end());
+  const TreeView::Rows sorted = rows_in_order(rows);
+  const TreeView want = TreeView::from_rows(sorted, max_rank, "sorted");
+  EXPECT_TRUE(validate(want).ok());
+  TreeView reused(1);
+  EXPECT_FALSE(reused.rebuild(sorted, max_rank, "sorted rebuild"));
+  expect_same_tree(reused, want);
+
+  WeightedRows shuffled = rows;
+  rng.shuffle(shuffled);
+  WeightedRows reversed(rows.rbegin(), rows.rend());
+  for (const WeightedRows* order : {&shuffled, &reversed}) {
+    const TreeView::Rows given = rows_in_order(*order);
+    const TreeView built = TreeView::from_rows(given, max_rank, "given");
+    expect_same_tree(built, want);
+    EXPECT_TRUE(validate(built).ok());
+    reused.rebuild(given, max_rank, "given rebuild");
+    expect_same_tree(reused, want);
+    EXPECT_TRUE(validate(reused).ok());
+  }
+}
+
+TEST(TreeView, BuildersMatchThePreSortedTree) {
+  Rng rng(23);
+  // Duplicates, prefixes and empty rows, in ranges wide enough to be
+  // distributed several ranks deep and narrow enough to finish small.
+  for (const std::size_t count : {1u, 2u, 7u, 40u, 300u, 2000u})
+    expect_order_free(weighted(random_rank_rows(rng, count, 12), rng), 12,
+                      rng);
+  // A single row, an empty row alone, and many identical rows.
+  expect_order_free({{{2, 5, 9}, 4}}, 9, rng);
+  expect_order_free({{{}, 3}}, 9, rng);
+  expect_order_free(WeightedRows(500, {{1, 3, 4, 8}, 2}), 8, rng);
+}
+
+TEST(TreeView, BuildersMatchThePreSortedTreeOnLongRows) {
+  // 12-rank rows at max_rank 300 share up to 10 leading ranks, more than
+  // fit a 64-bit key at 9 bits a rank: they differ only deep down.
+  Rng rng(29);
+  std::vector<std::vector<Rank>> long_rows;
+  for (std::size_t i = 0; i < 600; ++i) {
+    std::vector<Rank> row;
+    const std::size_t shared = 6 + rng.next_below(5);
+    for (Rank r = 1; row.size() < shared; r += 3) row.push_back(r);
+    Rank r = row.back();
+    while (row.size() < 12) {
+      r += 1 + static_cast<Rank>(rng.next_below(20));
+      row.push_back(r);
+    }
+    if (rng.next_bool(0.2)) row.resize(shared + rng.next_below(12 - shared));
+    long_rows.push_back(std::move(row));
+  }
+  expect_order_free(weighted(long_rows, rng), 300, rng);
+}
+
+TEST(TreeView, BuildersMatchThePreSortedTreeAtAlphabetEdges) {
+  // One rank, and the alphabets on either side of a byte.
+  Rng rng(31);
+  for (const Rank max_rank : {1u, 255u, 256u}) {
+    std::vector<std::vector<Rank>> rows;
+    for (std::size_t i = 0; i < 400; ++i) {
+      std::vector<Rank> row;
+      for (Rank r = 1; r <= max_rank; ++r)
+        if (rng.next_bool(max_rank == 1 ? 0.7 : 0.02)) row.push_back(r);
+      if (max_rank > 1 && (row.empty() || row.back() < max_rank) &&
+          rng.next_bool(0.3))
+        row.push_back(max_rank);
+      rows.push_back(std::move(row));
+    }
+    expect_order_free(weighted(rows, rng), max_rank, rng);
+  }
+}
+
+TEST(TreeView, RankedRowsBuildTheSameTreeInAnyRowOrder) {
+  Rng rng(37);
+  auto rank_rows = random_rank_rows(rng, 3000, 16);
+  std::sort(rank_rows.begin(), rank_rows.end());
+  tdb::Database sorted_db;
+  for (const auto& row : rank_rows) sorted_db.add(row);
+  rng.shuffle(rank_rows);
+  tdb::Database shuffled_db;
+  for (const auto& row : rank_rows) shuffled_db.add(row);
+  const TreeView want = TreeView::from_ranked_rows(sorted_db, 16);
+  const TreeView got = TreeView::from_ranked_rows(shuffled_db, 16);
+  expect_same_tree(got, want);
+  EXPECT_TRUE(validate(got).ok());
+  EXPECT_EQ(got.support(TreeView::kRoot), want.support(TreeView::kRoot));
+}
+
 }  // namespace
 }  // namespace plt::core
