@@ -175,8 +175,6 @@ void write_json(const std::string& path, double scale, int reps,
         << ", \"decisions\": {\"pooled\": " << model.projection.plan_pooled
         << ", \"single_path\": " << model.projection.plan_single_path
         << ", \"eclat\": " << model.projection.plan_eclat
-        << ", \"narrow\": " << model.projection.plan_narrow
-        << ", \"wide\": " << model.projection.plan_wide
         << "}, \"projections\": {\"cost_model\": "
         << model.projection.projections_built
         << ", \"pooled_only\": " << pooled.projection.projections_built

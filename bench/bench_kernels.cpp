@@ -1,9 +1,11 @@
-// E18 — vectorized kernel layer: per-kernel scalar-vs-SIMD micro rows plus
-// the end-to-end mine() speedup the kernels buy on the dense sweeps. Every
-// SIMD measurement is differentially checked against the scalar reference
+// E18 — vectorized kernel layer: per-kernel scalar-vs-AVX2 micro rows for
+// the group-varint codec and the sorted intersections, plus the end-to-end
+// mine() speedup the kernels buy on the dense sweeps. Every SIMD
+// measurement is differentially checked against the scalar reference
 // in-line (checksums must match — contract rule #1), and the end-to-end
 // section verifies the mined itemsets are identical across backends, so
-// this binary doubles as a coarse correctness gate. Writes BENCH_kernels.json.
+// this binary doubles as a coarse correctness gate. Writes BENCH_kernels.json
+// with the host stamp.
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
@@ -132,6 +134,7 @@ void write_json(const std::string& path, double scale,
   std::ofstream out(path);
   out << "{\n  \"experiment\": \"E18\",\n"
       << "  \"title\": \"vectorized kernel layer: scalar vs SIMD\",\n"
+      << "  \"host\": " << harness::host_json() << ",\n"
       << "  \"scale\": " << scale << ",\n"
       << "  \"best_backend\": \""
       << kernels::backend_name(kernels::best_supported()) << "\",\n";
@@ -172,7 +175,7 @@ int main(int argc, char** argv) {
   const std::string out_path = args.get("out", "BENCH_kernels.json");
 
   harness::print_banner(std::cout, "E18",
-                        "vectorized kernel layer: scalar vs SIMD backends",
+                        "vectorized kernel layer: scalar vs AVX2",
                         "section 6 (hot-loop throughput) — runtime-dispatched "
                         "kernels");
 
@@ -182,9 +185,6 @@ int main(int argc, char** argv) {
   // -------------------------------------------------------------- inputs
   const std::size_t n_words = scaled(scale, std::size_t{1} << 20);
   const std::size_t n_tids = scaled(scale, std::size_t{1} << 18);
-
-  std::vector<std::uint32_t> gaps(n_words);
-  for (auto& g : gaps) g = 1 + static_cast<std::uint32_t>(rng.next_below(8));
 
   std::vector<std::uint32_t> words(n_words);
   for (auto& w : words) {
@@ -208,25 +208,7 @@ int main(int argc, char** argv) {
       universe_c, keep_c, std::max<std::size_t>(n_tids / 256, 16), 0.05);
   std::vector<std::uint32_t> isect_out(std::min(tids_a.size(), tids_b.size()) + 4);
 
-  std::vector<std::uint64_t> counts(n_words);
-  for (auto& c : counts) c = rng.next_below(1000);
-
-  const std::size_t hash_chunk = 64;
-
   const MicroCase cases[] = {
-      {"hash_positions", n_words,
-       [&](const kernels::Dispatch& d) {
-         std::uint64_t h = 0;
-         for (std::size_t i = 0; i + hash_chunk <= words.size();
-              i += hash_chunk)
-           h ^= d.hash_positions(words.data() + i, hash_chunk);
-         return h;
-       }},
-      {"equals_positions", n_words,
-       [&](const kernels::Dispatch& d) {
-         return std::uint64_t{
-             d.equals_positions(gaps.data(), gaps.data(), gaps.size())};
-       }},
       {"encode_varint_block", n_words,
        [&](const kernels::Dispatch& d) {
          return std::uint64_t{
@@ -257,21 +239,13 @@ int main(int argc, char** argv) {
              tids_small.data(), tids_small.size(), tids_b.data(),
              tids_b.size())};
        }},
-      {"sum_counts", n_words,
-       [&](const kernels::Dispatch& d) {
-         return d.sum_counts(counts.data(), counts.size());
-       }},
-      {"sum_positions", n_words,
-       [&](const kernels::Dispatch& d) {
-         return std::uint64_t{d.sum_positions(words.data(), words.size())};
-       }},
   };
 
   std::vector<const kernels::Dispatch*> backends;
   backends.push_back(&kernels::scalar_dispatch());
-  for (const auto b : {kernels::Backend::kSSE42, kernels::Backend::kAVX2})
-    if (const kernels::Dispatch* d = kernels::dispatch_for(b))
-      backends.push_back(d);
+  if (const kernels::Dispatch* d =
+          kernels::dispatch_for(kernels::Backend::kAVX2))
+    backends.push_back(d);
 
   std::vector<MicroRow> micro;
   Table table({"kernel", "backend", "elements", "s/call", "Melem/s",

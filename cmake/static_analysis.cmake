@@ -47,7 +47,6 @@ if(CMAKE_CXX_COMPILER_ID STREQUAL "Clang")
     ${CMAKE_SOURCE_DIR}/src/util/failpoint.cpp
     ${CMAKE_SOURCE_DIR}/src/obs/trace.cpp
     ${CMAKE_SOURCE_DIR}/src/parallel/partition_miner.cpp
-    ${CMAKE_SOURCE_DIR}/src/parallel/parallel_build.cpp
     ${CMAKE_SOURCE_DIR}/src/shard/coordinator.cpp
     ${CMAKE_SOURCE_DIR}/src/serve/blob_store.cpp
     ${CMAKE_SOURCE_DIR}/src/serve/server.cpp)

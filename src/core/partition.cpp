@@ -1,6 +1,7 @@
 #include "core/partition.hpp"
 
-#include "kernels/kernels.hpp"
+#include <bit>
+#include <cstring>
 
 namespace plt::core {
 
@@ -10,6 +11,13 @@ constexpr std::size_t kInitialIndexSize = 16;
 bool over_loaded(std::size_t entries, std::size_t slots) {
   return entries * 10 >= slots * 7;
 }
+
+constexpr std::uint32_t kHashLaneSeed[8] = {
+    0x9e3779b9u, 0x85ebca6bu, 0xc2b2ae35u, 0x27d4eb2fu,
+    0x165667b1u, 0xd3a2646cu, 0xfd7046c5u, 0xb55a4f09u};
+constexpr std::uint32_t kHashLaneMul = 0x9e3779b1u;
+constexpr std::uint64_t kHashFnvOffset = 0xcbf29ce484222325ull;
+constexpr std::uint64_t kHashFnvPrime = 0x100000001b3ull;
 }  // namespace
 
 Partition::Partition(std::uint32_t length) : length_(length) {
@@ -18,15 +26,34 @@ Partition::Partition(std::uint32_t length) : length_(length) {
 }
 
 std::uint64_t Partition::hash(std::span<const Pos> v) {
-  // Kernel-backed lane hash. Every backend computes the same value
-  // (kernels contract rule #1), so index layout and any hash-ordered
-  // iteration downstream are backend-independent.
-  return kernels::active().hash_positions(v.data(), v.size());
+  std::uint32_t lanes[8];
+  std::memcpy(lanes, kHashLaneSeed, sizeof(lanes));
+  const std::size_t n = v.size();
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8)
+    for (std::size_t j = 0; j < 8; ++j)
+      lanes[j] = std::rotl((lanes[j] ^ v[i + j]) * kHashLaneMul, 13);
+  std::uint64_t h = kHashFnvOffset ^ (static_cast<std::uint64_t>(n) *
+                                      kHashFnvPrime);
+  for (const std::uint32_t lane : lanes) {
+    h ^= lane;
+    h *= kHashFnvPrime;
+  }
+  for (; i < n; ++i) {
+    h ^= v[i];
+    h *= kHashFnvPrime;
+  }
+  h ^= h >> 30;
+  h *= 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 27;
+  h *= 0x94d049bb133111ebull;
+  h ^= h >> 31;
+  return h;
 }
 
 bool Partition::keys_equal(EntryId id, std::span<const Pos> v) const {
-  return kernels::active().equals_positions(arena_.data() + entries_[id].offset,
-                                            v.data(), length_);
+  return std::memcmp(arena_.data() + entries_[id].offset, v.data(),
+                     length_ * sizeof(Pos)) == 0;
 }
 
 Partition::EntryId Partition::find(std::span<const Pos> v) const {
@@ -72,12 +99,6 @@ Partition::EntryId Partition::add(std::span<const Pos> v, Count freq,
   index_[slot] = id + 1;
   created = true;
   return id;
-}
-
-void Partition::reserve(std::size_t entries) {
-  entries_.reserve(entries);
-  arena_.reserve(entries * length_);
-  while (over_loaded(entries, index_.size())) grow_index();
 }
 
 void Partition::grow_index() {

@@ -42,11 +42,6 @@ class Partition {
   /// Entry id of the vector, or kNoEntry.
   EntryId find(std::span<const Pos> v) const;
 
-  /// Pre-sizes for `entries` total entries (`entries * length` arena words),
-  /// growing the hash index past its load factor up front so a bulk merge
-  /// rehashes at most once.
-  void reserve(std::size_t entries);
-
   const Entry& entry(EntryId id) const { return entries_[id]; }
   Entry& entry(EntryId id) { return entries_[id]; }
 
@@ -71,7 +66,11 @@ class Partition {
       fn(id, positions(id), entries_[id]);
   }
 
-  /// Hash of a position vector (exposed for the serialization index).
+  /// Hash of a position vector: 8 independent 32-bit lanes absorb full
+  /// 8-word blocks, then the lanes, the tail words and the length fold
+  /// into a splitmix-finalized 64-bit value. The values are pinned by
+  /// partition_plt_test: they fix the index layout, and top-down's
+  /// ActiveSet is ordered by them, so they fix its emission order.
   static std::uint64_t hash(std::span<const Pos> v);
 
  private:

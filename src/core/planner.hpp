@@ -1,18 +1,18 @@
 // Subtree cost model of the projection engine: picks the mining strategy
-// and the kernel backend per conditional subtree from that subtree's shape
-// alone, instead of trusting one fixed choice for the whole mine. The
-// benches (BENCH_adaptive.json, BENCH_kernels.json) show the winners are
-// predictable from the shape of the data — the same observation arXiv
-// 1312.4800 makes for extraction time in general — so the measured
-// thresholds become a small cost model:
+// per conditional subtree from that subtree's shape alone, instead of
+// trusting one fixed choice for the whole mine. The benches
+// (BENCH_adaptive.json) show the winner is predictable from the shape of
+// the data — the same observation arXiv 1312.4800 makes for extraction
+// time in general — so the measured thresholds become a small cost model:
+// single-path expansion when a conditional database collapses to one
+// vector (every subset shares one support; no projection needed), tidset
+// intersection for small shallow shapes, pooled projection for everything
+// else.
 //
-//   * per-subtree    — single-path expansion when a conditional database
-//     collapses to one vector (every subset shares one support; no
-//     projection needed), tidset intersection for small shallow shapes,
-//     pooled projection for everything else.
-//   * kernel backend — per intersect call of the tidset strategy: tiny
-//     inputs take the scalar table (SIMD setup costs more than it saves),
-//     wide inputs keep the process-active SIMD table.
+// The shape bound also fixes the kernel width: a tidset subtree holds at
+// most eclat_max_records records, so its intersect calls are too short for
+// the choice of kernel backend to matter, and the strategy calls the
+// process-active table like every other intersect caller.
 //
 // The root strategy is not planned: it is the caller's Algorithm
 // (Algorithm::kEclat is the vertical root). All subtree strategies agree
@@ -25,7 +25,6 @@
 // strategy. No entry point, manifest or flag sets it.
 #pragma once
 
-#include "kernels/kernels.hpp"
 #include "util/common.hpp"
 
 namespace plt::core {
@@ -43,9 +42,6 @@ struct PlanConfig {
   std::size_t eclat_max_records = 8;
   /// ... over at most this many surviving ranks.
   Rank eclat_max_ranks = 8;
-  /// Calls over fewer u32 words than this take the scalar table
-  /// (BENCH_kernels: SIMD needs a few cache lines to amortize setup).
-  std::size_t wide_min_positions = 64;
 };
 
 /// Per-subtree shape handed to the cost model: everything the engine
@@ -68,15 +64,6 @@ class Planner {
 
   /// Strategy for one conditional subtree.
   Subtree choose_subtree(const SubtreeShape& shape) const;
-
-  /// Backend choice for one data-parallel call over `words` u32 values:
-  /// false = the scalar table, true = the process-active (SIMD) table.
-  bool wide_for(std::size_t words) const {
-    return words >= config_.wide_min_positions;
-  }
-  static const kernels::Dispatch& dispatch(bool wide) {
-    return wide ? kernels::active() : kernels::scalar_dispatch();
-  }
 
  private:
   PlanConfig config_;

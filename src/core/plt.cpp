@@ -37,20 +37,6 @@ Count Plt::freq_of(std::span<const Pos> v) const {
   return id == Partition::kNoEntry ? 0 : partitions_[k - 1].entry(id).freq;
 }
 
-void Plt::reserve_for_merge(const Plt& source) {
-  for (std::uint32_t k = 1; k <= source.partitions_.size(); ++k) {
-    const Partition& src = source.partitions_[k - 1];
-    if (src.empty()) continue;
-    while (partitions_.size() < k)
-      partitions_.emplace_back(
-          static_cast<std::uint32_t>(partitions_.size() + 1));
-    partitions_[k - 1].reserve(partitions_[k - 1].size() + src.size());
-  }
-  for (Rank s = 1; s <= source.max_rank_ && s <= max_rank_; ++s)
-    buckets_[s - 1].reserve(buckets_[s - 1].size() +
-                            source.buckets_[s - 1].size());
-}
-
 const Partition* Plt::partition(std::uint32_t length) const {
   if (length == 0 || length > partitions_.size()) return nullptr;
   return &partitions_[length - 1];

@@ -36,11 +36,6 @@ class Plt {
   /// Frequency of an exact vector (0 if absent).
   Count freq_of(std::span<const Pos> v) const;
 
-  /// Pre-sizes this PLT so that merge_plt(*this, source) appends without
-  /// incremental growth: partitions up to source's longest vector exist with
-  /// entry/arena headroom, and sum buckets are reserved.
-  void reserve_for_merge(const Plt& source);
-
   /// The partition for length k (created on demand by add()); may be null.
   const Partition* partition(std::uint32_t length) const;
   Partition* partition(std::uint32_t length);

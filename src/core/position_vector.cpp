@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "kernels/kernels.hpp"
-
 namespace plt::core {
 
 PosVec to_positions(std::span<const Rank> ranks) {
@@ -31,7 +29,9 @@ std::vector<Rank> to_ranks(std::span<const Pos> positions) {
 }
 
 Rank vector_sum(std::span<const Pos> positions) {
-  return kernels::active().sum_positions(positions.data(), positions.size());
+  Rank sum = 0;
+  for (const Pos p : positions) sum += p;
+  return sum;
 }
 
 bool is_valid(std::span<const Pos> positions, Rank max_rank) {

@@ -18,8 +18,6 @@ void ProjectionStats::merge(const ProjectionStats& other) {
   plan_pooled += other.plan_pooled;
   plan_single_path += other.plan_single_path;
   plan_eclat += other.plan_eclat;
-  plan_narrow += other.plan_narrow;
-  plan_wide += other.plan_wide;
   frames_reordered += other.frames_reordered;
   rows_reordered += other.rows_reordered;
 }
@@ -188,15 +186,7 @@ void ProjectionEngine::eclat_descend(std::span<const std::uint32_t> tids,
       if (depth >= eclat_pool_.size()) eclat_pool_.resize(depth + 1);
       std::vector<std::uint32_t>& out = eclat_pool_[depth];
       out.resize(std::min(tids.size(), base.size()) + 4);
-      const bool wide = planner_.wide_for(tids.size() + base.size());
-      if (wide) {
-        PLT_TRACE_COUNT("plan.backend.wide", 1);
-        ++stats_.plan_wide;
-      } else {
-        PLT_TRACE_COUNT("plan.backend.narrow", 1);
-        ++stats_.plan_narrow;
-      }
-      const std::size_t n = Planner::dispatch(wide).intersect_sorted(
+      const std::size_t n = kernels::active().intersect_sorted(
           tids.data(), tids.size(), base.data(), base.size(), out.data());
       obs::count_kernel("kernel.intersect_sorted.calls",
                         "kernel.intersect_sorted.bytes",

@@ -47,14 +47,11 @@ struct ProjectionStats {
   std::uint64_t bytes_recycled = 0;  ///< capacity retained across frame reuse
   std::uint64_t bytes_fresh = 0;     ///< capacity newly grown inside frames
   std::uint64_t steals = 0;  ///< work-stealing miner: chunks taken from peers
-  // Cost-model decisions. Subtree counts sum to the number of conditional
-  // databases with at least one surviving rank; the narrow/wide pair counts
-  // the kernel-backend routing of the tidset strategy's intersect calls.
+  // Cost-model decisions. They sum to the number of conditional databases
+  // with at least one surviving rank.
   std::uint64_t plan_pooled = 0;       ///< subtrees kept on the pooled walk
   std::uint64_t plan_single_path = 0;  ///< subtrees expanded as one path
   std::uint64_t plan_eclat = 0;        ///< subtrees mined by intersection
-  std::uint64_t plan_narrow = 0;       ///< calls routed to the scalar table
-  std::uint64_t plan_wide = 0;         ///< calls kept on the active table
   /// Frame rebuilds whose rows did not come in tree order and took the
   /// tree builder's radix distribution, and the rows of those frames.
   std::uint64_t frames_reordered = 0;
@@ -121,10 +118,9 @@ class FlatCondDb {
 ///
 /// Every conditional database with a surviving rank goes through the
 /// subtree cost model (core/planner.hpp): pooled projection, single-path
-/// expansion, or tidset intersection, and each intersect call is routed to
-/// the scalar or SIMD table by input width. All three strategies emit the
-/// exact same itemsets in the exact same order (DESIGN.md S25), so only
-/// time changes.
+/// expansion, or tidset intersection. All three strategies emit the exact
+/// same itemsets in the exact same order (DESIGN.md S25), so only time
+/// changes.
 class ProjectionEngine {
  public:
   /// `config` forces the cost model's thresholds; the default is what

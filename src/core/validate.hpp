@@ -31,8 +31,8 @@
 //
 // The checks are always compiled in; the *hooks* in the mining paths
 // (build_tree, which serves the facade, mine_conditional and mine_parallel;
-// TreeView::from_rows, which serves from_plt and the blob miner; parallel
-// build post-merge; decode_plt) only fire when validation is enabled via
+// TreeView::from_rows, which serves from_plt and the blob miner;
+// decode_plt) only fire when validation is enabled via
 // the PLT_VALIDATE env var, set_validation_enabled(), or the plt-mine
 // --validate flag. The validator opens no trace spans, so golden traces
 // are identical with validation on or off.

@@ -1,14 +1,13 @@
-// Internal: per-backend table accessors, defined only in the backend TUs
-// that the build compiled in (src/CMakeLists.txt gates them on PLT_SIMD and
-// compiler support). dispatch.cpp references each symbol only under the
-// matching PLT_KERNELS_HAVE_* define.
+// Internal: the AVX2 table accessor, defined only in avx2.cpp when the
+// build compiled it in (src/CMakeLists.txt gates it on PLT_SIMD and
+// compiler support). dispatch.cpp references the symbol only under
+// PLT_KERNELS_HAVE_AVX2.
 #pragma once
 
 #include "kernels/kernels.hpp"
 
 namespace plt::kernels {
 
-const Dispatch* sse42_table();
 const Dispatch* avx2_table();
 
 }  // namespace plt::kernels

@@ -2,9 +2,9 @@
 // immutable Dispatch — readers take an acquire load, switchers a release
 // store, so concurrent mines racing a set_backend() see either complete
 // table (both compute identical functions, contract rule #1) and TSan sees
-// only the atomic. PLT_KERNELS_HAVE_SSE42/AVX2 are private defines set by
+// only the atomic. PLT_KERNELS_HAVE_AVX2 is a private define set by
 // src/CMakeLists.txt only when -DPLT_SIMD=ON and the compiler takes the
-// -msse4.2/-mavx2 flags; CPU support is still probed at runtime.
+// -mavx2 flag; CPU support is still probed at runtime.
 //
 // This file is the dispatcher, not a kernel: name lookup and the env
 // override legitimately use std::string/getenv, which the purity rule
@@ -19,17 +19,8 @@ namespace plt::kernels {
 
 namespace {
 
-// [[maybe_unused]]: only consulted when the SIMD backends are compiled
-// in; under -DPLT_SIMD=OFF resolution never asks about CPU features.
-[[maybe_unused]] bool cpu_has_sse42() {
-#if (defined(__x86_64__) || defined(__i386__)) && \
-    (defined(__GNUC__) || defined(__clang__))
-  return __builtin_cpu_supports("sse4.2") != 0;
-#else
-  return false;
-#endif
-}
-
+// [[maybe_unused]]: only consulted when the AVX2 backend is compiled in;
+// under -DPLT_SIMD=OFF resolution never asks about CPU features.
 [[maybe_unused]] bool cpu_has_avx2() {
 #if (defined(__x86_64__) || defined(__i386__)) && \
     (defined(__GNUC__) || defined(__clang__))
@@ -43,11 +34,6 @@ const Dispatch* table_for(Backend backend) {
   switch (backend) {
     case Backend::kScalar:
       return &scalar_dispatch();
-    case Backend::kSSE42:
-#if PLT_KERNELS_HAVE_SSE42
-      if (cpu_has_sse42()) return sse42_table();
-#endif
-      return nullptr;
     case Backend::kAVX2:
 #if PLT_KERNELS_HAVE_AVX2
       if (cpu_has_avx2()) return avx2_table();
@@ -59,8 +45,7 @@ const Dispatch* table_for(Backend backend) {
 
 const Dispatch* named_table(const std::string& name) {
   if (name == "scalar") return &scalar_dispatch();
-  if (name == "auto" || name == "simd") return table_for(best_supported());
-  if (name == "sse42") return table_for(Backend::kSSE42);
+  if (name == "auto") return table_for(best_supported());
   if (name == "avx2") return table_for(Backend::kAVX2);
   return nullptr;
 }
@@ -96,7 +81,6 @@ const Dispatch* dispatch_for(Backend backend) { return table_for(backend); }
 
 Backend best_supported() {
   if (table_for(Backend::kAVX2) != nullptr) return Backend::kAVX2;
-  if (table_for(Backend::kSSE42) != nullptr) return Backend::kSSE42;
   return Backend::kScalar;
 }
 
@@ -119,8 +103,6 @@ const char* backend_name(Backend backend) {
   switch (backend) {
     case Backend::kScalar:
       return "scalar";
-    case Backend::kSSE42:
-      return "sse42";
     case Backend::kAVX2:
       return "avx2";
   }

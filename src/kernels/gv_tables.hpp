@@ -2,7 +2,6 @@
 // One 16-byte pshufb mask per control byte: `decode` expands the packed
 // little-endian value bytes into four u32 slots (0x80 lanes zero-fill);
 // `encode` packs the four u32s' low bytes into the variable-length stream.
-// Shared by the SSE4.2 and AVX2 backends so both decode identically.
 #pragma once
 
 #include <array>
@@ -40,7 +39,8 @@ constexpr GvTables make_gv_tables() {
 inline constexpr GvTables kGvTables = make_gv_tables();
 
 /// pshufb mask that compress-stores the dwords selected by a 4-bit
-/// movemask, in order — the intersection kernels' compaction step.
+/// movemask, in order — the AVX2 intersection's compaction step (one
+/// lookup per 128-bit half).
 constexpr std::array<std::array<std::uint8_t, 16>, 16>
 make_compress_table() {
   std::array<std::array<std::uint8_t, 16>, 16> t{};

@@ -1,25 +1,24 @@
-// Runtime-dispatched data-parallel kernels for the hot loops the profile
-// actually shows: position vector hashing/equality behind the Partition
-// index, group-varint block coding inside PLT2 frames, sorted-u32 tidlist
-// intersection, and the horizontal reductions behind support tallies.
+// Runtime-dispatched data-parallel kernels for the two jobs where a SIMD
+// body moves an end-to-end number: group-varint block coding inside PLT2
+// frames (encode_plt, every blob decode, serve's bucket scan) and sorted-u32
+// tidlist intersection (the Eclat / dEclat / CHARM baselines, the engine's
+// tidset strategy and count_supports_vertical).
 //
 // Architecture (see DESIGN.md "Vectorized kernel layer"):
 //
 //   * Every kernel exists as a scalar reference implementation (always
-//     compiled, any platform) and optionally as SSE4.2/AVX2 backends
-//     (x86-64, compiled only under -DPLT_SIMD=ON).
+//     compiled, any platform) and optionally as an AVX2 backend (x86-64,
+//     compiled only under -DPLT_SIMD=ON).
 //   * A backend is one immutable `Dispatch` table of function pointers.
 //     `active()` returns the process-wide table, chosen once at first use
 //     from CPU features (and the PLT_KERNEL_BACKEND environment variable);
 //     `set_backend()` / `select_backend()` switch it explicitly. The table
 //     pointer is a single atomic, so dispatch is thread-safe and TSan-clean.
 //   * Contract rule #1: every backend computes the *same function* —
-//     bit-identical results for identical inputs, including the hash (the
-//     hash value feeds std::unordered_map iteration orders that are
-//     observable in emission order, so backends may not disagree) and
-//     including wrap-around behaviour (all arithmetic is mod 2^32 / 2^64).
-//     Differential tests in tests/kernels_test.cpp pin each backend to the
-//     scalar reference on randomized and adversarial inputs.
+//     bit-identical results for identical inputs, including the canonical
+//     group-varint bytes. Differential tests in tests/kernels_test.cpp pin
+//     the AVX2 backend to the scalar reference on randomized and
+//     adversarial inputs.
 //   * Contract rule #2: no alignment requirements. Callers hand spans at
 //     arbitrary offsets; backends use unaligned loads.
 //   * Contract rule #3: kernels never allocate and never throw. Decode
@@ -33,7 +32,7 @@
 
 namespace plt::kernels {
 
-enum class Backend { kScalar = 0, kSSE42 = 1, kAVX2 = 2 };
+enum class Backend { kScalar, kAVX2 };
 
 /// Returned by decode_varint_block on truncated/overlong input.
 inline constexpr std::size_t kDecodeError = static_cast<std::size_t>(-1);
@@ -42,15 +41,6 @@ inline constexpr std::size_t kDecodeError = static_cast<std::size_t>(-1);
 struct Dispatch {
   Backend backend;
   const char* name;
-
-  /// Block-wise position-vector hash (8 independent 32-bit lanes folded
-  /// into a splitmix-finalized 64-bit value). All backends produce the
-  /// same value for the same input — see contract rule #1.
-  std::uint64_t (*hash_positions)(const std::uint32_t* v, std::size_t n);
-
-  /// Wide vector equality (memcmp over n u32 words).
-  bool (*equals_positions)(const std::uint32_t* a, const std::uint32_t* b,
-                           std::size_t n);
 
   /// Group-varint block coding: values are written in groups of four, one
   /// control byte (2 bits per value: encoded byte length minus one)
@@ -83,18 +73,11 @@ struct Dispatch {
   /// intersect_sorted without materializing the result.
   std::size_t (*intersect_count)(const std::uint32_t* a, std::size_t na,
                                  const std::uint32_t* b, std::size_t nb);
-
-  /// Horizontal reduction over support tallies, mod 2^64.
-  std::uint64_t (*sum_counts)(const std::uint64_t* counts, std::size_t n);
-
-  /// Horizontal reduction over position words, mod 2^32 (vector_sum).
-  std::uint32_t (*sum_positions)(const std::uint32_t* positions,
-                                 std::size_t n);
 };
 
 /// The process-wide active backend. First call resolves it: the
-/// PLT_KERNEL_BACKEND environment variable if set ("scalar", "simd",
-/// "sse42", "avx2", "auto"), otherwise the best CPU-supported backend.
+/// PLT_KERNEL_BACKEND environment variable if set ("scalar", "avx2",
+/// "auto"), otherwise the best CPU-supported backend.
 const Dispatch& active();
 
 /// The scalar reference table (always available; differential anchor).
@@ -118,8 +101,6 @@ bool set_backend(Backend backend);
 ///   ""        -> no-op (keep current/default), returns true
 ///   "auto"    -> best_supported()
 ///   "scalar"  -> scalar reference
-///   "simd"    -> best_supported() (scalar when no SIMD backend compiled)
-///   "sse42"   -> SSE4.2 backend, false if unavailable
 ///   "avx2"    -> AVX2 backend, false if unavailable
 /// Unknown names return false. Selection is dispatcher API, not kernel
 /// code, so the std::string is fine. plt-lint: allow(kernel-purity)

@@ -7,14 +7,10 @@ namespace {
 constexpr Dispatch kScalarDispatch = {
     Backend::kScalar,
     "scalar",
-    detail::scalar_hash_positions,
-    detail::scalar_equals_positions,
     detail::scalar_encode_varint_block,
     detail::scalar_decode_varint_block,
     detail::scalar_intersect_sorted,
     detail::scalar_intersect_count,
-    detail::scalar_sum_counts,
-    detail::scalar_sum_positions,
 };
 
 }  // namespace

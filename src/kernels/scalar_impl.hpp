@@ -1,70 +1,13 @@
-// Scalar reference implementations, shared as inline functions so the SIMD
-// backends reuse them verbatim for tails and small inputs — the surest way
+// Scalar reference implementations, shared as inline functions so the AVX2
+// backend reuses them verbatim for tails and small inputs — the surest way
 // to keep every backend bit-identical to the reference (contract rule #1 in
 // kernels.hpp). These are deliberately straight-line, branch-light loops:
 // they are the differential anchor AND the production path on non-x86.
 #pragma once
 
-#include <cstring>
-
 #include "kernels/kernels.hpp"
 
 namespace plt::kernels::detail {
-
-// ---- hash ----------------------------------------------------------------
-// 8 independent 32-bit lanes (one AVX2 register) absorb full blocks; the
-// lane fold, tail words and splitmix finalizer are scalar in every backend.
-inline constexpr std::uint32_t kHashLaneSeed[8] = {
-    0x9e3779b9u, 0x85ebca6bu, 0xc2b2ae35u, 0x27d4eb2fu,
-    0x165667b1u, 0xd3a2646cu, 0xfd7046c5u, 0xb55a4f09u};
-inline constexpr std::uint32_t kHashLaneMul = 0x9e3779b1u;
-inline constexpr std::uint64_t kHashFnvOffset = 0xcbf29ce484222325ull;
-inline constexpr std::uint64_t kHashFnvPrime = 0x100000001b3ull;
-
-inline std::uint32_t rotl32(std::uint32_t x, int r) {
-  return (x << r) | (x >> (32 - r));
-}
-
-/// Folds the 8 lanes, the tail words starting at `i`, and the length into
-/// the final 64-bit value. Shared by every backend after block absorption.
-inline std::uint64_t hash_finish(const std::uint32_t lanes[8],
-                                 const std::uint32_t* v, std::size_t i,
-                                 std::size_t n) {
-  std::uint64_t h = kHashFnvOffset ^ (static_cast<std::uint64_t>(n) *
-                                      kHashFnvPrime);
-  for (int j = 0; j < 8; ++j) {
-    h ^= lanes[j];
-    h *= kHashFnvPrime;
-  }
-  for (; i < n; ++i) {
-    h ^= v[i];
-    h *= kHashFnvPrime;
-  }
-  h ^= h >> 30;
-  h *= 0xbf58476d1ce4e5b9ull;
-  h ^= h >> 27;
-  h *= 0x94d049bb133111ebull;
-  h ^= h >> 31;
-  return h;
-}
-
-inline std::uint64_t scalar_hash_positions(const std::uint32_t* v,
-                                           std::size_t n) {
-  std::uint32_t lanes[8];
-  std::memcpy(lanes, kHashLaneSeed, sizeof(lanes));
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8)
-    for (std::size_t j = 0; j < 8; ++j)
-      lanes[j] = rotl32((lanes[j] ^ v[i + j]) * kHashLaneMul, 13);
-  return hash_finish(lanes, v, i, n);
-}
-
-// ---- equality ------------------------------------------------------------
-
-inline bool scalar_equals_positions(const std::uint32_t* a,
-                                    const std::uint32_t* b, std::size_t n) {
-  return std::memcmp(a, b, n * sizeof(std::uint32_t)) == 0;
-}
 
 // ---- group varint --------------------------------------------------------
 
@@ -208,22 +151,6 @@ inline std::size_t scalar_intersect_count(const std::uint32_t* a,
                                           const std::uint32_t* b,
                                           std::size_t nb) {
   return scalar_intersect_sorted(a, na, b, nb, nullptr);
-}
-
-// ---- reductions ----------------------------------------------------------
-
-inline std::uint64_t scalar_sum_counts(const std::uint64_t* counts,
-                                       std::size_t n) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc += counts[i];
-  return acc;
-}
-
-inline std::uint32_t scalar_sum_positions(const std::uint32_t* positions,
-                                          std::size_t n) {
-  std::uint32_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc += positions[i];
-  return acc;
 }
 
 }  // namespace plt::kernels::detail

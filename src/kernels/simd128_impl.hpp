@@ -1,10 +1,11 @@
-// 128-bit (SSSE3/SSE4.1-width) implementations of the group-varint codec
-// and the sorted intersection, shared by the SSE4.2 and AVX2 backends: the
-// shuffle-table tricks these kernels rely on are 16-byte operations, so
-// both backends use the same code (compiled per-TU under that backend's
-// flags) and trivially agree with each other.
+// 128-bit (SSSE3-width) group-varint codec used by the AVX2 backend: the
+// shuffle-table tricks it relies on are 16-byte pshufb operations, so the
+// codec is byte-shuffle bound, not width bound, and a 256-bit version
+// would buy nothing. The intersection has its own 8x8 AVX2 body in
+// avx2.cpp.
 //
-// Only included from backend TUs compiled with at least -msse4.2.
+// Only included from backend TUs compiled with at least -mssse3 (avx2.cpp
+// is built with -mavx2).
 #pragma once
 
 #include <immintrin.h>
@@ -84,88 +85,6 @@ inline std::size_t simd128_decode_varint_block(const std::uint8_t* in,
     produced += 4;
   }
   return scalar_decode_tail(in, in_len, out, n, consumed, produced);
-}
-
-/// Block-compare intersection (Katsogridakis/Lemire-style): compare 4x4
-/// all-pairs via dword rotations, compress-store the matching a-lanes,
-/// advance the block with the smaller maximum. Falls back to galloping on
-/// wildly asymmetric inputs and finishes the tails with the scalar merge.
-inline std::size_t simd128_intersect_impl(const std::uint32_t* a,
-                                          std::size_t na,
-                                          const std::uint32_t* b,
-                                          std::size_t nb,
-                                          std::uint32_t* out) {
-  if (na == 0 || nb == 0) return 0;
-  if (na > nb) {
-    const std::uint32_t* tp = a;
-    a = b;
-    b = tp;
-    const std::size_t tn = na;
-    na = nb;
-    nb = tn;
-  }
-  if (nb / na >= kGallopRatio) return gallop_intersect(a, na, b, nb, out);
-
-  std::size_t i = 0, j = 0, count = 0;
-  while (i + 4 <= na && j + 4 <= nb) {
-    const __m128i va = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(a + i));
-    const __m128i vb = _mm_loadu_si128(
-        reinterpret_cast<const __m128i*>(b + j));
-    __m128i cmp = _mm_cmpeq_epi32(va, vb);
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(
-                 va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(0, 3, 2, 1))));
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(
-                 va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(1, 0, 3, 2))));
-    cmp = _mm_or_si128(
-        cmp, _mm_cmpeq_epi32(
-                 va, _mm_shuffle_epi32(vb, _MM_SHUFFLE(2, 1, 0, 3))));
-    const unsigned mask = static_cast<unsigned>(
-        _mm_movemask_ps(_mm_castsi128_ps(cmp)));
-    if (out != nullptr) {
-      const __m128i packed = _mm_shuffle_epi8(
-          va, _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-                  kCompressTable[mask].data())));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(out + count), packed);
-    }
-    count += static_cast<unsigned>(__builtin_popcount(mask));
-    // Branchless advance: which block moves is data-dependent and ~50/50,
-    // so a conditional branch here mispredicts constantly.
-    const std::uint32_t amax = a[i + 3];
-    const std::uint32_t bmax = b[j + 3];
-    i += static_cast<std::size_t>(amax <= bmax) * 4;
-    j += static_cast<std::size_t>(bmax <= amax) * 4;
-  }
-  while (i < na && j < nb) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (b[j] < a[i]) {
-      ++j;
-    } else {
-      if (out != nullptr) out[count] = a[i];
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
-
-inline std::size_t simd128_intersect_sorted(const std::uint32_t* a,
-                                            std::size_t na,
-                                            const std::uint32_t* b,
-                                            std::size_t nb,
-                                            std::uint32_t* out) {
-  return simd128_intersect_impl(a, na, b, nb, out);
-}
-
-inline std::size_t simd128_intersect_count(const std::uint32_t* a,
-                                           std::size_t na,
-                                           const std::uint32_t* b,
-                                           std::size_t nb) {
-  return simd128_intersect_impl(a, na, b, nb, nullptr);
 }
 
 }  // namespace plt::kernels::detail

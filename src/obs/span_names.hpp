@@ -61,8 +61,6 @@ inline constexpr std::string_view kCounters[] = {
     "kernel.intersect_sorted.bytes",
     "kernel.intersect_sorted.calls",
     "partitions",
-    "plan.backend.narrow",
-    "plan.backend.wide",
     "plan.subtree.eclat",
     "plan.subtree.pooled",
     "plan.subtree.single-path",

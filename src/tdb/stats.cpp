@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "kernels/kernels.hpp"
 #include "util/memory.hpp"
 
 namespace plt::tdb {
@@ -34,16 +33,18 @@ Stats compute_stats(const Database& db) {
   if (s.distinct_items > 0)
     s.density = s.avg_len / static_cast<double>(s.distinct_items);
 
-  // Gini via the sorted-values formula; the support mass is a kernel
-  // reduction (counts are u64, and the sum fits: it equals total_items).
+  // Gini via the sorted-values formula (counts are u64, and the support
+  // mass fits: it equals total_items).
   if (nonzero.size() > 1) {
     std::sort(nonzero.begin(), nonzero.end());
     const auto n = static_cast<double>(nonzero.size());
-    const double total = static_cast<double>(
-        kernels::active().sum_counts(nonzero.data(), nonzero.size()));
+    Count mass = 0;
     double weighted = 0.0;
-    for (std::size_t i = 0; i < nonzero.size(); ++i)
+    for (std::size_t i = 0; i < nonzero.size(); ++i) {
+      mass += nonzero[i];
       weighted += static_cast<double>(i + 1) * static_cast<double>(nonzero[i]);
+    }
+    const auto total = static_cast<double>(mass);
     s.support_gini = (2.0 * weighted) / (n * total) - (n + 1.0) / n;
   }
   return s;

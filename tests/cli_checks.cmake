@@ -4,25 +4,29 @@
 
 if(CHECK STREQUAL "bad-backend")
   # An unknown --backend must refuse to run (exit non-zero) with a clear
-  # diagnostic, never silently bench/mine on the wrong kernels.
-  execute_process(COMMAND ${PLT_MINE} --dataset short-dense --scale 0.2
-                          --minsup 2 --backend bogus
-                  RESULT_VARIABLE code
-                  OUTPUT_VARIABLE out
-                  ERROR_VARIABLE err)
-  if(code EQUAL 0)
-    message(FATAL_ERROR "plt-mine accepted an unknown --backend (exit 0)")
-  endif()
-  if(NOT err MATCHES "unknown or unavailable kernel backend")
-    message(FATAL_ERROR
-            "missing/garbled diagnostic for unknown backend; stderr was:\n"
-            "${err}")
-  endif()
+  # diagnostic, never silently bench/mine on the wrong kernels. sse42 and
+  # simd name no backend.
+  foreach(name bogus sse42 simd)
+    execute_process(COMMAND ${PLT_MINE} --dataset short-dense --scale 0.2
+                            --minsup 2 --backend ${name}
+                    RESULT_VARIABLE code
+                    OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    if(code EQUAL 0)
+      message(FATAL_ERROR "plt-mine accepted --backend ${name} (exit 0)")
+    endif()
+    if(NOT err MATCHES "unknown or unavailable kernel backend")
+      message(FATAL_ERROR
+              "missing/garbled diagnostic for --backend ${name}; stderr "
+              "was:\n${err}")
+    endif()
+  endforeach()
 elseif(CHECK STREQUAL "bad-plan")
   # Flags are strict on plt-mine and plt-shard (every mode): --plan, which
   # no longer exists, and a misspelled flag must both refuse to run (exit
   # non-zero, "unknown flag --X" plus the usage text), never be silently
-  # ignored.
+  # ignored. Worker mode reads only --dir and --shard, so it refuses the
+  # coordinator's --trace and --backend too.
   set(job ${OUT_DIR}/bad_flag_job)
   foreach(case
       "plt-mine|plan|${PLT_MINE};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;--plan;adaptive"
@@ -30,6 +34,8 @@ elseif(CHECK STREQUAL "bad-plan")
       "plt-shard|plan|${PLT_SHARD};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;--dir;${job};--plan;adaptive"
       "plt-shard|wokers|${PLT_SHARD};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;--dir;${job};--wokers;9"
       "plt-shard --worker|plan|${PLT_SHARD};--worker;--dir;${job};--shard;0;--plan;adaptive"
+      "plt-shard --worker|trace|${PLT_SHARD};--worker;--dir;${job};--shard;0;--trace;${job}/worker_trace.json"
+      "plt-shard --worker|backend|${PLT_SHARD};--worker;--dir;${job};--shard;0;--backend;scalar"
       "plt-shard --merge|wokers|${PLT_SHARD};--merge;--dir;${job};--wokers;9")
     string(REPLACE "|" ";" fields "${case}")
     list(POP_FRONT fields tool flag)

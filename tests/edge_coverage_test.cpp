@@ -6,7 +6,6 @@
 #include "core/miner.hpp"
 #include "core/tree_view.hpp"
 #include "harness/experiment.hpp"
-#include "parallel/parallel_build.hpp"
 #include "tdb/stats.hpp"
 #include "test_support.hpp"
 #include "util/args.hpp"
@@ -23,11 +22,6 @@ TEST(Edge, BuildPltSkipsEmptyTransactions) {
   const auto plt = core::build_plt(db, 2);
   EXPECT_EQ(plt.num_vectors(), 1u);
   EXPECT_EQ(plt.total_freq(), 1u);
-
-  parallel::BuildOptions options;
-  options.threads = 2;
-  const auto parallel_plt = parallel::build_plt_parallel(db, 2, options);
-  EXPECT_EQ(parallel_plt.total_freq(), 1u);
 }
 
 TEST(Edge, TreeViewEmptyPathIsRoot) {

@@ -1,7 +1,7 @@
 // Cooperative execution control: cancellation, deadlines and memory
 // budgets must unwind every algorithm path cleanly — sequential facade,
-// work-stealing parallel miner, parallel builder, and the out-of-core blob
-// miner — returning a valid prefix of the results and the right status.
+// work-stealing parallel miner, and the out-of-core blob miner —
+// returning a valid prefix of the results and the right status.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -12,7 +12,6 @@
 #include "core/builder.hpp"
 #include "core/miner.hpp"
 #include "datagen/quest.hpp"
-#include "parallel/parallel_build.hpp"
 #include "parallel/partition_miner.hpp"
 #include "test_support.hpp"
 
@@ -161,20 +160,6 @@ TEST(ExecControl, ParallelMinerCancelledFromAnotherThread) {
               result.status == MineStatus::kCancelled);
   for (std::size_t i = 0; i < result.itemsets.size(); ++i)
     ASSERT_GE(result.itemsets.support(i), 2u);
-}
-
-TEST(ExecControl, ParallelBuildStopsOnCancelledControl) {
-  const auto db = workload();
-  const auto view = build_ranked_view(db, 3);
-  MiningControl control;
-  control.request_cancel();
-  parallel::BuildOptions options;
-  options.threads = 4;
-  options.control = &control;
-  const auto built = parallel::build_plt_parallel(
-      view.db, static_cast<Rank>(view.alphabet()), options);
-  (void)built;  // partial structure; the contract is only "returns cleanly"
-  EXPECT_EQ(control.status(), MineStatus::kCancelled);
 }
 
 TEST(ExecControl, OocMinerStopsOnCancelledControl) {

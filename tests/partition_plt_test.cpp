@@ -87,6 +87,26 @@ TEST(Partition, HashSpreads) {
   EXPECT_GT(hashes.size(), 250u);
 }
 
+TEST(Partition, HashValuesArePinned) {
+  // The values fix the index layout and order top-down's ActiveSet, so
+  // they fix its emission order. Lengths 0, 1, 7, 8, 9 and 17 cover the
+  // 8-lane block and tail boundaries.
+  const struct {
+    std::size_t length;
+    std::uint64_t hash;
+  } pins[] = {
+      {0, 0x13b846dc84adcef5ull},  {1, 0x1c4889ed11cb6a83ull},
+      {7, 0x1bf642fc8d29c76eull},  {8, 0xd7712cf370312e48ull},
+      {9, 0x0e52e9be1c57c7eeull},  {17, 0x1a6ca2d85b97c42dull},
+  };
+  for (const auto& pin : pins) {
+    PosVec v;
+    for (std::size_t i = 0; i < pin.length; ++i)
+      v.push_back(static_cast<Pos>(i + 1));
+    EXPECT_EQ(Partition::hash(v), pin.hash) << "length " << pin.length;
+  }
+}
+
 TEST(PartitionDeath, WrongLengthRejected) {
   Partition p(2);
   EXPECT_DEATH(p.add(PosVec{1}, 1), "length");

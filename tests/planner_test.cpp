@@ -79,7 +79,7 @@ TEST(Planner, AdaptiveSubtreeCounters) {
   EXPECT_EQ(facade.projection.plan_single_path, defaults.plan_single_path);
   EXPECT_EQ(facade.projection.plan_eclat, defaults.plan_eclat);
   EXPECT_EQ(facade.projection.plan_pooled, defaults.plan_pooled);
-  EXPECT_GT(defaults.plan_narrow + defaults.plan_wide, 0u);
+  EXPECT_GT(defaults.plan_eclat, 0u);  // the tidset strategy intersected
 
   PlanConfig pooled_only;
   pooled_only.allow_subtree_single_path = false;

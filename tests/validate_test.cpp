@@ -10,7 +10,6 @@
 #include "core/miner.hpp"
 #include "core/validate.hpp"
 #include "datagen/quest.hpp"
-#include "parallel/parallel_build.hpp"
 #include "parallel/partition_miner.hpp"
 #include "test_support.hpp"
 #include "util/failpoint.hpp"
@@ -250,18 +249,6 @@ TEST(Validate, ParallelMineValidatesEveryCd) {
   const auto result = parallel::mine_parallel(db, 3, options);
   plt::testing::expect_same_itemsets(result.itemsets, reference.itemsets,
                                      "validated parallel mine");
-}
-
-TEST(Validate, ParallelBuildValidatesMergedTree) {
-  const auto db = quest_db(13);
-  const auto built = core::build_from_database(db, 1);
-  const ValidationOn guard;
-  parallel::BuildOptions options;
-  options.threads = 4;
-  const Plt parallel_plt = parallel::build_plt_parallel(
-      built.view.db, built.view.alphabet(), options);
-  EXPECT_TRUE(validate(parallel_plt).ok());
-  EXPECT_EQ(parallel_plt.num_vectors(), built.plt.num_vectors());
 }
 
 TEST(Validate, CodecRoundTripValidatesDecodedTree) {

@@ -55,7 +55,7 @@ int usage(const char* argv0) {
       << "  [--rules [--minconf C]] [--serialize FILE | --emit-blob FILE]\n"
       << "  [--stats]\n"
       << "  [--output text|csv] [--limit N] [--scale S]\n"
-      << "  [--backend scalar|sse42|avx2|simd|auto]\n"
+      << "  [--backend scalar|avx2|auto]\n"
       << "  [--validate] [--trace FILE] [--trace-folded FILE]\n"
       << "datasets: ";
   for (const auto& spec : datagen::dataset_registry())

@@ -61,12 +61,16 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// Every mode's flags: one list, so a flag is never valid in one spelling
-// and silently ignored in another.
+// The coordinator's and merge mode's flags: one list, so a flag is never
+// valid in one spelling and silently ignored in another.
 const char* const kKnownFlags[] = {
     "input", "dataset", "scale", "minsup", "minsup-frac", "dir", "workers",
     "timeout-ms", "retries", "launch-prefix", "emit-commands", "limit",
     "backend", "trace", "trace-folded", "worker", "shard", "merge"};
+
+// Worker mode reads nothing else: the job directory carries the rest, and
+// a --trace or --backend given here would do nothing.
+const char* const kWorkerFlags[] = {"worker", "dir", "shard"};
 
 // The path the coordinator re-execs for workers: this binary.
 std::string self_path(const char* argv0) {
@@ -128,7 +132,9 @@ std::vector<std::string> split_words(const std::string& line) {
 
 int main(int argc, char** argv) {
   const Args args(argc, argv);
-  if (const std::string key = args.first_unknown(kKnownFlags);
+  const bool worker = args.get_bool("worker", false);
+  if (const std::string key = worker ? args.first_unknown(kWorkerFlags)
+                                     : args.first_unknown(kKnownFlags);
       !key.empty()) {
     std::cerr << "error: unknown flag --" << key << '\n';
     return usage(argv[0]);
@@ -136,7 +142,7 @@ int main(int argc, char** argv) {
   const std::string dir = args.get("dir", "");
 
   // -- worker mode: one shard, then exit with the worker's status --
-  if (args.get_bool("worker", false)) {
+  if (worker) {
     if (dir.empty() || !args.has("shard")) return usage(argv[0]);
     return shard::run_worker(
         dir, static_cast<std::size_t>(args.get_int("shard", 0)));
