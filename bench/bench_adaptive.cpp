@@ -71,10 +71,8 @@ core::MineResult mine_engine(const tdb::Database& db, Count minsup,
   const core::TreeView tree = core::build_tree(view.db, max_rank);
   std::vector<Item> item_of(max_rank);
   for (Rank r = 1; r <= max_rank; ++r) item_of[r - 1] = view.item_of(r);
-  std::vector<Item> suffix;
   core::ProjectionEngine engine(config);
-  engine.mine(tree, item_of, suffix, minsup,
-              core::collect_into(result.itemsets), {});
+  engine.mine(tree, item_of, minsup, result.itemsets, {});
   result.mine_seconds = timer.seconds();
   result.projection = engine.stats();
   return result;

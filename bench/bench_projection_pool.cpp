@@ -35,6 +35,9 @@ struct Row {
   std::string dataset;
   Count minsup = 0;
   std::size_t frequent = 0;
+  /// The pooled mine's result capacity per itemset (suffix-trie records
+  /// plus their item runs, growth slack included).
+  double result_bytes_per_itemset = 0.0;
   double recursive_seconds = 0.0;
   double pooled_seconds = 0.0;
   double warm_seconds = 0.0;        ///< warm-pool rerun, no control
@@ -83,9 +86,8 @@ double time_pooled(const Prepared& p, Count minsup,
                    core::ProjectionEngine& engine,
                    core::FrequentItemsets& out) {
   const core::TreeView tree = pooled_tree(p);
-  std::vector<Item> suffix;
   Timer timer;
-  engine.mine(tree, p.item_of, suffix, minsup, core::collect_into(out), {});
+  engine.mine(tree, p.item_of, minsup, out, {});
   return timer.seconds();
 }
 
@@ -100,10 +102,9 @@ double time_controlled(const Prepared& p, Count minsup,
   core::MiningControl control =
       core::MiningControl::with_deadline(std::chrono::hours(24));
   control.set_memory_budget(std::size_t{1} << 40);
-  std::vector<Item> suffix;
   Timer timer;
   engine.set_control(&control, tree.memory_usage());
-  engine.mine(tree, p.item_of, suffix, minsup, core::collect_into(out), {});
+  engine.mine(tree, p.item_of, minsup, out, {});
   const double seconds = timer.seconds();
   engine.set_control(nullptr, 0);
   checks = control.checks();
@@ -133,6 +134,7 @@ void write_json(const std::string& path, const std::vector<Row>& rows,
     out << "    {\"dataset\": \"" << r.dataset << "\""
         << ", \"minsup\": " << r.minsup
         << ", \"frequent_itemsets\": " << r.frequent
+        << ", \"result_bytes_per_itemset\": " << r.result_bytes_per_itemset
         << ", \"recursive_seconds\": " << r.recursive_seconds
         << ", \"pooled_seconds\": " << r.pooled_seconds
         << ", \"warm_seconds\": " << r.warm_seconds
@@ -191,9 +193,9 @@ int main(int argc, char** argv) {
   };
 
   std::vector<Row> rows;
-  Table table({"dataset", "minsup", "frequent", "recursive", "pooled",
-               "speedup", "kern spd", "ctl ovh%", "trc ovh%", "projections",
-               "fresh", "recycled", "recycled B", "reordered",
+  Table table({"dataset", "minsup", "frequent", "B/itemset", "recursive",
+               "pooled", "speedup", "kern spd", "ctl ovh%", "trc ovh%",
+               "projections", "fresh", "recycled", "recycled B", "reordered",
                "rows reord"});
   bool all_agree = true;
   for (const auto& c : cases) {
@@ -293,6 +295,10 @@ int main(int argc, char** argv) {
       row.dataset = c.dataset;
       row.minsup = minsup;
       row.frequent = pooled_out.size();
+      row.result_bytes_per_itemset =
+          row.frequent > 0 ? static_cast<double>(pooled_out.memory_usage()) /
+                                 static_cast<double>(row.frequent)
+                           : 0.0;
       row.recursive_seconds = recursive_seconds;
       row.pooled_seconds = pooled_seconds;
       row.warm_seconds = warm_seconds;
@@ -306,6 +312,7 @@ int main(int argc, char** argv) {
 
       table.add_row(
           {row.dataset, std::to_string(minsup), std::to_string(row.frequent),
+           std::to_string(row.result_bytes_per_itemset),
            format_duration(recursive_seconds), format_duration(pooled_seconds),
            pooled_seconds > 0
                ? std::to_string(recursive_seconds / pooled_seconds)

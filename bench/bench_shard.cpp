@@ -51,6 +51,7 @@ void write_json(const std::string& path, double scale, Count minsup,
   std::ofstream out(path);
   out << "{\n  \"experiment\": \"E21\",\n"
       << "  \"title\": \"shard-parallel mining across processes\",\n"
+      << "  \"host\": " << harness::host_json() << ",\n"
       << "  \"dataset\": \"quest-sparse\",\n"
       << "  \"scale\": " << scale << ",\n"
       << "  \"minsup\": " << minsup << ",\n"

@@ -61,10 +61,8 @@ void mine_partition(const tdb::Database& db, Count min_support,
                                   chunk_options);
     peak_bytes = std::max(peak_bytes, local.structure_bytes);
     if (local.status != core::MineStatus::kCompleted) break;
-    for (std::size_t i = 0; i < local.itemsets.size(); ++i) {
-      const auto z = local.itemsets.itemset(i);
-      candidate_set.insert(Itemset(z.begin(), z.end()));
-    }
+    for (std::size_t i = 0; i < local.itemsets.size(); ++i)
+      candidate_set.insert(local.itemsets.itemset(i));
   }
   // Stopped runs skip the exact pass: locally-frequent candidates carry
   // estimated counts only, so emitting them would report wrong supports.

@@ -1,6 +1,7 @@
 #include "compress/checkpoint.hpp"
 
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 
 #include "compress/blob_format.hpp"
@@ -18,17 +19,20 @@ std::vector<std::uint8_t> encode_record(const CheckpointRecord& record) {
   std::vector<std::uint8_t> bytes;
   put_varint(bytes, record.rank);
   put_varint(bytes, record.itemsets.size());
-  for (const auto& [items, support] : record.itemsets) {
+  Itemset scratch;
+  for (std::size_t i = 0; i < record.itemsets.size(); ++i) {
+    const std::span<const Item> items = record.itemsets.itemset(i, scratch);
     put_varint(bytes, items.size());
     for (const Item item : items) put_varint(bytes, item);
-    put_varint(bytes, support);
+    put_varint(bytes, record.itemsets.support(i));
   }
   append_u32le(bytes, crc32c(bytes));
   return bytes;
 }
 
 // Parses one record at `offset`; returns false (offset untouched) when the
-// bytes are torn or fail their CRC — the caller stops there.
+// bytes are torn, fail their CRC, or hold an empty itemset or an item
+// beyond 32 bits — the caller stops there.
 bool parse_record(std::span<const std::uint8_t> bytes, std::size_t& offset,
                   Rank max_rank, CheckpointRecord& record) {
   std::size_t cursor = offset;
@@ -37,19 +41,20 @@ bool parse_record(std::span<const std::uint8_t> bytes, std::size_t& offset,
     if (rank == 0 || rank > max_rank) return false;
     record.rank = static_cast<Rank>(rank);
     const std::uint64_t count = get_varint(bytes, cursor);
-    // Each itemset costs at least two bytes (size + support varints).
-    if (count > (bytes.size() - cursor) / 2) return false;
+    // Each itemset costs at least three bytes (size, item, support).
+    if (count > (bytes.size() - cursor) / 3) return false;
     record.itemsets.clear();
-    record.itemsets.reserve(count);
+    Itemset items;
     for (std::uint64_t i = 0; i < count; ++i) {
       const std::uint64_t size = get_varint(bytes, cursor);
-      if (size > bytes.size() - cursor) return false;
-      Itemset items;
-      items.reserve(size);
-      for (std::uint64_t j = 0; j < size; ++j)
-        items.push_back(static_cast<Item>(get_varint(bytes, cursor)));
-      const Count support = get_varint(bytes, cursor);
-      record.itemsets.emplace_back(std::move(items), support);
+      if (size == 0 || size > bytes.size() - cursor) return false;
+      items.clear();
+      for (std::uint64_t j = 0; j < size; ++j) {
+        const std::uint64_t item = get_varint(bytes, cursor);
+        if (item > std::numeric_limits<Item>::max()) return false;
+        items.push_back(static_cast<Item>(item));
+      }
+      record.itemsets.add(items, get_varint(bytes, cursor));
     }
     const std::uint32_t stored = read_u32le(bytes, cursor, "checkpoint");
     PLT_ASSERT(offset <= cursor && cursor <= bytes.size(),

@@ -6,24 +6,30 @@
 // from the first unrecorded rank, producing output byte-identical to an
 // uninterrupted run.
 //
+// In memory a record's itemsets are the rank's FrequentItemsets block: the
+// miner hands over the block it mined into, and a parsed record holds one
+// root record per itemset. Either way the bytes below list each itemset in
+// full and ascending, so the encoding is the same for both.
+//
 // Layout ("PLTK"):
 //   "PLTK" | u32le blob_crc | varint min_support | varint max_rank |
 //   u32le CRC32C(header bytes after magic)
 //   record: varint rank | varint itemset_count |
-//           per itemset: varint item_count, item varints, varint support |
+//           per itemset: varint item_count (>= 1), item varints (each
+//           <= UINT32_MAX), varint support |
 //           u32le CRC32C(record bytes)
 // The header binds the log to one (blob, min_support) pair via the CRC32C
 // of the whole blob, so a stale log can never replay into the wrong mine.
-// A torn or corrupted trailing record fails its CRC and is dropped; its
-// rank is simply re-mined.
+// A torn or corrupted trailing record fails its CRC, or its itemset
+// checks, and is dropped; its rank is simply re-mined.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "core/itemset_collector.hpp"
 #include "util/common.hpp"
 
 namespace plt::compress {
@@ -31,7 +37,7 @@ namespace plt::compress {
 /// One completed rank: every itemset it emitted, in emission order.
 struct CheckpointRecord {
   Rank rank = 0;
-  std::vector<std::pair<Itemset, Count>> itemsets;
+  core::FrequentItemsets itemsets;
 };
 
 /// Everything recovered from a log: records in written (descending-rank)

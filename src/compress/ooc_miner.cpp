@@ -106,8 +106,7 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
     PLT_SPAN("ooc-resume");
     PLT_TRACE_COUNT("resumed-ranks", completed);
     for (const CheckpointRecord& record : log.records)
-      for (const auto& [items, support] : record.itemsets)
-        sink(items, support);
+      record.itemsets.replay(sink);
   }
   if (stats != nullptr) stats->resumed_ranks = completed;
 
@@ -115,18 +114,11 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
   // same pooled frames.
   core::ProjectionEngine engine;
   engine.set_control(control, tree_bytes);
-  std::vector<Item> suffix;
 
+  // Each rank mines into the record's block, reused across ranks; the sink
+  // then sees the block in emission order and the writer gets the same
+  // block, so the log holds exactly what the sink saw.
   CheckpointRecord record;
-  // All emissions of the current rank flow through this wrapper so the
-  // checkpoint record holds exactly what the sink saw, in order.
-  const core::ItemsetSink rank_sink = [&](std::span<const Item> items,
-                                          Count support) {
-    sink(items, support);
-    if (writer != nullptr)
-      record.itemsets.emplace_back(Itemset(items.begin(), items.end()),
-                                   support);
-  };
 
   // Algorithm 3's rank loop from the first unrecorded rank down to the
   // window's bottom; the tree is read only, so the ranks above need no
@@ -139,7 +131,9 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
     PLT_TRACE_COUNT("ranks", 1);
     record.rank = j;
     record.itemsets.clear();
-    engine.mine_rank(tree, j, item_of, suffix, min_support, rank_sink, {});
+    engine.mine_rank(tree, j, item_of, min_support, record.itemsets, {});
+    // A control stop mid-rank still hands the sink what the rank emitted.
+    record.itemsets.replay(sink);
     if (engine.interrupted()) return finish(control->status());
 
     // The rank is complete: one record, flushed, makes it durable. A crash

@@ -8,9 +8,11 @@
 // engine's subtree cost model decides from shapes alone and its emission
 // order is strategy-invariant, so checkpoint records stay exact.
 //
-// The rank walk doubles as a recovery boundary: with a checkpoint path
-// configured, every completed rank appends one record (see checkpoint.hpp)
-// and a crashed run resumes from the first unrecorded rank, replaying the
+// Each rank mines into one reused FrequentItemsets block, which is then
+// replayed to the sink in emission order. The rank walk doubles as a
+// recovery boundary: with a checkpoint path configured, every completed
+// rank's block is appended as one record (see checkpoint.hpp) and a
+// crashed run resumes from the first unrecorded rank, replaying the
 // recorded emissions so the combined output is byte-identical to an
 // uninterrupted mine (tests enforce it).
 #pragma once

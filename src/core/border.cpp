@@ -33,9 +33,9 @@ std::vector<Itemset> negative_border(
   in_frequent.reserve(frequent.size() * 2);
   std::size_t max_len = 0;
   for (std::size_t i = 0; i < frequent.size(); ++i) {
-    const auto z = frequent.itemset(i);
-    in_frequent.insert(Itemset(z.begin(), z.end()));
+    Itemset z = frequent.itemset(i);
     max_len = std::max(max_len, z.size());
+    in_frequent.insert(std::move(z));
   }
 
   std::vector<Itemset> border;
@@ -47,10 +47,8 @@ std::vector<Itemset> negative_border(
   // keep those not themselves in F.
   std::vector<Itemset> level;
   for (std::size_t i = 0; i < frequent.size(); ++i)
-    if (frequent.itemset(i).size() == 1) {
-      const auto z = frequent.itemset(i);
-      level.emplace_back(z.begin(), z.end());
-    }
+    if (Itemset z = frequent.itemset(i); z.size() == 1)
+      level.push_back(std::move(z));
   std::sort(level.begin(), level.end());
 
   Itemset probe;
@@ -121,10 +119,8 @@ ToivonenResult mine_toivonen(const tdb::Database& db, Count min_support,
     // Candidates: sample-frequent itemsets + their negative border.
     std::vector<Itemset> candidates;
     candidates.reserve(sample_frequent.size());
-    for (std::size_t i = 0; i < sample_frequent.size(); ++i) {
-      const auto z = sample_frequent.itemset(i);
-      candidates.emplace_back(z.begin(), z.end());
-    }
+    for (std::size_t i = 0; i < sample_frequent.size(); ++i)
+      candidates.push_back(sample_frequent.itemset(i));
     const std::size_t frequent_count = candidates.size();
     const auto border = negative_border(sample_frequent, universe);
     candidates.insert(candidates.end(), border.begin(), border.end());

@@ -28,11 +28,8 @@ using Lookup = std::unordered_map<Itemset, Count, VecHash>;
 Lookup build_lookup(const FrequentItemsets& frequent) {
   Lookup lookup;
   lookup.reserve(frequent.size() * 2);
-  for (std::size_t i = 0; i < frequent.size(); ++i) {
-    const auto items = frequent.itemset(i);
-    lookup.emplace(Itemset(items.begin(), items.end()),
-                   frequent.support(i));
-  }
+  for (std::size_t i = 0; i < frequent.size(); ++i)
+    lookup.emplace(frequent.itemset(i), frequent.support(i));
   return lookup;
 }
 
@@ -45,9 +42,9 @@ FrequentItemsets closed_itemsets(const FrequentItemsets& frequent) {
   // gets sup(Z) as a candidate "best superset support".
   std::unordered_map<Itemset, Count, VecHash> best_superset_support;
   best_superset_support.reserve(frequent.size());
-  Itemset subset;
+  Itemset scratch, subset;
   for (std::size_t i = 0; i < frequent.size(); ++i) {
-    const auto z = frequent.itemset(i);
+    const auto z = frequent.itemset(i, scratch);
     if (z.size() < 2) continue;
     for (std::size_t drop = 0; drop < z.size(); ++drop) {
       subset.clear();
@@ -60,9 +57,8 @@ FrequentItemsets closed_itemsets(const FrequentItemsets& frequent) {
 
   FrequentItemsets closed;
   for (std::size_t i = 0; i < frequent.size(); ++i) {
-    const auto z = frequent.itemset(i);
-    const auto it =
-        best_superset_support.find(Itemset(z.begin(), z.end()));
+    const Itemset z = frequent.itemset(i);
+    const auto it = best_superset_support.find(z);
     const bool is_closed =
         it == best_superset_support.end() || it->second < frequent.support(i);
     if (is_closed) closed.add(z, frequent.support(i));
@@ -75,9 +71,9 @@ FrequentItemsets maximal_itemsets(const FrequentItemsets& frequent) {
   // frequent itemset.
   std::unordered_map<Itemset, bool, VecHash> has_superset;
   has_superset.reserve(frequent.size());
-  Itemset subset;
+  Itemset scratch, subset;
   for (std::size_t i = 0; i < frequent.size(); ++i) {
-    const auto z = frequent.itemset(i);
+    const auto z = frequent.itemset(i, scratch);
     if (z.size() < 2) continue;
     for (std::size_t drop = 0; drop < z.size(); ++drop) {
       subset.clear();
@@ -88,9 +84,8 @@ FrequentItemsets maximal_itemsets(const FrequentItemsets& frequent) {
   }
   FrequentItemsets maximal;
   for (std::size_t i = 0; i < frequent.size(); ++i) {
-    const auto z = frequent.itemset(i);
-    if (!has_superset.count(Itemset(z.begin(), z.end())))
-      maximal.add(z, frequent.support(i));
+    const Itemset z = frequent.itemset(i);
+    if (!has_superset.count(z)) maximal.add(z, frequent.support(i));
   }
   return maximal;
 }
@@ -101,27 +96,26 @@ std::string check_condensed(const FrequentItemsets& frequent,
   const Lookup closed_lookup = build_lookup(closed);
 
   // Every maximal itemset must be closed.
-  for (std::size_t i = 0; i < maximal.size(); ++i) {
-    const auto z = maximal.itemset(i);
-    if (!closed_lookup.count(Itemset(z.begin(), z.end())))
+  for (std::size_t i = 0; i < maximal.size(); ++i)
+    if (!closed_lookup.count(maximal.itemset(i)))
       return "maximal itemset is not closed";
-  }
 
   // Every frequent itemset must be covered by a maximal superset and its
   // support must be recoverable from the closed set (max support over
   // closed supersets).
+  Itemset scratch, scratch_m, scratch_c;
   for (std::size_t i = 0; i < frequent.size(); ++i) {
-    const auto z = frequent.itemset(i);
+    const auto z = frequent.itemset(i, scratch);
     bool covered = false;
     for (std::size_t m = 0; m < maximal.size() && !covered; ++m) {
-      const auto zm = maximal.itemset(m);
+      const auto zm = maximal.itemset(m, scratch_m);
       covered = std::includes(zm.begin(), zm.end(), z.begin(), z.end());
     }
     if (!covered) return "frequent itemset not covered by any maximal";
 
     Count best = 0;
     for (std::size_t c = 0; c < closed.size(); ++c) {
-      const auto zc = closed.itemset(c);
+      const auto zc = closed.itemset(c, scratch_c);
       if (std::includes(zc.begin(), zc.end(), z.begin(), z.end()))
         best = std::max(best, closed.support(c));
     }

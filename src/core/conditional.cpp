@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "core/builder.hpp"
-#include "core/projection_pool.hpp"
-
 namespace plt::core {
 
 ConditionalProjection make_conditional_plt(
@@ -97,19 +94,6 @@ void mine_plt_conditional_recursive(Plt& plt,
     }
     suffix.pop_back();
   }
-}
-
-void mine_conditional(const RankedView& view, Count min_support,
-                      const ItemsetSink& sink,
-                      const ConditionalOptions& options) {
-  if (view.db.empty() || view.alphabet() == 0) return;
-  const auto max_rank = static_cast<Rank>(view.alphabet());
-  const TreeView tree = build_tree(view.db, max_rank);
-  std::vector<Item> item_of(max_rank);
-  for (Rank r = 1; r <= max_rank; ++r) item_of[r - 1] = view.item_of(r);
-  std::vector<Item> suffix;
-  ProjectionEngine engine;
-  engine.mine(tree, item_of, suffix, min_support, sink, options);
 }
 
 }  // namespace plt::core

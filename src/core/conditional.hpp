@@ -26,11 +26,6 @@ struct ConditionalOptions {
   bool filter_conditional_items = true;
 };
 
-/// Mines every frequent itemset of the view through the sink (original ids).
-void mine_conditional(const RankedView& view, Count min_support,
-                      const ItemsetSink& sink,
-                      const ConditionalOptions& options = {});
-
 /// The original recursive Algorithm 3 over the table form: mines `plt`
 /// (consumed — prefixes are re-inserted) whose local rank r reports as
 /// original item `item_of[r-1]`, with `suffix` (original item ids) already

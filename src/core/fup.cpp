@@ -67,10 +67,9 @@ FupResult fup_update(const tdb::Database& old_db,
   old_support.reserve(old_frequent.size() * 2);
   std::size_t old_max_len = 0;
   for (std::size_t i = 0; i < old_frequent.size(); ++i) {
-    const auto z = old_frequent.itemset(i);
-    old_support.emplace(Itemset(z.begin(), z.end()),
-                        old_frequent.support(i));
+    Itemset z = old_frequent.itemset(i);
     old_max_len = std::max(old_max_len, z.size());
+    old_support.emplace(std::move(z), old_frequent.support(i));
   }
 
   // An absent itemset had old count < old_min_support, so it needs at

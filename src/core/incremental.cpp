@@ -79,10 +79,8 @@ FrequentItemsets IncrementalPlt::mine(Count min_support,
   // Ranks are raw item ids, so the rank -> item map is the identity.
   std::vector<Item> item_of(max_item_);
   for (Item i = 1; i <= max_item_; ++i) item_of[i - 1] = i;
-  std::vector<Item> suffix;
-  const auto sink = collect_into(out);
   ProjectionEngine engine;
-  engine.mine(tree, item_of, suffix, min_support, sink, options);
+  engine.mine(tree, item_of, min_support, out, options);
   return out;
 }
 

@@ -85,7 +85,6 @@ MineResult mine_plt_family(const tdb::Database& db, Count min_support,
   MineResult result;
   Timer build_timer;
   RankedView view = build_ranked_view(db, min_support, options.item_order);
-  const auto sink = collect_into(result.itemsets);
 
   switch (algorithm) {
     case Algorithm::kPltConditional:
@@ -103,10 +102,9 @@ MineResult mine_plt_family(const tdb::Database& db, Count min_support,
           (algorithm == Algorithm::kPltConditional);
       std::vector<Item> item_of(max_rank);
       for (Rank r = 1; r <= max_rank; ++r) item_of[r - 1] = view.item_of(r);
-      std::vector<Item> suffix;
       ProjectionEngine engine;
       engine.set_control(options.control, result.structure_bytes);
-      engine.mine(tree, item_of, suffix, min_support, sink, cond);
+      engine.mine(tree, item_of, min_support, result.itemsets, cond);
       result.projection = engine.stats();
       result.mine_seconds = mine_timer.seconds();
       break;
@@ -119,7 +117,7 @@ MineResult mine_plt_family(const tdb::Database& db, Count min_support,
       topdown.max_transaction_len = options.topdown_max_transaction_len;
       topdown.control = options.control;
       TopDownStats stats;
-      mine_topdown(view, min_support, sink,
+      mine_topdown(view, min_support, collect_into(result.itemsets),
                    algorithm == Algorithm::kPltTopDownCanonical
                        ? TopDownVariant::kCanonical
                        : TopDownVariant::kSweep,

@@ -116,8 +116,8 @@ bool ProjectionEngine::probe_single_path(Rank child_ranks) const {
 }
 
 void ProjectionEngine::expand_path(std::span<const Item> items, Rank upto,
-                                   Count freq, std::vector<Item>& suffix,
-                                   const ItemsetSink& sink) {
+                                   Count freq, std::uint32_t parent,
+                                   FrequentItemsets& out) {
   // Every subset of a single-path conditional database has the same
   // support (the path's total frequency), so enumeration needs no
   // structure. The order matches the pooled walk exactly: rank high to
@@ -127,20 +127,16 @@ void ProjectionEngine::expand_path(std::span<const Item> items, Rank upto,
       interrupted_ = true;
       return;
     }
-    suffix.push_back(items[jj - 1]);
-    emitted_ = suffix;
-    std::sort(emitted_.begin(), emitted_.end());
-    sink(emitted_, freq);
+    const std::uint32_t id = out.extend(parent, items[jj - 1], freq);
     PLT_TRACE_COUNT("itemsets-emitted", 1);
-    if (jj > 1) expand_path(items, jj - 1, freq, suffix, sink);
-    suffix.pop_back();
+    if (jj > 1) expand_path(items, jj - 1, freq, id, out);
     if (interrupted_) return;
   }
 }
 
 void ProjectionEngine::eclat_mine(Rank child_ranks, Count min_support,
-                                  std::vector<Item>& suffix,
-                                  const ItemsetSink& sink) {
+                                  std::uint32_t parent,
+                                  FrequentItemsets& out) {
   // Vertical view of cond_: per child rank, the sorted list of record ids
   // containing it (a counting sort over the arena), weighted by record
   // frequency. Small shallow shapes intersect faster than they
@@ -160,13 +156,13 @@ void ProjectionEngine::eclat_mine(Rank child_ranks, Count min_support,
       if (const Rank c = to_child_[r - 1]; c != 0)
         tid_arena_[tid_cursor_[c - 1]++] = t;
   }
-  eclat_descend({}, child_ranks, min_support, suffix, sink, 0);
+  eclat_descend({}, child_ranks, min_support, parent, out, 0);
 }
 
 void ProjectionEngine::eclat_descend(std::span<const std::uint32_t> tids,
                                      Rank below, Count min_support,
-                                     std::vector<Item>& suffix,
-                                     const ItemsetSink& sink,
+                                     std::uint32_t parent,
+                                     FrequentItemsets& out,
                                      std::size_t depth) {
   // DFS over child ranks high to low — the same visit order as the pooled
   // walk, and the bucket mass it computes there equals the freq-weighted
@@ -184,26 +180,21 @@ void ProjectionEngine::eclat_descend(std::span<const std::uint32_t> tids,
       set = base;  // root level: the rank's own tidlist
     } else {
       if (depth >= eclat_pool_.size()) eclat_pool_.resize(depth + 1);
-      std::vector<std::uint32_t>& out = eclat_pool_[depth];
-      out.resize(std::min(tids.size(), base.size()) + 4);
+      std::vector<std::uint32_t>& common = eclat_pool_[depth];
+      common.resize(std::min(tids.size(), base.size()) + 4);
       const std::size_t n = kernels::active().intersect_sorted(
-          tids.data(), tids.size(), base.data(), base.size(), out.data());
+          tids.data(), tids.size(), base.data(), base.size(), common.data());
       obs::count_kernel("kernel.intersect_sorted.calls",
                         "kernel.intersect_sorted.bytes",
                         (tids.size() + base.size()) * sizeof(std::uint32_t));
-      set = {out.data(), n};
+      set = {common.data(), n};
     }
     Count support = 0;
     for (const std::uint32_t t : set) support += rec_freq_[t];
     if (support < min_support) continue;
-    suffix.push_back(child_items_[i - 1]);
-    emitted_ = suffix;
-    std::sort(emitted_.begin(), emitted_.end());
-    sink(emitted_, support);
+    const std::uint32_t id = out.extend(parent, child_items_[i - 1], support);
     PLT_TRACE_COUNT("itemsets-emitted", 1);
-    if (i > 1)
-      eclat_descend(set, i - 1, min_support, suffix, sink, depth + 1);
-    suffix.pop_back();
+    if (i > 1) eclat_descend(set, i - 1, min_support, id, out, depth + 1);
     if (interrupted_) return;
   }
 }
@@ -211,7 +202,7 @@ void ProjectionEngine::eclat_descend(std::span<const std::uint32_t> tids,
 ProjectionEngine::Frame* ProjectionEngine::project(
     Rank j, std::size_t depth, Count min_support,
     const ConditionalOptions& options, const std::vector<Item>& parent_items,
-    std::vector<Item>& suffix, const ItemsetSink& sink) {
+    std::uint32_t parent, FrequentItemsets& out) {
   PLT_SPAN("projection");
   const Count keep_threshold =
       options.filter_conditional_items ? min_support : 1;
@@ -237,13 +228,13 @@ ProjectionEngine::Frame* ProjectionEngine::project(
       // total can only miss min_support in the no-filter ablation: every
       // subset shares this support, so an infrequent path emits nothing.
       if (total >= min_support)
-        expand_path(child_items_, child_ranks, total, suffix, sink);
+        expand_path(child_items_, child_ranks, total, parent, out);
       return nullptr;
     }
     case Planner::Subtree::kEclat: {
       PLT_TRACE_COUNT("plan.subtree.eclat", 1);
       ++stats_.plan_eclat;
-      eclat_mine(child_ranks, min_support, suffix, sink);
+      eclat_mine(child_ranks, min_support, parent, out);
       return nullptr;
     }
     case Planner::Subtree::kPooled:
@@ -257,13 +248,13 @@ ProjectionEngine::Frame* ProjectionEngine::project(
   return &frame;
 }
 
-ProjectionEngine::Frame* ProjectionEngine::step(
-    const TreeView& tree, Rank j, std::size_t depth,
-    const std::vector<Item>& items, std::vector<Item>& suffix,
-    Count min_support, const ItemsetSink& sink,
-    const ConditionalOptions& options) {
+void ProjectionEngine::step(const TreeView& tree, Rank j, std::size_t depth,
+                            const std::vector<Item>& items,
+                            std::uint32_t parent, Count min_support,
+                            FrequentItemsets& out,
+                            const ConditionalOptions& options) {
   const std::span<const TreeView::NodeId> nodes = tree.bucket(j);
-  if (nodes.empty()) return nullptr;
+  if (nodes.empty()) return;
 
   // CD_j: the path of every rank-j node's parent, weighted by the node's
   // support, counted per rank on the way up. The tree never changes, so
@@ -275,89 +266,69 @@ ProjectionEngine::Frame* ProjectionEngine::step(
   for (const TreeView::NodeId id : nodes) {
     const Count freq = tree.support(id);
     support += freq;
-    if (const TreeView::NodeId parent = tree.node(id).parent;
-        parent != TreeView::kRoot)
-      cond_.push_path(tree, parent, freq, support_);
+    if (const TreeView::NodeId up = tree.node(id).parent;
+        up != TreeView::kRoot)
+      cond_.push_path(tree, up, freq, support_);
   }
   stats_.entries_projected += cond_.size();
   PLT_TRACE_COUNT("ranks-processed", 1);
   PLT_TRACE_COUNT("entries-projected", cond_.size());
-  if (support < min_support) return nullptr;  // anti-monotone cut
+  if (support < min_support) return;  // anti-monotone cut
 
-  suffix.push_back(items[j - 1]);
-  emitted_ = suffix;
-  std::sort(emitted_.begin(), emitted_.end());
-  sink(emitted_, support);
+  const std::uint32_t id = out.extend(parent, items[j - 1], support);
   PLT_TRACE_COUNT("itemsets-emitted", 1);
-
-  Frame* child = cond_.empty() ? nullptr
-                               : project(j, depth, min_support, options,
-                                         items, suffix, sink);
-  if (child == nullptr) suffix.pop_back();
-  return child;
+  if (cond_.empty()) return;
+  if (Frame* child =
+          project(j, depth, min_support, options, items, id, out))
+    stack_.push_back(
+        {&child->tree, &child->item_of, child->tree.max_rank(), id});
 }
 
-void ProjectionEngine::walk(const Frame& root, std::vector<Item>& suffix,
-                            Count min_support, const ItemsetSink& sink,
+void ProjectionEngine::walk(Count min_support, FrequentItemsets& out,
                             const ConditionalOptions& options) {
   // One level per projection depth, all pointing into the pool; level d
   // projects into the frame at depth d + 1, which no live level reads. `j`
   // is the rank the level will process next (Algorithm 3 walks ranks high
   // to low).
   std::vector<Level>& stack = stack_;
-  stack.clear();
-  stack.push_back({&root.tree, &root.item_of, root.tree.max_rank()});
-
   while (!stack.empty()) {
     if (interrupted_ || (control_ != nullptr && check_control())) {
       // A control stop, here or inside an in-place strategy of the last
-      // step. Unwind cleanly: restore the caller's suffix (one pushed item
-      // per live child level) and leave already-emitted itemsets in the
-      // sink.
+      // step: drop the live levels and leave the records already emitted
+      // in `out`.
       interrupted_ = true;
-      while (stack.size() > 1) {
-        stack.pop_back();
-        suffix.pop_back();
-      }
+      stack.clear();
       return;
     }
     Level& top = stack.back();
     if (top.j == 0) {
       stack.pop_back();
-      // A child level was spawned after its parent pushed item j onto the
-      // suffix; finishing the child finishes that rank of the parent.
-      if (!stack.empty()) suffix.pop_back();
       continue;
     }
     const Rank j = top.j--;
-    Frame* child = step(*top.tree, j, stack.size(), *top.items, suffix,
-                        min_support, sink, options);
-    if (child != nullptr)  // the suffix item stays pushed while it mines
-      stack.push_back({&child->tree, &child->item_of, child->tree.max_rank()});
+    step(*top.tree, j, stack.size(), *top.items, top.record, min_support,
+         out, options);
   }
 }
 
 void ProjectionEngine::mine_rank(const TreeView& tree, Rank j,
                                  const std::vector<Item>& item_of,
-                                 std::vector<Item>& suffix, Count min_support,
-                                 const ItemsetSink& sink,
+                                 Count min_support, FrequentItemsets& out,
                                  const ConditionalOptions& options) {
   interrupted_ = false;
   if (control_ != nullptr && check_control()) {
     interrupted_ = true;
     return;
   }
-  Frame* child =
-      step(tree, j, 0, item_of, suffix, min_support, sink, options);
-  if (child == nullptr) return;
-  walk(*child, suffix, min_support, sink, options);
-  suffix.pop_back();
+  stack_.clear();
+  step(tree, j, 0, item_of, FrequentItemsets::kNoParent, min_support, out,
+       options);
+  walk(min_support, out, options);
 }
 
 void ProjectionEngine::mine(const TreeView& tree,
                             const std::vector<Item>& item_of,
-                            std::vector<Item>& suffix, Count min_support,
-                            const ItemsetSink& sink,
+                            Count min_support, FrequentItemsets& out,
                             const ConditionalOptions& options) {
   // One span for the whole rank loop (the walk's explicit stack interleaves
   // depths, so per-node RAII spans cannot nest here); per-rank and
@@ -365,7 +336,7 @@ void ProjectionEngine::mine(const TreeView& tree,
   PLT_SPAN("rank-loop");
   interrupted_ = false;
   for (Rank j = tree.max_rank(); j >= 1 && !interrupted_; --j)
-    mine_rank(tree, j, item_of, suffix, min_support, sink, options);
+    mine_rank(tree, j, item_of, min_support, out, options);
 }
 
 std::size_t ProjectionEngine::memory_usage() const {
@@ -378,8 +349,7 @@ std::size_t ProjectionEngine::memory_usage() const {
            to_child_.capacity() * sizeof(Rank) +
            rows_.ranks.capacity() * sizeof(Rank) +
            rows_.start.capacity() * sizeof(std::size_t) +
-           rows_.weights.capacity() * sizeof(Count) +
-           emitted_.capacity() * sizeof(Item);
+           rows_.weights.capacity() * sizeof(Count);
   bytes += child_items_.capacity() * sizeof(Item) +
            tid_offsets_.capacity() * sizeof(std::uint32_t) +
            tid_cursor_.capacity() * sizeof(std::uint32_t) +

@@ -15,7 +15,10 @@
 //     most one projection per depth is live; frame d is rebuilt in place
 //     (capacity retained) by every projection at depth d.
 //   * an explicit stack replaces the C++ call stack, so projection state
-//     lives in the pool and deep conditional chains cannot overflow.
+//     lives in the pool and deep conditional chains cannot overflow;
+//   * every emission is one FrequentItemsets::extend of the record it
+//     grows (core/itemset_collector.hpp): the suffix is that record's id,
+//     so no itemset is copied, sorted or handed to a callback.
 //
 // After warm-up the only allocations are capacity growth on workloads
 // bigger than anything seen before — the ProjectionStats counters make
@@ -131,22 +134,23 @@ class ProjectionEngine {
 
   /// Algorithm 3 over the physical tree: mine_rank() for every rank from
   /// tree.max_rank() down to 1. Tree rank r reports as `item_of[r-1]`;
-  /// every frequent extension of `suffix` is reported through `sink` in
-  /// the recursive reference path's exact order. The tree is only read.
+  /// every frequent itemset is appended to `out` in the recursive
+  /// reference path's exact order. The tree is only read.
   void mine(const TreeView& tree, const std::vector<Item>& item_of,
-            std::vector<Item>& suffix, Count min_support,
-            const ItemsetSink& sink, const ConditionalOptions& options);
+            Count min_support, FrequentItemsets& out,
+            const ConditionalOptions& options);
 
   /// One top-level step of Algorithm 3 for rank `j`: fills CD_j from the
-  /// rank-j nodes (support(suffix ∪ {j}) is their support total), emits
-  /// suffix ∪ {j} when frequent, projects CD_j into a pooled frame and
-  /// mines it with the same step at every depth. Steps of different ranks
-  /// are independent, so workers of mine_parallel each run theirs against
-  /// one shared tree, and mine_from_blob runs only the ranks of its window.
+  /// rank-j nodes (support({j}) is their support total), appends {j} to
+  /// `out` as a root record when frequent, projects CD_j into a pooled
+  /// frame and mines it with the same step at every depth, each emission
+  /// one `extend` of the record it grows. Steps of different ranks are
+  /// independent, so workers of mine_parallel each run theirs into a block
+  /// of their own against one shared tree, and mine_from_blob runs only the
+  /// ranks of its window.
   void mine_rank(const TreeView& tree, Rank j,
-                 const std::vector<Item>& item_of, std::vector<Item>& suffix,
-                 Count min_support, const ItemsetSink& sink,
-                 const ConditionalOptions& options);
+                 const std::vector<Item>& item_of, Count min_support,
+                 FrequentItemsets& out, const ConditionalOptions& options);
 
   const ProjectionStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
@@ -176,28 +180,30 @@ class ProjectionEngine {
     std::vector<Item> item_of;
   };
   /// One level of the explicit stack: the tree it mines, its rank -> item
-  /// translation, and the rank it processes next.
+  /// translation, the rank it processes next, and the record of the
+  /// itemset its emissions extend (the suffix, held as one record id).
   struct Level {
     const TreeView* tree;
     const std::vector<Item>* items;
     Rank j;
+    std::uint32_t record;
   };
 
-  /// Mines `root`, the depth-0 frame, with its levels' frames at pool
-  /// depths 1 and below. On a control stop it unwinds the suffix to its
-  /// state at entry and sets interrupted_.
-  void walk(const Frame& root, std::vector<Item>& suffix, Count min_support,
-            const ItemsetSink& sink, const ConditionalOptions& options);
+  /// Mines the levels on stack_ until it is empty; their frames sit at pool
+  /// depths 0 and below. On a control stop it drops the live levels and
+  /// sets interrupted_.
+  void walk(Count min_support, FrequentItemsets& out,
+            const ConditionalOptions& options);
   /// Algorithm 3's step for rank `j` of `tree`, the same at every depth:
   /// fills cond_ with CD_j read off the rank-j nodes' parent links and
   /// support_ with its per-rank supports, applies the anti-monotone cut,
-  /// emits, and projects CD_j into the frame at `depth`. Returns that
-  /// frame with items[j-1] left pushed on `suffix`, or null with `suffix`
-  /// restored (also on a control stop inside an in-place strategy).
-  Frame* step(const TreeView& tree, Rank j, std::size_t depth,
-              const std::vector<Item>& items, std::vector<Item>& suffix,
-              Count min_support, const ItemsetSink& sink,
-              const ConditionalOptions& options);
+  /// emits record(parent) ∪ {items[j-1]} with one out.extend, and projects
+  /// CD_j. A pooled frame (built at `depth`) is pushed on stack_ as a level
+  /// extending the new record; the in-place strategies emit on the spot.
+  void step(const TreeView& tree, Rank j, std::size_t depth,
+            const std::vector<Item>& items, std::uint32_t parent,
+            Count min_support, FrequentItemsets& out,
+            const ConditionalOptions& options);
   Frame& acquire(std::size_t depth);
   /// One cooperative control check; memory is re-measured every few ticks
   /// (measuring walks the pool, so it is amortized off the hot path).
@@ -219,22 +225,23 @@ class ProjectionEngine {
   /// control stop fires inside an in-place strategy.
   Frame* project(Rank j, std::size_t depth, Count min_support,
                  const ConditionalOptions& options,
-                 const std::vector<Item>& parent_items,
-                 std::vector<Item>& suffix, const ItemsetSink& sink);
+                 const std::vector<Item>& parent_items, std::uint32_t parent,
+                 FrequentItemsets& out);
   /// True when every record keeps all `child_ranks` ranks (one shared
   /// path); reads to_child_ as left by compact_ranks.
   bool probe_single_path(Rank child_ranks) const;
-  /// Emits every subset of items[0..upto) at constant support `freq`, in
-  /// the exact order the pooled walk would (rank high to low, DFS).
+  /// Emits record `parent` extended by every subset of items[0..upto) at
+  /// constant support `freq`, in the exact order the pooled walk would
+  /// (rank high to low, DFS).
   void expand_path(std::span<const Item> items, Rank upto, Count freq,
-                   std::vector<Item>& suffix, const ItemsetSink& sink);
+                   std::uint32_t parent, FrequentItemsets& out);
   /// Mines cond_ by sorted-tidset intersection (records as tids,
   /// freq-weighted support), emission-order identical to pooling.
-  void eclat_mine(Rank child_ranks, Count min_support,
-                  std::vector<Item>& suffix, const ItemsetSink& sink);
+  void eclat_mine(Rank child_ranks, Count min_support, std::uint32_t parent,
+                  FrequentItemsets& out);
   void eclat_descend(std::span<const std::uint32_t> tids, Rank below,
-                     Count min_support, std::vector<Item>& suffix,
-                     const ItemsetSink& sink, std::size_t depth);
+                     Count min_support, std::uint32_t parent,
+                     FrequentItemsets& out, std::size_t depth);
 
   std::vector<std::unique_ptr<Frame>> pool_;  ///< pool_[d] = depth d+1 frame
   std::vector<Level> stack_;                  ///< walk()'s explicit stack
@@ -242,7 +249,6 @@ class ProjectionEngine {
   std::vector<Count> support_;  ///< scratch: CD_j's support per parent rank
   std::vector<Rank> to_child_;  ///< scratch: parent rank -> child rank
   TreeView::Rows rows_;         ///< scratch: cond_ in child ranks
-  Itemset emitted_;             ///< scratch: sorted itemset handed to sinks
   std::vector<Item> child_items_;  ///< scratch: child rank -> original item
   std::vector<std::uint32_t> tid_offsets_;  ///< rank -> tid_arena_ slice
   std::vector<std::uint32_t> tid_cursor_;   ///< fill cursors for the arena

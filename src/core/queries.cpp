@@ -10,9 +10,10 @@ namespace {
 // Count itemsets of at least min_length in a result.
 std::size_t count_at_length(const FrequentItemsets& itemsets,
                             std::size_t min_length) {
+  const std::vector<std::size_t> counts = itemsets.level_counts();
   std::size_t n = 0;
-  for (std::size_t i = 0; i < itemsets.size(); ++i)
-    n += itemsets.itemset(i).size() >= min_length;
+  for (std::size_t len = min_length; len < counts.size(); ++len)
+    n += counts[len];
   return n;
 }
 
@@ -36,9 +37,11 @@ FrequentItemsets mine_top_k(const tdb::Database& db, std::size_t k,
   }
 
   // Keep the k best by support (ties at the cut included).
+  Itemset scratch;
   std::vector<std::size_t> order;
   for (std::size_t i = 0; i < mined.size(); ++i)
-    if (mined.itemset(i).size() >= options.min_length) order.push_back(i);
+    if (mined.itemset(i, scratch).size() >= options.min_length)
+      order.push_back(i);
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     return mined.support(a) > mined.support(b);
   });
@@ -48,9 +51,9 @@ FrequentItemsets mine_top_k(const tdb::Database& db, std::size_t k,
     const std::size_t i = order[rank];
     if (rank < k) {
       cut_support = mined.support(i);
-      top.add(mined.itemset(i), mined.support(i));
+      top.add(mined.itemset(i, scratch), mined.support(i));
     } else if (mined.support(i) == cut_support) {
-      top.add(mined.itemset(i), mined.support(i));  // tie at the cut
+      top.add(mined.itemset(i, scratch), mined.support(i));  // tie at the cut
     } else {
       break;
     }
@@ -95,9 +98,9 @@ ConstrainedResult mine_containing(const tdb::Database& db, Count min_support,
   // transaction contains the constraint).
   const auto mined =
       mine(projection, min_support, Algorithm::kPltConditional);
-  Itemset combined;
+  Itemset scratch, combined;
   for (std::size_t i = 0; i < mined.itemsets.size(); ++i) {
-    const auto extension = mined.itemsets.itemset(i);
+    const auto extension = mined.itemsets.itemset(i, scratch);
     combined.clear();
     std::merge(extension.begin(), extension.end(),
                sorted_constraint.begin(), sorted_constraint.end(),

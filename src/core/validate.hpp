@@ -30,7 +30,7 @@
 //                       prefix's frequency is >= each extension's.
 //
 // The checks are always compiled in; the *hooks* in the mining paths
-// (build_tree, which serves the facade, mine_conditional and mine_parallel;
+// (build_tree, which serves the facade and mine_parallel;
 // TreeView::from_rows, which serves from_plt and the blob miner;
 // decode_plt) only fire when validation is enabled via
 // the PLT_VALIDATE env var, set_validation_enabled(), or the plt-mine

@@ -74,8 +74,8 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
   std::vector<Item> item_of(max_rank);
   for (Rank r = 1; r <= max_rank; ++r) item_of[r - 1] = view.item_of(r);
 
-  // Per-rank result slots: each is written by exactly one worker, then
-  // concatenated in rank order — deterministic output with no merge mutex.
+  // Per-rank result blocks: each is written by exactly one worker, then
+  // appended in rank order — deterministic output with no merge mutex.
   std::vector<core::FrequentItemsets> per_rank(max_rank);
 
   const std::size_t workers = options.threads;
@@ -104,10 +104,8 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
     if (latency != nullptr) timer.emplace();
     // The same per-rank step as the sequential miner: {j} (frequent by
     // construction of the view), then CD_j's projection, mined.
-    std::vector<Item> suffix;
-    engine.mine_rank(tree, static_cast<Rank>(idx + 1), item_of, suffix,
-                     min_support, core::collect_into(per_rank[idx]),
-                     options.conditional);
+    engine.mine_rank(tree, static_cast<Rank>(idx + 1), item_of, min_support,
+                     per_rank[idx], options.conditional);
     if (latency != nullptr) latency->record_seconds(timer->seconds());
   };
 
@@ -186,13 +184,12 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
     if (error) std::rethrow_exception(error);
 
   // Deterministic ordered merge: rank order regardless of which worker
-  // mined what.
+  // mined what, one append per block, each block freed once appended.
   {
     PLT_SPAN("merge");
-    for (std::size_t idx = 0; idx < per_rank.size(); ++idx) {
-      const core::FrequentItemsets& local = per_rank[idx];
-      for (std::size_t i = 0; i < local.size(); ++i)
-        result.itemsets.add(local.itemset(i), local.support(i));
+    for (core::FrequentItemsets& block : per_rank) {
+      result.itemsets.append(block);
+      block = {};
     }
   }
   // Steals are scheduling noise, not work: they stay in ProjectionStats and

@@ -15,9 +15,9 @@
 // projections recycle arenas across all the subproblems that worker
 // touches, and its subtree decisions depend on each CD's shape alone — the
 // same decisions whichever worker claims a rank. Results land in per-rank
-// slots (each written by exactly one worker) and are concatenated in rank
-// order afterwards, so the output is byte-identical for every thread
-// count.
+// FrequentItemsets blocks (each written by exactly one worker) and are
+// appended in rank order afterwards, one rebasing pass per block, so the
+// output is byte-identical for every thread count.
 #pragma once
 
 #include "core/conditional.hpp"

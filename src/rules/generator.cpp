@@ -75,11 +75,8 @@ std::vector<Rule> generate_rules(const core::FrequentItemsets& frequent,
   // Support lookup for every frequent itemset.
   SupportMap supports;
   supports.reserve(frequent.size() * 2);
-  for (std::size_t i = 0; i < frequent.size(); ++i) {
-    const auto items = frequent.itemset(i);
-    supports.emplace(Itemset(items.begin(), items.end()),
-                     frequent.support(i));
-  }
+  for (std::size_t i = 0; i < frequent.size(); ++i)
+    supports.emplace(frequent.itemset(i), frequent.support(i));
 
   std::vector<Rule> rules;
   const auto support_of = [&](const Itemset& s) -> Count {

@@ -244,11 +244,10 @@ core::MineStatus merge_job(const std::string& dir,
     // Records were validated to descend contiguously from rank_hi, and the
     // shards tile max_rank..1 in shard order — replaying them here IS the
     // single-process emission order.
-    for (const compress::CheckpointRecord& record : log.records)
-      for (const auto& [items, support] : record.itemsets) {
-        sink(items, support);
-        ++merged;
-      }
+    for (const compress::CheckpointRecord& record : log.records) {
+      record.itemsets.replay(sink);
+      merged += record.itemsets.size();
+    }
     // The summary is the worker's completion certificate (written
     // atomically, after the mine): require it even though the emissions
     // above came from the log alone.

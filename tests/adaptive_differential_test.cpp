@@ -141,8 +141,7 @@ TEST(AdaptiveDifferential, ConcurrentMinesKeepTheirOwnPlan) {
     for (int round = 0; round < 4; ++round) {
       engine.reset_stats();
       core::FrequentItemsets out;
-      std::vector<Item> suffix;
-      engine.mine(tree, item_of, suffix, minsup, core::collect_into(out), {});
+      engine.mine(tree, item_of, minsup, out, {});
       expect_same_order(truth, out,
                         pooled ? "concurrent pooled-only" : "concurrent model");
       const core::ProjectionStats& p = engine.stats();

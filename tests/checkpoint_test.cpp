@@ -11,10 +11,12 @@
 #include <utility>
 #include <vector>
 
+#include "compress/blob_format.hpp"
 #include "compress/checkpoint.hpp"
 #include "compress/codec.hpp"
 #include "compress/index.hpp"
 #include "compress/ooc_miner.hpp"
+#include "compress/varint.hpp"
 #include "core/builder.hpp"
 #include "datagen/quest.hpp"
 #include "util/crc32c.hpp"
@@ -363,6 +365,39 @@ TEST_F(Checkpoint, HeaderOnlyLogResumesZeroRanks) {
   EXPECT_EQ(stats.resumed_ranks, 0u);
   EXPECT_EQ(stats.checkpoint_records, max_rank);
   std::remove(path.c_str());
+}
+
+TEST_F(Checkpoint, RecordWithAnInvalidItemsetIsDroppedAsTorn) {
+  // A record whose CRC holds but whose itemset is empty, or whose item
+  // does not fit 32 bits, must be dropped like a torn tail: nothing is
+  // replayed and its rank is mined again.
+  const auto w = sample_workload();
+  const Emissions reference = mine_collecting(w, 3);
+  const Rank max_rank = static_cast<Rank>(build_index(w.blob).max_rank);
+  const std::vector<std::uint64_t> empty_itemset = {0};
+  const std::vector<std::uint64_t> wide_item = {1, std::uint64_t{1} << 32};
+  for (const auto& itemset : {empty_itemset, wide_item}) {
+    const std::string path = temp_path("invalid_itemset.pltk");
+    { CheckpointWriter writer(path, crc32c(w.blob), 3, max_rank); }
+    std::vector<std::uint8_t> record;
+    put_varint(record, max_rank);  // the window top, as a writer would
+    put_varint(record, 1);         // one itemset
+    for (const std::uint64_t value : itemset) put_varint(record, value);
+    put_varint(record, 5);  // support
+    append_u32le(record, crc32c(record));
+    std::FILE* f = std::fopen(path.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(record.data(), 1, record.size(), f), record.size());
+    std::fclose(f);
+
+    OocOptions options;
+    options.checkpoint_path = path;
+    OocStats stats;
+    const Emissions resumed = mine_collecting(w, 3, options, &stats);
+    EXPECT_EQ(resumed, reference);
+    EXPECT_EQ(stats.resumed_ranks, 0u);
+    std::remove(path.c_str());
+  }
 }
 
 // ---- PLT2 container hardening -------------------------------------------

@@ -26,7 +26,8 @@ elseif(CHECK STREQUAL "bad-plan")
   # no longer exists, and a misspelled flag must both refuse to run (exit
   # non-zero, "unknown flag --X" plus the usage text), never be silently
   # ignored. Worker mode reads only --dir and --shard, so it refuses the
-  # coordinator's --trace and --backend too.
+  # coordinator's --trace and --backend too; merge mode reads the job
+  # directory's manifest, so it refuses --minsup, --workers and --dataset.
   set(job ${OUT_DIR}/bad_flag_job)
   foreach(case
       "plt-mine|plan|${PLT_MINE};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;--plan;adaptive"
@@ -36,7 +37,10 @@ elseif(CHECK STREQUAL "bad-plan")
       "plt-shard --worker|plan|${PLT_SHARD};--worker;--dir;${job};--shard;0;--plan;adaptive"
       "plt-shard --worker|trace|${PLT_SHARD};--worker;--dir;${job};--shard;0;--trace;${job}/worker_trace.json"
       "plt-shard --worker|backend|${PLT_SHARD};--worker;--dir;${job};--shard;0;--backend;scalar"
-      "plt-shard --merge|wokers|${PLT_SHARD};--merge;--dir;${job};--wokers;9")
+      "plt-shard --merge|wokers|${PLT_SHARD};--merge;--dir;${job};--wokers;9"
+      "plt-shard --merge|minsup|${PLT_SHARD};--merge;--dir;${job};--minsup;1"
+      "plt-shard --merge|workers|${PLT_SHARD};--merge;--dir;${job};--workers;9"
+      "plt-shard --merge|dataset|${PLT_SHARD};--merge;--dir;${job};--dataset;bogus")
     string(REPLACE "|" ";" fields "${case}")
     list(POP_FRONT fields tool flag)
     execute_process(COMMAND ${fields}

@@ -36,9 +36,8 @@ TEST(Conditional, MatchesBruteForceAcrossSeeds) {
     for (const Count minsup : {1u, 2u, 4u, 10u}) {
       FrequentItemsets expected;
       baselines::mine_brute_force(db, minsup, collect_into(expected));
-      FrequentItemsets actual;
-      mine_conditional(build_ranked_view(db, minsup), minsup,
-                       collect_into(actual));
+      const FrequentItemsets actual =
+          mine(db, minsup, Algorithm::kPltConditional).itemsets;
       plt::testing::expect_same_itemsets(expected, actual, "conditional");
     }
   }
@@ -87,8 +86,8 @@ TEST(Conditional, SuffixSupportsAreProjectionSupports) {
   // Mining {suffix=j}: reported support of {i,j} must equal the number of
   // transactions containing both — checked against the oracle on Table 1.
   const auto db = plt::testing::paper_table1();
-  FrequentItemsets mined;
-  mine_conditional(build_ranked_view(db, 2), 2, collect_into(mined));
+  const FrequentItemsets mined =
+      mine(db, 2, Algorithm::kPltConditional).itemsets;
   EXPECT_EQ(mined.find_support(Itemset{1, 4}), 2u);   // AD
   EXPECT_EQ(mined.find_support(Itemset{2, 3}), 4u);   // BC
   EXPECT_EQ(mined.find_support(Itemset{2, 3, 4}), 2u);  // BCD
@@ -99,8 +98,8 @@ TEST(Conditional, AntiMonotonePruningStopsRecursion) {
   // the miner must not recurse into infrequent extensions.
   const auto db = tdb::Database::from_rows(
       {{1, 2}, {1, 3}, {2, 3}, {1}, {2}, {3}});
-  FrequentItemsets mined;
-  mine_conditional(build_ranked_view(db, 3), 3, collect_into(mined));
+  const FrequentItemsets mined =
+      mine(db, 3, Algorithm::kPltConditional).itemsets;
   ASSERT_EQ(mined.size(), 3u);
   const auto counts = mined.level_counts();
   ASSERT_GE(counts.size(), 2u);
@@ -109,13 +108,13 @@ TEST(Conditional, AntiMonotonePruningStopsRecursion) {
 
 TEST(Conditional, EmptyDatabaseAndNoFrequentItems) {
   tdb::Database empty;
-  FrequentItemsets a;
-  mine_conditional(build_ranked_view(empty, 1), 1, collect_into(a));
+  const FrequentItemsets a =
+      mine(empty, 1, Algorithm::kPltConditional).itemsets;
   EXPECT_TRUE(a.empty());
 
   const auto db = tdb::Database::from_rows({{1}, {2}});
-  FrequentItemsets b;
-  mine_conditional(build_ranked_view(db, 5), 5, collect_into(b));
+  const FrequentItemsets b =
+      mine(db, 5, Algorithm::kPltConditional).itemsets;
   EXPECT_TRUE(b.empty());
 }
 
@@ -125,8 +124,8 @@ TEST(Conditional, DuplicateHeavyDatabase) {
   tdb::Database db;
   for (int i = 0; i < 500; ++i) db.add({2, 4, 6});
   for (int i = 0; i < 100; ++i) db.add({2, 4});
-  FrequentItemsets mined;
-  mine_conditional(build_ranked_view(db, 100), 100, collect_into(mined));
+  const FrequentItemsets mined =
+      mine(db, 100, Algorithm::kPltConditional).itemsets;
   EXPECT_EQ(mined.find_support(Itemset{2, 4, 6}), 500u);
   EXPECT_EQ(mined.find_support(Itemset{2, 4}), 600u);
   EXPECT_EQ(mined.find_support(Itemset{2}), 600u);
@@ -140,8 +139,8 @@ TEST(Conditional, DeepRecursionChain) {
   std::vector<Item> row;
   for (Item i = 1; i <= 16; ++i) row.push_back(i);
   for (int i = 0; i < 3; ++i) db.add(row);
-  FrequentItemsets mined;
-  mine_conditional(build_ranked_view(db, 3), 3, collect_into(mined));
+  const FrequentItemsets mined =
+      mine(db, 3, Algorithm::kPltConditional).itemsets;
   EXPECT_EQ(mined.size(), (1u << 16) - 1);
   EXPECT_EQ(mined.find_support(Itemset(row.begin(), row.end())), 3u);
 }

@@ -60,9 +60,8 @@ ProjectionStats mine_table1(const PlanConfig& config,
   const TreeView tree = build_tree(view.db, max_rank);
   std::vector<Item> item_of(max_rank);
   for (Rank r = 1; r <= max_rank; ++r) item_of[r - 1] = view.item_of(r);
-  std::vector<Item> suffix;
   ProjectionEngine engine(config);
-  engine.mine(tree, item_of, suffix, kMinSup, collect_into(out), {});
+  engine.mine(tree, item_of, kMinSup, out, {});
   return engine.stats();
 }
 

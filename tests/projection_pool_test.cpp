@@ -46,12 +46,11 @@ FrequentItemsets mine_pooled(const tdb::Database& db, Count minsup,
   const TreeView tree = TreeView::from_plt(build_plt(view.db, max_rank));
   std::vector<Item> item_of(max_rank);
   for (Rank r = 1; r <= max_rank; ++r) item_of[r - 1] = view.item_of(r);
-  std::vector<Item> suffix;
   ConditionalOptions options;
   options.filter_conditional_items = filter;
   ProjectionEngine local;
   ProjectionEngine& used = engine ? *engine : local;
-  used.mine(tree, item_of, suffix, minsup, collect_into(out), options);
+  used.mine(tree, item_of, minsup, out, options);
   return out;
 }
 
@@ -233,9 +232,8 @@ TEST(ProjectionPool, MemoryUsageCountsTheConditionalDatabase) {
     largest = std::max(largest, positions);
   }
   ProjectionEngine engine;
-  std::vector<Item> suffix;
   FrequentItemsets out;
-  engine.mine(tree, item_of, suffix, db.size() + 1, collect_into(out), {});
+  engine.mine(tree, item_of, db.size() + 1, out, {});
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(engine.stats().projections_built, 0u);
   EXPECT_GE(engine.memory_usage(), largest * sizeof(Rank));

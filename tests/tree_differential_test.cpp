@@ -38,9 +38,7 @@ core::ProjectionStats mine_engine(const tdb::Database& db, Count minsup,
       table_fed ? core::TreeView::from_plt(core::build_plt(view.db, max_rank))
                 : core::build_tree(view.db, max_rank);
   core::ProjectionEngine engine(config);
-  std::vector<Item> suffix;
-  engine.mine(tree, items_of(view), suffix, minsup, core::collect_into(out),
-              {});
+  engine.mine(tree, items_of(view), minsup, out, {});
   return engine.stats();
 }
 

@@ -84,11 +84,13 @@ void print_itemsets(const core::FrequentItemsets& itemsets,
   Table table({"itemset", "support"});
   const std::size_t n = limit ? std::min(limit, sorted.size())
                               : sorted.size();
+  Itemset scratch;
   for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const Item> row = sorted.itemset(i, scratch);
     std::ostringstream items;
-    for (std::size_t j = 0; j < sorted.itemset(i).size(); ++j) {
+    for (std::size_t j = 0; j < row.size(); ++j) {
       if (j) items << ' ';
-      items << sorted.itemset(i)[j];
+      items << row[j];
     }
     table.add_row({items.str(), std::to_string(sorted.support(i))});
   }

@@ -61,16 +61,21 @@ int usage(const char* argv0) {
   return 2;
 }
 
-// The coordinator's and merge mode's flags: one list, so a flag is never
-// valid in one spelling and silently ignored in another.
+// The coordinator's flags. Worker and merge mode read fewer and check
+// against lists of their own, so no mode silently ignores a flag.
 const char* const kKnownFlags[] = {
     "input", "dataset", "scale", "minsup", "minsup-frac", "dir", "workers",
     "timeout-ms", "retries", "launch-prefix", "emit-commands", "limit",
-    "backend", "trace", "trace-folded", "worker", "shard", "merge"};
+    "backend", "trace", "trace-folded", "worker", "merge"};
 
 // Worker mode reads nothing else: the job directory carries the rest, and
 // a --trace or --backend given here would do nothing.
 const char* const kWorkerFlags[] = {"worker", "dir", "shard"};
+
+// Merge mode replays a finished job: the manifest fixes the data, support
+// and windows, so only the output and process-wide flags apply.
+const char* const kMergeFlags[] = {"merge",   "dir",   "limit",
+                                   "backend", "trace", "trace-folded"};
 
 // The path the coordinator re-execs for workers: this binary.
 std::string self_path(const char* argv0) {
@@ -108,11 +113,13 @@ void print_itemsets(const core::FrequentItemsets& itemsets,
   Table table({"itemset", "support"});
   const std::size_t n = limit ? std::min(limit, sorted.size())
                               : sorted.size();
+  Itemset scratch;
   for (std::size_t i = 0; i < n; ++i) {
+    const std::span<const Item> row = sorted.itemset(i, scratch);
     std::ostringstream items;
-    for (std::size_t j = 0; j < sorted.itemset(i).size(); ++j) {
+    for (std::size_t j = 0; j < row.size(); ++j) {
       if (j) items << ' ';
-      items << sorted.itemset(i)[j];
+      items << row[j];
     }
     table.add_row({items.str(), std::to_string(sorted.support(i))});
   }
@@ -133,8 +140,10 @@ std::vector<std::string> split_words(const std::string& line) {
 int main(int argc, char** argv) {
   const Args args(argc, argv);
   const bool worker = args.get_bool("worker", false);
-  if (const std::string key = worker ? args.first_unknown(kWorkerFlags)
-                                     : args.first_unknown(kKnownFlags);
+  const bool merge = !worker && args.get_bool("merge", false);
+  if (const std::string key = worker  ? args.first_unknown(kWorkerFlags)
+                              : merge ? args.first_unknown(kMergeFlags)
+                                      : args.first_unknown(kKnownFlags);
       !key.empty()) {
     std::cerr << "error: unknown flag --" << key << '\n';
     return usage(argv[0]);
@@ -154,7 +163,7 @@ int main(int argc, char** argv) {
   if (dir.empty()) return usage(argv[0]);
 
   // -- merge mode: replay the logs of a finished job directory --
-  if (args.get_bool("merge", false)) {
+  if (merge) {
     try {
       core::FrequentItemsets itemsets;
       shard::ShardReport report;
