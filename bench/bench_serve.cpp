@@ -1,12 +1,13 @@
 // E22 — closed-loop serving benchmark over the plt-serve daemon. An
-// in-process server mmaps one PLT2 blob of the scaled dense dataset; N
-// client threads issue one request class at a time in a closed loop (next
-// request only after the previous response), so reported throughput is
-// the sustainable rate at that concurrency, not an open-loop burst. Each
+// in-process server loads one PLT2 blob of the scaled dense dataset into
+// its per-rank entry-id index; N client threads issue one request class
+// at a time in a closed loop (next request only after the previous
+// response), so reported throughput is the sustainable rate at that
+// concurrency, not an open-loop burst. Each
 // thread records per-request wall time into an obs::LatencyHistogram;
 // the merged distribution's p50/p99/p999 (log2-bucket upper bounds, see
-// obs/histogram.hpp) and the throughput per request class go to
-// BENCH_serve.json (--out FILE).
+// obs/histogram.hpp), the throughput per request class and the host go
+// to BENCH_serve.json (--out FILE).
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
@@ -121,7 +122,9 @@ void write_json(const std::string& path, double scale, Count minsup,
                 std::size_t blob_bytes, const std::vector<ClassResult>& rows) {
   std::ofstream out(path);
   out << "{\n  \"experiment\": \"E22\",\n"
-      << "  \"title\": \"closed-loop serving over mmap'd PLT2 blobs\",\n"
+      << "  \"title\": "
+      << "\"closed-loop serving from a per-rank entry-id index\",\n"
+      << "  \"host\": " << harness::host_json() << ",\n"
       << "  \"dataset\": \"short-dense\",\n"
       << "  \"scale\": " << scale << ",\n"
       << "  \"minsup\": " << minsup << ",\n"
@@ -159,8 +162,8 @@ int main(int argc, char** argv) {
       200.0, args.get_double("requests", 5000) * scale));
 
   harness::print_banner(std::cout, "E22",
-                        "closed-loop serving over mmap'd PLT2 blobs",
-                        "Lemma 4.1.1 (sum buckets as the serving index)");
+                        "closed-loop serving from a per-rank entry-id index",
+                        "§1/§6 (the PLT as an index over a large database)");
 
   const auto db = harness::scaled_dataset("short-dense", scale);
   const Count minsup = harness::absolute_support(db, 0.05);
@@ -211,10 +214,10 @@ int main(int argc, char** argv) {
              client_threads, server_threads, blob.size(), rows);
 
   std::cout << "\nExpected shape: ping bounds the protocol + event-loop\n"
-               "floor; support/rule pay the sum-bucket scans (Lemma 4.1.1)\n"
-               "so their tails track blob size; membership stays near ping\n"
-               "(one bucket decides); top-k is a cached table read. Zero\n"
-               "errors at any concurrency — overload and deadline paths\n"
-               "return typed statuses and would count here.\n";
+               "floor; support, rule and membership pay a few rank-list\n"
+               "intersections, so their tails track the lists' lengths;\n"
+               "top-k is a cached table read. Zero errors at any\n"
+               "concurrency — overload and deadline paths return typed\n"
+               "statuses and would count here.\n";
   return 0;
 }

@@ -1,5 +1,6 @@
 #include "compress/blob_format.hpp"
 
+#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <string>
@@ -8,6 +9,11 @@
 #include "kernels/kernels.hpp"
 #include "obs/trace.hpp"
 #include "util/crc32c.hpp"
+#include "util/failpoint.hpp"
+
+#if defined(__unix__) || defined(__APPLE__)
+#include <unistd.h>
+#endif
 
 namespace plt::compress {
 
@@ -18,6 +24,60 @@ namespace {
 }
 
 }  // namespace
+
+void write_blob_file(std::span<const std::uint8_t> bytes,
+                     const std::string& path) {
+  // Temp file + fsync + rename: a crash (or injected fault) at any point
+  // leaves either the old file or the complete new one, never a torn blob.
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr)
+    throw std::runtime_error("write_blob_file: cannot open " + tmp);
+  const std::size_t written =
+      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
+  const bool flushed = std::fflush(f) == 0;
+#if defined(__unix__) || defined(__APPLE__)
+  const bool synced = fsync(fileno(f)) == 0;
+#else
+  const bool synced = true;
+#endif
+  std::fclose(f);
+  if (written != bytes.size() || !flushed || !synced) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("write_blob_file: short write to " + tmp);
+  }
+  // A fault here models a crash after the data hit disk but before the
+  // rename: the destination is untouched and the temp file is left behind.
+  PLT_FAILPOINT("blob.write_file");
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    throw std::runtime_error("write_blob_file: cannot rename into " + path);
+  }
+}
+
+std::vector<std::uint8_t> read_blob_file(const std::string& path) {
+  PLT_FAILPOINT("blob.read_file");
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr)
+    throw std::runtime_error("read_blob_file: cannot open " + path);
+  // One buffer of the file's size, so a served blob's bytes cost no
+  // growth slack; a file that changes size meanwhile is read as found.
+  long size = 0;
+  if (std::fseek(f, 0, SEEK_END) == 0) size = std::ftell(f);
+  std::rewind(f);
+  std::vector<std::uint8_t> bytes(size > 0 ? static_cast<std::size_t>(size)
+                                           : 0);
+  bytes.resize(bytes.empty() ? 0
+                             : std::fread(bytes.data(), 1, bytes.size(), f));
+  std::uint8_t tail[4096];
+  for (std::size_t got; (got = std::fread(tail, 1, sizeof(tail), f)) > 0;)
+    bytes.insert(bytes.end(), tail, tail + got);
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed)
+    throw std::runtime_error("read_blob_file: read error on " + path);
+  return bytes;
+}
 
 void append_u32le(std::vector<std::uint8_t>& out, std::uint32_t value) {
   out.push_back(static_cast<std::uint8_t>(value & 0xff));

@@ -1,4 +1,7 @@
-// Shared parsing for the serialized-PLT container format, PLT2. Every
+// The serialized-PLT container format, PLT2: blob files, written
+// atomically and read whole, and the shared parsing of their bytes. The
+// file IO lives here, apart from the codec, so that a reader of blob files
+// (plt-serve) does not link the table-form encoder and decoder. Every
 // section carries a CRC32C so single-byte corruption, truncation and torn
 // writes are detected before any value is trusted:
 //   "PLT2" | varint max_rank | varint partition_count |
@@ -10,8 +13,8 @@
 // length+2 u32 values (the positions, then freq split lo/hi). Groups of
 // four values share a control byte (2 bits each = byte length - 1)
 // followed by the little-endian value bytes. Entries stay independently
-// decodable at their byte offsets, which is what the BlobIndex's
-// random-access buckets rely on.
+// decodable at their byte offsets, which is what build_index's second
+// pass relies on: it re-decodes the frames its first pass verified.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +34,17 @@ inline constexpr char kMagicV2[4] = {'P', 'L', 'T', '2'};
 /// without it is rejected. Safe because partition lengths are bounded by
 /// max_rank <= 2^26.
 inline constexpr std::uint32_t kFrameBlockCoded = 1u << 27;
+
+/// Writes a blob to disk atomically: the bytes land in `path + ".tmp"`, are
+/// flushed and fsync'd, then renamed over `path` — a crash mid-write leaves
+/// the previous file (or nothing), never a torn blob. Throws
+/// std::runtime_error on any I/O failure.
+void write_blob_file(std::span<const std::uint8_t> bytes,
+                     const std::string& path);
+
+/// Reads a whole blob file into one buffer sized from the file; throws
+/// std::runtime_error if unreadable.
+std::vector<std::uint8_t> read_blob_file(const std::string& path);
 
 /// Appends `value` little-endian (the fixed-width CRC slot).
 void append_u32le(std::vector<std::uint8_t>& out, std::uint32_t value);

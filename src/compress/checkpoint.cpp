@@ -19,13 +19,11 @@ std::vector<std::uint8_t> encode_record(const CheckpointRecord& record) {
   std::vector<std::uint8_t> bytes;
   put_varint(bytes, record.rank);
   put_varint(bytes, record.itemsets.size());
-  Itemset scratch;
-  for (std::size_t i = 0; i < record.itemsets.size(); ++i) {
-    const std::span<const Item> items = record.itemsets.itemset(i, scratch);
+  record.itemsets.for_each([&](std::span<const Item> items, Count support) {
     put_varint(bytes, items.size());
     for (const Item item : items) put_varint(bytes, item);
-    put_varint(bytes, record.itemsets.support(i));
-  }
+    put_varint(bytes, support);
+  });
   append_u32le(bytes, crc32c(bytes));
   return bytes;
 }

@@ -1,6 +1,5 @@
 #include "compress/codec.hpp"
 
-#include <cstdio>
 #include <stdexcept>
 
 #include "compress/blob_format.hpp"
@@ -11,10 +10,6 @@
 #include "tdb/database.hpp"
 #include "util/crc32c.hpp"
 #include "util/failpoint.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
 
 namespace plt::compress {
 
@@ -94,55 +89,6 @@ core::Plt decode_plt(std::span<const std::uint8_t> bytes) {
 
 std::size_t raw_database_bytes(const tdb::Database& db) {
   return db.total_items() * sizeof(Item) + db.size() * sizeof(std::uint64_t);
-}
-
-void write_blob_file(std::span<const std::uint8_t> bytes,
-                     const std::string& path) {
-  // Temp file + fsync + rename: a crash (or injected fault) at any point
-  // leaves either the old file or the complete new one, never a torn blob.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr)
-    throw std::runtime_error("write_blob_file: cannot open " + tmp);
-  const std::size_t written =
-      bytes.empty() ? 0 : std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-#if defined(__unix__) || defined(__APPLE__)
-  const bool synced = fsync(fileno(f)) == 0;
-#else
-  const bool synced = true;
-#endif
-  std::fclose(f);
-  if (written != bytes.size() || !flushed || !synced) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("write_blob_file: short write to " + tmp);
-  }
-  // A fault here models a crash after the data hit disk but before the
-  // rename: the destination is untouched and the temp file is left behind.
-  PLT_FAILPOINT("blob.write_file");
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    throw std::runtime_error("write_blob_file: cannot rename into " + path);
-  }
-}
-
-std::vector<std::uint8_t> read_blob_file(const std::string& path) {
-  PLT_FAILPOINT("blob.read_file");
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr)
-    throw std::runtime_error("read_blob_file: cannot open " + path);
-  std::vector<std::uint8_t> bytes;
-  std::uint8_t buffer[1 << 16];
-  for (;;) {
-    const std::size_t got = std::fread(buffer, 1, sizeof(buffer), f);
-    bytes.insert(bytes.end(), buffer, buffer + got);
-    if (got < sizeof(buffer)) break;
-  }
-  const bool failed = std::ferror(f) != 0;
-  std::fclose(f);
-  if (failed)
-    throw std::runtime_error("read_blob_file: read error on " + path);
-  return bytes;
 }
 
 }  // namespace plt::compress

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "compress/blob_format.hpp"  // write_blob_file, read_blob_file
 #include "core/plt.hpp"
 #include "tdb/database.hpp"
 
@@ -29,16 +30,6 @@ std::vector<std::uint8_t> encode_plt(const core::Plt& plt);
 /// malformed input (bad magic, truncation, checksum mismatch, invalid
 /// vectors).
 core::Plt decode_plt(std::span<const std::uint8_t> bytes);
-
-/// Writes a blob to disk atomically: the bytes land in `path + ".tmp"`, are
-/// flushed and fsync'd, then renamed over `path` — a crash mid-write leaves
-/// the previous file (or nothing), never a torn blob. Throws
-/// std::runtime_error on any I/O failure.
-void write_blob_file(std::span<const std::uint8_t> bytes,
-                     const std::string& path);
-
-/// Reads a whole blob file; throws std::runtime_error if unreadable.
-std::vector<std::uint8_t> read_blob_file(const std::string& path);
 
 /// Raw horizontal-layout cost of the same information in a plain database
 /// encoding (4 bytes per item occurrence + 8 per transaction) — the E1

@@ -42,18 +42,17 @@ FrequentItemsets closed_itemsets(const FrequentItemsets& frequent) {
   // gets sup(Z) as a candidate "best superset support".
   std::unordered_map<Itemset, Count, VecHash> best_superset_support;
   best_superset_support.reserve(frequent.size());
-  Itemset scratch, subset;
-  for (std::size_t i = 0; i < frequent.size(); ++i) {
-    const auto z = frequent.itemset(i, scratch);
-    if (z.size() < 2) continue;
+  Itemset subset;
+  frequent.for_each([&](std::span<const Item> z, Count support) {
+    if (z.size() < 2) return;
     for (std::size_t drop = 0; drop < z.size(); ++drop) {
       subset.clear();
       for (std::size_t j = 0; j < z.size(); ++j)
         if (j != drop) subset.push_back(z[j]);
       auto& slot = best_superset_support[subset];
-      slot = std::max(slot, frequent.support(i));
+      slot = std::max(slot, support);
     }
-  }
+  });
 
   FrequentItemsets closed;
   for (std::size_t i = 0; i < frequent.size(); ++i) {
@@ -71,17 +70,16 @@ FrequentItemsets maximal_itemsets(const FrequentItemsets& frequent) {
   // frequent itemset.
   std::unordered_map<Itemset, bool, VecHash> has_superset;
   has_superset.reserve(frequent.size());
-  Itemset scratch, subset;
-  for (std::size_t i = 0; i < frequent.size(); ++i) {
-    const auto z = frequent.itemset(i, scratch);
-    if (z.size() < 2) continue;
+  Itemset subset;
+  frequent.for_each([&](std::span<const Item> z, Count) {
+    if (z.size() < 2) return;
     for (std::size_t drop = 0; drop < z.size(); ++drop) {
       subset.clear();
       for (std::size_t j = 0; j < z.size(); ++j)
         if (j != drop) subset.push_back(z[j]);
       has_superset[subset] = true;
     }
-  }
+  });
   FrequentItemsets maximal;
   for (std::size_t i = 0; i < frequent.size(); ++i) {
     const Itemset z = frequent.itemset(i);

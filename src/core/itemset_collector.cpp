@@ -25,12 +25,10 @@ Canonical canonical_order(const FrequentItemsets& set) {
   Canonical c;
   c.offsets.reserve(set.size() + 1);
   c.offsets.push_back(0);
-  Itemset scratch;
-  for (std::size_t i = 0; i < set.size(); ++i) {
-    const std::span<const Item> items = set.itemset(i, scratch);
+  set.for_each([&](std::span<const Item> items, Count) {
     c.items.insert(c.items.end(), items.begin(), items.end());
     c.offsets.push_back(c.items.size());
-  }
+  });
   c.order.resize(set.size());
   std::iota(c.order.begin(), c.order.end(), 0);
   std::sort(c.order.begin(), c.order.end(), [&](std::size_t a, std::size_t b) {
@@ -100,10 +98,60 @@ std::span<const Item> FrequentItemsets::itemset(std::size_t i,
   return scratch;
 }
 
-void FrequentItemsets::replay(const ItemsetSink& sink) const {
-  Itemset scratch;
-  for (std::size_t i = 0; i < size(); ++i)
-    sink(itemset(i, scratch), records_[i].support);
+void FrequentItemsets::PathReader::push(std::uint32_t record) {
+  const std::uint32_t begin = set_.run_begin(record);
+  const std::uint32_t run = set_.records_[record].end - begin;
+  const std::uint32_t below = levels_.empty() ? 0 : levels_.back().length;
+  const std::uint32_t length = below + run;
+  if (length > path_.size()) {
+    std::vector<Item> grown(std::max<std::size_t>(length, 2 * path_.size()));
+    std::copy(path_.end() - below, path_.end(), grown.end() - below);
+    path_.swap(grown);
+  }
+  Item* at = path_.data() + (path_.size() - length);
+  std::copy(set_.items_.begin() + begin, set_.items_.begin() + begin + run,
+            at);
+  // The chain walk's read is this run, then the parent's path; it is
+  // ascending when both are and they meet in order.
+  bool ascending = std::is_sorted(at, at + run);
+  if (below > 0)
+    ascending = ascending && levels_.back().ascending &&
+                !(at[run] < at[run - 1]);
+  levels_.push_back({record, length, ascending});
+}
+
+std::span<const Item> FrequentItemsets::PathReader::read(std::size_t i) {
+  const auto id = static_cast<std::uint32_t>(i);
+  const std::uint32_t parent = set_.records_[i].parent;
+  if (parent == kNoParent) {
+    // A root reads as stored, as itemset(i) does, and goes on the path
+    // only when a child follows: a collection of roots copies nothing.
+    levels_.clear();
+    root_ = id;
+    return {set_.items_.data() + set_.run_begin(i),
+            set_.records_[i].end - set_.run_begin(i)};
+  }
+  while (!levels_.empty() && levels_.back().record != parent)
+    levels_.pop_back();
+  if (levels_.empty()) {
+    if (parent == root_) {
+      push(parent);
+    } else {
+      chain_.clear();
+      for (std::uint32_t r = parent; r != kNoParent;
+           r = set_.records_[r].parent)
+        chain_.push_back(r);
+      for (auto r = chain_.rbegin(); r != chain_.rend(); ++r) push(*r);
+    }
+  }
+  push(id);
+  const Level& top = levels_.back();
+  const std::span<const Item> items{path_.data() + (path_.size() - top.length),
+                                    top.length};
+  if (top.ascending) return items;
+  sorted_.assign(items.begin(), items.end());
+  std::sort(sorted_.begin(), sorted_.end());
+  return sorted_;
 }
 
 std::vector<std::uint32_t> FrequentItemsets::lengths() const {

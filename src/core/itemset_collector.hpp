@@ -7,9 +7,11 @@
 // A depth-first miner reports every itemset as one it already reported plus
 // one item, so `extend` appends a record whose run is that one item and
 // whose parent holds the rest: 20 bytes per itemset, nothing copied or
-// sorted. Reads walk from a record up to its root. Under ItemOrder::kById
-// the projection engine's chains are ascending as built; any other order
-// sorts the read copy, so every read itemset is ascending.
+// sorted. A random read walks from a record up to its root; a read of
+// every record in order goes through one PathReader, which keeps the
+// current root-to-record path instead. Under ItemOrder::kById the
+// projection engine's chains are ascending as built; any other order sorts
+// the read copy, so every read itemset is ascending.
 //
 // Record ids are indices in append order and a parent always precedes its
 // children, so `append` concatenates a block (the projection engine's
@@ -86,8 +88,46 @@ class FrequentItemsets {
   std::span<const Item> itemset(std::size_t i, Itemset& scratch) const;
   Count support(std::size_t i) const { return records_[i].support; }
 
+  /// Reads itemset(i) for i = 0, 1, 2, ... without walking chains. It
+  /// keeps the current root-to-record path on a stack: a root resets it, a
+  /// record pops it back to its parent and pushes its own run. A parent
+  /// that is not on the stack (a producer that did not emit depth first,
+  /// or a read out of order) is rebuilt by the chain walk, so any order
+  /// reads correctly and depth-first order reads in O(1) per record.
+  class PathReader {
+   public:
+    explicit PathReader(const FrequentItemsets& set) : set_(set) {}
+    /// itemset(i): a root's stored run, else ascending. Valid until the
+    /// next read or a change to the collection.
+    std::span<const Item> read(std::size_t i);
+
+   private:
+    struct Level {
+      std::uint32_t record;
+      std::uint32_t length;  ///< items on the path from the root down here
+      bool ascending;        ///< that path reads ascending from here up
+    };
+    void push(std::uint32_t record);
+
+    const FrequentItemsets& set_;
+    std::uint32_t root_ = kNoParent;  ///< last root read, pushed lazily
+    std::vector<Item> path_;  ///< the path fills the tail, this record first
+    std::vector<Level> levels_;
+    std::vector<std::uint32_t> chain_;  ///< the fallback's root-ward ids
+    Itemset sorted_;
+  };
+
+  /// Calls fn(itemset(i), support(i)) for every record, in order, through
+  /// one PathReader.
+  template <typename Fn>
+  void for_each(Fn&& fn) const {
+    PathReader reader(*this);
+    for (std::size_t i = 0; i < size(); ++i)
+      fn(reader.read(i), records_[i].support);
+  }
+
   /// Calls sink(itemset(i), support(i)) for every record, in order.
-  void replay(const ItemsetSink& sink) const;
+  void replay(const ItemsetSink& sink) const { for_each(sink); }
 
   /// Number of itemsets of each length; index = length.
   std::vector<std::size_t> level_counts() const;

@@ -98,15 +98,15 @@ ConstrainedResult mine_containing(const tdb::Database& db, Count min_support,
   // transaction contains the constraint).
   const auto mined =
       mine(projection, min_support, Algorithm::kPltConditional);
-  Itemset scratch, combined;
-  for (std::size_t i = 0; i < mined.itemsets.size(); ++i) {
-    const auto extension = mined.itemsets.itemset(i, scratch);
+  Itemset combined;
+  mined.itemsets.for_each([&](std::span<const Item> extension,
+                              Count support) {
     combined.clear();
     std::merge(extension.begin(), extension.end(),
                sorted_constraint.begin(), sorted_constraint.end(),
                std::back_inserter(combined));
-    result.itemsets.add(combined, mined.itemsets.support(i));
-  }
+    result.itemsets.add(combined, support);
+  });
   return result;
 }
 

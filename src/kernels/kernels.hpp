@@ -1,8 +1,8 @@
 // Runtime-dispatched data-parallel kernels for the two jobs where a SIMD
 // body moves an end-to-end number: group-varint block coding inside PLT2
-// frames (encode_plt, every blob decode, serve's bucket scan) and sorted-u32
-// tidlist intersection (the Eclat / dEclat / CHARM baselines, the engine's
-// tidset strategy and count_supports_vertical).
+// frames (encode_plt, every blob decode) and sorted-u32 tidlist
+// intersection (the Eclat / dEclat / CHARM baselines, the engine's tidset
+// strategy, count_supports_vertical and serve's rank-list queries).
 //
 // Architecture (see DESIGN.md "Vectorized kernel layer"):
 //

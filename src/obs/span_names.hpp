@@ -67,9 +67,9 @@ inline constexpr std::string_view kCounters[] = {
     "ranks",
     "ranks-processed",
     "resumed-ranks",
-    "serve.buckets-scanned",
     "serve.deadline-exceeded",
     "serve.errors",
+    "serve.lists-decoded",
     "serve.requests",
     "shard.attempts",
     "shard.bytes-decoded",

@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "compress/blob_format.hpp"
 #include "obs/trace.hpp"
 #include "util/failpoint.hpp"
 
@@ -14,39 +15,19 @@ std::unique_ptr<const LoadedBlob> load_blob(const std::string& path) {
   PLT_FAILPOINT("serve.load_blob");
   auto blob = std::make_unique<LoadedBlob>();
   blob->path = path;
-  blob->map = compress::MappedBlob::open(path);
-  blob->bytes = blob->map.bytes();
-  // build_index re-parses the header and every partition frame, verifying
-  // the PLT2 CRCs as it goes — a corrupt byte anywhere fails the load here,
-  // before the blob can serve a single query.
-  blob->index = compress::build_index(blob->bytes);
-  blob->max_rank = blob->index.max_rank;
-  blob->item_support.assign(blob->max_rank, 0);
-
-  // One full pass to warm the per-rank support cache: the prefix sums of a
-  // position vector are the ranks of its items (Lemma 4.1.1), so each
-  // entry adds its freq to every prefix-sum rank. Also establishes
-  // total_freq (the empty itemset's support).
-  for (const compress::BlobIndex::PartitionRange& range :
-       blob->index.partitions) {
-    if (range.entries == 0) continue;
-    compress::decode_partition(
-        blob->bytes, blob->index, range.length,
-        [&](std::span<const Pos> positions, Count freq) {
-          ++blob->entries;
-          blob->total_freq += freq;
-          Rank rank = 0;
-          for (const Pos position : positions) {
-            rank += position;
-            if (rank >= 1 && rank <= blob->max_rank)
-              blob->item_support[rank - 1] += freq;
-          }
-        });
+  {
+    // build_index verifies every CRC and every entry before it writes a
+    // list byte — a corrupt byte anywhere fails the load here, before the
+    // blob can serve a single query. The index holds everything a query
+    // reads, so the bytes go at the end of this scope.
+    const std::vector<std::uint8_t> bytes = compress::read_blob_file(path);
+    blob->index = compress::build_index(bytes);
   }
+  const compress::BlobIndex& index = blob->index;
 
-  blob->ranks_by_support.reserve(blob->item_support.size());
-  for (Rank rank = 1; rank <= blob->max_rank; ++rank) {
-    const Count support = blob->item_support[rank - 1];
+  blob->ranks_by_support.reserve(index.item_support.size());
+  for (Rank rank = 1; rank <= index.max_rank; ++rank) {
+    const Count support = index.item_support[rank - 1];
     if (support > 0) blob->ranks_by_support.push_back({rank, support});
   }
   std::stable_sort(blob->ranks_by_support.begin(),

@@ -1,26 +1,25 @@
-// Blob loading and hot swap for plt-serve. A LoadedBlob is one mmap'd PLT2
-// container plus everything the query engine needs to answer without
-// decoding the whole structure: the CRC-verified BlobIndex (sum-bucket
-// random access), the total transaction mass, and a per-rank support cache
-// (one full scan at load time) that makes top-k queries O(k).
+// Blob loading and hot swap for plt-serve. A LoadedBlob is one PLT2
+// container turned into everything the query engine needs, with the
+// file's bytes gone: the vertical BlobIndex (per-rank entry-id lists,
+// entry frequencies, frame ranges, per-rank supports and the total mass)
+// and the ranks sorted by support, which makes top-k queries O(k). Nothing
+// maps the file, so it can be rewritten or truncated under a serving blob.
 //
 // BlobStore owns the ordered list of blob paths (blob_id = position) and
 // the current immutable BlobSet generation. Reload builds the entire next
 // generation off to the side and swaps one shared_ptr under a mutex:
 // in-flight requests keep the snapshot they started with, so a swap drains
-// naturally — the old mapping unmaps when the last request referencing it
+// naturally — the old index is freed when the last request referencing it
 // completes. A reload that fails (missing file, CRC mismatch) leaves the
 // current generation serving untouched.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "compress/index.hpp"
-#include "compress/mmap_blob.hpp"
 #include "serve/protocol.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -28,14 +27,7 @@ namespace plt::serve {
 
 struct LoadedBlob {
   std::string path;
-  compress::MappedBlob map;
-  std::span<const std::uint8_t> bytes;  ///< map.bytes(), for readability
   compress::BlobIndex index;
-  Rank max_rank = 0;
-  Count total_freq = 0;  ///< Σ freq over all entries = transaction count
-  std::uint64_t entries = 0;
-  /// support[rank-1]: Σ freq over entries whose vector contains `rank`.
-  std::vector<Count> item_support;
   /// Every rank with support > 0, sorted by support desc then rank asc —
   /// the top-k answer is a prefix of this.
   std::vector<TopEntry> ranks_by_support;
@@ -51,8 +43,9 @@ struct BlobSet {
   }
 };
 
-/// Maps, CRC-checks and indexes one blob file. Throws std::runtime_error on
-/// any validation failure (the caller decides whether that is fatal).
+/// Reads, CRC-checks and indexes one blob file, then frees its bytes.
+/// Throws std::runtime_error on any validation failure (the caller decides
+/// whether that is fatal).
 std::unique_ptr<const LoadedBlob> load_blob(const std::string& path);
 
 class BlobStore {

@@ -50,7 +50,7 @@ inline constexpr std::uint32_t kDefaultMaxFrame = 1u << 20;
 
 enum class Opcode : std::uint8_t {
   kPing = 0,        ///< liveness probe; empty body both ways
-  kSupport = 1,     ///< itemset -> support (sum-bucket scan)
+  kSupport = 1,     ///< itemset -> support (rank-list intersection)
   kMembership = 2,  ///< itemset -> stored exactly as a vector? + its freq
   kTopK = 3,        ///< k -> k most supported ranks (cached at blob load)
   kRule = 4,        ///< antecedent + consequent -> supports + confidence

@@ -1,19 +1,19 @@
-// Query execution over one mmap'd blob: the serving counterpart of
-// core::support_of, but driven by the BlobIndex sum buckets so a query
-// touches only the byte ranges that can possibly contain witnesses.
+// Query execution over one loaded blob: the serving counterpart of
+// core::support_of, driven by the BlobIndex's per-rank entry-id lists.
 //
-// Support of an itemset with top rank r: any transaction containing the
-// itemset contains rank r, and a stored vector's sum is the rank of its
-// highest item (Lemma 4.1.1) — so only buckets r..max_rank can hold
-// supersets, and the engine scans exactly those, testing each entry with
-// the streaming ranks_subset_of check (no decode buffer beyond one vector).
-// Membership (exact stored vector) needs one bucket: sum == top rank.
+// The entries that contain an itemset are the intersection of its ranks'
+// lists, so support is the frequency-weighted intersection, taken shortest
+// list first through the intersect_sorted kernel. A rule narrows its
+// antecedent's intersection by the consequent's list. Membership (an exact
+// stored vector) keeps only the intersected entries whose frame holds
+// vectors of the itemset's size: an entry of k positions that contains k
+// given ranks is exactly those ranks. A singleton's support is the
+// load-time per-rank cache.
 //
-// Every bucket boundary is a MiningControl checkpoint: a per-request
-// deadline that trips mid-scan aborts the query with the typed
-// DEADLINE_EXCEEDED status — never a silent drop. The "serve.deadline"
-// failpoint forces that trip deterministically so tests can pin the
-// contract without racing a clock.
+// Every list decode is a MiningControl checkpoint: a per-request deadline
+// that trips mid-query aborts it with the typed DEADLINE_EXCEEDED status —
+// never a silent drop. The "serve.deadline" failpoint forces that trip
+// deterministically so tests can pin the contract without racing a clock.
 #pragma once
 
 #include "core/exec_control.hpp"
@@ -25,7 +25,9 @@ namespace plt::serve {
 /// Monotonic per-request-class tallies, kept by the caller (the server
 /// aggregates per worker; tests pass a scratch instance).
 struct QueryCounters {
+  /// Rank lists decoded (one per list intersected).
   std::uint64_t buckets_scanned = 0;
+  /// Entry ids decoded from those lists.
   std::uint64_t entries_tested = 0;
   std::uint64_t deadline_exceeded = 0;
 };
@@ -40,12 +42,5 @@ struct QueryCounters {
 Response answer_query(const Request& request, const LoadedBlob& blob,
                       const core::MiningControl& control,
                       QueryCounters& counters);
-
-/// Support of `ranks` (strictly increasing) via the sum-bucket scan.
-/// Returns false when the control tripped mid-scan (support is then a
-/// partial sum and must not be served).
-bool blob_support(const LoadedBlob& blob, std::span<const Rank> ranks,
-                  const core::MiningControl& control, QueryCounters& counters,
-                  Count& support);
 
 }  // namespace plt::serve

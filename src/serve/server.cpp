@@ -1,5 +1,6 @@
 #include "serve/server.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -16,6 +17,7 @@
 #include "core/exec_control.hpp"
 #include "obs/trace.hpp"
 #include "serve/query_engine.hpp"
+#include "util/failpoint.hpp"
 #include "util/log.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -31,6 +33,20 @@ Response make_error(Opcode opcode, std::uint32_t request_id, Status status,
   response.status = status;
   response.detail = std::move(detail);
   return response;
+}
+
+/// The "serve.accept" failpoint: accept() failing with EMFILE, on demand,
+/// so the refusal path is testable without exhausting the process's
+/// descriptors.
+bool descriptors_exhausted_injected() {
+#if PLT_FAILPOINTS_ENABLED
+  try {
+    PLT_FAILPOINT("serve.accept");
+  } catch (const InjectedFault&) {
+    return true;
+  }
+#endif
+  return false;
 }
 
 void histogram_json(std::ostringstream& out,
@@ -174,6 +190,8 @@ Server::~Server() { stop(); }
 void Server::start() {
   if (running_.load(std::memory_order_acquire)) return;
   store_.load_initial();
+  reserve_ = Fd(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+  if (!reserve_.valid()) throw SocketError("open(/dev/null) failed");
   listen_ = listen_tcp(options_.port, port_);
   set_nonblocking(listen_.get());
   stopping_.store(false, std::memory_order_release);
@@ -216,6 +234,7 @@ void Server::stop() {
   }
   workers_.clear();
   listen_.reset();
+  reserve_.reset();
   running_.store(false, std::memory_order_release);
 }
 
@@ -242,13 +261,51 @@ StatsSnapshot Server::stats() const {
     snapshot.protocol_errors += worker->protocol_errors;
     snapshot.overloaded += worker->overloaded;
   }
+  snapshot.overloaded += refused_.load(std::memory_order_relaxed);
   snapshot.reloads = reloads_.load(std::memory_order_relaxed);
   if (const std::shared_ptr<const BlobSet> set = store_.snapshot())
     snapshot.generation = set->generation;
   return snapshot;
 }
 
+bool Server::refuse_one() {
+  reserve_.reset();
+  Fd client(::accept4(listen_.get(), nullptr, nullptr,
+                      SOCK_NONBLOCK | SOCK_CLOEXEC));
+  const bool accepted = client.valid();
+  if (accepted) {
+    const std::vector<std::uint8_t> frame = encode_response(
+        make_error(Opcode::kPing, 0, Status::kOverloaded,
+                   "out of file descriptors; connection refused"));
+    try {
+      for (std::size_t sent = 0; sent < frame.size();) {
+        const std::ptrdiff_t n = write_some(
+            client.get(), frame.data() + sent, frame.size() - sent);
+        if (n <= 0) break;  // send buffer full or peer gone
+        sent += static_cast<std::size_t>(n);
+      }
+      // Read what the peer already sent (a bounded amount), so the close
+      // is a FIN and not a reset that could discard the answer.
+      std::uint8_t sink[4096];
+      for (int reads = 0;
+           reads < 16 && read_some(client.get(), sink, sizeof(sink)) > 0;
+           ++reads) {
+      }
+    } catch (const SocketError& error) {
+      log_warn() << "plt-serve: refused connection failed: " << error.what();
+    }
+    refused_.fetch_add(1, std::memory_order_relaxed);
+  }
+  client.reset();
+  reserve_ = Fd(::open("/dev/null", O_RDONLY | O_CLOEXEC));
+  if (!reserve_.valid())
+    log_warn() << "plt-serve: could not re-open the reserve descriptor: "
+               << std::strerror(errno);
+  return accepted;
+}
+
 void Server::acceptor_loop() {
+  bool refusing = false;  // within a burst of refusals, warned once
   while (!stopping_.load(std::memory_order_acquire)) {
     if (reload_flag_ != nullptr &&
         reload_flag_->exchange(0, std::memory_order_acq_rel) != 0) {
@@ -266,13 +323,30 @@ void Server::acceptor_loop() {
     const int ready = ::poll(&pfd, 1, 100);
     if (ready <= 0) continue;
     for (;;) {
-      const int client = ::accept4(listen_.get(), nullptr, nullptr,
-                                   SOCK_NONBLOCK | SOCK_CLOEXEC);
+      // Out of descriptors, the pending connection would stay in the
+      // backlog and poll would report it again at once: answer it instead.
+      bool exhausted = descriptors_exhausted_injected();
+      int client = -1;
+      if (!exhausted) {
+        client = ::accept4(listen_.get(), nullptr, nullptr,
+                           SOCK_NONBLOCK | SOCK_CLOEXEC);
+        exhausted = client < 0 && (errno == EMFILE || errno == ENFILE);
+      }
+      if (exhausted) {
+        if (!refuse_one()) break;
+        if (!refusing) {
+          log_warn() << "plt-serve: out of file descriptors; refusing "
+                        "connections with OVERLOADED";
+          refusing = true;
+        }
+        continue;
+      }
       if (client < 0) {
         if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR)
           log_warn() << "plt-serve: accept failed: " << std::strerror(errno);
         break;
       }
+      refusing = false;
       Worker& worker = *workers_[next_worker_];
       next_worker_ = (next_worker_ + 1) % workers_.size();
       {
@@ -377,7 +451,7 @@ void Server::worker_loop(Worker& worker) {
       QueryCounters counters;
       response = answer_query(request, *blob, control, counters);
       if (counters.buckets_scanned > 0)
-        PLT_TRACE_COUNT("serve.buckets-scanned", counters.buckets_scanned);
+        PLT_TRACE_COUNT("serve.lists-decoded", counters.buckets_scanned);
     }
 
     const std::uint64_t elapsed_ns = static_cast<std::uint64_t>(

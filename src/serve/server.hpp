@@ -1,5 +1,5 @@
 // plt-serve daemon core (DESIGN.md S27): a thread-per-core epoll server
-// over mmap'd PLT2 blobs. No framework — one acceptor thread hands
+// over PLT2 blobs indexed at load. No framework — one acceptor thread hands
 // accepted connections round-robin to N worker loops; each worker owns its
 // connections outright (epoll set, buffers, stats), so the only shared
 // state on the request path is the BlobStore snapshot (one shared_ptr copy
@@ -14,15 +14,18 @@
 // requests — clients correlate responses by request_id.
 //
 // Admission control: per-request MiningControl deadlines (request header
-// or server default) bound scan time, and a global in-flight memory budget
+// or server default) bound query time, and a global in-flight memory budget
 // bounds buffered request+response bytes — requests over budget get the
-// typed OVERLOADED error instead of queueing without bound.
+// typed OVERLOADED error instead of queueing without bound. Out of file
+// descriptors, the acceptor spends a reserved one to answer a pending
+// connection with OVERLOADED and close it, instead of leaving it in the
+// backlog.
 //
 // Hot swap: reload() (admin opcode, or SIGHUP via the flag plt-serve
 // registers) builds the next BlobSet off to the side and swaps one
-// shared_ptr; in-flight queries drain on the old generation, which unmaps
-// when the last snapshot holder drops it. A failed reload keeps serving
-// the old generation.
+// shared_ptr; in-flight queries drain on the old generation, which is
+// freed when the last snapshot holder drops it. A failed reload keeps
+// serving the old generation.
 #pragma once
 
 #include <atomic>
@@ -65,7 +68,9 @@ struct StatsSnapshot {
   std::uint64_t connections = 0;
   std::uint64_t disconnects = 0;       ///< peer closed mid-frame
   std::uint64_t protocol_errors = 0;   ///< bad magic/version/oversized/...
-  std::uint64_t overloaded = 0;        ///< admissions refused over budget
+  /// Admissions refused over budget, plus connections refused at accept
+  /// when the process ran out of file descriptors.
+  std::uint64_t overloaded = 0;
   std::uint64_t reloads = 0;
   std::uint32_t generation = 0;
 
@@ -100,7 +105,8 @@ class Server {
 
   /// Polled by the acceptor loop (~10 Hz): when the pointed-to flag is
   /// nonzero it is cleared and a reload runs — the SIGHUP hook, kept
-  /// signal-safe because the handler only sets the atomic.
+  /// signal-safe because the handler only sets the atomic. Call it before
+  /// start(): the acceptor thread reads the pointer without a lock.
   void watch_reload_flag(std::atomic<int>* flag) { reload_flag_ = flag; }
 
   StatsSnapshot stats() const;
@@ -111,6 +117,10 @@ class Server {
   friend struct Worker;
 
   void acceptor_loop();
+  /// The EMFILE/ENFILE answer: frees the reserve fd, accepts one pending
+  /// connection, writes it a typed OVERLOADED frame and closes it, then
+  /// re-opens the reserve. Returns false when nothing was pending.
+  bool refuse_one();
   void worker_loop(Worker& worker);
 
   ServerOptions options_;
@@ -122,8 +132,12 @@ class Server {
   /// by every worker thread — relaxed ordering, the budget is advisory.
   std::atomic<std::size_t> in_flight_bytes_{0};
   std::atomic<std::uint64_t> reloads_{0};
+  std::atomic<std::uint64_t> refused_{0};  ///< refuse_one() answers
   std::uint16_t port_ = 0;  ///< written once in start(), before threads
   Fd listen_;
+  /// Held for the daemon's life so that, out of descriptors, the acceptor
+  /// can still take a pending connection and answer it.
+  Fd reserve_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::thread acceptor_;
   std::size_t next_worker_ = 0;  ///< acceptor-thread-only round-robin state

@@ -1,9 +1,11 @@
 // Compression & serialization tests: varint round-trips and failure modes,
-// PLT codec round-trips, hostile values behind valid CRCs, and selective
-// decode via the blob index.
+// PLT codec round-trips, hostile values behind valid CRCs, and the blob's
+// vertical index (per-rank entry-id lists).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <numeric>
 
 #include "blob_test_support.hpp"
 #include "compress/blob_format.hpp"
@@ -194,46 +196,56 @@ TEST(Codec, RawDatabaseBytes) {
                                         2u * sizeof(std::uint64_t));
 }
 
+/// Rank r's entry ids as the index decodes them.
+std::vector<std::uint32_t> list_of(const BlobIndex& index, Rank r) {
+  std::vector<std::uint32_t> ids(index.ids_of(r));
+  EXPECT_EQ(index.decode_list(r, ids.data()), ids.size());
+  return ids;
+}
+
 TEST(Index, PartitionRangesAndSelectiveDecode) {
   const auto plt = sample_plt();
   const auto blob = encode_plt(plt);
   const auto index = build_index(blob);
   EXPECT_EQ(index.max_rank, 10u);
-  EXPECT_EQ(index.partitions.size(), 4u);  // lengths 1,2,3,4
+  EXPECT_EQ(index.frames.size(), 4u);  // lengths 1,2,3,4
+  ASSERT_EQ(index.entries(), 4u);
 
-  std::map<core::PosVec, Count> got;
-  const auto visited = decode_partition(
-      blob, index, 3, [&](std::span<const Pos> v, Count freq) {
-        got[core::PosVec(v.begin(), v.end())] = freq;
-      });
-  EXPECT_EQ(visited, 1u);
-  EXPECT_EQ(got.at(core::PosVec{1, 1, 1}), 5u);
-  EXPECT_EQ(decode_partition(blob, index, 7,
-                             [](std::span<const Pos>, Count) {}),
-            0u);
+  // The length-3 frame holds one entry, {1,1,1} with freq 5: of every id,
+  // one survives the frame-length filter, and ranks 1, 2 and 3 list it.
+  std::vector<std::uint32_t> ids(index.entries());
+  std::iota(ids.begin(), ids.end(), 0u);
+  ids.resize(index.keep_length(3, ids.data(), ids.size()));
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(index.freq[ids[0]], 5u);
+  for (const Rank r : {1u, 2u, 3u}) {
+    const auto list = list_of(index, r);
+    EXPECT_TRUE(std::binary_search(list.begin(), list.end(), ids[0])) << r;
+  }
+  std::vector<std::uint32_t> all(index.entries());
+  std::iota(all.begin(), all.end(), 0u);
+  EXPECT_EQ(index.keep_length(7, all.data(), all.size()), 0u);
 }
 
-TEST(Index, BucketDecodeBySum) {
+TEST(Index, RankListDecode) {
   core::Plt plt(6);
-  plt.add(core::PosVec{1, 2}, 4);   // sum 3
-  plt.add(core::PosVec{3}, 7);      // sum 3
-  plt.add(core::PosVec{1, 1, 3}, 1);  // sum 5
+  plt.add(core::PosVec{1, 2}, 4);   // ranks 1, 3
+  plt.add(core::PosVec{3}, 7);      // rank 3
+  plt.add(core::PosVec{1, 1, 3}, 1);  // ranks 1, 2, 5
   const auto blob = encode_plt(plt);
   const auto index = build_index(blob);
 
+  const auto list = list_of(index, 3);
+  EXPECT_EQ(list.size(), 2u);
+  EXPECT_TRUE(std::is_sorted(list.begin(), list.end()));
   Count mass = 0;
-  const auto visited =
-      decode_bucket(blob, index, 3, [&](std::span<const Pos>, Count freq) {
-        mass += freq;
-      });
-  EXPECT_EQ(visited, 2u);
+  for (const std::uint32_t id : list) mass += index.freq[id];
   EXPECT_EQ(mass, 11u);
-  EXPECT_EQ(decode_bucket(blob, index, 6,
-                          [](std::span<const Pos>, Count) {}),
-            0u);
-  EXPECT_EQ(decode_bucket(blob, index, 99,
-                          [](std::span<const Pos>, Count) {}),
-            0u);
+  EXPECT_EQ(index.item_support[3 - 1], 11u);
+  EXPECT_EQ(index.total_freq, 12u);
+  EXPECT_EQ(index.ids_of(6), 0u);
+  EXPECT_EQ(index.ids_of(99), 0u);
+  EXPECT_EQ(index.decode_list(99, nullptr), 0u);
 }
 
 TEST(Index, BadBlobThrows) {

@@ -246,5 +246,71 @@ TEST(ItemsetCollector, FrequencyOrdersReadBackAscending) {
     EXPECT_TRUE(strictly_ascending(items));
 }
 
+/// `set` read in record order through for_each and through one PathReader
+/// in reverse and strided order; every read must be itemset(i).
+void expect_path_reads_match(const FrequentItemsets& set, const char* what) {
+  Itemset scratch;
+  std::size_t i = 0;
+  set.for_each([&](std::span<const Item> items, Count support) {
+    const std::span<const Item> walked = set.itemset(i, scratch);
+    EXPECT_TRUE(std::equal(items.begin(), items.end(), walked.begin(),
+                           walked.end()))
+        << what << " record " << i;
+    EXPECT_EQ(support, set.support(i)) << what << " record " << i;
+    ++i;
+  });
+  EXPECT_EQ(i, set.size()) << what;
+  FrequentItemsets::PathReader reader(set);
+  std::vector<std::size_t> order;
+  for (std::size_t r = set.size(); r-- > 0;) order.push_back(r);
+  for (std::size_t r = 0; r < set.size(); r += 3) order.push_back(r);
+  for (const std::size_t r : order) {
+    const std::span<const Item> read = reader.read(r);
+    EXPECT_EQ(Itemset(read.begin(), read.end()), set.itemset(r))
+        << what << " out-of-order record " << r;
+  }
+}
+
+TEST(ItemsetCollector, PathReaderMatchesTheChainWalk) {
+  // Depth first, as the engine emits: every parent is on the path.
+  FrequentItemsets depth_first;
+  const auto a = depth_first.extend(kRoot, 9, 10);  // {9}
+  const auto b = depth_first.extend(a, 5, 8);       // {5,9}
+  depth_first.extend(depth_first.extend(b, 2, 6), 1, 3);  // {2,5,9}, {1,2,5,9}
+  depth_first.extend(b, 3, 5);                      // {3,5,9}: pops back
+  depth_first.extend(a, 7, 4);                      // {7,9}
+  const auto c = depth_first.extend(kRoot, 3, 2);   // {3}: a new root
+  depth_first.extend(depth_first.extend(c, 8, 1), 6, 1);  // unsorted chain
+  expect_path_reads_match(depth_first, "depth-first");
+
+  // Roots only, one of them stored out of order.
+  FrequentItemsets roots;
+  roots.add(Itemset{2, 4, 6}, 5);
+  roots.add(Itemset{7}, 4);
+  roots.add(Itemset{5, 1, 3}, 2);
+  expect_path_reads_match(roots, "roots");
+
+  // Blocks appended after each other, and chains under a stored root.
+  FrequentItemsets appended;
+  appended.append(depth_first);
+  appended.append(roots);
+  const auto grown = appended.extend(
+      static_cast<std::uint32_t>(depth_first.size()), 1, 3);  // {1,2,4,6}
+  appended.extend(grown, 0, 1);
+  appended.append(depth_first);
+  expect_path_reads_match(appended, "appended");
+
+  // Breadth first: each record's parent has already left the path.
+  FrequentItemsets breadth_first;
+  const auto x = breadth_first.extend(kRoot, 9, 6);
+  const auto y = breadth_first.extend(kRoot, 8, 5);
+  const auto x1 = breadth_first.extend(x, 4, 3);
+  const auto y1 = breadth_first.extend(y, 2, 2);
+  breadth_first.extend(x1, 1, 1);
+  breadth_first.extend(y1, 0, 1);
+  breadth_first.extend(x, 6, 2);
+  expect_path_reads_match(breadth_first, "breadth-first");
+}
+
 }  // namespace
 }  // namespace plt::core

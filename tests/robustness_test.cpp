@@ -182,11 +182,17 @@ TEST(Fuzz, ResealedPayloadCorruptionReachesValueChecks) {
     }
     try {
       const auto index = compress::build_index(mutated);
-      for (Rank sum = 1; sum <= index.max_rank; ++sum)
-        compress::decode_bucket(
-            mutated, index, sum, [&](std::span<const Pos> v, Count) {
-              ASSERT_EQ(core::checked_sum(v, index.max_rank), sum);
-            });
+      for (Rank r = 1; r <= index.max_rank; ++r) {
+        std::vector<std::uint32_t> ids(index.ids_of(r));
+        ASSERT_EQ(index.decode_list(r, ids.data()), ids.size());
+        Count support = 0;
+        for (std::size_t k = 0; k < ids.size(); ++k) {
+          ASSERT_LT(ids[k], index.entries());
+          if (k > 0) ASSERT_LT(ids[k - 1], ids[k]);
+          support += index.freq[ids[k]];
+        }
+        ASSERT_EQ(support, index.item_support[r - 1]);
+      }
     } catch (const std::runtime_error&) {
     }
     mine_blob_expecting_no_crash(mutated, 3);
@@ -199,7 +205,7 @@ TEST(Fuzz, ResealedPayloadCorruptionReachesValueChecks) {
 // Hostile entries behind valid CRCs over max_rank 4: {0xFFFFFFFF, 2}, whose
 // u32 position sum wraps to 1, and {0, 3}, with a zero position. Every
 // reader must refuse both with a typed error; accepting them would hand
-// serve's bucket index and the blob miner's tree ranks out of range.
+// serve's rank lists and the blob miner's tree ranks out of range.
 TEST(Fuzz, ValidCrcHostilePositionsThrowInEveryReader) {
   const std::vector<Item> item_of = {1, 2, 3, 4};
   for (const std::vector<std::uint32_t>& positions :
@@ -217,6 +223,23 @@ TEST(Fuzz, ValidCrcHostilePositionsThrowInEveryReader) {
     EXPECT_THROW((void)serve::load_blob(path), std::runtime_error);
     std::remove(path.c_str());
   }
+}
+
+// Every strict prefix of a real blob file fails serve's load with a typed
+// error: the loader reads the file and indexes it, and a cut anywhere
+// leaves a frame or its CRC short.
+TEST(Fuzz, LoadBlobRejectsEveryTruncation) {
+  const auto blob = sample_blob();
+  const std::string path = ::testing::TempDir() +
+                           std::to_string(::getpid()) + "_truncated.plt";
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    compress::write_blob_file({blob.data(), len}, path);
+    EXPECT_THROW((void)serve::load_blob(path), std::runtime_error) << len;
+  }
+  compress::write_blob_file(blob, path);
+  EXPECT_EQ(serve::load_blob(path)->index.entries(),
+            compress::build_index(blob).entries());
+  std::remove(path.c_str());
 }
 
 // Every truncation (as cut, and re-sealed so the decoder's own length

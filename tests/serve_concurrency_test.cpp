@@ -318,9 +318,9 @@ TEST(ServeConcurrency, BudgetExhaustionRejectsTypedNeverSilently) {
 TEST(ServeConcurrency, BatchingGroupsSameBucketRequests) {
   TestServer server({write_table1_blob(2, "batch_table1.plt")});
   QueryClient client(server.port());
-  // 16 pipelined queries over only two distinct (blob, top-rank) groups
-  // arrive in one tick and run in arrival order against the tick's pinned
-  // snapshot: each id gets the support of its own itemset.
+  // 16 pipelined queries over only two distinct itemsets arrive in one
+  // tick and run in arrival order against the tick's pinned snapshot: each
+  // id gets the support of its own itemset.
   std::vector<std::uint8_t> burst;
   for (std::uint32_t id = 1; id <= 16; ++id) {
     Request request;

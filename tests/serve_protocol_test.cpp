@@ -3,13 +3,19 @@
 // daemon — truncated frames, oversized lengths, bad magic/version,
 // mid-request disconnects and slow-loris partial writes must produce typed
 // errors or clean closes, never a crash. Failpoint-injected short
-// reads/writes exercise the resumption paths, and the "serve.deadline"
-// failpoint pins the typed-DEADLINE contract deterministically.
+// reads/writes exercise the resumption paths, the "serve.deadline"
+// failpoint pins the typed-DEADLINE contract deterministically, and the
+// "serve.accept" failpoint the typed answer to descriptor exhaustion. A
+// served file rewritten in place must not change an answer.
 #include <gtest/gtest.h>
+#include <poll.h>
+#include <unistd.h>
 
+#include <cstdio>
 #include <random>
 #include <thread>
 
+#include "compress/codec.hpp"
 #include "core/subset_check.hpp"
 #include "serve/protocol.hpp"
 #include "serve_test_support.hpp"
@@ -417,6 +423,77 @@ TEST_F(ServeWireTest, ReloadSwapsGenerationUnderTraffic) {
   EXPECT_EQ(reloaded.generation, 2u);
   EXPECT_EQ(client.support(0, std::vector<Rank>{1}), 4u);
   EXPECT_GE(server_->server().stats().reloads, 1u);
+}
+
+TEST_F(ServeWireTest, DescriptorExhaustionAtAcceptAnswersOverloaded) {
+  // The "serve.accept" failpoint puts the acceptor on its EMFILE branch:
+  // the connection gets one typed OVERLOADED frame and then EOF, not a
+  // seat in the backlog. Every wait is bounded, so a daemon that never
+  // answers fails the test instead of hanging it.
+  const auto readable = [](int fd) {
+    pollfd pfd{};
+    pfd.fd = fd;
+    pfd.events = POLLIN;
+    return ::poll(&pfd, 1, 5000) == 1;
+  };
+  // Once: armed for good, the acceptor could still be on the refusal
+  // branch when the next client below connects.
+  FailpointRegistry::Spec once;
+  once.mode = FailpointRegistry::Mode::kOneShot;
+  once.n = 1;
+  FailpointRegistry::instance().arm("serve.accept", once);
+  {
+    QueryClient refused(port());
+    ASSERT_TRUE(readable(refused.fd()));
+    const auto response = refused.read_response();
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, Status::kOverloaded);
+    EXPECT_FALSE(response->detail.empty());
+    ASSERT_TRUE(readable(refused.fd()));
+    EXPECT_FALSE(refused.read_response().has_value());
+  }
+  FailpointRegistry::instance().disarm_all();
+  QueryClient client(port());
+  EXPECT_EQ(client.support(0, std::vector<Rank>{1, 2}), 4u);
+  EXPECT_GE(server_->server().stats().overloaded, 1u);
+}
+
+TEST_F(ServeWireTest, ServedFileRewrittenInPlaceKeepsServing) {
+  // The daemon serves from its index, not from the file: truncating the
+  // file in place and filling it with junk changes no answer, a reload
+  // fails typed while the old generation serves, and once the bytes are
+  // back a reload takes.
+  const auto rewrite = [&](const std::vector<std::uint8_t>& bytes) {
+    std::FILE* file = std::fopen(blob_path_.c_str(), "r+b");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+    ASSERT_EQ(std::fclose(file), 0);
+  };
+  const std::vector<Rank> ab = {1, 2};
+  QueryClient client(port());
+  ASSERT_EQ(client.support(0, ab), 4u);
+  const std::vector<std::uint8_t> original =
+      compress::read_blob_file(blob_path_);
+
+  ASSERT_EQ(::truncate(blob_path_.c_str(), 0), 0);
+  EXPECT_EQ(client.support(0, ab), 4u);
+  rewrite(std::vector<std::uint8_t>(original.size() / 2, 0xA5));
+  EXPECT_EQ(client.support(0, ab), 4u);
+
+  Request reload;
+  reload.opcode = Opcode::kReload;
+  reload.request_id = 900;
+  const auto failed = client.call(reload);
+  ASSERT_TRUE(failed.has_value());
+  EXPECT_EQ(failed->status, Status::kInternal);
+  EXPECT_NE(failed->detail.find("reload failed"), std::string::npos);
+  EXPECT_EQ(client.support(0, ab), 4u);
+  EXPECT_EQ(client.stats().generation, 1u);
+
+  ASSERT_EQ(::truncate(blob_path_.c_str(), 0), 0);
+  rewrite(original);
+  EXPECT_EQ(client.reload().generation, 2u);
+  EXPECT_EQ(client.support(0, ab), 4u);
 }
 
 }  // namespace

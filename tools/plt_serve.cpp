@@ -1,5 +1,5 @@
-// plt-serve — concurrent query daemon over mmap'd PLT2 blobs (DESIGN.md
-// S27, EXPERIMENTS.md E22).
+// plt-serve — concurrent query daemon over PLT2 blobs indexed at load
+// (DESIGN.md S27, EXPERIMENTS.md E22).
 //
 //   plt-serve BLOB... [--port N] [--threads N] [--deadline-ms D]
 //             [--memory-budget-mb M] [--ready-file PATH]
@@ -71,13 +71,14 @@ int main(int argc, char** argv) {
       args.get_int("max-frame", serve::kDefaultMaxFrame));
 
   serve::Server server(std::move(options));
+  // Before start(): the acceptor thread reads the flag pointer.
+  server.watch_reload_flag(&g_reload);
   try {
     server.start();
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << '\n';
     return 1;
   }
-  server.watch_reload_flag(&g_reload);
 
   struct sigaction action {};
   action.sa_handler = on_signal;
