@@ -43,7 +43,6 @@ if(CMAKE_CXX_COMPILER_ID STREQUAL "Clang")
   # threads; plain data-structure TUs gain nothing from a second compile.
   add_library(plt_thread_safety_check OBJECT EXCLUDE_FROM_ALL
     ${CMAKE_SOURCE_DIR}/src/util/log.cpp
-    ${CMAKE_SOURCE_DIR}/src/util/thread_pool.cpp
     ${CMAKE_SOURCE_DIR}/src/util/failpoint.cpp
     ${CMAKE_SOURCE_DIR}/src/obs/trace.cpp
     ${CMAKE_SOURCE_DIR}/src/parallel/partition_miner.cpp

@@ -45,7 +45,7 @@ int main(int argc, char** argv) {
   }
 
   // Partitioned mining: each page's conditional subproblem is independent
-  // (the paper's §6 partition criteria) — run them on a thread pool.
+  // (the paper's §6 partition criteria) — run them on worker threads.
   parallel::ParallelOptions options;
   options.threads = static_cast<std::size_t>(args.get_int("threads", 4));
   Timer timer;

@@ -23,20 +23,6 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
                                      OocStats* stats,
                                      const OocOptions& options) {
   const core::MiningControl* control = options.control;
-  const std::uint64_t checks0 = control != nullptr ? control->checks() : 0;
-  const std::uint64_t failpoint0 = FailpointRegistry::instance().total_hits();
-  const std::uint64_t crc0 = crc32c_verifications();
-  const auto finish = [&](core::MineStatus status) {
-    if (stats != nullptr) {
-      stats->resilience.failpoint_hits =
-          FailpointRegistry::instance().total_hits() - failpoint0;
-      stats->resilience.crc_verifications = crc32c_verifications() - crc0;
-      stats->resilience.checkpoint_records = stats->checkpoint_records;
-      if (control != nullptr)
-        stats->resilience.control_checks = control->checks() - checks0;
-    }
-    return status;
-  };
 
   const BlobHeader header = read_blob_header(blob, "mine_from_blob");
   const Rank max_rank = header.max_rank;
@@ -126,7 +112,7 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
   for (Rank j = hi - completed; j >= lo; --j) {
     if (control != nullptr &&
         control->should_stop(tree_bytes + engine.memory_usage()))
-      return finish(control->status());
+      return control->status();
     PLT_FAILPOINT("ooc.rank");
     PLT_TRACE_COUNT("ranks", 1);
     record.rank = j;
@@ -134,7 +120,7 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
     engine.mine_rank(tree, j, item_of, min_support, record.itemsets, {});
     // A control stop mid-rank still hands the sink what the rank emitted.
     record.itemsets.replay(sink);
-    if (engine.interrupted()) return finish(control->status());
+    if (engine.interrupted()) return control->status();
 
     // The rank is complete: one record, flushed, makes it durable. A crash
     // before this line re-mines rank j.
@@ -144,8 +130,8 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
       if (stats != nullptr) stats->checkpoint_records = writer->records_written();
     }
   }
-  return finish(control != nullptr ? control->status()
-                                   : core::MineStatus::kCompleted);
+  return control != nullptr ? control->status()
+                            : core::MineStatus::kCompleted;
 }
 
 }  // namespace
@@ -155,15 +141,11 @@ core::MineStatus mine_from_blob(std::span<const std::uint8_t> blob,
                                 Count min_support,
                                 const core::ItemsetSink& sink,
                                 OocStats* stats, const OocOptions& options) {
-  obs::AutoSession trace_session;
-  core::MineStatus status;
-  {
-    PLT_SPAN("ooc-mine");
-    status = mine_from_blob_impl(blob, item_of, min_support, sink, stats,
-                                 options);
-  }
-  if (auto trace = trace_session.finish(); stats != nullptr)
-    stats->trace = std::move(trace);
+  const core::ResilienceScope scope(options.control);
+  PLT_SPAN("ooc-mine");
+  const core::MineStatus status =
+      mine_from_blob_impl(blob, item_of, min_support, sink, stats, options);
+  if (stats != nullptr) stats->resilience = scope.deltas();
   return status;
 }
 

@@ -18,14 +18,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "core/exec_control.hpp"
 #include "core/itemset_collector.hpp"
-#include "obs/trace.hpp"
 
 namespace plt::compress {
 
@@ -40,10 +38,6 @@ struct OocStats {
   std::uint64_t checkpoint_records = 0;  ///< rank records written this run
   std::uint64_t resumed_ranks = 0;   ///< ranks replayed from a checkpoint
   core::ResilienceStats resilience;  ///< control/failpoint/CRC activity
-  /// Aggregated span tree of this run when tracing was enabled and no outer
-  /// session owned the walk (same contract as MineResult::trace); null
-  /// otherwise. A resumed run's tree carries the "ooc-resume" span.
-  std::shared_ptr<const obs::TraceNode> trace;
 };
 
 struct OocOptions {
@@ -76,7 +70,9 @@ struct OocOptions {
 /// enforce it). Returns kCompleted for an exhaustive mine, or the tripped
 /// control's status after a clean early unwind (already-emitted itemsets
 /// stay valid). Throws std::runtime_error on malformed blobs or item maps
-/// that do not cover every rank.
+/// that do not cover every rank. Inside a caller's obs::TraceSession the
+/// walk records an "ooc-mine" span (with "ooc-resume" under it when a log
+/// is replayed); with no session it records nothing.
 core::MineStatus mine_from_blob(std::span<const std::uint8_t> blob,
                                 const std::vector<Item>& item_of,
                                 Count min_support,

@@ -30,12 +30,29 @@ const char* to_string(MineStatus status);
 /// Resilience counters surfaced through MineResult / OocStats so the cost
 /// and activity of the control/failpoint/CRC machinery is visible.
 struct ResilienceStats {
-  std::uint64_t control_checks = 0;      ///< should_stop() evaluations
-  std::uint64_t failpoint_hits = 0;      ///< injected faults fired
-  std::uint64_t crc_verifications = 0;   ///< blob/checkpoint CRCs verified
-  std::uint64_t checkpoint_records = 0;  ///< OOC rank records written
+  std::uint64_t control_checks = 0;     ///< should_stop() evaluations
+  std::uint64_t failpoint_hits = 0;     ///< injected faults fired
+  std::uint64_t crc_verifications = 0;  ///< blob/checkpoint CRCs verified
+};
 
-  void merge(const ResilienceStats& other);
+class MiningControl;
+
+/// Snapshots the process-wide failpoint and CRC counters, and the
+/// control's check count, so one mine can report what it added to them
+/// (the failpoint and CRC deltas include whatever ran concurrently; the
+/// control's checks are exact).
+class ResilienceScope {
+ public:
+  explicit ResilienceScope(const MiningControl* control);
+  /// The counters' growth since construction (control_checks stays 0
+  /// without a control).
+  ResilienceStats deltas() const;
+
+ private:
+  const MiningControl* control_;
+  std::uint64_t checks0_ = 0;
+  std::uint64_t failpoint0_ = 0;
+  std::uint64_t crc0_ = 0;
 };
 
 class MiningControl {

@@ -11,8 +11,7 @@
 #include "core/builder.hpp"
 #include "core/conditional.hpp"
 #include "core/topdown.hpp"
-#include "util/crc32c.hpp"
-#include "util/failpoint.hpp"
+#include "obs/trace.hpp"
 #include "util/timer.hpp"
 
 namespace plt::core {
@@ -52,33 +51,6 @@ const std::vector<Algorithm>& all_algorithms() {
 }
 
 namespace {
-
-// Snapshots the process-wide resilience counters so a MineResult can report
-// the deltas attributable to this mine (the control's checks are exact).
-struct ResilienceScope {
-  const MiningControl* control;
-  std::uint64_t checks0 = 0;
-  std::uint64_t failpoint0 = 0;
-  std::uint64_t crc0 = 0;
-
-  explicit ResilienceScope(const MiningControl* c) : control(c) {
-    if (control != nullptr) checks0 = control->checks();
-    failpoint0 = FailpointRegistry::instance().total_hits();
-    crc0 = crc32c_verifications();
-  }
-
-  void finish(MineResult& result) const {
-    result.resilience.failpoint_hits =
-        FailpointRegistry::instance().total_hits() - failpoint0;
-    result.resilience.crc_verifications = crc32c_verifications() - crc0;
-    if (control == nullptr) return;
-    result.resilience.control_checks = control->checks() - checks0;
-    result.status = control->status();
-    if (result.status == MineStatus::kBudgetExceeded)
-      result.degradation_hint =
-          "memory budget exceeded: raise min_support or the memory budget";
-  }
-};
 
 MineResult mine_plt_family(const tdb::Database& db, Count min_support,
                            Algorithm algorithm, const MineOptions& options) {
@@ -150,16 +122,12 @@ MineResult mine_plt_family(const tdb::Database& db, Count min_support,
 MineResult mine_impl(const tdb::Database& db, Count min_support,
                      Algorithm algorithm, const MineOptions& options) {
   const MiningControl* control = options.control;
-  const ResilienceScope scope(control);
   switch (algorithm) {
     case Algorithm::kPltConditional:
     case Algorithm::kPltConditionalNoFilter:
     case Algorithm::kPltTopDownCanonical:
     case Algorithm::kPltTopDownSweep: {
-      MineResult result =
-          mine_plt_family(db, min_support, algorithm, options);
-      scope.finish(result);
-      return result;
+      return mine_plt_family(db, min_support, algorithm, options);
     }
     case Algorithm::kAis:
     case Algorithm::kApriori:
@@ -196,7 +164,6 @@ MineResult mine_impl(const tdb::Database& db, Count min_support,
       result.build_seconds = stats.build_seconds;
       result.mine_seconds = stats.mine_seconds;
       result.structure_bytes = stats.structure_bytes;
-      scope.finish(result);
       return result;
     }
     case Algorithm::kHMine: {
@@ -207,7 +174,6 @@ MineResult mine_impl(const tdb::Database& db, Count min_support,
       result.build_seconds = stats.build_seconds;
       result.mine_seconds = stats.mine_seconds;
       result.structure_bytes = stats.structure_bytes;
-      scope.finish(result);
       return result;
     }
     case Algorithm::kFpGrowth: {
@@ -219,7 +185,6 @@ MineResult mine_impl(const tdb::Database& db, Count min_support,
       result.build_seconds = stats.build_seconds;
       result.mine_seconds = stats.mine_seconds;
       result.structure_bytes = stats.structure_bytes;
-      scope.finish(result);
       return result;
     }
     case Algorithm::kEclat:
@@ -234,7 +199,6 @@ MineResult mine_impl(const tdb::Database& db, Count min_support,
       result.build_seconds = stats.build_seconds;
       result.mine_seconds = stats.mine_seconds;
       result.structure_bytes = stats.structure_bytes;
-      scope.finish(result);
       return result;
     }
     case Algorithm::kBruteForce: {
@@ -243,7 +207,6 @@ MineResult mine_impl(const tdb::Database& db, Count min_support,
       baselines::mine_brute_force(db, min_support,
                                   collect_into(result.itemsets));
       result.mine_seconds = timer.seconds();
-      scope.finish(result);
       return result;
     }
   }
@@ -260,18 +223,21 @@ MineResult mine(const tdb::Database& db, Count min_support,
   // fifteen algorithms their root spans: "mine" > "<algorithm-name>" >
   // (whatever the path records below — the baselines stay coarse, the PLT
   // paths add build/rank-loop/projection detail).
-  obs::AutoSession trace_session;
-  MineResult result;
-  {
-    PLT_SPAN("mine");
-    obs::Span algorithm_span(algorithm_name(algorithm));
-    result = mine_impl(db, min_support, algorithm, options);
-    // status_counter_name maps every MineStatus onto a registered
-    // status.* literal. plt-lint: allow(span-registry)
-    PLT_TRACE_COUNT(status_counter_name(result.status), 1);
-    PLT_TRACE_COUNT("itemsets-total", result.itemsets.size());
+  const ResilienceScope scope(options.control);
+  PLT_SPAN("mine");
+  obs::Span algorithm_span(algorithm_name(algorithm));
+  MineResult result = mine_impl(db, min_support, algorithm, options);
+  result.resilience = scope.deltas();
+  if (options.control != nullptr) {
+    result.status = options.control->status();
+    if (result.status == MineStatus::kBudgetExceeded)
+      result.degradation_hint =
+          "memory budget exceeded: raise min_support or the memory budget";
   }
-  result.trace = trace_session.finish();
+  // status_counter_name maps every MineStatus onto a registered status.*
+  // literal. plt-lint: allow(span-registry)
+  PLT_TRACE_COUNT(status_counter_name(result.status), 1);
+  PLT_TRACE_COUNT("itemsets-total", result.itemsets.size());
   return result;
 }
 

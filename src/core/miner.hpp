@@ -10,7 +10,6 @@
 #include "core/exec_control.hpp"
 #include "core/itemset_collector.hpp"
 #include "core/projection_pool.hpp"
-#include "obs/trace.hpp"
 #include "tdb/database.hpp"
 #include "tdb/remap.hpp"
 
@@ -69,16 +68,13 @@ struct MineResult {
   /// Set when status == kBudgetExceeded: how to retry within the budget
   /// (raise min_support or the budget).
   std::string degradation_hint;
-  /// The aggregated span tree of this mine (see obs/trace.hpp), set when
-  /// runtime tracing is enabled (PLT_TRACE / obs::set_enabled) and no outer
-  /// TraceSession was active — an outer session (plt-mine --trace, bench
-  /// --trace) collects across calls instead and this stays null.
-  std::shared_ptr<const obs::TraceNode> trace;
 };
 
 /// Mines `db` at absolute support `min_support` with the chosen algorithm.
 /// Itemsets are reported in original item ids and are exactly comparable
-/// across algorithms via FrequentItemsets::equal.
+/// across algorithms via FrequentItemsets::equal. Inside a caller's
+/// obs::TraceSession the call records a "mine" > "<algorithm-name>" span
+/// pair; with no session it records nothing.
 MineResult mine(const tdb::Database& db, Count min_support,
                 Algorithm algorithm, const MineOptions& options = {});
 

@@ -1,9 +1,9 @@
 // Shared --trace / --trace-folded flags for the CLI and every bench
-// binary: either flag force-enables runtime tracing and installs one
-// TraceSession around the whole run, so every mine() call in the process
-// feeds a single combined tree (the facades' per-call sessions stand down,
-// see obs::AutoSession). The JSON export carries the active kernel backend
-// as metadata; the folded export feeds flamegraph tooling directly.
+// binary: either flag installs one TraceSession around the whole run, so
+// every mine() call in the process feeds a single combined tree. Without
+// either flag nothing is recorded. The JSON export carries the active
+// kernel backend as metadata; the folded export feeds flamegraph tooling
+// directly.
 #pragma once
 
 #include <fstream>
@@ -28,9 +28,7 @@ class TraceScope {
   explicit TraceScope(const Args& args)
       : json_path_(args.get("trace", "")),
         folded_path_(args.get("trace-folded", "")) {
-    if (!active()) return;
-    obs::set_enabled(true);
-    session_.emplace();
+    if (active()) session_.emplace();
   }
 
   ~TraceScope() { write(); }

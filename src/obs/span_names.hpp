@@ -69,7 +69,6 @@ inline constexpr std::string_view kCounters[] = {
     "resumed-ranks",
     "serve.deadline-exceeded",
     "serve.errors",
-    "serve.lists-decoded",
     "serve.requests",
     "shard.attempts",
     "shard.bytes-decoded",

@@ -1,15 +1,13 @@
 // Recording + aggregation for the tracing layer. Per-thread recording is
 // lock-free (each thread mutates only its own ThreadTrace); the only lock
-// is the collector's registration mutex, taken once per thread per
+// is the session collector's registration mutex, taken once per thread per
 // session. Aggregation happens after the traced work quiesced (the mine
 // paths join their workers first), so reading the thread trees needs no
 // synchronization beyond the joins' happens-before.
 #include "obs/trace.hpp"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/thread_annotations.hpp"
@@ -50,12 +48,10 @@ struct Node {
   }
 };
 
-constexpr std::size_t kRingCapacity = 256;
-
 }  // namespace
 
 /// One thread's recording state: the aggregation tree rooted at a
-/// synthetic node, the open-span cursor, and the event ring.
+/// synthetic node and the open-span cursor.
 class ThreadTrace {
  public:
   ThreadTrace() : root_("trace", nullptr), current_(&root_) {}
@@ -63,7 +59,6 @@ class ThreadTrace {
   void enter(const char* name) {
     current_ = current_->child(name);
     ++current_->count;
-    push_event(name, true);
   }
 
   void exit(std::uint64_t elapsed_ns) {
@@ -71,7 +66,6 @@ class ThreadTrace {
       ++unbalanced_exits_;
       return;
     }
-    push_event(current_->name, false);
     current_->total_ns += elapsed_ns;
     current_ = current_->parent;
   }
@@ -87,35 +81,15 @@ class ThreadTrace {
     for (const Node* n = current_; n != &root_; n = n->parent) ++depth;
     return depth;
   }
-  std::uint64_t dropped_events() const {
-    return ring_total_ > kRingCapacity ? ring_total_ - kRingCapacity : 0;
-  }
-
-  std::vector<TraceEvent> events() const {
-    std::vector<TraceEvent> out;
-    const std::size_t n = std::min(ring_total_, kRingCapacity);
-    out.reserve(n);
-    const std::size_t start = ring_total_ - n;
-    for (std::size_t i = 0; i < n; ++i)
-      out.push_back(ring_[(start + i) % kRingCapacity]);
-    return out;
-  }
 
  private:
-  void push_event(const char* name, bool enter) {
-    ring_[ring_total_ % kRingCapacity] = {name, enter, detail::now_ns()};
-    ++ring_total_;
-  }
-
   Node root_;
   Node* current_;
   std::uint64_t unbalanced_exits_ = 0;
-  std::array<TraceEvent, kRingCapacity> ring_{};
-  std::size_t ring_total_ = 0;
 };
 
-/// Collector state: owns every ThreadTrace registered under it.
-class TraceCollectorImpl {
+/// One session's registry: owns every ThreadTrace registered under it.
+class Collector {
  public:
   ThreadTrace* register_thread() {
     const MutexLock lock(mutex_);
@@ -139,9 +113,9 @@ class TraceCollectorImpl {
 
 namespace detail {
 
-std::atomic<TraceCollectorImpl*> g_collector{nullptr};
-// Bumped on every install/uninstall so a thread-local ThreadTrace cached
-// from an earlier session can never be mistaken for one registered with
+std::atomic<Collector*> g_collector{nullptr};
+// Bumped whenever a session starts or finishes, so a thread-local
+// ThreadTrace cached from an earlier session can never be mistaken for one registered with
 // the current collector (even if a new collector reuses the address).
 std::atomic<std::uint64_t> g_epoch{0};
 
@@ -154,7 +128,7 @@ thread_local ThreadSlot t_slot;
 }  // namespace
 
 ThreadTrace* register_current_thread() {
-  TraceCollectorImpl* collector = g_collector.load(std::memory_order_acquire);
+  Collector* collector = g_collector.load(std::memory_order_acquire);
   if (collector == nullptr) return nullptr;
   const std::uint64_t epoch = g_epoch.load(std::memory_order_acquire);
   if (t_slot.epoch == epoch && t_slot.trace != nullptr) return t_slot.trace;
@@ -179,43 +153,6 @@ void add_counter(ThreadTrace* t, const char* name, std::uint64_t delta) {
 }
 
 }  // namespace detail
-
-bool session_active() {
-  return detail::g_collector.load(std::memory_order_acquire) != nullptr;
-}
-
-namespace {
-
-std::atomic<int> g_runtime_enabled{-1};  // -1 = consult PLT_TRACE once
-
-bool env_enabled() {
-  const char* env = std::getenv("PLT_TRACE");
-  if (env == nullptr) return false;
-  const std::string value(env);
-  return !(value.empty() || value == "0" || value == "off");
-}
-
-}  // namespace
-
-bool enabled() {
-#if !PLT_OBS_ENABLED
-  return false;  // compile-time off: nothing would be recorded anyway
-#endif
-  int state = g_runtime_enabled.load(std::memory_order_acquire);
-  if (state < 0) {
-    state = env_enabled() ? 1 : 0;
-    int expected = -1;
-    if (!g_runtime_enabled.compare_exchange_strong(
-            expected, state, std::memory_order_acq_rel,
-            std::memory_order_acquire))
-      state = expected;
-  }
-  return state == 1;
-}
-
-void set_enabled(bool on) {
-  g_runtime_enabled.store(on ? 1 : 0, std::memory_order_release);
-}
 
 // ---- TraceNode queries ----
 
@@ -255,7 +192,7 @@ std::uint64_t TraceNode::span_total() const {
   return total;
 }
 
-// ---- collector ----
+// ---- aggregation ----
 
 namespace {
 
@@ -300,73 +237,48 @@ void sort_tree(TraceNode& node) {
   for (TraceNode& c : node.children) sort_tree(c);
 }
 
+// Makes `collector` the one every span and counter records into. The epoch
+// bump retires every thread's cached ThreadTrace from the previous one.
+void install(Collector* collector) {
+  detail::g_epoch.fetch_add(1, std::memory_order_acq_rel);
+  detail::g_collector.store(collector, std::memory_order_release);
+}
+
 }  // namespace
-
-TraceCollector::TraceCollector()
-    : impl_(std::make_unique<TraceCollectorImpl>()) {}
-
-TraceCollector::~TraceCollector() {
-  if (installed_) uninstall();
-}
-
-void TraceCollector::install() {
-  if (installed_) return;
-  prev_ = detail::g_collector.load(std::memory_order_acquire);
-  detail::g_epoch.fetch_add(1, std::memory_order_acq_rel);
-  detail::g_collector.store(impl_.get(), std::memory_order_release);
-  installed_ = true;
-}
-
-void TraceCollector::uninstall() {
-  if (!installed_) return;
-  detail::g_epoch.fetch_add(1, std::memory_order_acq_rel);
-  detail::g_collector.store(prev_, std::memory_order_release);
-  prev_ = nullptr;
-  installed_ = false;
-}
-
-TraceNode TraceCollector::aggregate() const {
-  TraceNode root;
-  root.name = "trace";
-  impl_->for_each_thread(
-      [&](const ThreadTrace& t) { merge_node(root, t.root()); });
-  sort_tree(root);
-  return root;
-}
-
-TraceHealth TraceCollector::health() const {
-  TraceHealth h;
-  impl_->for_each_thread([&](const ThreadTrace& t) {
-    ++h.threads;
-    h.unbalanced_exits += t.unbalanced_exits();
-    h.open_spans += t.open_spans();
-    h.dropped_events += t.dropped_events();
-  });
-  return h;
-}
-
-std::vector<std::vector<TraceEvent>> TraceCollector::thread_events() const {
-  std::vector<std::vector<TraceEvent>> out;
-  impl_->for_each_thread(
-      [&](const ThreadTrace& t) { out.push_back(t.events()); });
-  return out;
-}
 
 // ---- session ----
 
-TraceSession::TraceSession() { collector_.install(); }
+TraceSession::TraceSession()
+    : collector_(std::make_unique<Collector>()),
+      prev_(detail::g_collector.load(std::memory_order_acquire)) {
+  install(collector_.get());
+}
 
 TraceSession::~TraceSession() {
-  if (!finished_) collector_.uninstall();
+  if (tree_ == nullptr) install(prev_);
 }
 
 std::shared_ptr<const TraceNode> TraceSession::finish() {
-  if (!finished_) {
-    collector_.uninstall();
-    tree_ = std::make_shared<const TraceNode>(collector_.aggregate());
-    finished_ = true;
+  if (tree_ == nullptr) {
+    install(prev_);
+    TraceNode root;
+    root.name = "trace";
+    collector_->for_each_thread(
+        [&](const ThreadTrace& t) { merge_node(root, t.root()); });
+    sort_tree(root);
+    tree_ = std::make_shared<const TraceNode>(std::move(root));
   }
   return tree_;
+}
+
+TraceHealth TraceSession::health() const {
+  TraceHealth h;
+  collector_->for_each_thread([&](const ThreadTrace& t) {
+    ++h.threads;
+    h.unbalanced_exits += t.unbalanced_exits();
+    h.open_spans += t.open_spans();
+  });
+  return h;
 }
 
 }  // namespace plt::obs

@@ -3,12 +3,10 @@
 // reporting:
 //
 //   * Recording is per-thread and lock-free: each thread that opens a span
-//     owns a ThreadTrace — an aggregation tree of (name, count, ns,
-//     counters) nodes plus a fixed-size ring buffer of the most recent
-//     enter/exit events (for post-mortem context; the ring never feeds the
-//     deterministic outputs). Span enter/exit touches only thread-local
-//     state, so tracing a work-stealing mine needs no synchronization on
-//     the hot path.
+//     owns a ThreadTrace, an aggregation tree of (name, count, ns,
+//     counters) nodes. Span enter/exit touches only thread-local state, so
+//     tracing a work-stealing mine needs no synchronization on the hot
+//     path.
 //   * Reporting merges the per-thread trees into one deterministic
 //     TraceNode tree: children and counters sorted by name, counts and
 //     durations summed. Because every unit of work is traced exactly once
@@ -19,11 +17,11 @@
 // Cost contract:
 //   * compile-time off (-DPLT_OBS=OFF): every macro/inline expands to
 //     nothing; the library carries no tracing code at all.
-//   * runtime off (compiled in, no TraceSession installed): one relaxed
+//   * no session (compiled in, no TraceSession installed): one relaxed
 //     atomic load per span/counter site — measured <3% on
 //     bench_projection_pool (EXPERIMENTS.md E19).
-//   * runtime on: a steady_clock read per span boundary plus a short
-//     linear child/counter scan; enabled-mode overhead is also recorded in
+//   * inside a session: two steady_clock reads per span plus a short
+//     linear child/counter scan; the traced overhead is also recorded in
 //     E19.
 //
 // Determinism rules (golden traces rely on these — see DESIGN.md S23):
@@ -33,21 +31,20 @@
 //      work-stealing miner's steal count stays in ProjectionStats, not
 //      here).
 //   3. Masked export (TraceExportOptions::mask_durations) omits every
-//      nanosecond field, the backend tag and the event ring, leaving
-//      names, nesting and counts only.
+//      nanosecond field and the backend tag, leaving names, nesting and
+//      counts only.
 //
-// Activation: a TraceSession installs a process-wide collector (sessions
-// nest; the innermost wins). The facade mine() paths open their own
-// session per call when runtime tracing is enabled (PLT_TRACE env or
-// obs::set_enabled) and no outer session exists, and export the tree via
-// MineResult::trace. plt-mine --trace=FILE and every bench binary's
-// --trace flag install one session around the whole run instead.
+// Activation: a TraceSession is the only way to record. It installs a
+// process-wide collector for its lifetime (sessions nest; the innermost
+// records), and with no session installed nothing is recorded. plt-mine
+// --trace=FILE and every bench binary's --trace flag install one session
+// around the whole run (harness::TraceScope); tests and perfbench open one
+// around the calls they measure.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -81,29 +78,21 @@ struct TraceNode {
 };
 
 /// Aggregate well-formedness report, for tests and trace consumers: a
-/// healthy trace has no unbalanced exits, no spans still open at
-/// aggregation time, and (usually) no dropped ring events.
+/// healthy trace has no unbalanced exits and no spans still open at
+/// aggregation time.
 struct TraceHealth {
   std::uint64_t threads = 0;           ///< ThreadTraces registered
   std::uint64_t unbalanced_exits = 0;  ///< span exits without an enter
   std::uint64_t open_spans = 0;        ///< spans still open when aggregated
-  std::uint64_t dropped_events = 0;    ///< ring-buffer overwrites
 };
 
-/// One entry of a per-thread event ring (most recent events only).
-struct TraceEvent {
-  const char* name;
-  bool enter;        ///< true = span enter, false = span exit
-  std::uint64_t ns;  ///< steady-clock timestamp
-};
-
-class ThreadTrace;        // opaque per-thread recorder (trace.cpp)
-class TraceCollectorImpl; // opaque collector state (trace.cpp)
+class ThreadTrace;  // opaque per-thread recorder (trace.cpp)
+class Collector;    // opaque registry of one session's recorders (trace.cpp)
 
 namespace detail {
-// The installed collector; null when tracing is runtime-off. Exposed so
-// the disabled fast path is a single inline relaxed load.
-extern std::atomic<TraceCollectorImpl*> g_collector;
+// The installed session's collector; null when no session is live.
+// Exposed so the untraced fast path is a single inline relaxed load.
+extern std::atomic<Collector*> g_collector;
 ThreadTrace* register_current_thread();  // slow path, locks the collector
 std::uint64_t now_ns();
 void span_enter(ThreadTrace* t, const char* name);
@@ -111,8 +100,8 @@ void span_exit(ThreadTrace* t, std::uint64_t elapsed_ns);
 void add_counter(ThreadTrace* t, const char* name, std::uint64_t delta);
 }  // namespace detail
 
-/// The calling thread's recorder under the installed collector, or null
-/// when tracing is off. Fast path: one relaxed atomic load.
+/// The calling thread's recorder under the installed session, or null when
+/// no session is live. Fast path: one relaxed atomic load.
 inline ThreadTrace* current_thread_trace() {
 #if PLT_OBS_ENABLED
   if (detail::g_collector.load(std::memory_order_relaxed) == nullptr)
@@ -123,17 +112,8 @@ inline ThreadTrace* current_thread_trace() {
 #endif
 }
 
-/// True when a collector is installed (some TraceSession is live).
-bool session_active();
-
-/// Runtime master toggle consulted by the mine() facades: true when
-/// set_enabled(true) was called or the PLT_TRACE environment variable is
-/// set to anything but "" / "0" / "off" (read once, at first query).
-bool enabled();
-void set_enabled(bool on);
-
-/// RAII phase span. Records nothing (one relaxed load) when tracing is
-/// off. `name` must outlive the session — use string literals or other
+/// RAII phase span. Records nothing (one relaxed load) when no session is
+/// live. `name` must outlive the session — use string literals or other
 /// static storage (algorithm_name() etc.).
 class Span {
  public:
@@ -194,37 +174,12 @@ inline void count_kernel(const char* calls_name, const char* bytes_name,
 #endif
 }
 
-/// Owns the per-thread recorders of one tracing session and merges them.
-/// aggregate() is safe once the traced work has quiesced (worker threads
-/// joined); the mine() paths only aggregate after their joins.
-class TraceCollector {
- public:
-  TraceCollector();
-  ~TraceCollector();
-  TraceCollector(const TraceCollector&) = delete;
-  TraceCollector& operator=(const TraceCollector&) = delete;
-
-  /// Makes this the process-wide collector / restores the previous one.
-  /// Install/uninstall strictly nest (LIFO), always from the same thread.
-  void install();
-  void uninstall();
-
-  /// Deterministic merged tree: root "trace", children sorted by name.
-  TraceNode aggregate() const;
-  TraceHealth health() const;
-  /// Recent enter/exit events, one vector per registered thread (ring
-  /// contents, oldest first). Diagnostic only — never deterministic.
-  std::vector<std::vector<TraceEvent>> thread_events() const;
-
- private:
-  std::unique_ptr<TraceCollectorImpl> impl_;
-  TraceCollectorImpl* prev_ = nullptr;  ///< non-owning: the nested collector
-  bool installed_ = false;
-};
-
-/// Scoped session: constructs + installs a collector; finish() (or the
-/// destructor) uninstalls it. finish() returns the aggregated tree and is
-/// idempotent (later calls return the same tree).
+/// Scoped trace session, the only way to record a trace. The constructor
+/// installs a process-wide collector; finish() (or the destructor)
+/// restores the one it replaced. Sessions nest last in first out, always
+/// from the same thread, and the innermost records. finish() is safe once
+/// the traced work has quiesced (worker threads joined; the mining paths
+/// join before they return).
 class TraceSession {
  public:
   TraceSession();
@@ -232,32 +187,17 @@ class TraceSession {
   TraceSession(const TraceSession&) = delete;
   TraceSession& operator=(const TraceSession&) = delete;
 
+  /// Uninstalls the collector and returns the deterministic merged tree:
+  /// root "trace", children sorted by name. Idempotent: later calls
+  /// return the same tree.
   std::shared_ptr<const TraceNode> finish();
-  const TraceCollector& collector() const { return collector_; }
-  TraceCollector& collector() { return collector_; }
+  /// Nesting report over every thread that recorded in this session.
+  TraceHealth health() const;
 
  private:
-  TraceCollector collector_;
-  std::shared_ptr<const TraceNode> tree_;
-  bool finished_ = false;
-};
-
-/// Facade helper: opens a per-call session only when runtime tracing is
-/// enabled and no outer session exists — a CLI/bench session spanning many
-/// mine() calls takes precedence (finish() then returns null and the outer
-/// owner exports the combined trace instead).
-class AutoSession {
- public:
-  AutoSession() {
-    if (enabled() && !session_active()) session_.emplace();
-  }
-  /// The aggregated tree when this facade call owned the session, else null.
-  std::shared_ptr<const TraceNode> finish() {
-    return session_ ? session_->finish() : nullptr;
-  }
-
- private:
-  std::optional<TraceSession> session_;
+  std::unique_ptr<Collector> collector_;
+  Collector* prev_ = nullptr;  ///< non-owning: the session this one nests in
+  std::shared_ptr<const TraceNode> tree_;  ///< set by finish()
 };
 
 // ---- export ----

@@ -8,7 +8,6 @@
 #include "core/builder.hpp"
 #include "core/projection_pool.hpp"
 #include "obs/trace.hpp"
-#include "util/crc32c.hpp"
 #include "util/failpoint.hpp"
 #include "util/timer.hpp"
 
@@ -35,27 +34,12 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
                                     const ParallelOptions& options) {
   core::MineResult result;
   const core::MiningControl* control = options.control;
-  const std::uint64_t checks0 = control != nullptr ? control->checks() : 0;
-  const std::uint64_t failpoint0 = FailpointRegistry::instance().total_hits();
-  const std::uint64_t crc0 = crc32c_verifications();
-  const auto finish = [&]() {
-    result.resilience.failpoint_hits =
-        FailpointRegistry::instance().total_hits() - failpoint0;
-    result.resilience.crc_verifications = crc32c_verifications() - crc0;
-    if (control != nullptr) {
-      result.resilience.control_checks = control->checks() - checks0;
-      result.status = control->status();
-    }
-  };
 
   Timer build_timer;
   const core::RankedView view =
       core::build_ranked_view(db, min_support, options.item_order);
   const auto max_rank = static_cast<Rank>(view.alphabet());
-  if (max_rank == 0) {
-    finish();
-    return result;
-  }
+  if (max_rank == 0) return result;
 
   // One shared tree: every transaction [r1..rk] reaches CD_{r_i} as the
   // path of its rank-r_i node's parent, so the per-rank partitions are the
@@ -199,7 +183,6 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
     for (const auto& latency : worker_latency)
       options.rank_latency->merge(latency);
   result.mine_seconds = mine_timer.seconds();
-  finish();
   return result;
 }
 
@@ -209,14 +192,12 @@ core::MineResult mine_parallel(const tdb::Database& db, Count min_support,
                                const ParallelOptions& options) {
   PLT_ASSERT(min_support >= 1, "min_support must be >= 1");
   PLT_ASSERT(options.threads >= 1, "need at least one thread");
-  obs::AutoSession trace_session;
-  core::MineResult result;
-  {
-    PLT_SPAN("mine-parallel");
-    result = mine_parallel_impl(db, min_support, options);
-    PLT_TRACE_COUNT("itemsets-total", result.itemsets.size());
-  }
-  result.trace = trace_session.finish();
+  const core::ResilienceScope scope(options.control);
+  PLT_SPAN("mine-parallel");
+  core::MineResult result = mine_parallel_impl(db, min_support, options);
+  result.resilience = scope.deltas();
+  if (options.control != nullptr) result.status = options.control->status();
+  PLT_TRACE_COUNT("itemsets-total", result.itemsets.size());
   return result;
 }
 

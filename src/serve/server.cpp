@@ -402,7 +402,6 @@ void Server::worker_loop(Worker& worker) {
   auto execute = [&](Connection& conn, const Request& request,
                      const BlobSet& set) {
     PLT_SPAN("serve-request");
-    PLT_TRACE_COUNT("serve.requests", 1);
     const auto started = std::chrono::steady_clock::now();
     Response response;
 
@@ -450,17 +449,12 @@ void Server::worker_loop(Worker& worker) {
               : core::MiningControl();
       QueryCounters counters;
       response = answer_query(request, *blob, control, counters);
-      if (counters.buckets_scanned > 0)
-        PLT_TRACE_COUNT("serve.lists-decoded", counters.buckets_scanned);
     }
 
     const std::uint64_t elapsed_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - started)
             .count());
-    if (response.status != Status::kOk) PLT_TRACE_COUNT("serve.errors", 1);
-    if (response.status == Status::kDeadlineExceeded)
-      PLT_TRACE_COUNT("serve.deadline-exceeded", 1);
     {
       MutexLock lock(worker.stats_mutex);
       StatsSnapshot::PerClass& c =

@@ -14,6 +14,7 @@
 #include "compress/checkpoint.hpp"
 #include "compress/codec.hpp"
 #include "core/builder.hpp"
+#include "obs/trace.hpp"
 #include "util/crc32c.hpp"
 #include "util/log.hpp"
 #include "util/timer.hpp"
@@ -274,32 +275,26 @@ core::MineStatus mine_sharded(const tdb::Database& db, Count min_support,
                               const ShardOptions& options,
                               ShardReport* report) {
   PLT_ASSERT(min_support >= 1, "min_support must be >= 1");
-  obs::AutoSession trace_session;
-  core::MineStatus status = core::MineStatus::kCompleted;
-  {
-    PLT_SPAN("shard-mine");
-    Timer split_timer;
-    const Manifest manifest = prepare_job(db, min_support, options);
-    if (report != nullptr) {
-      report->split_seconds = split_timer.seconds();
-      report->blob_bytes =
-          static_cast<std::uint64_t>(
-              std::filesystem::file_size(blob_path(options.dir)));
-      report->max_rank = manifest.max_rank;
-      report->shards = manifest.shards.size();
-    }
-
-    Timer mine_timer;
-    status = run_workers(manifest, options, report);
-    if (report != nullptr) report->mine_seconds = mine_timer.seconds();
-    if (status == core::MineStatus::kCompleted) {
-      Timer merge_timer;
-      status = merge_job(options.dir, sink, report);
-      if (report != nullptr) report->merge_seconds = merge_timer.seconds();
-    }
+  PLT_SPAN("shard-mine");
+  Timer split_timer;
+  const Manifest manifest = prepare_job(db, min_support, options);
+  if (report != nullptr) {
+    report->split_seconds = split_timer.seconds();
+    report->blob_bytes =
+        static_cast<std::uint64_t>(
+            std::filesystem::file_size(blob_path(options.dir)));
+    report->max_rank = manifest.max_rank;
+    report->shards = manifest.shards.size();
   }
-  const auto tree = trace_session.finish();
-  if (report != nullptr) report->trace = tree;
+
+  Timer mine_timer;
+  core::MineStatus status = run_workers(manifest, options, report);
+  if (report != nullptr) report->mine_seconds = mine_timer.seconds();
+  if (status == core::MineStatus::kCompleted) {
+    Timer merge_timer;
+    status = merge_job(options.dir, sink, report);
+    if (report != nullptr) report->merge_seconds = merge_timer.seconds();
+  }
   return status;
 }
 

@@ -25,19 +25,21 @@
 // mine_sharded composes all three. The blob is the exchange format; the
 // checkpoint logs are both the crash-recovery journal and the result
 // channel, so no second result format exists to drift.
+//
+// Inside a caller's obs::TraceSession, mine_sharded records "shard-mine"
+// with "shard-split", "shard-wait" > "shard-launch" and "shard-merge"
+// under it. The workers run in processes of their own and record nothing.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/exec_control.hpp"
 #include "core/itemset_collector.hpp"
 #include "obs/histogram.hpp"
-#include "obs/trace.hpp"
 #include "shard/spec.hpp"
 #include "tdb/database.hpp"
 #include "tdb/remap.hpp"
@@ -97,9 +99,6 @@ struct ShardReport {
   /// Distribution of per-shard worker wall times (from the summaries) —
   /// the E21 balance signal.
   obs::LatencyHistogram shard_wall;
-  /// Coordinator-side aggregated span tree when this call owned the trace
-  /// session (same contract as MineResult::trace).
-  std::shared_ptr<const obs::TraceNode> trace;
 };
 
 /// Phase 1: builds the PLT, writes blob + manifest into options.dir and

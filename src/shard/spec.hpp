@@ -14,11 +14,10 @@
 //   manifest in the earlier "PLTM" layout is refused by its magic before
 //   any field is read; its job must be split again.
 //
-//   "PLTS" (summary, worker -> coordinator): per-shard mining statistics
-//   plus the worker's plt-trace-v1 JSON when tracing was enabled. Written
-//   atomically after the shard completes; the durable *result* artifact is
-//   the shard's rank-granular checkpoint log, which doubles as the
-//   exchange format the coordinator's ordered merge replays.
+//   "PLTS" (summary, worker -> coordinator): per-shard mining statistics.
+//   Written atomically after the shard completes; the durable *result*
+//   artifact is the shard's rank-granular checkpoint log, which doubles as
+//   the exchange format the coordinator's ordered merge replays.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +73,7 @@ std::vector<std::uint8_t> encode_manifest(const Manifest& manifest);
 /// contents (empty/overlapping shard windows).
 Manifest decode_manifest(std::span<const std::uint8_t> bytes);
 
-/// Per-shard mining report; the trace JSON is the worker's own
-/// plt-trace-v1 export (empty when tracing was off in the worker).
+/// Per-shard mining report.
 struct ShardSummary {
   std::size_t shard_id = 0;
   Rank rank_lo = 0;
@@ -88,6 +86,8 @@ struct ShardSummary {
   /// the PLTS layout so existing readers keep decoding it.
   std::uint64_t warmed_ranks = 0;
   std::uint64_t wall_ns = 0;  ///< worker wall time for the mine
+  /// Always empty: workers record no trace. Kept in the PLTS layout, like
+  /// warmed_ranks, so existing readers keep decoding it.
   std::string trace_json;
 };
 

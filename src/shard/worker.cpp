@@ -3,13 +3,11 @@
 #include <cstdint>
 #include <exception>
 #include <iostream>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "compress/codec.hpp"
 #include "compress/ooc_miner.hpp"
-#include "obs/trace.hpp"
 #include "shard/spec.hpp"
 #include "util/crc32c.hpp"
 #include "util/timer.hpp"
@@ -49,12 +47,6 @@ int run_worker(const std::string& dir, std::size_t shard_id) {
       ++emitted;
     };
 
-    // A session of the worker's own so its span tree can travel back to
-    // the coordinator inside the summary, even when the coordinator's
-    // tracing state does not reach across the process boundary.
-    std::optional<obs::TraceSession> session;
-    if (obs::enabled() && !obs::session_active()) session.emplace();
-
     Timer wall;
     compress::OocStats stats;
     const core::MineStatus status = compress::mine_from_blob(
@@ -72,10 +64,6 @@ int run_worker(const std::string& dir, std::size_t shard_id) {
     summary.checkpoint_records = stats.checkpoint_records;
     summary.resumed_ranks = stats.resumed_ranks;
     summary.wall_ns = static_cast<std::uint64_t>(wall.seconds() * 1e9);
-    if (session) {
-      if (const auto tree = session->finish())
-        summary.trace_json = obs::to_json(*tree);
-    }
     // Atomic write: the summary's existence certifies completion, so it
     // must never be observable half-written.
     compress::write_blob_file(encode_summary(summary),

@@ -217,7 +217,6 @@ TEST_F(Checkpoint, CompletedRunWritesOneRecordPerRank) {
   (void)mine_collecting(w, 3, options, &stats);
   const auto index = build_index(w.blob);
   EXPECT_EQ(stats.checkpoint_records, index.max_rank);
-  EXPECT_EQ(stats.resilience.checkpoint_records, index.max_rank);
   std::remove(path.c_str());
 }
 

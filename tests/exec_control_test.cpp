@@ -242,15 +242,5 @@ TEST(ExecControl, FiftyMsDeadlineBoundsOocMine) {
   EXPECT_LT(elapsed, 10s);
 }
 
-TEST(ExecControl, ResilienceStatsMerge) {
-  ResilienceStats a{1, 2, 3, 4};
-  const ResilienceStats b{10, 20, 30, 40};
-  a.merge(b);
-  EXPECT_EQ(a.control_checks, 11u);
-  EXPECT_EQ(a.failpoint_hits, 22u);
-  EXPECT_EQ(a.crc_verifications, 33u);
-  EXPECT_EQ(a.checkpoint_records, 44u);
-}
-
 }  // namespace
 }  // namespace plt::core

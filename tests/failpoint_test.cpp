@@ -1,6 +1,6 @@
 // Fault-injection registry: trigger modes, deterministic streams, spec
 // parsing, counters, and the failpoints wired into the library's I/O and
-// thread-pool paths.
+// codec paths.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,7 +12,6 @@
 #include "core/plt.hpp"
 #include "tdb/io.hpp"
 #include "util/failpoint.hpp"
-#include "util/thread_pool.hpp"
 
 namespace plt {
 namespace {
@@ -164,22 +163,6 @@ TEST_F(Failpoint, CodecSitesFire) {
   const auto blob = compress::encode_plt(plt);
   reg().arm("codec.decode", {});
   EXPECT_THROW((void)compress::decode_plt(blob), InjectedFault);
-}
-
-TEST_F(Failpoint, ThreadPoolTaskFaultPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto clean = pool.submit([] { return 7; });
-  EXPECT_EQ(clean.get(), 7);
-
-  FailpointRegistry::Spec spec;
-  spec.mode = FailpointRegistry::Mode::kOneShot;
-  spec.n = 1;
-  reg().arm("thread_pool.task", spec);
-  auto faulty = pool.submit([] { return 1; });
-  EXPECT_THROW(faulty.get(), InjectedFault);
-  // The pool survives an injected task fault: later tasks run normally.
-  auto after = pool.submit([] { return 2; });
-  EXPECT_EQ(after.get(), 2);
 }
 
 }  // namespace

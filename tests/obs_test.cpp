@@ -1,9 +1,10 @@
 // Observability layer (S23): the golden-trace suite plus the invariants the
 // tracing design promises — strict span nesting, monotone counters, a
 // merged tree that is byte-identical across kernel backends and thread
-// counts, trace-on/trace-off mining output equality, and well-formed traces
-// on every resilience path (cancel, deadline, budget, failpoint crash +
-// checkpoint resume).
+// counts, nothing recorded outside a session, equal mining output with and
+// without a session, and well-formed traces on every resilience path
+// (cancel, deadline, budget, failpoint crash + checkpoint resume). Every
+// trace read here comes from a TraceSession the test opens around the call.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -83,6 +84,16 @@ void expect_matches_golden(const std::string& actual, const char* name) {
       << " (PLT_UPDATE_GOLDEN=1 rewrites it if the change is intended)";
 }
 
+// The span tree of one core::mine call, recorded by a session around it.
+std::shared_ptr<const TraceNode> traced_mine(
+    const tdb::Database& db, Count min_support, core::Algorithm algorithm,
+    core::MineResult* result = nullptr) {
+  TraceSession session;
+  core::MineResult mined = core::mine(db, min_support, algorithm);
+  if (result != nullptr) *result = std::move(mined);
+  return session.finish();
+}
+
 class ObsTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -90,10 +101,8 @@ class ObsTest : public ::testing::Test {
     GTEST_SKIP() << "observability layer compiled out (-DPLT_OBS=OFF)";
 #endif
     FailpointRegistry::instance().disarm_all();
-    set_enabled(true);
   }
   void TearDown() override {
-    set_enabled(false);
     FailpointRegistry::instance().disarm_all();
     kernels::set_backend(backend_before_);
   }
@@ -174,18 +183,10 @@ TEST_F(ObsTest, HealthReportsBalancedNesting) {
       PLT_SPAN("b");
     }
   }
-  const TraceHealth health = session.collector().health();
+  const TraceHealth health = session.health();
   EXPECT_EQ(health.threads, 1u);
   EXPECT_EQ(health.unbalanced_exits, 0u);
   EXPECT_EQ(health.open_spans, 0u);
-  EXPECT_EQ(health.dropped_events, 0u);
-
-  const auto events = session.collector().thread_events();
-  ASSERT_EQ(events.size(), 1u);
-  ASSERT_EQ(events[0].size(), 4u);  // enter a, enter b, exit b, exit a
-  EXPECT_TRUE(events[0][0].enter);
-  EXPECT_STREQ(events[0][1].name, "b");
-  EXPECT_FALSE(events[0][2].enter);
   session.finish();
 }
 
@@ -197,9 +198,9 @@ TEST_F(ObsTest, GoldenTraceTable1Conditional) {
   for (const kernels::Backend backend : {kScalar, kernels::best_supported()}) {
     SCOPED_TRACE(kernels::backend_name(backend));
     kernels::set_backend(backend);
-    const auto result = core::mine(db, 2, core::Algorithm::kPltConditional);
-    ASSERT_NE(result.trace, nullptr);
-    expect_matches_golden(masked_json(*result.trace),
+    const auto trace = traced_mine(db, 2, core::Algorithm::kPltConditional);
+    ASSERT_NE(trace, nullptr);
+    expect_matches_golden(masked_json(*trace),
                           "trace_table1_conditional.json");
   }
 }
@@ -209,11 +210,10 @@ TEST_F(ObsTest, GoldenTraceTable1TopDown) {
   for (const kernels::Backend backend : {kScalar, kernels::best_supported()}) {
     SCOPED_TRACE(kernels::backend_name(backend));
     kernels::set_backend(backend);
-    const auto result =
-        core::mine(db, 2, core::Algorithm::kPltTopDownCanonical);
-    ASSERT_NE(result.trace, nullptr);
-    expect_matches_golden(masked_json(*result.trace),
-                          "trace_table1_topdown.json");
+    const auto trace =
+        traced_mine(db, 2, core::Algorithm::kPltTopDownCanonical);
+    ASSERT_NE(trace, nullptr);
+    expect_matches_golden(masked_json(*trace), "trace_table1_topdown.json");
   }
 }
 
@@ -225,17 +225,17 @@ TEST_F(ObsTest, EveryAlgorithmProducesARootedTrace) {
   const auto db = testing::paper_table1();
   for (const core::Algorithm algorithm : core::all_algorithms()) {
     SCOPED_TRACE(core::algorithm_name(algorithm));
-    const auto result = core::mine(db, 2, algorithm);
-    ASSERT_NE(result.trace, nullptr);
-    const TraceNode* mine = result.trace->child("mine");
+    core::MineResult result;
+    const auto trace = traced_mine(db, 2, algorithm, &result);
+    ASSERT_NE(trace, nullptr);
+    const TraceNode* mine = trace->child("mine");
     ASSERT_NE(mine, nullptr);
     EXPECT_GE(mine->count, 1u);
     const TraceNode* algo = mine->child(core::algorithm_name(algorithm));
     ASSERT_NE(algo, nullptr);
     EXPECT_GE(algo->count, 1u);
-    EXPECT_GE(result.trace->counter_total("status.completed"), 1u);
-    EXPECT_GE(result.trace->counter_total("itemsets-total"),
-              result.itemsets.size());
+    EXPECT_GE(trace->counter_total("status.completed"), 1u);
+    EXPECT_GE(trace->counter_total("itemsets-total"), result.itemsets.size());
   }
 }
 
@@ -244,8 +244,9 @@ TEST_F(ObsTest, EveryAlgorithmProducesARootedTrace) {
 TEST_F(ObsTest, CountersAreMonotoneAcrossMines) {
   const auto db = dense_workload();
 
-  const auto once = core::mine(db, kDenseMinsup, core::Algorithm::kPltConditional);
-  ASSERT_NE(once.trace, nullptr);
+  const auto once =
+      traced_mine(db, kDenseMinsup, core::Algorithm::kPltConditional);
+  ASSERT_NE(once, nullptr);
 
   TraceSession session;
   (void)core::mine(db, kDenseMinsup, core::Algorithm::kPltConditional);
@@ -253,7 +254,7 @@ TEST_F(ObsTest, CountersAreMonotoneAcrossMines) {
   const auto twice = session.finish();
   ASSERT_NE(twice, nullptr);
 
-  const TraceNode* mine1 = once.trace->child("mine");
+  const TraceNode* mine1 = once->child("mine");
   const TraceNode* mine2 = twice->child("mine");
   ASSERT_NE(mine1, nullptr);
   ASSERT_NE(mine2, nullptr);
@@ -264,28 +265,16 @@ TEST_F(ObsTest, CountersAreMonotoneAcrossMines) {
         "kernel.intersect_sorted.bytes"}) {
     SCOPED_TRACE(counter);
     EXPECT_EQ(twice->counter_total(counter),
-              2 * once.trace->counter_total(counter));
+              2 * once->counter_total(counter));
   }
 }
 
-TEST_F(ObsTest, OuterSessionTakesPrecedenceOverFacade) {
-  const auto db = testing::paper_table1();
-  TraceSession session;
-  const auto result = core::mine(db, 2, core::Algorithm::kPltConditional);
-  // The facade's AutoSession stood down: the outer session owns the tree.
-  EXPECT_EQ(result.trace, nullptr);
-  const auto root = session.finish();
-  ASSERT_NE(root, nullptr);
-  EXPECT_NE(root->child("mine"), nullptr);
-}
-
-TEST_F(ObsTest, RuntimeOffRecordsNothing) {
-  set_enabled(false);
-  EXPECT_FALSE(enabled());
+// Without a session nothing records: no mining path opens one of its own.
+TEST_F(ObsTest, NoSessionRecordsNothing) {
   EXPECT_EQ(current_thread_trace(), nullptr);
-  const auto result = core::mine(testing::paper_table1(), 2,
-                                 core::Algorithm::kPltConditional);
-  EXPECT_EQ(result.trace, nullptr);
+  (void)core::mine(testing::paper_table1(), 2,
+                   core::Algorithm::kPltConditional);
+  EXPECT_EQ(current_thread_trace(), nullptr);
 }
 
 // The merged tree is identical for 1, 4 and 8 worker threads: every rank is
@@ -299,17 +288,19 @@ TEST_F(ObsTest, ParallelTraceIsThreadCountInvariant) {
     SCOPED_TRACE(threads);
     parallel::ParallelOptions options;
     options.threads = threads;
+    TraceSession session;
     auto result = parallel::mine_parallel(db, 3, options);
-    ASSERT_NE(result.trace, nullptr);
+    const auto trace = session.finish();
+    ASSERT_NE(trace, nullptr);
     // Worker spans land top-level in the merged tree (workers have no
     // cross-thread parent); exactly one "mine-rank" span ran per rank.
-    const TraceNode* ranks = result.trace->child("mine-rank");
+    const TraceNode* ranks = trace->child("mine-rank");
     ASSERT_NE(ranks, nullptr);
     const TraceNode* partitions =
-        result.trace->descendant("mine-parallel/build-partitions");
+        trace->descendant("mine-parallel/build-partitions");
     ASSERT_NE(partitions, nullptr);
     EXPECT_EQ(ranks->count, partitions->counter("partitions"));
-    exports.push_back(masked_json(*result.trace));
+    exports.push_back(masked_json(*trace));
     if (threads == 1)
       reference = result.itemsets;
     else
@@ -319,8 +310,9 @@ TEST_F(ObsTest, ParallelTraceIsThreadCountInvariant) {
   EXPECT_EQ(exports[0], exports[2]);
 }
 
-// Tracing must be a pure observer: enabling it cannot change what is mined
-// or the order it is emitted in, on either sweep generator family.
+// Tracing must be a pure observer: mining inside a session cannot change
+// what is mined or the order it is emitted in, on either sweep generator
+// family.
 TEST_F(ObsTest, TracingDoesNotChangeMiningOutput) {
   const struct {
     const char* label;
@@ -336,12 +328,11 @@ TEST_F(ObsTest, TracingDoesNotChangeMiningOutput) {
           core::Algorithm::kPltTopDownSweep}) {
       SCOPED_TRACE(std::string(g.label) + "/" +
                    core::algorithm_name(algorithm));
-      set_enabled(false);
       const auto off = core::mine(g.db, g.minsup, algorithm);
-      EXPECT_EQ(off.trace, nullptr);
-      set_enabled(true);
-      const auto on = core::mine(g.db, g.minsup, algorithm);
-      ASSERT_NE(on.trace, nullptr);
+      core::MineResult on;
+      const auto trace = traced_mine(g.db, g.minsup, algorithm, &on);
+      ASSERT_NE(trace, nullptr);
+      EXPECT_NE(trace->child("mine"), nullptr);
       // Byte-identical, not just set-equal: same itemsets, same order.
       EXPECT_TRUE(
           core::FrequentItemsets::equal(off.itemsets, on.itemsets));
@@ -355,13 +346,13 @@ TEST_F(ObsTest, KernelCountersAreBackendInvariant) {
   for (const kernels::Backend backend : {kScalar, kernels::best_supported()}) {
     SCOPED_TRACE(kernels::backend_name(backend));
     kernels::set_backend(backend);
-    const auto result =
-        core::mine(db, kDenseMinsup, core::Algorithm::kPltConditional);
-    ASSERT_NE(result.trace, nullptr);
+    const auto trace =
+        traced_mine(db, kDenseMinsup, core::Algorithm::kPltConditional);
+    ASSERT_NE(trace, nullptr);
     const std::uint64_t calls =
-        result.trace->counter_total("kernel.intersect_sorted.calls");
+        trace->counter_total("kernel.intersect_sorted.calls");
     const std::uint64_t bytes =
-        result.trace->counter_total("kernel.intersect_sorted.bytes");
+        trace->counter_total("kernel.intersect_sorted.bytes");
     EXPECT_GT(calls, 0u);
     EXPECT_GT(bytes, 0u);
     if (backend == kScalar) {
@@ -386,7 +377,7 @@ void expect_clean_stop(const core::MiningControl& control,
   const auto result =
       core::mine(db, 2, core::Algorithm::kPltConditional, options);
   EXPECT_EQ(result.status, expected_status);
-  const TraceHealth health = session.collector().health();
+  const TraceHealth health = session.health();
   EXPECT_EQ(health.unbalanced_exits, 0u);
   EXPECT_EQ(health.open_spans, 0u);
   const auto root = session.finish();
@@ -425,8 +416,8 @@ TEST_F(ObsTest, OocCrashAndResumeTracesAreWellFormed) {
   const std::string path =
       (std::string(::testing::TempDir()) + "/obs_resume.pltk");
 
-  // Crash mid-walk: the injected fault unwinds through the facade; the
-  // per-call session must be torn down with it.
+  // Crash mid-walk: the injected fault unwinds every span it was inside,
+  // so the caller's session is left balanced.
   {
     FailpointRegistry::Spec spec;
     spec.mode = FailpointRegistry::Mode::kOneShot;
@@ -434,11 +425,14 @@ TEST_F(ObsTest, OocCrashAndResumeTracesAreWellFormed) {
     FailpointRegistry::instance().arm("ooc.rank", spec);
     compress::OocOptions options;
     options.checkpoint_path = path;
+    TraceSession session;
     EXPECT_THROW(compress::mine_from_blob(blob, item_of, 3, sink, nullptr,
                                           options),
                  InjectedFault);
     FailpointRegistry::instance().disarm("ooc.rank");
-    EXPECT_FALSE(session_active());
+    const TraceHealth health = session.health();
+    EXPECT_EQ(health.open_spans, 0u);
+    EXPECT_EQ(health.unbalanced_exits, 0u);
   }
 
   // Resume: the trace must carry the replay span, the resumed-rank count,
@@ -446,27 +440,29 @@ TEST_F(ObsTest, OocCrashAndResumeTracesAreWellFormed) {
   compress::OocOptions options;
   options.checkpoint_path = path;
   compress::OocStats stats;
+  TraceSession session;
   const auto status =
       compress::mine_from_blob(blob, item_of, 3, sink, &stats, options);
   EXPECT_EQ(status, core::MineStatus::kCompleted);
-  ASSERT_NE(stats.trace, nullptr);
-  const TraceNode* ooc = stats.trace->child("ooc-mine");
+  const auto trace = session.finish();
+  ASSERT_NE(trace, nullptr);
+  const TraceNode* ooc = trace->child("ooc-mine");
   ASSERT_NE(ooc, nullptr);
   ASSERT_NE(ooc->child("ooc-resume"), nullptr);
   EXPECT_EQ(ooc->child("ooc-resume")->counter("resumed-ranks"),
             stats.resumed_ranks);
-  EXPECT_GT(stats.trace->counter_total("ranks"), 0u);
-  EXPECT_GT(stats.trace->counter_total("bytes-decoded"), 0u);
+  EXPECT_GT(trace->counter_total("ranks"), 0u);
+  EXPECT_GT(trace->counter_total("bytes-decoded"), 0u);
   const TraceNode* checkpoint = ooc->child("checkpoint");
   ASSERT_NE(checkpoint, nullptr);
-  EXPECT_EQ(checkpoint->count, stats.trace->counter_total("ranks"));
+  EXPECT_EQ(checkpoint->count, trace->counter_total("ranks"));
   std::remove(path.c_str());
 }
 
 // ---- latency histogram ---------------------------------------------------
-// Independent of the runtime tracing switch: histograms live in stats
-// structs (ParallelResult, ShardReport, bench JSON), never in golden
-// traces, so they must work with tracing disabled too.
+// Independent of trace sessions: histograms live in stats structs
+// (ParallelResult, ShardReport, bench JSON), never in golden traces, so
+// they must work with no session open too.
 
 TEST(LatencyHistogramTest, BucketBoundariesArePowersOfTwo) {
   EXPECT_EQ(LatencyHistogram::bucket_index(0), 0u);

@@ -83,6 +83,7 @@ TEST(ServeConcurrency, ParallelClientsMatchSequentialAnswers) {
   const core::BuiltPlt reference =
       core::build_from_database(plt::testing::paper_table1(), 2);
   std::vector<Exchange> exchanges;
+  std::uint64_t total = 0;  // requests the server's stats snapshot counted
   {
     TestServer server(
         {write_table1_blob(2, "conc_minsup2.plt"),
@@ -144,7 +145,6 @@ TEST(ServeConcurrency, ParallelClientsMatchSequentialAnswers) {
     for (std::thread& thread : clients) thread.join();
 
     const StatsSnapshot stats = server.server().stats();
-    std::uint64_t total = 0;
     for (const auto& per_class : stats.per_class) total += per_class.requests;
     EXPECT_EQ(total, exchanges.size() * (1 + kThreads * kRounds));
     EXPECT_EQ(stats.protocol_errors, 0u);
@@ -155,7 +155,7 @@ TEST(ServeConcurrency, ParallelClientsMatchSequentialAnswers) {
 #if PLT_OBS_ENABLED
   // Merged across acceptor + 2 workers + 4 client threads, the trace must
   // stay well-formed and use only registered names.
-  const obs::TraceHealth health = session.collector().health();
+  const obs::TraceHealth health = session.health();
   EXPECT_EQ(health.unbalanced_exits, 0u);
   EXPECT_EQ(health.open_spans, 0u);
   const std::function<void(const obs::TraceNode&, bool)> check =
@@ -174,10 +174,10 @@ TEST(ServeConcurrency, ParallelClientsMatchSequentialAnswers) {
         for (const obs::TraceNode& child : node.children) check(child, false);
       };
   check(*tree, true);
+  // One serve-request span per request the stats snapshot counted.
   const obs::TraceNode* request_span = tree->child("serve-request");
   ASSERT_NE(request_span, nullptr);
-  EXPECT_GT(request_span->count, 0u);
-  EXPECT_EQ(request_span->counter("serve.requests"), request_span->count);
+  EXPECT_EQ(request_span->count, total);
 #endif
 }
 

@@ -30,6 +30,7 @@
 #include "core/miner.hpp"
 #include "datagen/dense.hpp"
 #include "datagen/quest.hpp"
+#include "obs/trace.hpp"
 #include "shard/coordinator.hpp"
 #include "shard/worker.hpp"
 #include "test_support.hpp"
@@ -452,6 +453,37 @@ TEST_F(ShardTest, AdaptivePlanShardsStayByteIdentical) {
   core::mine_plt_conditional_recursive(built.plt, item_of, suffix, 3,
                                        collect_emissions(reference), {});
   EXPECT_EQ(sharded, reference);
+}
+
+// The coordinator records its phases in the caller's session. The workers
+// run in processes of their own and record nothing, even with PLT_TRACE=1
+// in their environment: no environment variable turns tracing on.
+TEST_F(ShardTest, CoordinatorTracesInCallerSessionWorkersDoNot) {
+  const auto db = quest_db();
+  const std::string dir = job_dir("quest_traced");
+  ShardOptions opts = options(dir, 2);
+  opts.extra_env_first_attempt = {"PLT_TRACE=1"};
+  Emissions sharded;
+  ShardReport report;
+  obs::TraceSession session;
+  ASSERT_EQ(mine_sharded(db, 3, collect_emissions(sharded), opts, &report),
+            core::MineStatus::kCompleted);
+  const auto tree = session.finish();
+  ASSERT_EQ(report.summaries.size(), 2u);
+  for (const ShardSummary& summary : report.summaries)
+    EXPECT_TRUE(summary.trace_json.empty()) << "shard " << summary.shard_id;
+#if PLT_OBS_ENABLED
+  ASSERT_NE(tree, nullptr);
+  EXPECT_NE(tree->descendant("shard-mine/shard-split"), nullptr);
+  const obs::TraceNode* launch =
+      tree->descendant("shard-mine/shard-wait/shard-launch");
+  ASSERT_NE(launch, nullptr);
+  EXPECT_EQ(launch->count, report.attempts);
+  const obs::TraceNode* merge = tree->descendant("shard-mine/shard-merge");
+  ASSERT_NE(merge, nullptr);
+  EXPECT_EQ(merge->counter("shard.itemsets"), sharded.size());
+  EXPECT_EQ(session.health().open_spans, 0u);
+#endif
 }
 
 // ---- failure model ------------------------------------------------------

@@ -1,7 +1,6 @@
-// Unit tests for src/util: rng, timer, table, args, memory, thread pool, log.
+// Unit tests for src/util: rng, timer, table, args, memory, log.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <map>
 #include <sstream>
@@ -11,7 +10,6 @@
 #include "util/memory.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
-#include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
 namespace plt {
@@ -185,34 +183,6 @@ TEST(Args, ParsesFlagsAndPositionals) {
   EXPECT_EQ(args.get("alpha", ""), "1");
   EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 1.0);
   EXPECT_EQ(args.get_int("absent", -7), -7);
-}
-
-TEST(ThreadPool, RunsAllTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i)
-    futures.push_back(pool.submit([&counter, i] {
-      counter.fetch_add(1);
-      return i * 2;
-    }));
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(futures[static_cast<std::size_t>(i)].get(), i * 2);
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPool, WaitIdleBlocksUntilDone) {
-  ThreadPool pool(2);
-  std::atomic<int> done{0};
-  for (int i = 0; i < 16; ++i)
-    pool.submit([&done] { done.fetch_add(1); });
-  pool.wait_idle();
-  EXPECT_EQ(done.load(), 16);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  ThreadPool pool(1);
-  auto fut = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(fut.get(), std::runtime_error);
 }
 
 TEST(Log, RespectsLevelThreshold) {
