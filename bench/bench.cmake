@@ -31,7 +31,6 @@ plt_bench(bench_candidate_family)    # E15
 plt_bench(bench_closed_native)       # E16
 plt_bench(bench_projection_pool)     # E17
 plt_bench(bench_kernels)             # E18
-plt_bench(bench_adaptive)            # E20
 plt_bench(bench_shard)               # E21
 plt_bench(bench_serve)               # E22
 # The shard bench forks real worker processes: it needs the plt-shard
@@ -55,8 +54,7 @@ set(PLT_BENCH_SMOKE_TARGETS
   bench_parallel_partition bench_rank_ablation bench_condensed
   bench_incremental bench_ooc_mining bench_stream bench_sampling
   bench_filter_ablation bench_candidate_family bench_closed_native
-  bench_projection_pool bench_kernels bench_adaptive bench_shard
-  bench_serve)
+  bench_projection_pool bench_kernels bench_shard bench_serve)
 set(PLT_BENCH_SMOKE_COMMANDS "")
 foreach(target ${PLT_BENCH_SMOKE_TARGETS})
   set(smoke_scale ${PLT_BENCH_SMOKE_SCALE})

@@ -2,7 +2,7 @@
 // builds each conditional PLT from raw prefixes, while §5.1's discussion of
 // the anti-monotone property implies filtering locally-infrequent items
 // first (as FP-growth does). Both are implemented, and both run the
-// projection engine's subtree cost model; this bench quantifies the
+// projection engine's subtree rule; this bench quantifies the
 // filtering optimization across sparse and dense workloads (results are
 // cross-checked equal in every cell by the harness).
 #include <iostream>

@@ -5,7 +5,7 @@
 // Algorithm 3's rank loop over it, exactly as core::mine does. The tree is
 // only read, so the paper's "Update PLT with V'" re-insert costs nothing
 // and a rank window or a resume only changes which ranks are mined. The
-// engine's subtree cost model decides from shapes alone and its emission
+// engine's subtree rule decides from shapes alone and its emission
 // order is strategy-invariant, so checkpoint records stay exact.
 //
 // Each rank mines into one reused FrequentItemsets block, which is then

@@ -2,7 +2,8 @@
 // the paper's two PLT approaches plus the literature baselines — so tests,
 // examples and benches drive them identically. The algorithm is the whole
 // choice: both plt-conditional variants run the projection engine, which
-// picks each subtree's strategy from its shape (core/planner.hpp).
+// mines each subtree by pooled projection or, for small shapes, tidset
+// intersection (core/projection_pool.hpp).
 #pragma once
 
 #include <string>

@@ -7,7 +7,20 @@
 
 namespace plt::core {
 
+namespace {
+
+// A conditional database of at most this many records over at most this
+// many surviving ranks is mined by tidset intersection, anything larger
+// by pooled projection. Both bounds come from E20's calibration sweep:
+// 8 x 8 tracked or beat pooled projection on every cell measured, while
+// larger shapes regressed up to 2x on short-dense mid-support cells.
+constexpr std::size_t kEclatMaxRecords = 8;
+constexpr Rank kEclatMaxRanks = 8;
+
+}  // namespace
+
 void ProjectionStats::merge(const ProjectionStats& other) {
+  ranks_processed += other.ranks_processed;
   projections_built += other.projections_built;
   entries_projected += other.entries_projected;
   recycled_allocations += other.recycled_allocations;
@@ -15,8 +28,6 @@ void ProjectionStats::merge(const ProjectionStats& other) {
   bytes_recycled += other.bytes_recycled;
   bytes_fresh += other.bytes_fresh;
   steals += other.steals;
-  plan_pooled += other.plan_pooled;
-  plan_single_path += other.plan_single_path;
   plan_eclat += other.plan_eclat;
   frames_reordered += other.frames_reordered;
   rows_reordered += other.rows_reordered;
@@ -102,45 +113,13 @@ void ProjectionEngine::build_frame(Frame& frame, Rank child_ranks) {
   if (now > retained) stats_.bytes_fresh += now - retained;
 }
 
-bool ProjectionEngine::probe_single_path(Rank child_ranks) const {
-  // One shared path iff every record keeps all surviving ranks: kept
-  // ranks are strictly increasing child ranks, so keeping child_ranks of
-  // them means the record maps to exactly {1..child_ranks}.
-  for (const FlatCondDb::Record& rec : cond_.records()) {
-    std::uint32_t kept = 0;
-    for (const Rank r : cond_.ranks(rec))
-      kept += to_child_[r - 1] != 0 ? 1u : 0u;
-    if (kept != child_ranks) return false;
-  }
-  return true;
-}
-
-void ProjectionEngine::expand_path(std::span<const Item> items, Rank upto,
-                                   Count freq, std::uint32_t parent,
-                                   FrequentItemsets& out) {
-  // Every subset of a single-path conditional database has the same
-  // support (the path's total frequency), so enumeration needs no
-  // structure. The order matches the pooled walk exactly: rank high to
-  // low, each rank emitted before its own conditional subtree.
-  for (Rank jj = upto; jj >= 1; --jj) {
-    if (control_ != nullptr && check_control()) {
-      interrupted_ = true;
-      return;
-    }
-    const std::uint32_t id = out.extend(parent, items[jj - 1], freq);
-    PLT_TRACE_COUNT("itemsets-emitted", 1);
-    if (jj > 1) expand_path(items, jj - 1, freq, id, out);
-    if (interrupted_) return;
-  }
-}
-
 void ProjectionEngine::eclat_mine(Rank child_ranks, Count min_support,
                                   std::uint32_t parent,
                                   FrequentItemsets& out) {
   // Vertical view of cond_: per child rank, the sorted list of record ids
   // containing it (a counting sort over the arena), weighted by record
   // frequency. Small shallow shapes intersect faster than they
-  // re-project — the cost model only routes those here.
+  // re-project — project() only routes those here.
   const std::vector<FlatCondDb::Record>& records = cond_.records();
   tid_offsets_.assign(child_ranks + 1, 0);
   for (const FlatCondDb::Record& rec : records)
@@ -193,7 +172,6 @@ void ProjectionEngine::eclat_descend(std::span<const std::uint32_t> tids,
     for (const std::uint32_t t : set) support += rec_freq_[t];
     if (support < min_support) continue;
     const std::uint32_t id = out.extend(parent, child_items_[i - 1], support);
-    PLT_TRACE_COUNT("itemsets-emitted", 1);
     if (i > 1) eclat_descend(set, i - 1, min_support, id, out, depth + 1);
     if (interrupted_) return;
   }
@@ -209,39 +187,11 @@ ProjectionEngine::Frame* ProjectionEngine::project(
   const Rank child_ranks = compact_ranks(j, keep_threshold, parent_items);
   if (child_ranks == 0) return nullptr;
 
-  // The shape alone decides: one record is trivially one path, more take
-  // the O(positions) probe when single-path expansion is allowed.
-  SubtreeShape shape;
-  shape.records = cond_.size();
-  shape.child_ranks = child_ranks;
-  shape.single_path =
-      shape.records == 1 || (planner_.config().allow_subtree_single_path &&
-                             probe_single_path(child_ranks));
-
-  switch (planner_.choose_subtree(shape)) {
-    case Planner::Subtree::kSinglePath: {
-      PLT_TRACE_COUNT("plan.subtree.single-path", 1);
-      ++stats_.plan_single_path;
-      Count total = 0;
-      for (const FlatCondDb::Record& rec : cond_.records())
-        total += rec.freq;
-      // total can only miss min_support in the no-filter ablation: every
-      // subset shares this support, so an infrequent path emits nothing.
-      if (total >= min_support)
-        expand_path(child_items_, child_ranks, total, parent, out);
-      return nullptr;
-    }
-    case Planner::Subtree::kEclat: {
-      PLT_TRACE_COUNT("plan.subtree.eclat", 1);
-      ++stats_.plan_eclat;
-      eclat_mine(child_ranks, min_support, parent, out);
-      return nullptr;
-    }
-    case Planner::Subtree::kPooled:
-      break;
+  if (cond_.size() <= kEclatMaxRecords && child_ranks <= kEclatMaxRanks) {
+    ++stats_.plan_eclat;
+    eclat_mine(child_ranks, min_support, parent, out);
+    return nullptr;
   }
-  PLT_TRACE_COUNT("plan.subtree.pooled", 1);
-  ++stats_.plan_pooled;
   Frame& frame = acquire(depth);
   frame.item_of.assign(child_items_.begin(), child_items_.end());
   build_frame(frame, child_ranks);
@@ -270,13 +220,11 @@ void ProjectionEngine::step(const TreeView& tree, Rank j, std::size_t depth,
         up != TreeView::kRoot)
       cond_.push_path(tree, up, freq, support_);
   }
+  ++stats_.ranks_processed;
   stats_.entries_projected += cond_.size();
-  PLT_TRACE_COUNT("ranks-processed", 1);
-  PLT_TRACE_COUNT("entries-projected", cond_.size());
   if (support < min_support) return;  // anti-monotone cut
 
   const std::uint32_t id = out.extend(parent, items[j - 1], support);
-  PLT_TRACE_COUNT("itemsets-emitted", 1);
   if (cond_.empty()) return;
   if (Frame* child =
           project(j, depth, min_support, options, items, id, out))
@@ -293,9 +241,8 @@ void ProjectionEngine::walk(Count min_support, FrequentItemsets& out,
   std::vector<Level>& stack = stack_;
   while (!stack.empty()) {
     if (interrupted_ || (control_ != nullptr && check_control())) {
-      // A control stop, here or inside an in-place strategy of the last
-      // step: drop the live levels and leave the records already emitted
-      // in `out`.
+      // A control stop, here or inside the last step's intersection: drop
+      // the live levels and leave the records already emitted in `out`.
       interrupted_ = true;
       stack.clear();
       return;
@@ -320,10 +267,30 @@ void ProjectionEngine::mine_rank(const TreeView& tree, Rank j,
     interrupted_ = true;
     return;
   }
+  const ProjectionStats before = stats_;
+  const std::size_t emitted = out.size();
   stack_.clear();
   step(tree, j, 0, item_of, FrequentItemsets::kNoParent, min_support, out,
        options);
   walk(min_support, out, options);
+
+  // The rank's events, added to the innermost open span once: one add per
+  // itemset or step would cost a trace lookup each. A zero adds nothing.
+  if (const std::uint64_t n = out.size() - emitted; n != 0)
+    PLT_TRACE_COUNT("itemsets-emitted", n);
+  if (const std::uint64_t n = stats_.ranks_processed - before.ranks_processed;
+      n != 0)
+    PLT_TRACE_COUNT("ranks-processed", n);
+  if (const std::uint64_t n =
+          stats_.entries_projected - before.entries_projected;
+      n != 0)
+    PLT_TRACE_COUNT("entries-projected", n);
+  if (const std::uint64_t n =
+          stats_.projections_built - before.projections_built;
+      n != 0)
+    PLT_TRACE_COUNT("plan.subtree.pooled", n);
+  if (const std::uint64_t n = stats_.plan_eclat - before.plan_eclat; n != 0)
+    PLT_TRACE_COUNT("plan.subtree.eclat", n);
 }
 
 void ProjectionEngine::mine(const TreeView& tree,
@@ -331,8 +298,8 @@ void ProjectionEngine::mine(const TreeView& tree,
                             Count min_support, FrequentItemsets& out,
                             const ConditionalOptions& options) {
   // One span for the whole rank loop (the walk's explicit stack interleaves
-  // depths, so per-node RAII spans cannot nest here); per-rank and
-  // per-projection activity lands in counters and the "projection" span.
+  // depths, so per-node RAII spans cannot nest here). Each mine_rank adds
+  // its counters to it; projection time is the "projection" span's.
   PLT_SPAN("rank-loop");
   interrupted_ = false;
   for (Rank j = tree.max_rank(); j >= 1 && !interrupted_; --j)

@@ -22,7 +22,10 @@
 //
 // After warm-up the only allocations are capacity growth on workloads
 // bigger than anything seen before — the ProjectionStats counters make
-// that visible (and bench_projection_pool records it).
+// that visible (and bench_projection_pool records it). ProjectionStats is
+// also the engine's only counter source: each mine_rank() adds what its
+// rank counted to the trace once, so a traced mine pays a few counter adds
+// per rank, not one per itemset.
 #pragma once
 
 #include <algorithm>
@@ -32,13 +35,16 @@
 
 #include "core/conditional.hpp"
 #include "core/exec_control.hpp"
-#include "core/planner.hpp"
 #include "core/tree_view.hpp"
 
 namespace plt::core {
 
-/// Cheap engine counters, surfaced through MineResult and BENCH JSON.
+/// Cheap engine counters, surfaced through MineResult and BENCH JSON, and
+/// the source of the engine's trace counters: mine_rank() adds each rank's
+/// ranks_processed, entries_projected, projections_built (as
+/// plan.subtree.pooled) and plan_eclat to the trace when it returns.
 struct ProjectionStats {
+  std::uint64_t ranks_processed = 0;    ///< steps run (one per CD_j read)
   std::uint64_t projections_built = 0;  ///< conditional tree frames built
   std::uint64_t entries_projected = 0;  ///< records read into flat cond DBs
   /// Frame acquisitions served by recycling an existing pool frame vs by
@@ -50,11 +56,10 @@ struct ProjectionStats {
   std::uint64_t bytes_recycled = 0;  ///< capacity retained across frame reuse
   std::uint64_t bytes_fresh = 0;     ///< capacity newly grown inside frames
   std::uint64_t steals = 0;  ///< work-stealing miner: chunks taken from peers
-  // Cost-model decisions. They sum to the number of conditional databases
-  // with at least one surviving rank.
-  std::uint64_t plan_pooled = 0;       ///< subtrees kept on the pooled walk
-  std::uint64_t plan_single_path = 0;  ///< subtrees expanded as one path
-  std::uint64_t plan_eclat = 0;        ///< subtrees mined by intersection
+  /// Subtrees mined by tidset intersection. With projections_built (the
+  /// pooled subtrees) it sums to the number of conditional databases with
+  /// at least one surviving rank.
+  std::uint64_t plan_eclat = 0;
   /// Frame rebuilds whose rows did not come in tree order and took the
   /// tree builder's radix distribution, and the rows of those frames.
   std::uint64_t frames_reordered = 0;
@@ -119,19 +124,13 @@ class FlatCondDb {
 /// many mine() calls (the parallel partition miner holds one per worker) so
 /// every projection after the first few recycles warm arrays.
 ///
-/// Every conditional database with a surviving rank goes through the
-/// subtree cost model (core/planner.hpp): pooled projection, single-path
-/// expansion, or tidset intersection. All three strategies emit the exact
-/// same itemsets in the exact same order (DESIGN.md S25), so only time
-/// changes.
+/// Every conditional database with a surviving rank is mined one of two
+/// ways, fixed by its shape: tidset intersection when it holds at most 8
+/// records over at most 8 surviving ranks, pooled projection otherwise.
+/// Both emit the exact same itemsets in the exact same order (DESIGN.md
+/// S25), so only time changes.
 class ProjectionEngine {
  public:
-  /// `config` forces the cost model's thresholds; the default is what
-  /// every mining entry point runs. Tests and bench_adaptive pass their
-  /// own to pin one strategy.
-  explicit ProjectionEngine(const PlanConfig& config = {})
-      : planner_(config) {}
-
   /// Algorithm 3 over the physical tree: mine_rank() for every rank from
   /// tree.max_rank() down to 1. Tree rank r reports as `item_of[r-1]`;
   /// every frequent itemset is appended to `out` in the recursive
@@ -147,7 +146,9 @@ class ProjectionEngine {
   /// one `extend` of the record it grows. Steps of different ranks are
   /// independent, so workers of mine_parallel each run theirs into a block
   /// of their own against one shared tree, and mine_from_blob runs only the
-  /// ranks of its window.
+  /// ranks of its window. On return it adds the rank's events to the
+  /// innermost open span: the growth of `out` as itemsets-emitted and the
+  /// growth of stats() as the engine counters.
   void mine_rank(const TreeView& tree, Rank j,
                  const std::vector<Item>& item_of, Count min_support,
                  FrequentItemsets& out, const ConditionalOptions& options);
@@ -199,7 +200,7 @@ class ProjectionEngine {
   /// support_ with its per-rank supports, applies the anti-monotone cut,
   /// emits record(parent) ∪ {items[j-1]} with one out.extend, and projects
   /// CD_j. A pooled frame (built at `depth`) is pushed on stack_ as a level
-  /// extending the new record; the in-place strategies emit on the spot.
+  /// extending the new record; an intersected subtree emits on the spot.
   void step(const TreeView& tree, Rank j, std::size_t depth,
             const std::vector<Item>& items, std::uint32_t parent,
             Count min_support, FrequentItemsets& out,
@@ -217,24 +218,16 @@ class ProjectionEngine {
   /// (as left by compact_ranks; child_ranks must be > 0).
   void build_frame(Frame& frame, Rank child_ranks);
   /// Compacts CD_j's surviving ranks (cond_, rank lists over parent ranks
-  /// 1..j, counted in support_), asks the cost model, and either mines the
-  /// subtree in place (single-path / Eclat; returns null) or builds a
-  /// pooled frame at `depth` for the caller to push (returns it). Ranks
-  /// are filtered and compacted exactly like make_conditional_plt.
-  /// Returns null when no rank survives, and sets interrupted_ when a
-  /// control stop fires inside an in-place strategy.
+  /// 1..j, counted in support_) and either mines a small subtree in place
+  /// by intersection (returns null) or builds a pooled frame at `depth`
+  /// for the caller to push (returns it). Ranks are filtered and compacted
+  /// exactly like make_conditional_plt. Returns null when no rank
+  /// survives, and sets interrupted_ when a control stop fires inside the
+  /// intersection.
   Frame* project(Rank j, std::size_t depth, Count min_support,
                  const ConditionalOptions& options,
                  const std::vector<Item>& parent_items, std::uint32_t parent,
                  FrequentItemsets& out);
-  /// True when every record keeps all `child_ranks` ranks (one shared
-  /// path); reads to_child_ as left by compact_ranks.
-  bool probe_single_path(Rank child_ranks) const;
-  /// Emits record `parent` extended by every subset of items[0..upto) at
-  /// constant support `freq`, in the exact order the pooled walk would
-  /// (rank high to low, DFS).
-  void expand_path(std::span<const Item> items, Rank upto, Count freq,
-                   std::uint32_t parent, FrequentItemsets& out);
   /// Mines cond_ by sorted-tidset intersection (records as tids,
   /// freq-weighted support), emission-order identical to pooling.
   void eclat_mine(Rank child_ranks, Count min_support, std::uint32_t parent,
@@ -256,7 +249,6 @@ class ProjectionEngine {
   std::vector<Count> rec_freq_;             ///< record id -> frequency
   std::vector<std::vector<std::uint32_t>> eclat_pool_;  ///< per-depth tids
   ProjectionStats stats_;
-  Planner planner_;
   const MiningControl* control_ = nullptr;
   std::size_t control_base_bytes_ = 0;
   std::uint64_t control_tick_ = 0;

@@ -63,13 +63,9 @@ inline constexpr std::string_view kCounters[] = {
     "partitions",
     "plan.subtree.eclat",
     "plan.subtree.pooled",
-    "plan.subtree.single-path",
     "ranks",
     "ranks-processed",
     "resumed-ranks",
-    "serve.deadline-exceeded",
-    "serve.errors",
-    "serve.requests",
     "shard.attempts",
     "shard.bytes-decoded",
     "shard.itemsets",

@@ -144,10 +144,7 @@ class Witnesses {
  private:
   /// The checkpoint before each rank list: the deadline, then the count.
   bool step() {
-    if (deadline_tripped(control_)) {
-      ++counters_.deadline_exceeded;
-      return false;
-    }
+    if (deadline_tripped(control_)) return false;
     ++counters_.buckets_scanned;
     return true;
   }

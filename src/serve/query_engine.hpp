@@ -29,7 +29,6 @@ struct QueryCounters {
   std::uint64_t buckets_scanned = 0;
   /// Entry ids decoded from those lists.
   std::uint64_t entries_tested = 0;
-  std::uint64_t deadline_exceeded = 0;
 };
 
 /// Answers one already-validated request against one loaded blob. The

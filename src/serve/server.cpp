@@ -61,7 +61,6 @@ void histogram_json(std::ostringstream& out,
 
 std::string StatsSnapshot::to_json() const {
   std::ostringstream out;
-  std::uint64_t total_requests = 0, total_errors = 0, total_deadline = 0;
   out << "{\"daemon\":\"plt-serve\",\"generation\":" << generation
       << ",\"connections\":" << connections
       << ",\"disconnects\":" << disconnects
@@ -71,9 +70,6 @@ std::string StatsSnapshot::to_json() const {
   bool first = true;
   for (std::size_t op = 0; op < kOpcodeCount; ++op) {
     const PerClass& c = per_class[op];
-    total_requests += c.requests;
-    total_errors += c.errors;
-    total_deadline += c.deadline_exceeded;
     if (c.requests == 0) continue;
     if (!first) out << ',';
     first = false;
@@ -81,30 +77,10 @@ std::string StatsSnapshot::to_json() const {
         << c.requests << ",\"errors\":" << c.errors
         << ",\"deadline_exceeded\":" << c.deadline_exceeded << ',';
     histogram_json(out, c.latency);
-    out << '}';
+    out << ",\"lists_decoded\":" << c.lists_decoded
+        << ",\"ids_decoded\":" << c.ids_decoded << '}';
   }
-  out << "},\"trace\":";
-  // The same tallies rendered as a plt-trace-v1 document (masked: no
-  // durations), so trace tooling pointed at the admin endpoint reads the
-  // serving side like any mining run. Counters are name-sorted, matching
-  // aggregate()'s invariant.
-  obs::TraceNode request_node;
-  request_node.name = "serve-request";
-  request_node.count = total_requests;
-  request_node.counters = {
-      {"serve.deadline-exceeded", total_deadline},
-      {"serve.errors", total_errors},
-      {"serve.requests", total_requests},
-  };
-  obs::TraceNode root;
-  root.name = "trace";
-  root.count = 1;
-  root.children.push_back(std::move(request_node));
-  obs::TraceExportOptions options;
-  options.mask_durations = true;
-  std::string trace = obs::to_json(root, options);
-  while (!trace.empty() && trace.back() == '\n') trace.pop_back();
-  out << trace << '}';
+  out << "}}";
   return out.str();
 }
 
@@ -255,6 +231,8 @@ StatsSnapshot Server::stats() const {
       to.errors += from.errors;
       to.deadline_exceeded += from.deadline_exceeded;
       to.latency.merge(from.latency);
+      to.lists_decoded += from.lists_decoded;
+      to.ids_decoded += from.ids_decoded;
     }
     snapshot.connections += worker->connections;
     snapshot.disconnects += worker->disconnects;
@@ -404,6 +382,7 @@ void Server::worker_loop(Worker& worker) {
     PLT_SPAN("serve-request");
     const auto started = std::chrono::steady_clock::now();
     Response response;
+    QueryCounters counters;  // stays zero unless a query runs
 
     if (stopping_.load(std::memory_order_acquire)) {
       response = make_error(request.opcode, request.request_id,
@@ -447,7 +426,6 @@ void Server::worker_loop(Worker& worker) {
               ? core::MiningControl::with_deadline(
                     std::chrono::milliseconds(deadline_ms))
               : core::MiningControl();
-      QueryCounters counters;
       response = answer_query(request, *blob, control, counters);
     }
 
@@ -463,6 +441,8 @@ void Server::worker_loop(Worker& worker) {
       if (response.status != Status::kOk) ++c.errors;
       if (response.status == Status::kDeadlineExceeded) ++c.deadline_exceeded;
       c.latency.record(elapsed_ns);
+      c.lists_decoded += counters.buckets_scanned;
+      c.ids_decoded += counters.entries_tested;
     }
     enqueue(conn, response);
   };

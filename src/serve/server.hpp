@@ -53,16 +53,20 @@ struct ServerOptions {
   std::uint32_t max_frame = kDefaultMaxFrame;
 };
 
-/// Point-in-time serving stats: per-request-class counts and latency
-/// histograms plus connection/protocol tallies. Histograms merge
-/// deterministically (per-bucket addition), so the snapshot is the sum
-/// over workers no matter how work was distributed.
+/// Point-in-time serving stats: per-request-class counts, latency
+/// histograms and query work plus connection/protocol tallies. Histograms
+/// merge deterministically (per-bucket addition), so the snapshot is the
+/// sum over workers no matter how work was distributed.
 struct StatsSnapshot {
   struct PerClass {
     std::uint64_t requests = 0;
     std::uint64_t errors = 0;  ///< responses with status != kOk
     std::uint64_t deadline_exceeded = 0;
     obs::LatencyHistogram latency;
+    /// The query engine's work for these requests (QueryCounters): rank
+    /// lists decoded, and the entry ids read from them.
+    std::uint64_t lists_decoded = 0;
+    std::uint64_t ids_decoded = 0;
   };
   PerClass per_class[kOpcodeCount];
   std::uint64_t connections = 0;
@@ -75,8 +79,8 @@ struct StatsSnapshot {
   std::uint32_t generation = 0;
 
   /// The admin JSON document (also returned by the kStats opcode): one
-  /// object with per-class counters + histograms and a plt-trace-v1 span
-  /// tree built from the same numbers.
+  /// object with the connection tallies and, per class, its counters,
+  /// latency histogram and query work.
   std::string to_json() const;
 };
 

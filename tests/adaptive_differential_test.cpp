@@ -1,24 +1,21 @@
 // Differential suite for the entry points that run the projection engine
-// and its subtree cost model outside core::mine: mine_parallel at 1, 2
-// and 4 threads (its per-rank blocks in ascending rank order), and
-// mine_from_blob over the full rank range and two rank windows, each
-// pinned to the recursive reference in raw emission order (DESIGN.md S25
-// proves the cost model's strategies are emission-order invariant, which
-// is what keeps OOC checkpoint logs and shard merges exact). Together with
+// outside core::mine: mine_parallel at 1, 2 and 4 threads (its per-rank
+// blocks in ascending rank order), and mine_from_blob over the full rank
+// range and two rank windows, each pinned to the recursive reference in
+// raw emission order (DESIGN.md S25 proves the engine's two subtree
+// strategies are emission-order invariant, which is what keeps OOC
+// checkpoint logs and shard merges exact). Together with
 // tree_differential_test every path runs on Table 1, both sweep
 // generators, quest-sparse at three supports and degenerate shapes. Runs
 // with structural validation on, and under tsan via the threaded label
-// (worker engines share one tree, and concurrent engines each keep their
-// own configuration).
+// (worker engines share one tree).
 #include <gtest/gtest.h>
 
 #include <string>
-#include <thread>
 
 #include "compress/codec.hpp"
 #include "compress/ooc_miner.hpp"
 #include "core/miner.hpp"
-#include "core/projection_pool.hpp"
 #include "core/validate.hpp"
 #include "differential_support.hpp"
 #include "parallel/partition_miner.hpp"
@@ -120,43 +117,6 @@ TEST(AdaptiveDifferential, OutOfCoreBlobPath) {
       SCOPED_TRACE(c.label + " minsup " + std::to_string(c.minsup));
       check_blob(c, testing::mine_reference(c.db, c.minsup));
     }
-}
-
-// A configuration belongs to its engine: two threads mining at once, one
-// engine on the default cost model and one forced to pooled-only, each get
-// the reference in raw emission order and report only their own
-// decisions. The decisions are read from ProjectionStats, not the trace,
-// so this also runs with the obs layer compiled out; under tsan it also
-// shows the two engines share no unsynchronized state.
-TEST(AdaptiveDifferential, ConcurrentMinesKeepTheirOwnPlan) {
-  const auto db = harness::scaled_dataset("quest-sparse", 0.05);
-  const Count minsup = harness::absolute_support(db, 0.005);
-  const auto truth = testing::mine_reference(db, minsup);
-  const auto view = core::build_ranked_view(db, minsup);
-  const auto max_rank = static_cast<Rank>(view.alphabet());
-  const core::TreeView tree = core::build_tree(view.db, max_rank);
-  const std::vector<Item> item_of = testing::items_of(view);
-  const auto run = [&](const core::PlanConfig& config, bool pooled) {
-    core::ProjectionEngine engine(config);
-    for (int round = 0; round < 4; ++round) {
-      engine.reset_stats();
-      core::FrequentItemsets out;
-      engine.mine(tree, item_of, minsup, out, {});
-      expect_same_order(truth, out,
-                        pooled ? "concurrent pooled-only" : "concurrent model");
-      const core::ProjectionStats& p = engine.stats();
-      EXPECT_GT(p.plan_pooled, 0u);
-      if (pooled) {
-        EXPECT_EQ(p.plan_single_path + p.plan_eclat, 0u);
-      } else {
-        EXPECT_GT(p.plan_single_path + p.plan_eclat, 0u);
-      }
-    }
-  };
-  std::thread model_thread(run, core::PlanConfig{}, false);
-  std::thread pooled_thread(run, testing::pooled_only(), true);
-  model_thread.join();
-  pooled_thread.join();
 }
 
 }  // namespace

@@ -197,8 +197,10 @@ elseif(CHECK STREQUAL "serve-corrupt-blob")
   endif()
 elseif(CHECK STREQUAL "serve-round-trip")
   # The serving pipeline end to end: plt-mine --emit-blob, daemon on an
-  # ephemeral port (--ready-file publishes it), plt-query answers, a second
-  # daemon on the same port exits non-zero (port in use), clean SIGTERM.
+  # ephemeral port (--ready-file publishes it), plt-query answers, the stats
+  # document counts the 2-rank support query's decoded lists in its
+  # "support" class and carries no "trace" object, a second daemon on the
+  # same port exits non-zero (port in use), clean SIGTERM.
   file(MAKE_DIRECTORY ${OUT_DIR})
   execute_process(COMMAND ${PLT_MINE} --dataset short-dense --scale 0.2
                           --minsup-frac 0.1
@@ -228,6 +230,15 @@ elseif(CHECK STREQUAL "serve-round-trip")
          > '${OUT_DIR}/roundtrip.support'
        grep -Eq '^[0-9]+$' '${OUT_DIR}/roundtrip.support' || {
          echo 'plt-query support did not print a number' >&2; exit 1; }
+       '${PLT_QUERY}' --port $port --op support --ranks '1 2' > /dev/null
+       '${PLT_QUERY}' --port $port --op stats > '${OUT_DIR}/roundtrip.stats'
+       grep -Eq '\"support\":[{]\"requests\":[0-9]+,(\"[a-z0-9_]+\":([0-9]+|[{]\"count\"[^]]*[]][}]),)*\"lists_decoded\":[1-9]' \
+         '${OUT_DIR}/roundtrip.stats' || {
+         echo 'stats lack a support class with lists decoded' >&2
+         cat '${OUT_DIR}/roundtrip.stats' >&2; exit 1; }
+       if grep -q '\"trace\"' '${OUT_DIR}/roundtrip.stats'; then
+         echo 'stats still carry a trace object' >&2; exit 1
+       fi
        '${PLT_QUERY}' --port $port --op topk --k 3 \
          > '${OUT_DIR}/roundtrip.topk'
        [ $(wc -l < '${OUT_DIR}/roundtrip.topk') -ge 1 ] || {

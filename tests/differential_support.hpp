@@ -13,7 +13,6 @@
 
 #include "core/builder.hpp"
 #include "core/conditional.hpp"
-#include "core/planner.hpp"
 #include "harness/datasets.hpp"
 #include "harness/experiment.hpp"
 #include "test_support.hpp"
@@ -43,7 +42,7 @@ inline std::vector<Item> items_of(const core::RankedView& view) {
 }
 
 /// The recursive reference (a fresh Plt per projection, no pooling, no
-/// cost model), with or without conditional item filtering.
+/// intersection), with or without conditional item filtering.
 inline core::FrequentItemsets mine_reference(const tdb::Database& db,
                                              Count minsup,
                                              bool filter_items = true) {
@@ -79,15 +78,6 @@ inline core::FrequentItemsets rank_blocks_ascending(
       out.add(reference.itemset(i), reference.support(i));
   }
   return out;
-}
-
-/// An engine configuration with the subtree cost model switched off: every
-/// conditional database takes the pooled walk.
-inline core::PlanConfig pooled_only() {
-  core::PlanConfig config;
-  config.allow_subtree_single_path = false;
-  config.allow_subtree_eclat = false;
-  return config;
 }
 
 struct DiffCase {

@@ -1,10 +1,11 @@
 // Observability layer (S23): the golden-trace suite plus the invariants the
-// tracing design promises — strict span nesting, monotone counters, a
-// merged tree that is byte-identical across kernel backends and thread
-// counts, nothing recorded outside a session, equal mining output with and
-// without a session, and well-formed traces on every resilience path
-// (cancel, deadline, budget, failpoint crash + checkpoint resume). Every
-// trace read here comes from a TraceSession the test opens around the call.
+// tracing design promises — strict span nesting, monotone counters, engine
+// counters equal to ProjectionStats, a merged tree that is byte-identical
+// across kernel backends and thread counts, nothing recorded outside a
+// session, equal mining output with and without a session, and
+// well-formed traces on every resilience path (cancel, deadline, budget,
+// failpoint crash + checkpoint resume). Every trace read here comes from a
+// TraceSession the test opens around the call.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -267,6 +268,71 @@ TEST_F(ObsTest, CountersAreMonotoneAcrossMines) {
     EXPECT_EQ(twice->counter_total(counter),
               2 * once->counter_total(counter));
   }
+}
+
+// ProjectionStats is the engine's only counter source: mine_rank adds
+// each rank's share to the trace once, so every engine counter's tree
+// total equals its ProjectionStats field, and itemsets-emitted equals the
+// itemsets mined. mine_parallel's 4-thread run merges its workers' stats,
+// so a field merge() forgot would show here.
+void expect_engine_counters(const TraceNode& trace,
+                            const core::MineResult& result) {
+  const core::ProjectionStats& p = result.projection;
+  EXPECT_GT(p.ranks_processed, 0u);
+  EXPECT_EQ(trace.counter_total("ranks-processed"), p.ranks_processed);
+  EXPECT_EQ(trace.counter_total("entries-projected"), p.entries_projected);
+  EXPECT_EQ(trace.counter_total("plan.subtree.pooled"), p.projections_built);
+  EXPECT_EQ(trace.counter_total("plan.subtree.eclat"), p.plan_eclat);
+  EXPECT_EQ(trace.counter_total("itemsets-emitted"), result.itemsets.size());
+}
+
+TEST_F(ObsTest, EngineCountersComeFromProjectionStats) {
+  const struct {
+    const char* label;
+    tdb::Database db;
+    Count minsup;
+  } workloads[] = {
+      {"dense", dense_workload(), kDenseMinsup},
+      {"sparse", sparse_workload(), 3},
+  };
+  for (const auto& w : workloads) {
+    SCOPED_TRACE(w.label);
+    core::MineResult mined;
+    const auto trace =
+        traced_mine(w.db, w.minsup, core::Algorithm::kPltConditional, &mined);
+    ASSERT_NE(trace, nullptr);
+    expect_engine_counters(*trace, mined);
+    EXPECT_GT(mined.projection.projections_built, 0u);
+    EXPECT_GT(mined.projection.plan_eclat, 0u);
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(threads);
+      parallel::ParallelOptions options;
+      options.threads = threads;
+      TraceSession session;
+      const core::MineResult result =
+          parallel::mine_parallel(w.db, w.minsup, options);
+      const auto parallel_trace = session.finish();
+      ASSERT_NE(parallel_trace, nullptr);
+      expect_engine_counters(*parallel_trace, result);
+    }
+  }
+
+  // mine_from_blob hands its itemsets to a sink: the trace counts exactly
+  // what the sink received.
+  const auto built = core::build_from_database(sparse_workload(), 3);
+  const auto blob = compress::encode_plt(built.plt);
+  std::vector<Item> item_of(built.view.alphabet());
+  for (Rank r = 1; r <= built.view.alphabet(); ++r)
+    item_of[r - 1] = built.view.item_of(r);
+  std::uint64_t received = 0;
+  const auto sink = [&received](std::span<const Item>, Count) { ++received; };
+  TraceSession session;
+  EXPECT_EQ(compress::mine_from_blob(blob, item_of, 3, sink),
+            core::MineStatus::kCompleted);
+  const auto trace = session.finish();
+  ASSERT_NE(trace, nullptr);
+  EXPECT_GT(received, 0u);
+  EXPECT_EQ(trace->counter_total("itemsets-emitted"), received);
 }
 
 // Without a session nothing records: no mining path opens one of its own.

@@ -1,9 +1,10 @@
 // Projection-pool engine tests: differential agreement of the pooled
 // iterative Algorithm 3 against the seed recursive path and FP-growth on
 // randomized dense + sparse databases, recycling/counter semantics, the
-// flat conditional database's layout, and byte-identical determinism of
-// the work-stealing parallel miner across thread counts. (The in-place
-// tree rebuild behind every pooled frame is tested in tree_view_test.)
+// 8-record, 8-rank bound of the tidset strategy, the flat conditional
+// database's layout, and byte-identical determinism of the work-stealing
+// parallel miner across thread counts. (The in-place tree rebuild behind
+// every pooled frame is tested in tree_view_test.)
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -145,20 +146,16 @@ TEST(ProjectionPool, EngineReuseAcrossMinesIsClean) {
 }
 
 TEST(ProjectionPool, RecyclingDominatesOnDeepWorkloads) {
-  // A 14-item transaction repeated: depth-13 conditional chains with many
-  // siblings per depth. The pool holds one frame per depth, so recycled
+  // A 14-item transaction repeated: deep conditional chains with many
+  // siblings per depth. Every conditional database is one record; those
+  // over more than 8 ranks (child ranks 13 down to 9) are projected, the
+  // rest intersected. The pool holds one frame per depth, so recycled
   // acquisitions must dwarf fresh ones (the acceptance criterion's >= 2x).
-  // Every conditional database here is one path, which the default cost
-  // model expands without projecting, so the engine is pinned to the
-  // pooled walk.
   tdb::Database db;
   std::vector<Item> row;
   for (Item i = 1; i <= 14; ++i) row.push_back(i);
   for (int i = 0; i < 3; ++i) db.add(row);
-  PlanConfig pooled_only;
-  pooled_only.allow_subtree_single_path = false;
-  pooled_only.allow_subtree_eclat = false;
-  ProjectionEngine engine(pooled_only);
+  ProjectionEngine engine;
   const auto mined = mine_pooled(db, 3, &engine);
   EXPECT_EQ(mined.size(), (1u << 14) - 1);
   const ProjectionStats& stats = engine.stats();
@@ -169,6 +166,45 @@ TEST(ProjectionPool, RecyclingDominatesOnDeepWorkloads) {
   EXPECT_EQ(stats.recycled_allocations + stats.fresh_allocations,
             stats.projections_built);
   EXPECT_GT(stats.bytes_recycled, 0u);
+}
+
+// Mines only the top rank of `rows` (distinct rows of ranks 1..max_rank,
+// each ending in max_rank) at support 1: its CD is one record per row.
+ProjectionStats mine_top_rank(const std::vector<std::vector<Item>>& rows,
+                              Rank max_rank) {
+  tdb::Database db;
+  for (const auto& r : rows) db.add(r);
+  const TreeView tree = TreeView::from_ranked_rows(db, max_rank);
+  std::vector<Item> item_of(max_rank);
+  for (Rank r = 1; r <= max_rank; ++r) item_of[r - 1] = r;
+  ProjectionEngine engine;
+  FrequentItemsets out;
+  engine.mine_rank(tree, max_rank, item_of, 1, out, {});
+  return engine.stats();
+}
+
+TEST(ProjectionPool, SmallConditionalDatabasesAreIntersected) {
+  // A conditional database of at most 8 records over at most 8 surviving
+  // ranks is mined by tidset intersection; one record or one rank more and
+  // it is projected into a pooled frame.
+  const ProjectionStats eight = mine_top_rank(
+      {{1, 9}, {2, 9}, {3, 9}, {4, 9}, {5, 9}, {6, 9}, {7, 9}, {8, 9}}, 9);
+  EXPECT_EQ(eight.ranks_processed, 1u);
+  EXPECT_EQ(eight.entries_projected, 8u);
+  EXPECT_EQ(eight.plan_eclat, 1u);
+  EXPECT_EQ(eight.projections_built, 0u);
+
+  const ProjectionStats nine_records = mine_top_rank(
+      {{1, 9}, {2, 9}, {3, 9}, {4, 9}, {5, 9}, {6, 9}, {7, 9}, {8, 9},
+       {1, 2, 9}},
+      9);
+  EXPECT_EQ(nine_records.projections_built, 1u);
+
+  const ProjectionStats nine_ranks = mine_top_rank(
+      {{1, 10}, {2, 10}, {3, 10}, {4, 10}, {5, 10}, {6, 10}, {7, 10},
+       {8, 9, 10}},
+      10);
+  EXPECT_EQ(nine_ranks.projections_built, 1u);
 }
 
 TEST(ProjectionPool, FlatCondDbLayout) {

@@ -18,6 +18,7 @@
 #include "compress/codec.hpp"
 #include "core/subset_check.hpp"
 #include "serve/protocol.hpp"
+#include "serve/query_engine.hpp"
 #include "serve_test_support.hpp"
 #include "util/failpoint.hpp"
 
@@ -405,7 +406,6 @@ TEST_F(ServeWireTest, StatsDocumentIsWellFormedJson) {
   EXPECT_NE(json.find("\"daemon\":\"plt-serve\""), std::string::npos);
   EXPECT_NE(json.find("\"ping\""), std::string::npos);
   EXPECT_NE(json.find("\"p99_ns\""), std::string::npos);
-  EXPECT_NE(json.find("\"trace\""), std::string::npos);
   // Balanced braces — cheap structural sanity for the hand-built JSON.
   int depth = 0;
   for (const char c : json) {
@@ -414,6 +414,58 @@ TEST_F(ServeWireTest, StatsDocumentIsWellFormedJson) {
     ASSERT_GE(depth, 0);
   }
   EXPECT_EQ(depth, 0);
+}
+
+// The stats snapshot adds up the query engine's work per class: after
+// 2- and 3-rank support and rule queries, each class's lists_decoded and
+// ids_decoded equal what answer_query reports for the same requests on
+// the same blob, and the stats document prints them.
+TEST_F(ServeWireTest, StatsSumTheQueryWorkPerClass) {
+  std::vector<Request> requests;
+  for (const std::vector<Rank>& ranks :
+       {std::vector<Rank>{1, 2}, {2, 4}, {1, 3, 4}})
+    requests.push_back(support_request(ranks));
+  for (const auto& [ranks, consequent] :
+       {std::pair<std::vector<Rank>, Rank>{{1, 2}, 3},
+        {{2, 3}, 4},
+        {{1, 2, 3}, 4}}) {
+    Request rule;
+    rule.opcode = Opcode::kRule;
+    rule.ranks = ranks;
+    rule.consequent = consequent;
+    requests.push_back(rule);
+  }
+
+  const auto blob = load_blob(blob_path_);
+  const core::MiningControl control;
+  QueryCounters expected[kOpcodeCount];
+  QueryClient client(port());
+  for (const Request& request : requests) {
+    const auto response = client.call(request);
+    ASSERT_TRUE(response.has_value());
+    ASSERT_EQ(response->status, Status::kOk);
+    ASSERT_EQ(answer_query(request, *blob, control,
+                           expected[static_cast<std::size_t>(request.opcode)])
+                  .status,
+              Status::kOk);
+  }
+
+  const StatsSnapshot stats = server_->server().stats();
+  const std::string json = client.stats().detail;
+  for (const Opcode opcode : {Opcode::kSupport, Opcode::kRule}) {
+    SCOPED_TRACE(to_string(opcode));
+    const QueryCounters& want = expected[static_cast<std::size_t>(opcode)];
+    const StatsSnapshot::PerClass& got =
+        stats.per_class[static_cast<std::size_t>(opcode)];
+    EXPECT_GT(want.buckets_scanned, 0u);
+    EXPECT_EQ(got.lists_decoded, want.buckets_scanned);
+    EXPECT_EQ(got.ids_decoded, want.entries_tested);
+    EXPECT_NE(json.find(",\"lists_decoded\":" +
+                        std::to_string(want.buckets_scanned) +
+                        ",\"ids_decoded\":" +
+                        std::to_string(want.entries_tested) + "}"),
+              std::string::npos);
+  }
 }
 
 TEST_F(ServeWireTest, ReloadSwapsGenerationUnderTraffic) {

@@ -433,7 +433,7 @@ TEST_F(ShardTest, DenseSweepGeneratorByteIdentical) {
   }
 }
 
-// Every worker mines through the projection engine's subtree cost model;
+// Every worker mines through the projection engine's subtree rule;
 // the merged stream must equal the recursive reference's raw emission
 // order, not only the single-process blob walk.
 TEST_F(ShardTest, AdaptivePlanShardsStayByteIdentical) {

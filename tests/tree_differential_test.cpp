@@ -1,12 +1,10 @@
-// Differential suite for the projection engine, which always runs its
-// subtree cost model: on Table 1, both sweep generators, quest-sparse and
-// degenerate shapes, every engine configuration must emit exactly what the
-// recursive reference emits, in raw order —
+// Differential suite for the projection engine, which mines each subtree
+// by pooled projection or tidset intersection: on Table 1, both sweep
+// generators, quest-sparse and degenerate shapes, every way of feeding it
+// must emit exactly what the recursive reference emits, in raw order —
 //   * core::mine (the tree-fed top level, CD_j off parent links);
 //   * the engine fed the tree of the table form (TreeView::from_plt, the
 //     rows-to-tree builder the blob miner also runs);
-//   * the engine forced through PlanConfig to pooled-only, to single-path
-//     without Eclat, and to Eclat for every shape;
 //   * the no-filter ablation, against the reference with filtering off.
 // The threaded label keeps these suites under TSan with the parallel and
 // out-of-core entry points of adaptive_differential_test.
@@ -25,35 +23,17 @@ using testing::DiffCase;
 using testing::expect_same_order;
 using testing::items_of;
 
-// The engine built with `config`, fed the tree of the ranked view (as
-// core::mine does) or the tree of its table form.
-core::ProjectionStats mine_engine(const tdb::Database& db, Count minsup,
-                                  const core::PlanConfig& config,
-                                  bool table_fed,
-                                  core::FrequentItemsets& out) {
+// The engine fed the tree of the ranked view's table form.
+core::FrequentItemsets mine_table_fed(const tdb::Database& db, Count minsup) {
+  core::FrequentItemsets out;
   const auto view = core::build_ranked_view(db, minsup);
-  if (view.alphabet() == 0) return {};
+  if (view.alphabet() == 0) return out;
   const auto max_rank = static_cast<Rank>(view.alphabet());
   const core::TreeView tree =
-      table_fed ? core::TreeView::from_plt(core::build_plt(view.db, max_rank))
-                : core::build_tree(view.db, max_rank);
-  core::ProjectionEngine engine(config);
+      core::TreeView::from_plt(core::build_plt(view.db, max_rank));
+  core::ProjectionEngine engine;
   engine.mine(tree, items_of(view), minsup, out, {});
-  return engine.stats();
-}
-
-core::PlanConfig single_path_without_eclat() {
-  core::PlanConfig config;
-  config.allow_subtree_eclat = false;
-  return config;
-}
-
-core::PlanConfig eclat_for_every_shape() {
-  core::PlanConfig config;
-  config.allow_subtree_single_path = false;
-  config.eclat_max_records = ~std::size_t{0};
-  config.eclat_max_ranks = ~Rank{0};
-  return config;
+  return out;
 }
 
 void check_case(const DiffCase& c) {
@@ -64,27 +44,8 @@ void check_case(const DiffCase& c) {
       core::mine(c.db, c.minsup, core::Algorithm::kPltConditional);
   expect_same_order(truth, tree_fed.itemsets, "core::mine");
 
-  core::FrequentItemsets table_out;
-  (void)mine_engine(c.db, c.minsup, {}, /*table_fed=*/true, table_out);
-  expect_same_order(truth, table_out, "engine fed the table form's tree");
-
-  const struct {
-    const char* label;
-    core::PlanConfig config;
-  } forced[] = {
-      {"pooled-only engine", testing::pooled_only()},
-      {"single-path engine without eclat", single_path_without_eclat()},
-      {"eclat-for-every-shape engine", eclat_for_every_shape()},
-  };
-  for (const auto& f : forced) {
-    core::FrequentItemsets out;
-    const core::ProjectionStats stats =
-        mine_engine(c.db, c.minsup, f.config, /*table_fed=*/false, out);
-    expect_same_order(truth, out, f.label);
-    if (!f.config.allow_subtree_eclat) EXPECT_EQ(stats.plan_eclat, 0u);
-    if (!f.config.allow_subtree_single_path)
-      EXPECT_EQ(stats.plan_single_path, 0u);
-  }
+  expect_same_order(truth, mine_table_fed(c.db, c.minsup),
+                    "engine fed the table form's tree");
 
   expect_same_order(
       testing::mine_reference(c.db, c.minsup, /*filter_items=*/false),
