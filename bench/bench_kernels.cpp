@@ -1,5 +1,5 @@
 // E18 — vectorized kernel layer: per-kernel scalar-vs-AVX2 micro rows for
-// the group-varint codec and the sorted intersections, plus the end-to-end
+// the sorted intersections, plus the end-to-end
 // mine() speedup the kernels buy on the dense sweeps. Every SIMD
 // measurement is differentially checked against the scalar reference
 // in-line (checksums must match — contract rule #1), and the end-to-end
@@ -179,26 +179,10 @@ int main(int argc, char** argv) {
                         "section 6 (hot-loop throughput) — runtime-dispatched "
                         "kernels");
 
-  Rng rng(42);
   bool all_agree = true;
 
   // -------------------------------------------------------------- inputs
-  const std::size_t n_words = scaled(scale, std::size_t{1} << 20);
   const std::size_t n_tids = scaled(scale, std::size_t{1} << 18);
-
-  std::vector<std::uint32_t> words(n_words);
-  for (auto& w : words) {
-    // Position-vector-like byte-length mix: mostly 1-byte values with a
-    // tail of wider ones, so the group-varint control bytes vary.
-    const std::uint64_t cls = rng.next_below(100);
-    const std::uint32_t raw = static_cast<std::uint32_t>(rng.next_u64());
-    w = cls < 70 ? (raw & 0xffu) : cls < 90 ? (raw & 0xffffu)
-        : cls < 97 ? (raw & 0xffffffu) : raw;
-  }
-  std::vector<std::uint8_t> encoded(kernels::encoded_block_bound(n_words));
-  const std::size_t encoded_len = kernels::scalar_dispatch().encode_varint_block(
-      words.data(), words.size(), encoded.data());
-  std::vector<std::uint32_t> decoded(n_words);
 
   Rng universe_a(7), universe_b(7), keep_a(100), keep_b(101);
   const auto tids_a = sorted_list(universe_a, keep_a, n_tids, 0.5);
@@ -209,18 +193,6 @@ int main(int argc, char** argv) {
   std::vector<std::uint32_t> isect_out(std::min(tids_a.size(), tids_b.size()) + 4);
 
   const MicroCase cases[] = {
-      {"encode_varint_block", n_words,
-       [&](const kernels::Dispatch& d) {
-         return std::uint64_t{
-             d.encode_varint_block(words.data(), words.size(),
-                                   encoded.data())};
-       }},
-      {"decode_varint_block", n_words,
-       [&](const kernels::Dispatch& d) {
-         const std::size_t consumed = d.decode_varint_block(
-             encoded.data(), encoded_len, decoded.data(), decoded.size());
-         return std::uint64_t{consumed} ^ decoded.back();
-       }},
       {"intersect_sorted", tids_a.size() + tids_b.size(),
        [&](const kernels::Dispatch& d) {
          const std::size_t m =
@@ -346,7 +318,7 @@ int main(int argc, char** argv) {
   write_json(out_path, scale, micro, e2e, trace_summary);
   std::cout << "\nWrote " << out_path << ".\n"
             << "Expected shape: the SIMD rows beat scalar on the\n"
-            << "bandwidth-bound kernels (intersect, varint blocks); every\n"
+            << "merge-bound intersections (not galloping); every\n"
             << "backend produces identical checksums and\n"
             << "identical mined itemsets (contract rule #1).\n";
   return all_agree ? 0 : 1;

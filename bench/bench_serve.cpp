@@ -1,5 +1,5 @@
 // E22 — closed-loop serving benchmark over the plt-serve daemon. An
-// in-process server loads one PLT2 blob of the scaled dense dataset into
+// in-process server loads one PLT3 blob of the scaled dense dataset into
 // its per-rank entry-id index; N client threads issue one request class
 // at a time in a closed loop (next request only after the previous
 // response), so reported throughput is the sustainable rate at that

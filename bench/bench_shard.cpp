@@ -1,6 +1,6 @@
 // E21 — shard-parallel mining across processes: the paper's partition
 // independence (§4.1/§6) taken to its process-level conclusion. One shared
-// PLT2 blob, N worker processes each mining a rank window, a coordinator
+// PLT3 blob, N worker processes each mining a rank window, a coordinator
 // merging the checkpoint logs back into single-process emission order.
 // Reports measured-vs-perfect scaling of the worker phase against a
 // single-process OOC mine of the same blob, with the coordinator's own

@@ -6,9 +6,10 @@
 // threshold down to 1 and reports where (if anywhere) top-down wins.
 // Also ablates the two top-down variants (canonical vs paper-staged sweep).
 // Emits BENCH_topdown_crossover.json (--out FILE): per-cell timings with the
-// dataset statistics, plus the winner per support level — the evidence
-// that pooled conditional wins every cell, so top-down stays an explicit
-// Algorithm and is never chosen on a caller's behalf.
+// host stamp and the dataset statistics, plus the winner per support level
+// — the evidence that pooled conditional wins every cell with measurable
+// work, so top-down stays an explicit Algorithm and is never chosen on a
+// caller's behalf.
 #include <fstream>
 #include <iostream>
 
@@ -72,6 +73,7 @@ void write_json(const std::string& path, double scale,
   std::ofstream out(path);
   out << "{\n  \"experiment\": \"E4\",\n"
       << "  \"title\": \"top-down vs conditional crossover\",\n"
+      << "  \"host\": " << harness::host_json() << ",\n"
       << "  \"scale\": " << scale << ",\n"
       << "  \"dataset\": {\n"
       << "    \"name\": \"short-dense\",\n"

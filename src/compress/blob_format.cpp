@@ -6,8 +6,6 @@
 #include <string>
 
 #include "compress/varint.hpp"
-#include "kernels/kernels.hpp"
-#include "obs/trace.hpp"
 #include "util/crc32c.hpp"
 #include "util/failpoint.hpp"
 
@@ -97,7 +95,7 @@ std::uint32_t read_u32le(std::span<const std::uint8_t> bytes,
 
 BlobHeader read_blob_header(std::span<const std::uint8_t> blob,
                             const char* who) {
-  if (blob.size() < 4 || std::memcmp(blob.data(), kMagicV2, 4) != 0)
+  if (blob.size() < 4 || std::memcmp(blob.data(), kMagic, 4) != 0)
     fail(who, "bad magic");
   BlobHeader header;
   std::size_t offset = 4;
@@ -129,11 +127,7 @@ PartitionFrame read_partition_frame(std::span<const std::uint8_t> blob,
                                     const char* who) {
   PartitionFrame frame;
   const std::size_t frame_begin = offset;
-  const std::uint64_t raw_length = get_varint(blob, offset);
-  if ((raw_length & kFrameBlockCoded) == 0)
-    fail(who, "partition frame is not block-coded");
-  const std::uint64_t length =
-      raw_length & ~static_cast<std::uint64_t>(kFrameBlockCoded);
+  const std::uint64_t length = get_varint(blob, offset);
   if (length == 0 || length > header.max_rank)
     fail(who, "invalid partition length");
   frame.length = static_cast<std::uint32_t>(length);
@@ -142,11 +136,8 @@ PartitionFrame read_partition_frame(std::span<const std::uint8_t> blob,
   const std::uint64_t payload_len = get_varint(blob, offset);
   if (payload_len > blob.size() - offset)
     fail(who, "partition payload runs past the blob");
-  // Minimum entry footprint: one byte per value (length + 2 of them) plus
-  // the group control bytes.
-  const std::uint64_t min_entry_bytes =
-      (frame.length + 2ull) + (frame.length + 5ull) / 4;
-  if (frame.entries > payload_len / min_entry_bytes)
+  // Minimum entry footprint: one byte per varint, length + 1 of them.
+  if (frame.entries > payload_len / (frame.length + 1ull))
     fail(who, "entry count exceeds payload size");
   frame.payload_begin = offset;
   frame.payload_end = offset + payload_len;
@@ -159,23 +150,26 @@ PartitionFrame read_partition_frame(std::span<const std::uint8_t> blob,
   return frame;
 }
 
-void decode_blob_entry(std::span<const std::uint8_t> blob,
+void put_blob_entry(std::vector<std::uint8_t>& payload,
+                    std::span<const Pos> positions, Count freq) {
+  for (const Pos position : positions) put_varint(payload, position);
+  put_varint(payload, freq);
+}
+
+void decode_blob_entry(std::span<const std::uint8_t> payload,
                        std::size_t& offset, std::uint32_t length,
-                       core::PosVec& v, Count& freq) {
-  // One group-varint block of length positions plus the freq split lo/hi.
-  v.resize(length + 2);
-  const std::size_t consumed = kernels::active().decode_varint_block(
-      blob.data() + offset, blob.size() - offset, v.data(), length + 2);
-  if (consumed == kernels::kDecodeError)
-    throw std::runtime_error("decode_blob_entry: truncated block entry");
-  obs::count_kernel("kernel.decode_varint_block.calls",
-                    "kernel.decode_varint_block.bytes", consumed);
-  // length sizes v (the decode's *output* count, fixed by the resize
-  // above); it is not produced by the call. plt-lint: allow(taint-bounds)
-  freq = static_cast<Count>(v[length]) |
-         (static_cast<Count>(v[length + 1]) << 32);
+                       Rank max_rank, core::PosVec& v, Count& freq) {
   v.resize(length);
-  offset += consumed;
+  for (Pos& position : v) {
+    // A one-byte value, as most position gaps are, is read in line.
+    const std::uint64_t value =
+        offset < payload.size() && payload[offset] < 0x80
+            ? payload[offset++]
+            : get_varint(payload, offset);
+    if (value > max_rank) fail("decode_blob_entry", "position above max_rank");
+    position = static_cast<Pos>(value);
+  }
+  freq = get_varint(payload, offset);
 }
 
 }  // namespace plt::compress

@@ -1,20 +1,20 @@
-// The serialized-PLT container format, PLT2: blob files, written
-// atomically and read whole, and the shared parsing of their bytes. The
-// file IO lives here, apart from the codec, so that a reader of blob files
-// (plt-serve) does not link the table-form encoder and decoder. Every
-// section carries a CRC32C so single-byte corruption, truncation and torn
-// writes are detected before any value is trusted:
-//   "PLT2" | varint max_rank | varint partition_count |
+// The serialized-PLT container format, PLT3: blob files, written
+// atomically and read whole, and the one writer and checked reader of
+// their entries. The file IO lives here, apart from the codec, so that a
+// reader of blob files (plt-serve) does not link the table-form encoder
+// and decoder. Every section carries a CRC32C so single-byte corruption,
+// truncation and torn writes are detected before any value is trusted:
+//   "PLT3" | varint max_rank | varint partition_count |
 //   u32le CRC32C(header varints)
-//   per partition: varint (length | kFrameBlockCoded) | varint entry_count |
+//   per partition: varint length | varint entry_count |
 //                  varint payload_len | payload |
 //                  u32le CRC32C(framing varints + payload)
-// `payload` is the entry stream: each entry is one group-varint block of
-// length+2 u32 values (the positions, then freq split lo/hi). Groups of
-// four values share a control byte (2 bits each = byte length - 1)
-// followed by the little-endian value bytes. Entries stay independently
-// decodable at their byte offsets, which is what build_index's second
-// pass relies on: it re-decodes the frames its first pass verified.
+// `payload` is the entry stream: each entry is its `length` positions
+// (rank gaps, paper Definition 4.1.2) and then its frequency, every value
+// one LEB128 varint. Entries stay decodable at their byte offsets, which
+// is what build_index's second pass relies on: it re-decodes the frames
+// its first pass verified. A PLT2 blob (group-varint entries) is refused
+// at its magic.
 #pragma once
 
 #include <cstdint>
@@ -27,13 +27,7 @@
 
 namespace plt::compress {
 
-inline constexpr char kMagicV2[4] = {'P', 'L', 'T', '2'};
-
-/// Flag OR'd into every PLT2 frame-length varint: the frame's entries use
-/// the group-varint block layout. The reader requires it, so a frame
-/// without it is rejected. Safe because partition lengths are bounded by
-/// max_rank <= 2^26.
-inline constexpr std::uint32_t kFrameBlockCoded = 1u << 27;
+inline constexpr char kMagic[4] = {'P', 'L', 'T', '3'};
 
 /// Writes a blob to disk atomically: the bytes land in `path + ".tmp"`, are
 /// flushed and fsync'd, then renamed over `path` — a crash mid-write leaves
@@ -78,32 +72,39 @@ struct PartitionFrame {
 /// Parses the partition frame at `offset`, advancing it to the payload
 /// start. The frame CRC is verified, and the declared payload length is
 /// bounds-checked against both the blob size and the minimum entry
-/// footprint before anything is decoded. Throws std::runtime_error.
+/// footprint (length + 1 varints of at least one byte) before anything is
+/// decoded. Throws std::runtime_error.
 PartitionFrame read_partition_frame(std::span<const std::uint8_t> blob,
                                     std::size_t& offset,
                                     const BlobHeader& header,
                                     const char* who);
 
+/// Appends one entry to a frame payload: each position, then `freq`, as
+/// LEB128 varints.
+void put_blob_entry(std::vector<std::uint8_t>& payload,
+                    std::span<const Pos> positions, Count freq);
+
 /// Decodes one entry of vector length `length` at `offset` (advanced past
-/// it). Throws std::runtime_error on truncated input. The kernel dispatch
-/// makes the block decode SIMD on supporting hosts; every backend decodes
-/// identical bytes to identical values. The values are not range-checked
-/// here: for_each_checked_entry checks each entry once (see
-/// core::checked_sum).
-void decode_blob_entry(std::span<const std::uint8_t> blob,
+/// it), reading only `payload` (a blob cut at its frame's payload end).
+/// Each position varint above `max_rank` is rejected before it is narrowed
+/// to Pos, so a value past 2^32 cannot wrap into range. Throws
+/// std::runtime_error on a varint that runs past the payload or is longer
+/// than ten bytes. Zero positions and the sum are checked by the caller
+/// (for_each_checked_entry, through core::checked_sum).
+void decode_blob_entry(std::span<const std::uint8_t> payload,
                        std::size_t& offset, std::uint32_t length,
-                       core::PosVec& v, Count& freq);
+                       Rank max_rank, core::PosVec& v, Count& freq);
 
 /// The one checked entry reader behind every whole-blob consumer
 /// (decode_plt, build_index, mine_from_blob). Walks the frames after
-/// `header`: each frame's CRC is verified before its payload is read,
-/// every entry passes core::checked_sum (positions >= 1, overflow-safe sum
-/// <= max_rank) before anyone sees it, and each frame's entry stream must
-/// end exactly at its payload end. Calls
-/// on_entry(frame, entry_offset, positions, sum, freq) for every entry in
+/// `header`: each frame's CRC is verified before its payload is read, each
+/// entry is read only inside its frame's payload, every entry passes
+/// core::checked_sum (positions >= 1, overflow-safe sum <= max_rank)
+/// before anyone sees it, and each frame's entry stream must end exactly
+/// at its payload end. Calls on_entry(positions, freq) for every entry in
 /// stored order, then on_frame(frame) once the frame's landing check has
-/// passed. Throws std::runtime_error prefixed with `who` at the first
-/// failed check; callbacks may have seen earlier entries by then.
+/// passed. Throws std::runtime_error at the first failed check; callbacks
+/// may have seen earlier entries by then.
 template <typename OnEntry, typename OnFrame>
 void for_each_checked_entry(std::span<const std::uint8_t> blob,
                             const BlobHeader& header, const char* who,
@@ -113,15 +114,15 @@ void for_each_checked_entry(std::span<const std::uint8_t> blob,
   for (std::uint64_t p = 0; p < header.partitions; ++p) {
     const PartitionFrame frame =
         read_partition_frame(blob, offset, header, who);
+    const auto payload = blob.first(frame.payload_end);
     for (std::uint64_t e = 0; e < frame.entries; ++e) {
-      const std::size_t entry_offset = offset;
       Count freq = 0;
-      decode_blob_entry(blob, offset, frame.length, v, freq);
-      const Rank sum = core::checked_sum(v, header.max_rank);
-      if (sum == 0)
+      decode_blob_entry(payload, offset, frame.length, header.max_rank, v,
+                        freq);
+      if (core::checked_sum(v, header.max_rank) == 0)
         throw std::runtime_error(std::string(who) +
                                  ": invalid position vector");
-      on_entry(frame, entry_offset, std::span<const Pos>(v), sum, freq);
+      on_entry(std::span<const Pos>(v), freq);
     }
     if (offset != frame.payload_end)
       throw std::runtime_error(std::string(who) +

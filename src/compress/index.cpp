@@ -10,17 +10,6 @@
 
 namespace plt::compress {
 
-namespace {
-
-/// Where the second pass finds a frame the first pass verified.
-struct VerifiedFrame {
-  std::size_t payload_begin = 0;
-  std::uint64_t entries = 0;
-  std::uint32_t length = 0;
-};
-
-}  // namespace
-
 BlobIndex::ListCursor::ListCursor(const BlobIndex& index, Rank r)
     : left_(index.ids_of(r)) {
   if (left_ == 0) return;
@@ -102,7 +91,7 @@ BlobIndex build_index(std::span<const std::uint8_t> blob) {
   // below turns the counts into offsets.
   index.list_begin.assign(std::size_t{max_rank} + 1, 0);
   std::vector<std::uint32_t> last(max_rank, 0);  // previous id per rank
-  std::vector<VerifiedFrame> verified;
+  std::vector<PartitionFrame> verified;
 
   // Pass 1, the checked reader: every CRC and every entry's positions are
   // verified here, so the ranks below stay in 1..max_rank and no list byte
@@ -110,8 +99,7 @@ BlobIndex build_index(std::span<const std::uint8_t> blob) {
   std::uint64_t entries = 0;
   for_each_checked_entry(
       blob, header, "build_index",
-      [&](const PartitionFrame&, std::size_t, std::span<const Pos> v, Rank,
-          Count freq) {
+      [&](std::span<const Pos> v, Count freq) {
         if (entries >= std::numeric_limits<std::uint32_t>::max())
           throw std::runtime_error(
               "build_index: more entries than 32-bit ids");
@@ -127,7 +115,7 @@ BlobIndex build_index(std::span<const std::uint8_t> blob) {
         }
       },
       [&](const PartitionFrame& frame) {
-        verified.push_back({frame.payload_begin, frame.entries, frame.length});
+        verified.push_back(frame);
         const auto first_id =
             static_cast<std::uint32_t>(entries - frame.entries);
         index.frames.push_back({frame.length, first_id});
@@ -145,10 +133,12 @@ BlobIndex build_index(std::span<const std::uint8_t> blob) {
   std::fill(last.begin(), last.end(), 0);
   core::PosVec v;
   std::uint32_t id = 0;
-  for (const VerifiedFrame& frame : verified) {
+  for (const PartitionFrame& frame : verified) {
     std::size_t offset = frame.payload_begin;
+    const auto payload = blob.first(frame.payload_end);
     for (std::uint64_t e = 0; e < frame.entries; ++e, ++id) {
-      decode_blob_entry(blob, offset, frame.length, v, index.freq[id]);
+      decode_blob_entry(payload, offset, frame.length, max_rank, v,
+                        index.freq[id]);
       Rank rank = 0;
       for (const Pos position : v) {
         rank += position;

@@ -52,13 +52,11 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
     std::size_t bytes = 0;
     for_each_checked_entry(
         blob, header, "mine_from_blob",
-        [&](const PartitionFrame&, std::size_t, std::span<const Pos> v, Rank,
-            Count freq) { rows.add(v, freq); },
+        [&](std::span<const Pos> v, Count freq) { rows.add(v, freq); },
         [&](const PartitionFrame& frame) {
           bytes += frame.payload_end - frame.payload_begin;
         });
     if (stats != nullptr) stats->bytes_decoded += bytes;
-    PLT_TRACE_COUNT("bytes-decoded", bytes);
     return core::TreeView::from_rows(rows, max_rank, "mine_from_blob");
   }();
   const std::size_t tree_bytes = tree.memory_usage();

@@ -1,15 +1,41 @@
-// AVX2 backend. Intersection runs an 8x8 block compare; group-varint uses
-// the 128-bit shuffle code (simd128_impl.hpp) — it is byte-shuffle bound,
-// not width bound. Compiled with -mavx2; only referenced by dispatch.cpp
-// under PLT_KERNELS_HAVE_AVX2.
+// AVX2 backend: the sorted intersection as an 8x8 block compare.
+// Compiled with -mavx2; only referenced by dispatch.cpp under
+// PLT_KERNELS_HAVE_AVX2.
 #include <immintrin.h>
 
+#include <array>
+#include <cstdint>
+
 #include "kernels/backends.hpp"
-#include "kernels/simd128_impl.hpp"
+#include "kernels/scalar_impl.hpp"
 
 namespace plt::kernels {
 
 namespace {
+
+/// pshufb mask that compress-stores the dwords selected by a 4-bit
+/// movemask, in order — the intersection's compaction step (one lookup per
+/// 128-bit half).
+constexpr std::array<std::array<std::uint8_t, 16>, 16>
+make_compress_table() {
+  std::array<std::array<std::uint8_t, 16>, 16> t{};
+  for (unsigned mask = 0; mask < 16; ++mask) {
+    unsigned out = 0;
+    for (unsigned lane = 0; lane < 4; ++lane) {
+      if ((mask >> lane) & 1u) {
+        for (unsigned b = 0; b < 4; ++b)
+          t[mask][4 * out + b] = static_cast<std::uint8_t>(4 * lane + b);
+        ++out;
+      }
+    }
+    for (unsigned p = 4 * out; p < 16; ++p)
+      t[mask][p] = 0x80u;
+  }
+  return t;
+}
+
+constexpr std::array<std::array<std::uint8_t, 16>, 16> kCompressTable =
+    make_compress_table();
 
 // 8x8 all-pairs block intersection: one ymm of each list per iteration,
 // compared against all eight dword rotations of the other, so the block
@@ -70,12 +96,12 @@ std::size_t avx2_intersect_impl(const std::uint32_t* a, std::size_t na,
       const __m128i packed_lo = _mm_shuffle_epi8(
           _mm256_castsi256_si128(va),
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-              detail::kCompressTable[lo].data())));
+              kCompressTable[lo].data())));
       _mm_storeu_si128(reinterpret_cast<__m128i*>(out + count), packed_lo);
       const __m128i packed_hi = _mm_shuffle_epi8(
           _mm256_extracti128_si256(va, 1),
           _mm_loadu_si128(reinterpret_cast<const __m128i*>(
-              detail::kCompressTable[hi].data())));
+              kCompressTable[hi].data())));
       _mm_storeu_si128(reinterpret_cast<__m128i*>(
                            out + count +
                            static_cast<unsigned>(__builtin_popcount(lo))),
@@ -116,8 +142,6 @@ std::size_t avx2_intersect_count(const std::uint32_t* a, std::size_t na,
 constexpr Dispatch kAvx2Dispatch = {
     Backend::kAVX2,
     "avx2",
-    detail::simd128_encode_varint_block,
-    detail::simd128_decode_varint_block,
     avx2_intersect_sorted,
     avx2_intersect_count,
 };

@@ -1,8 +1,8 @@
-// Runtime-dispatched data-parallel kernels for the two jobs where a SIMD
-// body moves an end-to-end number: group-varint block coding inside PLT2
-// frames (encode_plt, every blob decode) and sorted-u32 tidlist
-// intersection (the Eclat / dEclat / CHARM baselines, the engine's tidset
-// strategy, count_supports_vertical and serve's rank-list queries).
+// Runtime-dispatched data-parallel kernels for the one job where a SIMD
+// body moves an end-to-end number: sorted-u32 tidlist intersection (the
+// Eclat / dEclat / CHARM baselines, the engine's tidset strategy,
+// count_supports_vertical and serve's rank-list queries), materialized or
+// counted.
 //
 // Architecture (see DESIGN.md "Vectorized kernel layer"):
 //
@@ -15,15 +15,12 @@
 //     `set_backend()` / `select_backend()` switch it explicitly. The table
 //     pointer is a single atomic, so dispatch is thread-safe and TSan-clean.
 //   * Contract rule #1: every backend computes the *same function* —
-//     bit-identical results for identical inputs, including the canonical
-//     group-varint bytes. Differential tests in tests/kernels_test.cpp pin
-//     the AVX2 backend to the scalar reference on randomized and
-//     adversarial inputs.
+//     bit-identical results for identical inputs. Differential tests in
+//     tests/kernels_test.cpp pin the AVX2 backend to the scalar reference
+//     on randomized and adversarial inputs.
 //   * Contract rule #2: no alignment requirements. Callers hand spans at
 //     arbitrary offsets; backends use unaligned loads.
-//   * Contract rule #3: kernels never allocate and never throw. Decode
-//     reports malformed input via kDecodeError; callers turn that into
-//     their own error type.
+//   * Contract rule #3: kernels never allocate and never throw.
 #pragma once
 
 #include <cstddef>
@@ -34,32 +31,10 @@ namespace plt::kernels {
 
 enum class Backend { kScalar, kAVX2 };
 
-/// Returned by decode_varint_block on truncated/overlong input.
-inline constexpr std::size_t kDecodeError = static_cast<std::size_t>(-1);
-
 /// One backend: an immutable table of kernel entry points.
 struct Dispatch {
   Backend backend;
   const char* name;
-
-  /// Group-varint block coding: values are written in groups of four, one
-  /// control byte (2 bits per value: encoded byte length minus one)
-  /// followed by the little-endian value bytes. A final partial group
-  /// holds n % 4 values; its unused control bits are zero. The encoding
-  /// of a value sequence is canonical, so every backend emits identical
-  /// bytes. `out` must have room for encoded_block_bound(n) bytes (the
-  /// SIMD encoder stores 16-byte blocks and lets the next group overwrite
-  /// the padding). Returns the encoded byte count.
-  std::size_t (*encode_varint_block)(const std::uint32_t* values,
-                                     std::size_t n, std::uint8_t* out);
-
-  /// Decodes exactly n values from `in` (at most in_len bytes). Returns
-  /// the number of bytes consumed, or kDecodeError when the input is
-  /// truncated. `out` must have room for n values; no bytes beyond the
-  /// consumed prefix are interpreted, no slots beyond n are written.
-  std::size_t (*decode_varint_block)(const std::uint8_t* in,
-                                     std::size_t in_len, std::uint32_t* out,
-                                     std::size_t n);
 
   /// Sorted-u32 set intersection (inputs strictly increasing, as tidlists
   /// are). Galloping on wildly asymmetric sizes, block compares otherwise.
@@ -107,11 +82,5 @@ bool set_backend(Backend backend);
 bool select_backend(const std::string& name);
 
 const char* backend_name(Backend backend);
-
-/// Worst-case encode_varint_block output for n values (caller's buffer
-/// contract): one control byte per group of four plus four bytes per value.
-constexpr std::size_t encoded_block_bound(std::size_t n) {
-  return (n + 3) / 4 + 4 * n;
-}
 
 }  // namespace plt::kernels

@@ -7,8 +7,6 @@ namespace {
 constexpr Dispatch kScalarDispatch = {
     Backend::kScalar,
     "scalar",
-    detail::scalar_encode_varint_block,
-    detail::scalar_decode_varint_block,
     detail::scalar_intersect_sorted,
     detail::scalar_intersect_count,
 };

@@ -9,64 +9,6 @@
 
 namespace plt::kernels::detail {
 
-// ---- group varint --------------------------------------------------------
-
-inline unsigned gv_byte_len(std::uint32_t x) {
-  return 1u + (x > 0xffu) + (x > 0xffffu) + (x > 0xffffffu);
-}
-
-inline std::size_t scalar_encode_varint_block(const std::uint32_t* values,
-                                              std::size_t n,
-                                              std::uint8_t* out) {
-  std::size_t o = 0;
-  for (std::size_t i = 0; i < n; i += 4) {
-    const std::size_t k = n - i < 4 ? n - i : 4;
-    const std::size_t control = o++;
-    std::uint8_t c = 0;
-    for (std::size_t j = 0; j < k; ++j) {
-      std::uint32_t x = values[i + j];
-      const unsigned len = gv_byte_len(x);
-      c = static_cast<std::uint8_t>(c | ((len - 1u) << (2 * j)));
-      for (unsigned b = 0; b < len; ++b) {
-        out[o++] = static_cast<std::uint8_t>(x);
-        x >>= 8;
-      }
-    }
-    out[control] = c;
-  }
-  return o;
-}
-
-/// Decodes from (consumed, produced) onward — the shared tail used by the
-/// SIMD decoders after their full-group fast path.
-inline std::size_t scalar_decode_tail(const std::uint8_t* in,
-                                      std::size_t in_len, std::uint32_t* out,
-                                      std::size_t n, std::size_t consumed,
-                                      std::size_t produced) {
-  while (produced < n) {
-    if (consumed >= in_len) return kDecodeError;
-    const std::uint8_t c = in[consumed++];
-    const std::size_t k = n - produced < 4 ? n - produced : 4;
-    for (std::size_t j = 0; j < k; ++j) {
-      const unsigned len = ((c >> (2 * j)) & 3u) + 1u;
-      if (in_len - consumed < len) return kDecodeError;
-      std::uint32_t x = 0;
-      for (unsigned b = 0; b < len; ++b)
-        x |= static_cast<std::uint32_t>(in[consumed + b]) << (8 * b);
-      out[produced++] = x;
-      consumed += len;
-    }
-  }
-  return consumed;
-}
-
-inline std::size_t scalar_decode_varint_block(const std::uint8_t* in,
-                                              std::size_t in_len,
-                                              std::uint32_t* out,
-                                              std::size_t n) {
-  return scalar_decode_tail(in, in_len, out, n, 0, 0);
-}
-
 // ---- sorted intersection -------------------------------------------------
 
 /// Size ratio beyond which every backend switches from merging to galloping

@@ -47,15 +47,10 @@ inline constexpr std::string_view kSpans[] = {
 /// status.* family is emitted through status_counter_name(), which maps
 /// every MineStatus onto one of these literals.
 inline constexpr std::string_view kCounters[] = {
-    "bytes-decoded",
     "entries-projected",
     "expanded-vectors",
     "itemsets-emitted",
     "itemsets-total",
-    "kernel.decode_varint_block.bytes",
-    "kernel.decode_varint_block.calls",
-    "kernel.encode_varint_block.bytes",
-    "kernel.encode_varint_block.calls",
     "kernel.intersect_count.bytes",
     "kernel.intersect_count.calls",
     "kernel.intersect_sorted.bytes",
@@ -67,7 +62,6 @@ inline constexpr std::string_view kCounters[] = {
     "ranks-processed",
     "resumed-ranks",
     "shard.attempts",
-    "shard.bytes-decoded",
     "shard.itemsets",
     "shard.relaunches",
     "shard.workers",

@@ -1,4 +1,4 @@
-// Blob loading and hot swap for plt-serve. A LoadedBlob is one PLT2
+// Blob loading and hot swap for plt-serve. A LoadedBlob is one PLT3
 // container turned into everything the query engine needs, with the
 // file's bytes gone: the vertical BlobIndex (per-rank entry-id lists,
 // entry frequencies, frame ranges, per-rank supports and the total mass)

@@ -20,7 +20,7 @@
 // ahead of earlier well-formed requests still waiting for their tick's
 // execution pass.
 //
-// Queries are expressed in *rank* space (Definition 4.1.1): the PLT2 blob
+// Queries are expressed in *rank* space (Definition 4.1.1): the PLT3 blob
 // stores position vectors over ranks 1..max_rank and carries no item map,
 // so translating original item ids to ranks is the client's job (the shard
 // manifest or the mining run that produced the blob holds the mapping).

@@ -1,5 +1,5 @@
 // plt-serve daemon core (DESIGN.md S27): a thread-per-core epoll server
-// over PLT2 blobs indexed at load. No framework — one acceptor thread hands
+// over PLT3 blobs indexed at load. No framework — one acceptor thread hands
 // accepted connections round-robin to N worker loops; each worker owns its
 // connections outright (epoll set, buffers, stats), so the only shared
 // state on the request path is the BlobStore snapshot (one shared_ptr copy

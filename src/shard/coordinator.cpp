@@ -224,7 +224,6 @@ core::MineStatus merge_job(const std::string& dir,
       decode_manifest(compress::read_blob_file(manifest_path(dir)));
 
   std::uint64_t merged = 0;
-  std::uint64_t bytes_decoded = 0;
   for (const ShardSpec& spec : manifest.shards) {
     const std::uint32_t binding = compress::window_binding_crc(
         manifest.blob_crc, spec.rank_lo, spec.rank_hi, manifest.max_rank);
@@ -254,14 +253,12 @@ core::MineStatus merge_job(const std::string& dir,
     // above came from the log alone.
     const ShardSummary summary = decode_summary(
         compress::read_blob_file(summary_path(dir, spec.shard_id)));
-    bytes_decoded += summary.bytes_decoded;
     if (report != nullptr) {
       report->shard_wall.record(summary.wall_ns);
       report->summaries.push_back(summary);
     }
   }
   PLT_TRACE_COUNT("shard.itemsets", merged);
-  PLT_TRACE_COUNT("shard.bytes-decoded", bytes_decoded);
   if (report != nullptr) {
     report->shards = manifest.shards.size();
     report->max_rank = manifest.max_rank;

@@ -4,7 +4,7 @@
 // (plt-shard exposes them for ssh-style launchers that run workers on
 // other hosts against a shipped job directory):
 //
-//   prepare_job  — build the PLT once, serialize it as the PLT2 blob, and
+//   prepare_job  — build the PLT once, serialize it as the PLT3 blob, and
 //                  write the job manifest: shard windows balanced by
 //                  per-partition work weights (computed here and not
 //                  shipped), and the rank->item map.

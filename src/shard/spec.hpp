@@ -1,6 +1,6 @@
 // Shard job descriptions and the two small wire formats that glue the
 // coordinator and its worker processes together (S26). A shard is a
-// contiguous rank window [rank_lo, rank_hi] over one shared PLT2 blob:
+// contiguous rank window [rank_lo, rank_hi] over one shared PLT3 blob:
 // rank partitions are independent by construction (Def 4.1.3), so a worker
 // that builds the blob's physical tree and mines rank_hi..rank_lo emits
 // exactly the window's slice of the full-range OOC emission sequence.
@@ -60,7 +60,7 @@ std::vector<ShardSpec> split_shards(std::span<const std::uint64_t> weights,
 
 /// Everything a worker needs to know about the job, minus the blob bytes.
 struct Manifest {
-  std::uint32_t blob_crc = 0;  ///< CRC32C of the whole PLT2 blob
+  std::uint32_t blob_crc = 0;  ///< CRC32C of the whole PLT3 blob
   Count min_support = 0;
   Rank max_rank = 0;
   std::vector<Item> item_of;  ///< item_of[r-1] = original item of rank r

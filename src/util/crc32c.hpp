@@ -1,5 +1,5 @@
 // CRC32C (Castagnoli polynomial, reflected 0x82F63B78) — the integrity
-// check behind the PLT2 blob format and the OOC checkpoint log. Software
+// check behind the PLT3 blob format and the OOC checkpoint log. Software
 // table implementation: blob decode already walks every byte through the
 // varint decoder, so a byte-at-a-time CRC is a small constant on top.
 #pragma once

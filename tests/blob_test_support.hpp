@@ -1,4 +1,4 @@
-// Hand-built PLT2 blobs and re-sealed shard containers for the
+// Hand-built PLT3 blobs and re-sealed shard containers for the
 // hostile-input tests. A writer never emits zero or out-of-range positions,
 // wrapping sums, or frames whose declared entry count disagrees with their
 // payload; these helpers build exactly such bytes and seal them with
@@ -12,44 +12,34 @@
 
 #include "compress/blob_format.hpp"
 #include "compress/varint.hpp"
-#include "kernels/kernels.hpp"
 #include "util/crc32c.hpp"
 
 namespace plt::testing {
 
 /// One entry as raw values: the positions are written exactly as given.
 struct RawEntry {
-  std::vector<std::uint32_t> positions;
+  std::vector<Pos> positions;
   Count freq = 1;
 };
 
-/// One partition frame as written: `length_tag` is the frame-length varint
-/// (normally the vector length | kFrameBlockCoded) and `entries` the
-/// declared entry count, neither checked against `payload`.
+/// One partition frame as written: `length` is the frame-length varint and
+/// `entries` the declared entry count, neither checked against `payload`.
 struct RawFrame {
-  std::uint64_t length_tag = 0;
+  std::uint64_t length = 0;
   std::uint64_t entries = 0;
   std::vector<std::uint8_t> payload;
 };
 
-/// A block-coded frame of vector length `length` holding `entries`, each
-/// one group-varint block of its positions plus the freq split lo/hi.
-inline RawFrame block_frame(std::uint32_t length,
+/// A frame of vector length `length` holding `entries`, each written by
+/// the encoder's entry writer. A test that needs bytes the writer cannot
+/// produce (an over-wide or cut varint) appends them to `payload`.
+inline RawFrame entry_frame(std::uint32_t length,
                             const std::vector<RawEntry>& entries) {
   RawFrame frame;
-  frame.length_tag = length | compress::kFrameBlockCoded;
+  frame.length = length;
   frame.entries = entries.size();
-  for (const RawEntry& entry : entries) {
-    std::vector<std::uint32_t> values = entry.positions;
-    values.push_back(static_cast<std::uint32_t>(entry.freq & 0xffffffffu));
-    values.push_back(static_cast<std::uint32_t>(entry.freq >> 32));
-    std::vector<std::uint8_t> bytes(
-        kernels::encoded_block_bound(values.size()));
-    const std::size_t n = kernels::scalar_dispatch().encode_varint_block(
-        values.data(), values.size(), bytes.data());
-    frame.payload.insert(frame.payload.end(), bytes.begin(),
-                         bytes.begin() + static_cast<std::ptrdiff_t>(n));
-  }
+  for (const RawEntry& entry : entries)
+    compress::put_blob_entry(frame.payload, entry.positions, entry.freq);
   return frame;
 }
 
@@ -57,7 +47,7 @@ inline RawFrame block_frame(std::uint32_t length,
 /// CRC after every frame. `magic` lets a test write a foreign container.
 inline std::vector<std::uint8_t> sealed_blob(
     Rank max_rank, const std::vector<RawFrame>& frames,
-    const char (&magic)[4] = compress::kMagicV2) {
+    const char (&magic)[4] = compress::kMagic) {
   std::vector<std::uint8_t> out(magic, magic + 4);
   compress::put_varint(out, max_rank);
   compress::put_varint(out, frames.size());
@@ -65,7 +55,7 @@ inline std::vector<std::uint8_t> sealed_blob(
                          crc32c(std::span<const std::uint8_t>(out).subspan(4)));
   for (const RawFrame& frame : frames) {
     const std::size_t begin = out.size();
-    compress::put_varint(out, frame.length_tag);
+    compress::put_varint(out, frame.length);
     compress::put_varint(out, frame.entries);
     compress::put_varint(out, frame.payload.size());
     out.insert(out.end(), frame.payload.begin(), frame.payload.end());
@@ -73,6 +63,19 @@ inline std::vector<std::uint8_t> sealed_blob(
         out, crc32c(std::span<const std::uint8_t>(out).subspan(begin)));
   }
   return out;
+}
+
+/// A blob as the PLT2 writer sealed it: max_rank 4 and the one entry {1}
+/// of frequency 1, written as a group-varint block (a control byte of 0,
+/// then the position and the frequency's low and high words, one byte
+/// each) in a frame whose length varint carries PLT2's block flag, bit 27.
+inline std::vector<std::uint8_t> plt2_blob() {
+  const char plt2[4] = {'P', 'L', 'T', '2'};
+  RawFrame frame;
+  frame.length = 1 | (std::uint64_t{1} << 27);
+  frame.entries = 1;
+  frame.payload = {0x00, 0x01, 0x01, 0x00};
+  return sealed_blob(4, {frame}, plt2);
 }
 
 /// Byte layout of one frame of a well-formed blob: its CRC covers

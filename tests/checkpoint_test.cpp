@@ -1,7 +1,7 @@
 // Crash-recoverable out-of-core mining: a failpoint kills the blob walk
 // mid-run, a second run resumes from the rank-granular checkpoint log, and
 // the combined emission sequence must be byte-identical to an uninterrupted
-// mine. Also covers the PLT2 container hardening (CRC rejection) and
+// mine. Also covers the blob container hardening (CRC rejection) and
 // atomic blob file writes.
 #include <gtest/gtest.h>
 
@@ -227,7 +227,9 @@ TEST_F(Checkpoint, ResumesACommittedLogByteIdentically) {
   // at minsup 8, killed by the ooc.rank failpoint on its 21st rank: 20 of
   // 40 ranks durable. Resuming it must replay those records and mine the
   // rest byte-identically. The log binds the blob's CRC, so a change to
-  // the blob encoding voids the binding and fails here.
+  // the blob encoding voids the binding and fails here; when the entries
+  // became LEB128 (PLT3), only the header's blob_crc and header CRC were
+  // rewritten to bind the new blob, and every record byte was kept.
   constexpr std::uint64_t kGoldenRecords = 20;
   const auto w = sample_workload();
   const Emissions reference = mine_collecting(w, 8);
@@ -399,11 +401,12 @@ TEST_F(Checkpoint, RecordWithAnInvalidItemsetIsDroppedAsTorn) {
   }
 }
 
-// ---- PLT2 container hardening -------------------------------------------
+// ---- blob container hardening -------------------------------------------
 
+// Named for PLT2, the first container with frame CRCs; PLT3 keeps them.
 TEST_F(Checkpoint, Plt2RejectsPayloadCorruptionByCrc) {
   const auto w = sample_workload();
-  ASSERT_EQ(w.blob[3], '2');  // the encoder emits the checksummed container
+  ASSERT_EQ(w.blob[3], '3');  // the encoder emits the checksummed container
   // Flip one payload byte far from the header: only the frame CRC can
   // notice this class of corruption.
   auto corrupt = w.blob;

@@ -56,6 +56,36 @@ elseif(CHECK STREQUAL "bad-plan")
               "${err}")
     endif()
   endforeach()
+elseif(CHECK STREQUAL "unexpected-argument")
+  # plt-mine, plt-shard and plt-query take no positional argument, so a
+  # stray word is a usage error (exit 2, "unexpected argument X" plus the
+  # usage text), as an unknown flag is. An unquoted `--ranks 1 2` leaves
+  # `2` as such a word; it must not be answered as the query {1}. A
+  # --ranks word that is not a rank is refused too. plt-query checks its
+  # arguments before connecting, so port 1 is never dialled.
+  set(job ${OUT_DIR}/unexpected_argument_job)
+  foreach(case
+      "plt-mine|unexpected argument extra|${PLT_MINE};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;extra"
+      "plt-shard|unexpected argument extra|${PLT_SHARD};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;--dir;${job};extra"
+      "plt-shard --worker|unexpected argument extra|${PLT_SHARD};--worker;--dir;${job};--shard;0;extra"
+      "plt-query|unexpected argument 2|${PLT_QUERY};--port;1;--op;support;--ranks;1;2"
+      "plt-query|--ranks|${PLT_QUERY};--port;1;--op;support;--ranks;1 x")
+    string(REPLACE "|" ";" fields "${case}")
+    list(POP_FRONT fields tool diagnostic)
+    execute_process(COMMAND ${fields}
+                    RESULT_VARIABLE code
+                    OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    if(NOT code EQUAL 2)
+      message(FATAL_ERROR "${tool}: expected exit 2 for '${diagnostic}', "
+              "got ${code}; stderr was:\n${err}")
+    endif()
+    if(NOT err MATCHES "error: ${diagnostic}" OR NOT err MATCHES "usage:")
+      message(FATAL_ERROR
+              "${tool}: missing diagnostic '${diagnostic}'; stderr was:\n"
+              "${err}")
+    endif()
+  endforeach()
 elseif(CHECK STREQUAL "trace-files")
   # --trace / --trace-folded must produce well-formed exports covering the
   # run. Only registered when the obs layer is compiled in (PLT_OBS=ON).

@@ -11,6 +11,7 @@
 #include "compress/blob_format.hpp"
 #include "compress/codec.hpp"
 #include "compress/index.hpp"
+#include "compress/ooc_miner.hpp"
 #include "compress/varint.hpp"
 #include "core/builder.hpp"
 #include "datagen/quest.hpp"
@@ -116,7 +117,7 @@ TEST(Codec, TruncatedBlobThrows) {
 
 // ---- hostile values behind valid CRCs ----------------------------------
 
-using plt::testing::block_frame;
+using plt::testing::entry_frame;
 using plt::testing::RawFrame;
 using plt::testing::sealed_blob;
 
@@ -128,19 +129,19 @@ TEST(Codec, SealedBlobMatchesTheEncoder) {
   plt.add(core::PosVec{3}, 2);
   const auto expected = encode_plt(plt);
   const auto hand = sealed_blob(
-      4, {block_frame(1, {{{3}, 2}}), block_frame(2, {{{1, 2}, 4}})});
+      4, {entry_frame(1, {{{3}, 2}}), entry_frame(2, {{{1, 2}, 4}})});
   EXPECT_EQ(hand, expected);
 }
 
 TEST(Codec, CorruptPositionThrows) {
   // A zero position value.
-  const auto blob = sealed_blob(4, {block_frame(1, {{{0}, 1}})});
+  const auto blob = sealed_blob(4, {entry_frame(1, {{{0}, 1}})});
   EXPECT_THROW(decode_plt(blob), std::runtime_error);
   EXPECT_THROW(build_index(blob), std::runtime_error);
 }
 
 TEST(Codec, PositionAboveMaxRankThrows) {
-  const auto blob = sealed_blob(4, {block_frame(1, {{{5}, 1}})});
+  const auto blob = sealed_blob(4, {entry_frame(1, {{{5}, 1}})});
   EXPECT_THROW(decode_plt(blob), std::runtime_error);
   EXPECT_THROW(build_index(blob), std::runtime_error);
 }
@@ -148,9 +149,9 @@ TEST(Codec, PositionAboveMaxRankThrows) {
 TEST(Codec, EntryCountPayloadMismatchThrows) {
   // Two entries in the payload, one declared: the reader stops short of the
   // payload end. And the reverse: two declared, one present.
-  RawFrame extra_bytes = block_frame(1, {{{1}, 1}, {{2}, 1}});
+  RawFrame extra_bytes = entry_frame(1, {{{1}, 1}, {{2}, 1}});
   extra_bytes.entries = 1;
-  RawFrame missing_entry = block_frame(1, {{{1}, 1}, {{2}, 1}});
+  RawFrame missing_entry = entry_frame(1, {{{1}, 1}, {{2}, 1}});
   missing_entry.payload.resize(missing_entry.payload.size() / 2);
   for (const RawFrame& frame : {extra_bytes, missing_entry}) {
     const auto blob = sealed_blob(4, {frame});
@@ -159,27 +160,82 @@ TEST(Codec, EntryCountPayloadMismatchThrows) {
   }
 }
 
-TEST(Codec, FrameWithoutBlockFlagThrows) {
-  // Every frame must carry kFrameBlockCoded: block entries are the only
-  // subformat the reader accepts.
-  RawFrame frame = block_frame(1, {{{1}, 1}});
-  frame.length_tag = 1;
-  const auto blob = sealed_blob(4, {frame});
-  EXPECT_THROW(decode_plt(blob), std::runtime_error);
-  EXPECT_THROW(build_index(blob), std::runtime_error);
+TEST(Codec, Plt2MagicThrows) {
+  // A blob sealed under the group-varint layout is refused at its header,
+  // before any frame is read.
+  const auto blob = plt::testing::plt2_blob();
+  EXPECT_THROW((void)decode_plt(blob), std::runtime_error);
+  EXPECT_THROW((void)build_index(blob), std::runtime_error);
+  try {
+    (void)read_blob_header(blob, "header");
+    ADD_FAILURE() << "a PLT2 header was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "header: bad magic");
+  }
+}
+
+/// Every whole-blob reader must refuse `blob` with a typed error.
+void expect_every_reader_throws(const std::vector<std::uint8_t>& blob,
+                                const char* what) {
+  const std::vector<Item> item_of = {1, 2, 3, 4};
+  EXPECT_THROW((void)decode_plt(blob), std::runtime_error) << what;
+  EXPECT_THROW((void)build_index(blob), std::runtime_error) << what;
+  EXPECT_THROW(mine_from_blob(blob, item_of, 1,
+                              [](std::span<const Item>, Count) {}),
+               std::runtime_error)
+      << what;
+}
+
+TEST(Codec, HostileEntryVarintsThrowInEveryReader) {
+  // Each frame is sealed behind correct CRCs over max_rank 4, so only the
+  // entry reader's own checks stand between these bytes and the readers.
+  expect_every_reader_throws(sealed_blob(4, {entry_frame(1, {{{5}, 1}})}),
+                             "position varint above max_rank");
+
+  // 2^32 + 1 narrows to the valid position 1; the varint is refused first.
+  RawFrame wide;
+  wide.length = 1;
+  wide.entries = 1;
+  put_varint(wide.payload, (std::uint64_t{1} << 32) + 1);
+  put_varint(wide.payload, 1);
+  expect_every_reader_throws(sealed_blob(4, {wide}), "position 2^32 + 1");
+
+  // The frequency's continuation byte is the payload's last byte; the CRC
+  // that follows must not be read as the rest of the varint.
+  RawFrame cut;
+  cut.length = 1;
+  cut.entries = 1;
+  cut.payload = {0x01, 0x81};
+  expect_every_reader_throws(sealed_blob(4, {cut}),
+                             "varint truncated at the payload end");
+
+  // Eleven bytes that a lenient reader would take for position 1.
+  RawFrame overlong;
+  overlong.length = 1;
+  overlong.entries = 1;
+  overlong.payload = {0x81};
+  overlong.payload.insert(overlong.payload.end(), 9, 0x80);
+  overlong.payload.push_back(0x00);
+  overlong.payload.push_back(0x01);  // the frequency
+  expect_every_reader_throws(sealed_blob(4, {overlong}), "11-byte varint");
+
+  // Three payload bytes hold at most one entry of length 2.
+  RawFrame crowded = entry_frame(2, {{{1, 2}, 1}});
+  crowded.entries = 2;
+  expect_every_reader_throws(sealed_blob(4, {crowded}),
+                             "entry count above payload / (length + 1)");
 }
 
 TEST(Codec, Plt1MagicThrows) {
   const char plt1[4] = {'P', 'L', 'T', '1'};
-  const auto blob = sealed_blob(4, {block_frame(1, {{{1}, 1}})}, plt1);
+  const auto blob = sealed_blob(4, {entry_frame(1, {{{1}, 1}})}, plt1);
   EXPECT_THROW(decode_plt(blob), std::runtime_error);
   EXPECT_THROW(build_index(blob), std::runtime_error);
 }
 
 TEST(Codec, WideFrequencySurvivesBothSubformats) {
-  // Block frames split the 64-bit freq into lo/hi u32 words; counts past
-  // 2^32 must round-trip exactly (the -Wconversion audit's
-  // intentional-truncation sites in codec.cpp).
+  // The frequency is one 64-bit varint: counts past 2^32 must round-trip
+  // exactly.
   core::Plt plt(4);
   const Count wide = (Count{1} << 32) + 3;
   const Count wider = (Count{5} << 40) + 9;

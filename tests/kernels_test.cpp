@@ -1,7 +1,7 @@
 // Differential tests for the vectorized kernel layer: the AVX2 backend,
 // when compiled and supported, is pinned to the scalar reference (contract
-// rule #1 — identical bits, including the canonical group-varint bytes) on
-// randomized and adversarial inputs, and mine() output is checked
+// rule #1 — identical bits) on randomized and adversarial intersection
+// inputs, and mine() output is checked
 // byte-identical across backends in emission order, not just as
 // canonicalized sets.
 #include <gtest/gtest.h>
@@ -29,10 +29,6 @@ std::vector<const Dispatch*> simd_backends() {
     v.push_back(d);
   return v;
 }
-
-// Sizes that straddle every vector width boundary plus a few big ones.
-const std::size_t kSizes[] = {0,  1,  2,  3,  4,  5,  7,  8,   9,   15,  16,
-                              17, 23, 31, 32, 33, 63, 64, 65, 100, 1000, 4096};
 
 // Strictly increasing tidlist-like vector.
 std::vector<std::uint32_t> random_sorted(Rng& rng, std::size_t n,
@@ -76,120 +72,6 @@ TEST(KernelDispatch, SelectBackendSemantics) {
 
 TEST(KernelDispatch, BestSupportedHasTable) {
   EXPECT_NE(kernels::dispatch_for(kernels::best_supported()), nullptr);
-}
-
-std::vector<std::uint32_t> varint_mix(Rng& rng, std::size_t n) {
-  std::vector<std::uint32_t> v(n);
-  for (auto& w : v) {
-    const std::uint64_t cls = rng.next_below(4);
-    const std::uint32_t raw = static_cast<std::uint32_t>(rng.next_u64());
-    w = cls == 0 ? (raw & 0xffu) : cls == 1 ? (raw & 0xffffu)
-        : cls == 2 ? (raw & 0xffffffu) : raw;
-  }
-  return v;
-}
-
-TEST(KernelDiff, VarintBlockRoundTrip) {
-  const auto backends = simd_backends();
-  Rng rng(6);
-  for (const std::size_t n : kSizes) {
-    const auto values = varint_mix(rng, n);
-    std::vector<std::uint8_t> ref_bytes(kernels::encoded_block_bound(n));
-    const std::size_t ref_len = kernels::scalar_dispatch().encode_varint_block(
-        values.data(), n, ref_bytes.data());
-    // Scalar decode closes the loop.
-    std::vector<std::uint32_t> decoded(n);
-    EXPECT_EQ(kernels::scalar_dispatch().decode_varint_block(
-                  ref_bytes.data(), ref_len, decoded.data(), n),
-              ref_len);
-    EXPECT_EQ(decoded, values);
-    for (const Dispatch* d : backends) {
-      // Canonical encoding: identical bytes, not just decodable ones.
-      std::vector<std::uint8_t> got_bytes(kernels::encoded_block_bound(n));
-      const std::size_t got_len =
-          d->encode_varint_block(values.data(), n, got_bytes.data());
-      ASSERT_EQ(got_len, ref_len) << d->name << " n=" << n;
-      EXPECT_TRUE(std::equal(ref_bytes.begin(),
-                             ref_bytes.begin() + static_cast<std::ptrdiff_t>(ref_len),
-                             got_bytes.begin()))
-          << d->name << " n=" << n;
-      std::vector<std::uint32_t> got(n);
-      EXPECT_EQ(d->decode_varint_block(ref_bytes.data(), ref_len, got.data(),
-                                       n),
-                ref_len)
-          << d->name << " n=" << n;
-      EXPECT_EQ(got, values) << d->name << " n=" << n;
-      // Slack after the block must not change what is decoded.
-      got_bytes.assign(ref_bytes.begin(), ref_bytes.end());
-      got_bytes.resize(ref_len + 64, 0xee);
-      EXPECT_EQ(d->decode_varint_block(got_bytes.data(), got_bytes.size(),
-                                       got.data(), n),
-                ref_len)
-          << d->name << " n=" << n;
-      EXPECT_EQ(got, values) << d->name << " n=" << n;
-    }
-  }
-}
-
-TEST(KernelDiff, VarintBlockTruncationIsAnError) {
-  const auto backends = simd_backends();
-  Rng rng(7);
-  const auto values = varint_mix(rng, 37);
-  std::vector<std::uint8_t> bytes(kernels::encoded_block_bound(values.size()));
-  const std::size_t len = kernels::scalar_dispatch().encode_varint_block(
-      values.data(), values.size(), bytes.data());
-  std::vector<std::uint32_t> out(values.size());
-  std::vector<const Dispatch*> all = {&kernels::scalar_dispatch()};
-  all.insert(all.end(), backends.begin(), backends.end());
-  for (const Dispatch* d : all) {
-    for (const std::size_t cut : {std::size_t{0}, std::size_t{1}, len / 2,
-                                  len - 1}) {
-      EXPECT_EQ(d->decode_varint_block(bytes.data(), cut, out.data(),
-                                       values.size()),
-                kernels::kDecodeError)
-          << d->name << " cut=" << cut;
-    }
-    EXPECT_EQ(d->decode_varint_block(bytes.data(), 0, out.data(), 0),
-              std::size_t{0})
-        << d->name;
-  }
-}
-
-TEST(KernelDiff, VarintBlockByteLengthBoundaries) {
-  // Deterministic pins at every group-varint byte-length boundary,
-  // including the full-width 0xffffffff lane: the encoder's truncating
-  // byte-extraction casts (-Wconversion audit) must shed exactly the bits
-  // the next lane re-reads.
-  const std::vector<std::uint32_t> values = {
-      0,        1,         0xffu,      0x100u,      0xffffu,
-      0x10000u, 0xffffffu, 0x1000000u, 0xffffffffu};
-  std::vector<std::uint8_t> bytes(kernels::encoded_block_bound(values.size()));
-  const std::size_t len = kernels::scalar_dispatch().encode_varint_block(
-      values.data(), values.size(), bytes.data());
-  // 3 control bytes (groups of 4,4,1) + Σ byte lengths 1+1+1+2+2+3+3+4+4.
-  EXPECT_EQ(len, 24u);
-  std::vector<std::uint32_t> decoded(values.size());
-  EXPECT_EQ(kernels::scalar_dispatch().decode_varint_block(
-                bytes.data(), len, decoded.data(), values.size()),
-            len);
-  EXPECT_EQ(decoded, values);
-  for (const Dispatch* d : simd_backends()) {
-    std::vector<std::uint8_t> got_bytes(bytes.size());
-    EXPECT_EQ(d->encode_varint_block(values.data(), values.size(),
-                                     got_bytes.data()),
-              len)
-        << d->name;
-    EXPECT_TRUE(std::equal(bytes.begin(),
-                           bytes.begin() + static_cast<std::ptrdiff_t>(len),
-                           got_bytes.begin()))
-        << d->name;
-    std::fill(decoded.begin(), decoded.end(), 0u);
-    EXPECT_EQ(d->decode_varint_block(bytes.data(), len, decoded.data(),
-                                     values.size()),
-              len)
-        << d->name;
-    EXPECT_EQ(decoded, values) << d->name;
-  }
 }
 
 TEST(KernelDiff, IntersectSortedAndCount) {

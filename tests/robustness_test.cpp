@@ -212,7 +212,7 @@ TEST(Fuzz, ValidCrcHostilePositionsThrowInEveryReader) {
        {std::vector<std::uint32_t>{0xFFFFFFFFu, 2},
         std::vector<std::uint32_t>{0, 3}}) {
     const auto blob =
-        testing::sealed_blob(4, {testing::block_frame(2, {{positions, 1}})});
+        testing::sealed_blob(4, {testing::entry_frame(2, {{positions, 1}})});
     EXPECT_THROW((void)compress::decode_plt(blob), std::runtime_error);
     EXPECT_THROW((void)compress::build_index(blob), std::runtime_error);
     EXPECT_THROW(compress::mine_from_blob(blob, item_of, 1,

@@ -5,7 +5,8 @@
 // admission-control path must reject with the typed OVERLOADED status
 // rather than queueing silently, and the merged trace tree recorded across
 // all worker threads must stay well-formed with only registered names. A
-// reload that fails under traffic must leave the current blobs serving.
+// reload that fails under traffic (a broken CRC, a blob in the retired
+// PLT2 layout, a missing file) must leave the current blobs serving.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <random>
 #include <thread>
 
+#include "blob_test_support.hpp"
 #include "core/subset_check.hpp"
 #include "obs/span_names.hpp"
 #include "obs/trace.hpp"
@@ -259,6 +261,8 @@ TEST(ServeConcurrency, FailedReloadUnderTrafficKeepsServing) {
   corrupt.back() ^= 0xFF;  // the last frame's CRC
   compress::write_blob_file(corrupt, path);
   expect_reload_fails("CRC-broken file");
+  compress::write_blob_file(plt::testing::plt2_blob(), path);
+  expect_reload_fails("PLT2 blob");
   std::filesystem::remove(path);
   expect_reload_fails("missing file");
   std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -17,7 +17,7 @@
 namespace plt::testing {
 
 /// Builds the paper's Table 1 PLT at `minsup` (no prefix insertion, so
-/// core::support_of is an exact reference) and writes the PLT2 blob under
+/// core::support_of is an exact reference) and writes the PLT3 blob under
 /// gtest's temp dir. Returns the blob path, which carries the process id:
 /// ctest runs each test in its own process, in parallel, and two processes
 /// writing one path race on its temp-file rename.

@@ -8,16 +8,15 @@
 //             --top-k K                  k most frequent itemsets
 //             --contains "1 2 3"         itemsets containing these items
 //             --rules --minconf C        association rules
-//             --serialize OUT.plt        write the varint-encoded PLT
-//             --emit-blob OUT.plt        alias of --serialize (plt-serve
-//                                        quick-start wording)
+//             --emit-blob OUT.plt        write the PLT as a PLT3 blob
+//                                        (what plt-serve loads)
 //             --stats                    dataset statistics only
 // Output:     --output text|csv (default text), --limit N (rows shown)
 // Tracing:    --trace FILE               span-tree JSON for the whole run
 //             --trace-folded FILE        flamegraph-folded stacks
 //
-// Flags are strict: an unknown flag is a usage error (exit 2), never
-// silently ignored.
+// Flags are strict: an unknown flag or any positional argument is a usage
+// error (exit 2), never silently ignored.
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -52,7 +51,7 @@ int usage(const char* argv0) {
       << "  [--minsup N | --minsup-frac F] [--algorithm NAME|all]\n"
       << "  [--closed] [--closed-native] [--maximal] [--top-k K]\n"
       << "  [--contains \"ITEMS\"]\n"
-      << "  [--rules [--minconf C]] [--serialize FILE | --emit-blob FILE]\n"
+      << "  [--rules [--minconf C]] [--emit-blob FILE]\n"
       << "  [--stats]\n"
       << "  [--output text|csv] [--limit N] [--scale S]\n"
       << "  [--backend scalar|avx2|auto]\n"
@@ -67,7 +66,7 @@ int usage(const char* argv0) {
 const char* const kKnownFlags[] = {
     "input", "dataset", "scale", "minsup", "minsup-frac", "algorithm",
     "closed", "closed-native", "maximal", "top-k", "contains", "rules",
-    "minconf", "serialize", "emit-blob", "stats", "output", "limit",
+    "minconf", "emit-blob", "stats", "output", "limit",
     "backend", "validate", "trace", "trace-folded"};
 
 std::optional<core::Algorithm> parse_algorithm(const std::string& name) {
@@ -106,6 +105,11 @@ int main(int argc, char** argv) {
   if (const std::string key = args.first_unknown(kKnownFlags);
       !key.empty()) {
     std::cerr << "error: unknown flag --" << key << '\n';
+    return usage(argv[0]);
+  }
+  if (!args.positional().empty()) {
+    std::cerr << "error: unexpected argument " << args.positional().front()
+              << '\n';
     return usage(argv[0]);
   }
   if (!harness::apply_backend_flag(args, /*announce=*/false)) return 2;
@@ -252,14 +256,12 @@ int main(int argc, char** argv) {
     print_itemsets(result.itemsets, format, limit);
   }
 
-  if (args.has("serialize") || args.has("emit-blob")) {
-    const std::string out_path = args.has("serialize")
-                                     ? args.get("serialize", "")
-                                     : args.get("emit-blob", "");
+  if (args.has("emit-blob")) {
+    const std::string out_path = args.get("emit-blob", "");
     const auto built = core::build_from_database(db, minsup);
     const auto blob = compress::encode_plt(built.plt);
-    // Atomic write (tmp + fsync + rename): a crash mid-serialize never
-    // leaves a torn blob where a previous good one stood.
+    // Atomic write (tmp + fsync + rename): a crash mid-write never leaves
+    // a torn blob where a previous good one stood.
     try {
       compress::write_blob_file(blob, out_path);
     } catch (const std::exception& error) {

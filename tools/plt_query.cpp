@@ -7,8 +7,13 @@
 // Queries are in rank space (the blob stores position vectors over ranks;
 // the item map belongs to the run that produced the blob). Prints the
 // typed answer to stdout; any server error status or transport failure is
-// a non-zero exit with the diagnostic on stderr.
+// a non-zero exit with the diagnostic on stderr. An unknown flag, any
+// positional argument (an unquoted `--ranks 1 2` leaves `2` as one) and a
+// --ranks word that is not a rank are usage errors (exit 2), checked
+// before connecting.
+#include <charconv>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "serve/client.hpp"
@@ -29,10 +34,17 @@ int usage(const char* argv0) {
 const char* const kKnownFlags[] = {"port", "op",          "blob", "ranks",
                                    "k",    "consequent",  "deadline-ms"};
 
-std::vector<Rank> parse_ranks(const std::string& text) {
+/// The ranks of a --ranks value, or nothing when a word is not a rank.
+std::optional<std::vector<Rank>> parse_ranks(const std::string& text) {
   std::vector<Rank> ranks;
   std::istringstream in(text);
-  for (Rank rank; in >> rank;) ranks.push_back(rank);
+  for (std::string word; in >> word;) {
+    Rank rank = 0;
+    const char* end = word.data() + word.size();
+    const auto [stop, error] = std::from_chars(word.data(), end, rank);
+    if (error != std::errc() || stop != end) return std::nullopt;
+    ranks.push_back(rank);
+  }
   return ranks;
 }
 
@@ -45,14 +57,25 @@ int main(int argc, char** argv) {
     std::cerr << "error: unknown flag --" << key << '\n';
     return usage(argv[0]);
   }
+  if (!args.positional().empty()) {
+    std::cerr << "error: unexpected argument " << args.positional().front()
+              << '\n';
+    return usage(argv[0]);
+  }
   if (!args.has("port") || !args.has("op")) return usage(argv[0]);
+  const std::optional<std::vector<Rank>> parsed =
+      parse_ranks(args.get("ranks", ""));
+  if (!parsed) {
+    std::cerr << "error: --ranks takes ranks separated by spaces\n";
+    return usage(argv[0]);
+  }
+  const std::vector<Rank>& ranks = *parsed;
 
   const auto port = static_cast<std::uint16_t>(args.get_int("port", 0));
   const auto blob_id = static_cast<std::uint16_t>(args.get_int("blob", 0));
   const auto deadline_ms =
       static_cast<std::uint32_t>(args.get_int("deadline-ms", 0));
   const std::string op = args.get("op", "");
-  const std::vector<Rank> ranks = parse_ranks(args.get("ranks", ""));
 
   try {
     serve::QueryClient client(port);

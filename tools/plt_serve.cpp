@@ -1,4 +1,4 @@
-// plt-serve — concurrent query daemon over PLT2 blobs indexed at load
+// plt-serve — concurrent query daemon over PLT3 blobs indexed at load
 // (DESIGN.md S27, EXPERIMENTS.md E22).
 //
 //   plt-serve BLOB... [--port N] [--threads N] [--deadline-ms D]
@@ -40,7 +40,7 @@ int usage(const char* argv0) {
             << "  [--deadline-ms D] [--memory-budget-mb M] [--max-frame B]\n"
             << "  [--ready-file PATH]\n"
             << "serves support/membership/top-k/rule queries over the\n"
-            << "listed PLT2 blobs (blob_id = position). SIGHUP reloads.\n";
+            << "listed PLT3 blobs (blob_id = position). SIGHUP reloads.\n";
   return 2;
 }
 

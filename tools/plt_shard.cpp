@@ -1,7 +1,7 @@
 // plt-shard — shard-parallel frequent-itemset mining across processes.
 //
 // Coordinator (default mode): splits the dataset into rank-window shards
-// over one shared PLT2 blob, fans out one worker process per shard,
+// over one shared PLT3 blob, fans out one worker process per shard,
 // supervises them (dead or timed-out workers are relaunched and resume
 // from their rank-granular checkpoint logs), and merges the logs into the
 // single-process emission order.
@@ -19,8 +19,8 @@
 // and prints one worker command line per shard instead of launching;
 // --merge replays the finished logs of an existing job directory.
 //
-// Flags are strict in every mode: an unknown flag is a usage error
-// (exit 2), never silently ignored.
+// Flags are strict in every mode: an unknown flag or any positional
+// argument is a usage error (exit 2), never silently ignored.
 #include <chrono>
 #include <iostream>
 #include <sstream>
@@ -146,6 +146,11 @@ int main(int argc, char** argv) {
                                       : args.first_unknown(kKnownFlags);
       !key.empty()) {
     std::cerr << "error: unknown flag --" << key << '\n';
+    return usage(argv[0]);
+  }
+  if (!args.positional().empty()) {
+    std::cerr << "error: unexpected argument " << args.positional().front()
+              << '\n';
     return usage(argv[0]);
   }
   const std::string dir = args.get("dir", "");
