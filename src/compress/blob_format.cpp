@@ -110,7 +110,6 @@ BlobHeader read_blob_header(std::span<const std::uint8_t> blob,
   const std::uint32_t stored = read_u32le(blob, offset, who);
   PLT_ASSERT(offset <= blob.size(), "varint cursor stays in the blob");
   const std::uint32_t actual = crc32c(blob.subspan(4, offset - 4));
-  note_crc32c_verification();
   if (stored != actual) fail(who, "header checksum mismatch");
   offset += 4;
   // Each partition frame costs at least two varint bytes, so a count beyond
@@ -145,7 +144,6 @@ PartitionFrame read_partition_frame(std::span<const std::uint8_t> blob,
   const std::uint32_t stored = read_u32le(blob, frame.payload_end, who);
   const std::uint32_t actual =
       crc32c(blob.subspan(frame_begin, frame.payload_end - frame_begin));
-  note_crc32c_verification();
   if (stored != actual) fail(who, "partition checksum mismatch");
   return frame;
 }

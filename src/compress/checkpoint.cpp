@@ -59,7 +59,6 @@ bool parse_record(std::span<const std::uint8_t> bytes, std::size_t& offset,
                "varint cursor stays between record start and buffer end");
     const std::uint32_t actual =
         crc32c(bytes.subspan(offset, cursor - offset));
-    note_crc32c_verification();
     if (stored != actual) return false;
     offset = cursor + 4;
     return true;
@@ -110,7 +109,6 @@ bool read_checkpoint(const std::string& path, std::uint32_t blob_crc,
     PLT_ASSERT(offset <= bytes.size(), "varint cursor stays in the buffer");
     const std::uint32_t actual =
         crc32c(std::span<const std::uint8_t>(bytes).subspan(4, offset - 4));
-    note_crc32c_verification();
     if (header_crc != actual) return false;
     offset += 4;
     if (stored_blob_crc != blob_crc || stored_minsup != min_support ||

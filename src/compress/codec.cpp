@@ -55,8 +55,9 @@ core::Plt decode_plt(std::span<const std::uint8_t> bytes) {
       bytes, header, "decode_plt",
       [&](std::span<const Pos> v, Count freq) { plt.add(v, freq); },
       [](const PartitionFrame&) {});
-  // Untrusted-input path: under PLT_VALIDATE the decoded structure gets the
-  // full whole-tree check on top of the reader's per-entry check.
+  // Untrusted-input path: inside a core::ValidationScope the decoded
+  // structure gets the full whole-tree check on top of the reader's
+  // per-entry check.
   core::maybe_validate(plt, "decode_plt");
   return plt;
 }

@@ -14,14 +14,12 @@
 
 namespace plt::compress {
 
-namespace {
-
-core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
-                                     const std::vector<Item>& item_of,
-                                     Count min_support,
-                                     const core::ItemsetSink& sink,
-                                     OocStats* stats,
-                                     const OocOptions& options) {
+core::MineStatus mine_from_blob(std::span<const std::uint8_t> blob,
+                                const std::vector<Item>& item_of,
+                                Count min_support,
+                                const core::ItemsetSink& sink,
+                                OocStats* stats, const OocOptions& options) {
+  PLT_SPAN("ooc-mine");
   const core::MiningControl* control = options.control;
 
   const BlobHeader header = read_blob_header(blob, "mine_from_blob");
@@ -130,21 +128,6 @@ core::MineStatus mine_from_blob_impl(std::span<const std::uint8_t> blob,
   }
   return control != nullptr ? control->status()
                             : core::MineStatus::kCompleted;
-}
-
-}  // namespace
-
-core::MineStatus mine_from_blob(std::span<const std::uint8_t> blob,
-                                const std::vector<Item>& item_of,
-                                Count min_support,
-                                const core::ItemsetSink& sink,
-                                OocStats* stats, const OocOptions& options) {
-  const core::ResilienceScope scope(options.control);
-  PLT_SPAN("ooc-mine");
-  const core::MineStatus status =
-      mine_from_blob_impl(blob, item_of, min_support, sink, stats, options);
-  if (stats != nullptr) stats->resilience = scope.deltas();
-  return status;
 }
 
 }  // namespace plt::compress

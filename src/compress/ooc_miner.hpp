@@ -36,8 +36,7 @@ struct OocStats {
   /// reads the field under it.
   std::size_t peak_overlay_bytes = 0;
   std::uint64_t checkpoint_records = 0;  ///< rank records written this run
-  std::uint64_t resumed_ranks = 0;   ///< ranks replayed from a checkpoint
-  core::ResilienceStats resilience;  ///< control/failpoint/CRC activity
+  std::uint64_t resumed_ranks = 0;  ///< ranks replayed from a checkpoint
 };
 
 struct OocOptions {

@@ -24,8 +24,8 @@ Plt build_plt(const tdb::Database& ranked_db, Rank max_rank,
 
 /// Algorithm 1 in the physical tree form (§4.2, Figure 3(b)) over an
 /// already-ranked database: the prefix tree Algorithm 3's top level walks
-/// (see core/tree_view.hpp). Under PLT_VALIDATE the tree is checked before
-/// it is returned — the one validation hook of the conditional mining paths.
+/// (see core/tree_view.hpp). On a thread inside a core::ValidationScope the
+/// tree is checked before it is returned.
 TreeView build_tree(const tdb::Database& ranked_db, Rank max_rank);
 
 /// Convenience: full Algorithm 1 — rank, filter, and build in one call.

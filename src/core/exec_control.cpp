@@ -2,9 +2,6 @@
 
 #include <atomic>
 
-#include "util/crc32c.hpp"
-#include "util/failpoint.hpp"
-
 namespace plt::core {
 
 const char* to_string(MineStatus status) {
@@ -15,22 +12,6 @@ const char* to_string(MineStatus status) {
     case MineStatus::kBudgetExceeded: return "budget-exceeded";
   }
   return "?";
-}
-
-ResilienceScope::ResilienceScope(const MiningControl* control)
-    : control_(control),
-      checks0_(control != nullptr ? control->checks() : 0),
-      failpoint0_(FailpointRegistry::instance().total_hits()),
-      crc0_(crc32c_verifications()) {}
-
-ResilienceStats ResilienceScope::deltas() const {
-  ResilienceStats stats;
-  stats.failpoint_hits =
-      FailpointRegistry::instance().total_hits() - failpoint0_;
-  stats.crc_verifications = crc32c_verifications() - crc0_;
-  if (control_ != nullptr)
-    stats.control_checks = control_->checks() - checks0_;
-  return stats;
 }
 
 struct MiningControl::State {

@@ -10,6 +10,8 @@
 // threads, cancel from any of them. should_stop() is a handful of relaxed
 // atomic operations (plus one steady_clock read when a deadline is set), so
 // checking once per projection keeps overhead well under the 2% target.
+// The control is the one count of its checks (checks()); no mining result
+// copies it. Injected faults are counted by the failpoint registry.
 #pragma once
 
 #include <chrono>
@@ -26,34 +28,6 @@ enum class MineStatus {
 };
 
 const char* to_string(MineStatus status);
-
-/// Resilience counters surfaced through MineResult / OocStats so the cost
-/// and activity of the control/failpoint/CRC machinery is visible.
-struct ResilienceStats {
-  std::uint64_t control_checks = 0;     ///< should_stop() evaluations
-  std::uint64_t failpoint_hits = 0;     ///< injected faults fired
-  std::uint64_t crc_verifications = 0;  ///< blob/checkpoint CRCs verified
-};
-
-class MiningControl;
-
-/// Snapshots the process-wide failpoint and CRC counters, and the
-/// control's check count, so one mine can report what it added to them
-/// (the failpoint and CRC deltas include whatever ran concurrently; the
-/// control's checks are exact).
-class ResilienceScope {
- public:
-  explicit ResilienceScope(const MiningControl* control);
-  /// The counters' growth since construction (control_checks stays 0
-  /// without a control).
-  ResilienceStats deltas() const;
-
- private:
-  const MiningControl* control_;
-  std::uint64_t checks0_ = 0;
-  std::uint64_t failpoint0_ = 0;
-  std::uint64_t crc0_ = 0;
-};
 
 class MiningControl {
  public:

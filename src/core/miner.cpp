@@ -223,11 +223,9 @@ MineResult mine(const tdb::Database& db, Count min_support,
   // fifteen algorithms their root spans: "mine" > "<algorithm-name>" >
   // (whatever the path records below — the baselines stay coarse, the PLT
   // paths add build/rank-loop/projection detail).
-  const ResilienceScope scope(options.control);
   PLT_SPAN("mine");
   obs::Span algorithm_span(algorithm_name(algorithm));
   MineResult result = mine_impl(db, min_support, algorithm, options);
-  result.resilience = scope.deltas();
   if (options.control != nullptr) {
     result.status = options.control->status();
     if (result.status == MineStatus::kBudgetExceeded)

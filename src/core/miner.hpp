@@ -63,9 +63,6 @@ struct MineResult {
   /// kCompleted for an exhaustive mine; otherwise why it stopped early.
   /// Non-completed runs still carry every itemset emitted before the stop.
   MineStatus status = MineStatus::kCompleted;
-  /// Control/failpoint/CRC activity during this mine (deltas for the
-  /// process-wide counters, exact for the control's own checks).
-  ResilienceStats resilience;
   /// Set when status == kBudgetExceeded: how to retry within the budget
   /// (raise min_support or the budget).
   std::string degradation_hint;

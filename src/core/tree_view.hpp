@@ -74,9 +74,9 @@ class TreeView {
   };
 
   /// The tree of `rows` over ranks 1..max_rank: the one rows-to-tree
-  /// builder, behind from_plt and the out-of-core blob miner. Under
-  /// PLT_VALIDATE the result passes the structural validator (`context`
-  /// names the caller in its error).
+  /// builder, behind from_plt and the out-of-core blob miner. On a thread
+  /// inside a core::ValidationScope the result passes the structural
+  /// validator (`context` names the caller in its error).
   static TreeView from_rows(const Rows& rows, Rank max_rank,
                             const char* context);
 

@@ -1,17 +1,12 @@
 #include "core/validate.hpp"
 
-#include <atomic>
-#include <cstdlib>
 #include <sstream>
-#include <string_view>
 
 #include "core/position_vector.hpp"
 
 namespace plt::core {
 
 namespace {
-
-std::atomic<int> g_validation_enabled{-1};  // -1 = consult PLT_VALIDATE once
 
 void issue(ValidationReport& report, std::string where, std::string message) {
   report.issues.push_back({std::move(where), std::move(message)});
@@ -321,21 +316,6 @@ void validate_or_throw(const TreeView& tree, const char* context) {
   throw ValidationError(std::string(context) + ": tree validation failed (" +
                         std::to_string(report.issues.size()) +
                         " issue(s))\n" + report.to_string());
-}
-
-bool validation_enabled() {
-  int v = g_validation_enabled.load(std::memory_order_relaxed);
-  if (v < 0) {
-    const char* env = std::getenv("PLT_VALIDATE");
-    const std::string_view s = env != nullptr ? env : "";
-    v = (!s.empty() && s != "0" && s != "off" && s != "OFF") ? 1 : 0;
-    g_validation_enabled.store(v, std::memory_order_relaxed);
-  }
-  return v != 0;
-}
-
-void set_validation_enabled(bool enabled) {
-  g_validation_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
 }
 
 }  // namespace plt::core

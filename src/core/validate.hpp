@@ -1,7 +1,7 @@
 // Whole-structure validity checking for the PLT (S24): every invariant the
 // paper states about the structure, machine-checked over a live tree so
-// tests, fuzzers and the PLT_VALIDATE escape hatch can reject a corrupted
-// or mis-merged structure instead of silently mining garbage.
+// tests, fuzzers and plt-mine --validate can reject a corrupted or
+// mis-merged structure instead of silently mining garbage.
 //
 // Invariants checked, mapped to the paper (see DESIGN.md S24 for the full
 // table):
@@ -32,10 +32,11 @@
 // The checks are always compiled in; the *hooks* in the mining paths
 // (build_tree, which serves the facade and mine_parallel;
 // TreeView::from_rows, which serves from_plt and the blob miner;
-// decode_plt) only fire when validation is enabled via
-// the PLT_VALIDATE env var, set_validation_enabled(), or the plt-mine
-// --validate flag. The validator opens no trace spans, so golden traces
-// are identical with validation on or off.
+// TreeView::rebuild, each pooled frame the projection engine rebuilds in
+// place; decode_plt) fire only on a thread inside a ValidationScope
+// (core/thread_context.hpp), such as the one plt-mine --validate opens,
+// and on the threads started for its work. The validator opens no trace spans, so
+// golden traces are identical with validation on or off.
 #pragma once
 
 #include <stdexcept>
@@ -43,6 +44,7 @@
 #include <vector>
 
 #include "core/plt.hpp"
+#include "core/thread_context.hpp"
 #include "core/tree_view.hpp"
 
 namespace plt::core {
@@ -98,15 +100,6 @@ class ValidationError : public std::runtime_error {
 void validate_or_throw(const Plt& plt, const char* context,
                        const ValidateOptions& options = {});
 void validate_or_throw(const TreeView& tree, const char* context);
-
-/// True when structural validation is requested for this process: the
-/// PLT_VALIDATE env var (unset/"0"/"off" = disabled, anything else =
-/// enabled), overridden by set_validation_enabled().
-bool validation_enabled();
-
-/// Programmatic override of the PLT_VALIDATE env var (plt-mine --validate
-/// and tests use this). Thread-safe.
-void set_validation_enabled(bool enabled);
 
 /// Convenience used at the mining-path hook points: validate_or_throw, but
 /// only when validation_enabled().

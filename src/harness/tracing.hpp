@@ -1,7 +1,8 @@
 // Shared --trace / --trace-folded flags for the CLI and every bench
-// binary: either flag installs one TraceSession around the whole run, so
-// every mine() call in the process feeds a single combined tree. Without
-// either flag nothing is recorded. The JSON export carries the active
+// binary: either flag opens one TraceSession on the main thread around the
+// whole run, so every mine() call the main thread makes, and every thread
+// mine_parallel or serve::Server starts for it, feeds a single combined
+// tree. Without either flag nothing is recorded. The JSON export carries the active
 // kernel backend as metadata; the folded export feeds flamegraph tooling
 // directly.
 #pragma once

@@ -1,7 +1,7 @@
 // Recording + aggregation for the tracing layer. Per-thread recording is
 // lock-free (each thread mutates only its own ThreadTrace); the only lock
-// is the session collector's registration mutex, taken once per thread per
-// session. Aggregation happens after the traced work quiesced (the mine
+// is the session collector's registration mutex, taken once per thread
+// binding. Aggregation happens after the traced work quiesced (the mine
 // paths join their workers first), so reading the thread trees needs no
 // synchronization beyond the joins' happens-before.
 #include "obs/trace.hpp"
@@ -51,10 +51,13 @@ struct Node {
 }  // namespace
 
 /// One thread's recording state: the aggregation tree rooted at a
-/// synthetic node and the open-span cursor.
+/// synthetic node, the open-span cursor, and the session it belongs to.
 class ThreadTrace {
  public:
-  ThreadTrace() : root_("trace", nullptr), current_(&root_) {}
+  explicit ThreadTrace(Collector& collector)
+      : collector_(collector), root_("trace", nullptr), current_(&root_) {}
+
+  Collector& collector() const { return collector_; }
 
   void enter(const char* name) {
     current_ = current_->child(name);
@@ -83,17 +86,20 @@ class ThreadTrace {
   }
 
  private:
+  Collector& collector_;
   Node root_;
   Node* current_;
   std::uint64_t unbalanced_exits_ = 0;
 };
 
-/// One session's registry: owns every ThreadTrace registered under it.
-class Collector {
+/// One session's registry: owns a ThreadTrace for every thread binding.
+/// Shared by the session and each bound thread, so it lives as long as the
+/// last of them.
+class Collector : public std::enable_shared_from_this<Collector> {
  public:
   ThreadTrace* register_thread() {
     const MutexLock lock(mutex_);
-    threads_.push_back(std::make_unique<ThreadTrace>());
+    threads_.push_back(std::make_unique<ThreadTrace>(*this));
     return threads_.back().get();
   }
 
@@ -113,29 +119,7 @@ class Collector {
 
 namespace detail {
 
-std::atomic<Collector*> g_collector{nullptr};
-// Bumped whenever a session starts or finishes, so a thread-local
-// ThreadTrace cached from an earlier session can never be mistaken for one registered with
-// the current collector (even if a new collector reuses the address).
-std::atomic<std::uint64_t> g_epoch{0};
-
-namespace {
-struct ThreadSlot {
-  std::uint64_t epoch = 0;
-  ThreadTrace* trace = nullptr;
-};
-thread_local ThreadSlot t_slot;
-}  // namespace
-
-ThreadTrace* register_current_thread() {
-  Collector* collector = g_collector.load(std::memory_order_acquire);
-  if (collector == nullptr) return nullptr;
-  const std::uint64_t epoch = g_epoch.load(std::memory_order_acquire);
-  if (t_slot.epoch == epoch && t_slot.trace != nullptr) return t_slot.trace;
-  t_slot.trace = collector->register_thread();
-  t_slot.epoch = epoch;
-  return t_slot.trace;
-}
+constinit thread_local ThreadTrace* t_trace = nullptr;
 
 std::uint64_t now_ns() {
   return static_cast<std::uint64_t>(
@@ -237,30 +221,35 @@ void sort_tree(TraceNode& node) {
   for (TraceNode& c : node.children) sort_tree(c);
 }
 
-// Makes `collector` the one every span and counter records into. The epoch
-// bump retires every thread's cached ThreadTrace from the previous one.
-void install(Collector* collector) {
-  detail::g_epoch.fetch_add(1, std::memory_order_acq_rel);
-  detail::g_collector.store(collector, std::memory_order_release);
+}  // namespace
+
+// ---- binding ----
+
+TraceBinding TraceBinding::current() {
+  ThreadTrace* t = detail::t_trace;
+  if (t == nullptr) return {};
+  return TraceBinding(t->collector().shared_from_this());
 }
 
-}  // namespace
+TraceBinding::Scope::Scope(TraceBinding binding)
+    : bound_(std::move(binding)), previous_(detail::t_trace) {
+  detail::t_trace = bound_.collector_ != nullptr
+                        ? bound_.collector_->register_thread()
+                        : nullptr;
+}
+
+TraceBinding::Scope::~Scope() { detail::t_trace = previous_; }
 
 // ---- session ----
 
 TraceSession::TraceSession()
-    : collector_(std::make_unique<Collector>()),
-      prev_(detail::g_collector.load(std::memory_order_acquire)) {
-  install(collector_.get());
-}
-
-TraceSession::~TraceSession() {
-  if (tree_ == nullptr) install(prev_);
+    : collector_(std::make_shared<Collector>()) {
+  bound_.emplace(TraceBinding(collector_));
 }
 
 std::shared_ptr<const TraceNode> TraceSession::finish() {
   if (tree_ == nullptr) {
-    install(prev_);
+    bound_.reset();
     TraceNode root;
     root.name = "trace";
     collector_->for_each_thread(

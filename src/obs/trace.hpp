@@ -2,7 +2,7 @@
 // metrics for every mining path. The design splits recording from
 // reporting:
 //
-//   * Recording is per-thread and lock-free: each thread that opens a span
+//   * Recording is per-thread and lock-free: each thread bound to a session
 //     owns a ThreadTrace, an aggregation tree of (name, count, ns,
 //     counters) nodes. Span enter/exit touches only thread-local state, so
 //     tracing a work-stealing mine needs no synchronization on the hot
@@ -17,12 +17,10 @@
 // Cost contract:
 //   * compile-time off (-DPLT_OBS=OFF): every macro/inline expands to
 //     nothing; the library carries no tracing code at all.
-//   * no session (compiled in, no TraceSession installed): one relaxed
-//     atomic load per span/counter site — measured <3% on
-//     bench_projection_pool (EXPERIMENTS.md E19).
-//   * inside a session: two steady_clock reads per span plus a short
-//     linear child/counter scan; the traced overhead is also recorded in
-//     E19.
+//   * on a thread bound to no session: one thread-local read per
+//     span/counter site.
+//   * on a bound thread: two steady_clock reads per span plus a short
+//     linear child/counter scan; the traced overhead is recorded in E19.
 //
 // Determinism rules (golden traces rely on these — see DESIGN.md S23):
 //   1. Span and counter names are stable literals; no ids, addresses,
@@ -34,17 +32,18 @@
 //      nanosecond field and the backend tag, leaving names, nesting and
 //      counts only.
 //
-// Activation: a TraceSession is the only way to record. It installs a
-// process-wide collector for its lifetime (sessions nest; the innermost
-// records), and with no session installed nothing is recorded. plt-mine
-// --trace=FILE and every bench binary's --trace flag install one session
-// around the whole run (harness::TraceScope); tests and perfbench open one
-// around the calls they measure.
+// Activation: a TraceSession is the only way to record, and it records only
+// the threads bound to it: the one that opened it (sessions nest; the
+// innermost records) and the threads started for that thread's work, which
+// bind its TraceBinding (core/thread_context.hpp). Callers on different
+// threads trace separately. plt-mine --trace=FILE and every bench binary's
+// --trace flag open one session around the whole run (harness::TraceScope);
+// tests and perfbench open one around the calls they measure.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -81,7 +80,7 @@ struct TraceNode {
 /// healthy trace has no unbalanced exits and no spans still open at
 /// aggregation time.
 struct TraceHealth {
-  std::uint64_t threads = 0;           ///< ThreadTraces registered
+  std::uint64_t threads = 0;           ///< threads bound to the session
   std::uint64_t unbalanced_exits = 0;  ///< span exits without an enter
   std::uint64_t open_spans = 0;        ///< spans still open when aggregated
 };
@@ -90,31 +89,61 @@ class ThreadTrace;  // opaque per-thread recorder (trace.cpp)
 class Collector;    // opaque registry of one session's recorders (trace.cpp)
 
 namespace detail {
-// The installed session's collector; null when no session is live.
-// Exposed so the untraced fast path is a single inline relaxed load.
-extern std::atomic<Collector*> g_collector;
-ThreadTrace* register_current_thread();  // slow path, locks the collector
+// The calling thread's recorder in the session it is bound to; null when
+// it is bound to none. constinit lets every site read it directly.
+extern constinit thread_local ThreadTrace* t_trace;
 std::uint64_t now_ns();
 void span_enter(ThreadTrace* t, const char* name);
 void span_exit(ThreadTrace* t, std::uint64_t elapsed_ns);
 void add_counter(ThreadTrace* t, const char* name, std::uint64_t delta);
 }  // namespace detail
 
-/// The calling thread's recorder under the installed session, or null when
-/// no session is live. Fast path: one relaxed atomic load.
+/// The calling thread's recorder, or null when the thread is bound to no
+/// session. One thread-local read.
 inline ThreadTrace* current_thread_trace() {
 #if PLT_OBS_ENABLED
-  if (detail::g_collector.load(std::memory_order_relaxed) == nullptr)
-    return nullptr;
-  return detail::register_current_thread();
+  return detail::t_trace;
 #else
   return nullptr;
 #endif
 }
 
-/// RAII phase span. Records nothing (one relaxed load) when no session is
-/// live. `name` must outlive the session — use string literals or other
-/// static storage (algorithm_name() etc.).
+/// The session a thread records into, as a copyable value (empty for
+/// none): current() on the traced thread, a Scope on each thread started
+/// for its work. Bound threads share ownership of the session's collector,
+/// so one that outlives the session records into live memory nobody reads.
+class TraceBinding {
+ public:
+  TraceBinding() = default;
+  static TraceBinding current();
+
+  class Scope;
+
+ private:
+  friend class TraceSession;
+  explicit TraceBinding(std::shared_ptr<Collector> collector)
+      : collector_(std::move(collector)) {}
+
+  std::shared_ptr<Collector> collector_;
+};
+
+/// Binds the calling thread until the scope ends, then restores the
+/// thread's previous recorder. Scopes nest last in first out on a thread.
+class TraceBinding::Scope {
+ public:
+  explicit Scope(TraceBinding binding);
+  ~Scope();
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
+
+ private:
+  TraceBinding bound_;  ///< keeps the bound collector alive
+  ThreadTrace* previous_ = nullptr;
+};
+
+/// RAII phase span. Records nothing (one thread-local read) on a thread
+/// bound to no session. `name` must outlive the session — use string
+/// literals or other static storage (algorithm_name() etc.).
 class Span {
  public:
   explicit Span(const char* name) {
@@ -175,29 +204,29 @@ inline void count_kernel(const char* calls_name, const char* bytes_name,
 }
 
 /// Scoped trace session, the only way to record a trace. The constructor
-/// installs a process-wide collector; finish() (or the destructor)
-/// restores the one it replaced. Sessions nest last in first out, always
-/// from the same thread, and the innermost records. finish() is safe once
-/// the traced work has quiesced (worker threads joined; the mining paths
-/// join before they return).
+/// binds the calling thread to a new collector; finish() (or the
+/// destructor) restores the thread's previous binding. Threads started for
+/// the traced work join the session through its TraceBinding. Sessions
+/// nest last in first out on one thread, and the innermost records.
+/// finish() is safe once the traced work has quiesced (worker threads
+/// joined; the mining paths join before they return).
 class TraceSession {
  public:
   TraceSession();
-  ~TraceSession();
   TraceSession(const TraceSession&) = delete;
   TraceSession& operator=(const TraceSession&) = delete;
 
-  /// Uninstalls the collector and returns the deterministic merged tree:
-  /// root "trace", children sorted by name. Idempotent: later calls
-  /// return the same tree.
+  /// Unbinds the calling thread and returns the deterministic merged tree
+  /// of every thread bound to the session: root "trace", children sorted
+  /// by name. Idempotent: later calls return the same tree.
   std::shared_ptr<const TraceNode> finish();
-  /// Nesting report over every thread that recorded in this session.
+  /// Nesting report over every thread bound to this session.
   TraceHealth health() const;
 
  private:
-  std::unique_ptr<Collector> collector_;
-  Collector* prev_ = nullptr;  ///< non-owning: the session this one nests in
-  std::shared_ptr<const TraceNode> tree_;  ///< set by finish()
+  std::shared_ptr<Collector> collector_;
+  std::optional<TraceBinding::Scope> bound_;  ///< empty after finish()
+  std::shared_ptr<const TraceNode> tree_;     ///< set by finish()
 };
 
 // ---- export ----

@@ -7,6 +7,7 @@
 
 #include "core/builder.hpp"
 #include "core/projection_pool.hpp"
+#include "core/thread_context.hpp"
 #include "obs/trace.hpp"
 #include "util/failpoint.hpp"
 #include "util/timer.hpp"
@@ -14,6 +15,10 @@
 namespace plt::parallel {
 
 namespace {
+
+// Ranks a worker takes per steal once its own window is empty. Small keeps
+// the tail balanced; large amortizes the (cheap) claim contention.
+constexpr std::size_t kStealChunk = 4;
 
 // Per-worker claim window over the rank index space. Owners and thieves both
 // claim through the atomic cursor, so an index is mined by exactly one
@@ -36,8 +41,7 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
   const core::MiningControl* control = options.control;
 
   Timer build_timer;
-  const core::RankedView view =
-      core::build_ranked_view(db, min_support, options.item_order);
+  const core::RankedView view = core::build_ranked_view(db, min_support);
   const auto max_rank = static_cast<Rank>(view.alphabet());
   if (max_rank == 0) return result;
 
@@ -63,7 +67,6 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
   std::vector<core::FrequentItemsets> per_rank(max_rank);
 
   const std::size_t workers = options.threads;
-  const std::size_t steal_chunk = std::max<std::size_t>(1, options.steal_chunk);
   std::vector<ClaimWindow> windows(workers);
   const std::size_t per_worker = (max_rank + workers - 1) / workers;
   for (std::size_t w = 0; w < workers; ++w) {
@@ -89,7 +92,7 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
     // The same per-rank step as the sequential miner: {j} (frequent by
     // construction of the view), then CD_j's projection, mined.
     engine.mine_rank(tree, static_cast<Rank>(idx + 1), item_of, min_support,
-                     per_rank[idx], options.conditional);
+                     per_rank[idx], {});
     if (latency != nullptr) latency->record_seconds(timer->seconds());
   };
 
@@ -102,12 +105,14 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
   // abort flag, and the first capture is rethrown on the calling thread.
   std::vector<std::exception_ptr> worker_errors(workers);
   std::atomic<bool> abort{false};
+  const core::ThreadContext context;
   {
     std::vector<std::thread> crew;
     crew.reserve(workers);
     for (std::size_t w = 0; w < workers; ++w) {
       crew.emplace_back([&, w] {
         try {
+          const core::BoundContext bound(context);
           core::ProjectionEngine engine;
           engine.set_control(control, result.structure_bytes);
           obs::LatencyHistogram* latency =
@@ -145,10 +150,10 @@ core::MineResult mine_parallel_impl(const tdb::Database& db,
             if (victim == workers) break;  // everyone is drained
             ClaimWindow& vw = windows[victim];
             const std::size_t got =
-                vw.next.fetch_add(steal_chunk, std::memory_order_relaxed);
+                vw.next.fetch_add(kStealChunk, std::memory_order_relaxed);
             if (got >= vw.end) continue;  // lost the race; rescan
             ++steals;
-            const std::size_t hi = std::min(vw.end, got + steal_chunk);
+            const std::size_t hi = std::min(vw.end, got + kStealChunk);
             for (std::size_t idx = got; idx < hi; ++idx) {
               if (stop()) break;
               mine_rank(idx, engine, latency);
@@ -192,10 +197,8 @@ core::MineResult mine_parallel(const tdb::Database& db, Count min_support,
                                const ParallelOptions& options) {
   PLT_ASSERT(min_support >= 1, "min_support must be >= 1");
   PLT_ASSERT(options.threads >= 1, "need at least one thread");
-  const core::ResilienceScope scope(options.control);
   PLT_SPAN("mine-parallel");
   core::MineResult result = mine_parallel_impl(db, min_support, options);
-  result.resilience = scope.deltas();
   if (options.control != nullptr) result.status = options.control->status();
   PLT_TRACE_COUNT("itemsets-total", result.itemsets.size());
   return result;

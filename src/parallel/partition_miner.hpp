@@ -17,10 +17,11 @@
 // same decisions whichever worker claims a rank. Results land in per-rank
 // FrequentItemsets blocks (each written by exactly one worker) and are
 // appended in rank order afterwards, one rebasing pass per block, so the
-// output is byte-identical for every thread count.
+// output is byte-identical for every thread count. Each worker binds the
+// caller's core::ThreadContext, so the crew records into the caller's trace
+// session and runs the validator's hooks when the caller does.
 #pragma once
 
-#include "core/conditional.hpp"
 #include "core/miner.hpp"
 #include "obs/histogram.hpp"
 
@@ -28,11 +29,6 @@ namespace plt::parallel {
 
 struct ParallelOptions {
   std::size_t threads = 2;
-  core::ConditionalOptions conditional;
-  tdb::ItemOrder item_order = tdb::ItemOrder::kById;
-  /// Ranks taken per steal once a worker's own window is empty. Small keeps
-  /// the tail balanced; large amortizes the (cheap) claim contention.
-  std::size_t steal_chunk = 4;
   /// Cooperative cancellation / deadline / budget shared by all workers;
   /// each checks it before claiming a rank. Null = unlimited.
   const core::MiningControl* control = nullptr;

@@ -15,6 +15,7 @@
 #include <unordered_map>
 
 #include "core/exec_control.hpp"
+#include "core/thread_context.hpp"
 #include "obs/trace.hpp"
 #include "serve/query_engine.hpp"
 #include "util/failpoint.hpp"
@@ -188,9 +189,16 @@ void Server::start() {
       throw SocketError("epoll_ctl(wake) failed");
     workers_.push_back(std::move(worker));
   }
+  const core::ThreadContext context;
   for (auto& worker : workers_)
-    worker->thread = std::thread([this, w = worker.get()] { worker_loop(*w); });
-  acceptor_ = std::thread([this] { acceptor_loop(); });
+    worker->thread = std::thread([this, context, w = worker.get()] {
+      const core::BoundContext bound(context);
+      worker_loop(*w);
+    });
+  acceptor_ = std::thread([this, context] {
+    const core::BoundContext bound(context);
+    acceptor_loop();
+  });
   running_.store(true, std::memory_order_release);
 }
 

@@ -93,7 +93,8 @@ class Server {
 
   /// Loads every blob (throws on a missing/corrupt one), binds the port
   /// (throws SocketError on EADDRINUSE), and starts the acceptor + worker
-  /// threads.
+  /// threads, which bind the calling thread's core::ThreadContext (they
+  /// record into its trace session for as long as they run).
   void start();
 
   /// Drains and joins every thread; idempotent.

@@ -96,8 +96,7 @@ Manifest prepare_job(const tdb::Database& db, Count min_support,
   std::filesystem::create_directories(options.dir);
 
   PLT_SPAN("shard-split");
-  const core::BuiltPlt built =
-      core::build_from_database(db, min_support, options.item_order);
+  const core::BuiltPlt built = core::build_from_database(db, min_support);
   const auto max_rank = static_cast<Rank>(built.view.alphabet());
 
   const auto blob = compress::encode_plt(built.plt);

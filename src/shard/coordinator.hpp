@@ -81,7 +81,6 @@ struct ShardOptions {
   /// Caller-side cancellation/deadline: when it trips, every live worker
   /// is killed and the latched status comes back. Null = unlimited.
   const core::MiningControl* control = nullptr;
-  tdb::ItemOrder item_order = tdb::ItemOrder::kById;
 };
 
 struct ShardReport {

@@ -37,7 +37,6 @@ std::span<const std::uint8_t> checked_payload(
   const std::size_t crc_at = bytes.size() - 4;
   const auto payload = bytes.subspan(4, crc_at - 4);
   const std::uint32_t stored = read_u32le(bytes, crc_at, who);
-  note_crc32c_verification();
   if (crc32c(payload) != stored)
     throw std::runtime_error(std::string(who) + ": CRC mismatch");
   return payload;

@@ -30,7 +30,6 @@ int run_worker(const std::string& dir, std::size_t shard_id) {
     const auto blob = compress::read_blob_file(blob_path(dir));
     // The manifest pins the exact blob this job was split from; a worker
     // must never mine (or resume a log against) different bytes.
-    note_crc32c_verification();
     if (crc32c(blob) != manifest.blob_crc)
       throw std::runtime_error(
           "run_worker: blob does not match the manifest CRC");

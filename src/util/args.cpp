@@ -6,8 +6,13 @@
 
 namespace plt {
 
-Args::Args(int argc, char** argv) {
+Args::Args(int argc, char** argv, std::span<const char* const> bool_flags) {
   program_ = argc > 0 ? argv[0] : "";
+  const auto is_bool = [&](const std::string& key) {
+    for (const char* flag : bool_flags)
+      if (key == flag) return true;
+    return false;
+  };
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
@@ -18,7 +23,8 @@ Args::Args(int argc, char** argv) {
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
       flags_[arg.substr(0, eq)] = arg.substr(eq + 1);
-    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+    } else if (!is_bool(arg) && i + 1 < argc &&
+               std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags_[arg] = argv[++i];
     } else {
       flags_[arg] = "true";

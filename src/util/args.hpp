@@ -12,7 +12,11 @@ namespace plt {
 
 class Args {
  public:
-  Args(int argc, char** argv);
+  /// `bool_flags` names the flags that take no value: a bare `--flag` is
+  /// "true" and the word after it stays a positional argument, so a tool
+  /// that refuses positionals refuses it (`--flag=value` still sets one).
+  /// Any other flag followed by a word that is not a flag takes that word.
+  Args(int argc, char** argv, std::span<const char* const> bool_flags = {});
 
   bool has(const std::string& key) const;
 

@@ -1,7 +1,6 @@
 #include "util/crc32c.hpp"
 
 #include <array>
-#include <atomic>
 
 namespace plt {
 
@@ -20,8 +19,6 @@ constexpr std::array<std::uint32_t, 256> make_table() {
 
 constexpr auto kTable = make_table();
 
-std::atomic<std::uint64_t> g_verifications{0};
-
 }  // namespace
 
 std::uint32_t crc32c(std::span<const std::uint8_t> data, std::uint32_t seed) {
@@ -29,14 +26,6 @@ std::uint32_t crc32c(std::span<const std::uint8_t> data, std::uint32_t seed) {
   for (const std::uint8_t byte : data)
     crc = (crc >> 8) ^ kTable[(crc ^ byte) & 0xffu];
   return ~crc;
-}
-
-std::uint64_t crc32c_verifications() {
-  return g_verifications.load(std::memory_order_relaxed);
-}
-
-void note_crc32c_verification() {
-  g_verifications.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace plt

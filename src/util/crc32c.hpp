@@ -1,7 +1,8 @@
 // CRC32C (Castagnoli polynomial, reflected 0x82F63B78) — the integrity
-// check behind the PLT3 blob format and the OOC checkpoint log. Software
-// table implementation: blob decode already walks every byte through the
-// varint decoder, so a byte-at-a-time CRC is a small constant on top.
+// check behind the PLT3 blob format, the OOC checkpoint log and the shard
+// manifest and summaries. Software table implementation: blob decode
+// already walks every byte through the varint decoder, so a byte-at-a-time
+// CRC is a small constant on top.
 #pragma once
 
 #include <cstddef>
@@ -14,12 +15,5 @@ namespace plt {
 /// to checksum a buffer in pieces; 0 starts a fresh checksum).
 std::uint32_t crc32c(std::span<const std::uint8_t> data,
                      std::uint32_t seed = 0);
-
-/// Process-wide count of CRC verifications performed (codec, blob index,
-/// checkpoint reader). Monotonic; report deltas for per-run accounting.
-std::uint64_t crc32c_verifications();
-
-/// Called by every verifier after comparing a stored checksum.
-void note_crc32c_verification();
 
 }  // namespace plt

@@ -96,9 +96,8 @@ TEST(AdaptiveDifferential, Table1EverySupport) {
 }
 
 TEST(AdaptiveDifferential, SweepGenerators) {
-  core::set_validation_enabled(true);
+  const core::ValidationScope validating;
   for (const DiffCase& c : testing::sweep_cases()) check_entry_points(c);
-  core::set_validation_enabled(false);
 }
 
 TEST(AdaptiveDifferential, ParallelThreadCounts) {

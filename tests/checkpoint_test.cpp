@@ -103,7 +103,6 @@ TEST_F(Checkpoint, KillAndResumeIsByteIdentical) {
   EXPECT_EQ(resumed, reference);
   EXPECT_EQ(stats.resumed_ranks, 4u);
   EXPECT_GT(stats.checkpoint_records, 0u);
-  EXPECT_GT(stats.resilience.crc_verifications, 0u);
   std::remove(path.c_str());
 }
 

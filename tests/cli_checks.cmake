@@ -60,16 +60,25 @@ elseif(CHECK STREQUAL "unexpected-argument")
   # plt-mine, plt-shard and plt-query take no positional argument, so a
   # stray word is a usage error (exit 2, "unexpected argument X" plus the
   # usage text), as an unknown flag is. An unquoted `--ranks 1 2` leaves
-  # `2` as such a word; it must not be answered as the query {1}. A
-  # --ranks word that is not a rank is refused too. plt-query checks its
-  # arguments before connecting, so port 1 is never dialled.
+  # `2` as such a word; it must not be answered as the query {1}. A word
+  # after a boolean flag (`--closed extra`) is such a word too, not the
+  # flag's value. A --ranks word that is not a rank is refused, and so is
+  # an integer flag that is not an integer in its field's range. plt-query
+  # checks its arguments before connecting, so port 1 is never dialled.
   set(job ${OUT_DIR}/unexpected_argument_job)
   foreach(case
       "plt-mine|unexpected argument extra|${PLT_MINE};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;extra"
+      "plt-mine --closed|unexpected argument extra|${PLT_MINE};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;--closed;extra"
       "plt-shard|unexpected argument extra|${PLT_SHARD};--dataset;chess-like;--scale;0.05;--minsup-frac;0.6;--dir;${job};extra"
       "plt-shard --worker|unexpected argument extra|${PLT_SHARD};--worker;--dir;${job};--shard;0;extra"
+      "plt-shard --merge|unexpected argument extra|${PLT_SHARD};--merge;extra;--dir;${job}"
       "plt-query|unexpected argument 2|${PLT_QUERY};--port;1;--op;support;--ranks;1;2"
-      "plt-query|--ranks|${PLT_QUERY};--port;1;--op;support;--ranks;1 x")
+      "plt-query|--ranks|${PLT_QUERY};--port;1;--op;support;--ranks;1 x"
+      "plt-query|--k|${PLT_QUERY};--port;1;--op;topk;--k;three"
+      "plt-query|--blob|${PLT_QUERY};--port;1;--op;support;--blob;0x;--ranks;1"
+      "plt-query|--consequent|${PLT_QUERY};--port;1;--op;rule;--ranks;1;--consequent;2x"
+      "plt-query|--deadline-ms|${PLT_QUERY};--port;1;--op;support;--ranks;1;--deadline-ms;10ms"
+      "plt-query|--port|${PLT_QUERY};--port;70000;--op;ping")
     string(REPLACE "|" ";" fields "${case}")
     list(POP_FRONT fields tool diagnostic)
     execute_process(COMMAND ${fields}

@@ -83,8 +83,7 @@ TEST(ExecControl, EveryAlgorithmHonoursCancellation) {
     const auto result = mine(db, 3, algorithm, options);
     EXPECT_EQ(result.status, MineStatus::kCancelled)
         << algorithm_name(algorithm);
-    EXPECT_GT(result.resilience.control_checks, 0u)
-        << algorithm_name(algorithm);
+    EXPECT_GT(control.checks(), 0u) << algorithm_name(algorithm);
     // Whatever was emitted before the stop is a valid prefix: real
     // itemsets with real supports.
     for (std::size_t i = 0; i < result.itemsets.size(); ++i)
@@ -100,7 +99,7 @@ TEST(ExecControl, CompletedRunReportsCompletedWithControlAttached) {
   options.control = &control;
   const auto result = mine(db, 3, Algorithm::kPltConditional, options);
   EXPECT_EQ(result.status, MineStatus::kCompleted);
-  EXPECT_GT(result.resilience.control_checks, 0u);
+  EXPECT_GT(control.checks(), 0u);
   const auto reference = mine(db, 3, Algorithm::kPltConditional);
   plt::testing::expect_same_itemsets(result.itemsets, reference.itemsets,
                                      "controlled-completed");
@@ -180,7 +179,7 @@ TEST(ExecControl, OocMinerStopsOnCancelledControl) {
       blob, item_of, 3, collect_into(mined), &stats, options);
   EXPECT_EQ(status, MineStatus::kCancelled);
   EXPECT_EQ(mined.size(), 0u);  // checked before the first rank
-  EXPECT_GT(stats.resilience.control_checks, 0u);
+  EXPECT_GT(control.checks(), 0u);
 }
 
 // A workload whose exhaustive mine takes far longer than 50ms: dense rows

@@ -2,7 +2,8 @@
 // tracing design promises — strict span nesting, monotone counters, engine
 // counters equal to ProjectionStats, a merged tree that is byte-identical
 // across kernel backends and thread counts, nothing recorded outside a
-// session, equal mining output with and without a session, and
+// session, a session that records only the threads bound to it, equal
+// mining output with and without a session, and
 // well-formed traces on every resilience path (cancel, deadline, budget,
 // failpoint crash + checkpoint resume). Every trace read here comes from a
 // TraceSession the test opens around the call.
@@ -13,9 +14,11 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <latch>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "compress/codec.hpp"
@@ -219,9 +222,10 @@ TEST_F(ObsTest, GoldenTraceTable1TopDown) {
 }
 
 // Some baselines (e.g. the partition miner) re-enter core::mine() per
-// chunk, on worker threads: their traces legitimately hold several "mine"
-// spans and accumulate itemsets-total across the inner runs, so the checks
-// are lower bounds; the golden tests above pin the exact single-pass shape.
+// chunk, on the calling thread: their traces legitimately hold several
+// "mine" spans and accumulate itemsets-total across the inner runs, so the
+// checks are lower bounds; the golden tests above pin the exact
+// single-pass shape.
 TEST_F(ObsTest, EveryAlgorithmProducesARootedTrace) {
   const auto db = testing::paper_table1();
   for (const core::Algorithm algorithm : core::all_algorithms()) {
@@ -341,6 +345,69 @@ TEST_F(ObsTest, NoSessionRecordsNothing) {
   (void)core::mine(testing::paper_table1(), 2,
                    core::Algorithm::kPltConditional);
   EXPECT_EQ(current_thread_trace(), nullptr);
+}
+
+// ---- thread isolation: a session records only the threads bound to it --
+
+// Two threads each mine inside a session of their own, both sessions open
+// across both mines: each masked trace equals the one its thread records
+// alone. One of them runs mine_parallel, whose crew joins its session.
+TEST_F(ObsTest, ConcurrentSessionsRecordOnlyTheirOwnThreads) {
+  const auto dense = dense_workload();
+  const auto sparse = sparse_workload();
+  parallel::ParallelOptions options;
+  options.threads = 2;
+  const auto mine_dense = [&] {
+    (void)core::mine(dense, kDenseMinsup, core::Algorithm::kPltConditional);
+  };
+  const auto mine_sparse = [&] {
+    (void)parallel::mine_parallel(sparse, 3, options);
+  };
+  const auto alone = [](const auto& work) {
+    TraceSession session;
+    work();
+    return masked_json(*session.finish());
+  };
+  const std::string dense_alone = alone(mine_dense);
+  const std::string sparse_alone = alone(mine_sparse);
+
+  std::latch opened(2);
+  std::latch mined(2);
+  const auto traced = [&](const auto& work, std::string& out) {
+    TraceSession session;
+    opened.arrive_and_wait();
+    work();
+    mined.arrive_and_wait();
+    out = masked_json(*session.finish());
+  };
+  std::string dense_traced, sparse_traced;
+  std::thread a([&] { traced(mine_dense, dense_traced); });
+  std::thread b([&] { traced(mine_sparse, sparse_traced); });
+  a.join();
+  b.join();
+  EXPECT_EQ(dense_traced, dense_alone);
+  EXPECT_EQ(sparse_traced, sparse_alone);
+}
+
+// A mine on a thread bound to no session adds nothing to another thread's
+// open session: the session holds exactly the one mine its thread ran.
+TEST_F(ObsTest, UnboundThreadAddsNothingToAnOpenSession) {
+  const auto db = testing::paper_table1();
+  const auto dense = dense_workload();
+  const std::string alone =
+      masked_json(*traced_mine(db, 2, core::Algorithm::kPltConditional));
+
+  TraceSession session;
+  (void)core::mine(db, 2, core::Algorithm::kPltConditional);
+  std::thread([&] {
+    EXPECT_EQ(current_thread_trace(), nullptr);
+    (void)core::mine(dense, kDenseMinsup, core::Algorithm::kPltConditional);
+  }).join();
+  const auto tree = session.finish();
+  const TraceNode* mine = tree->child("mine");
+  ASSERT_NE(mine, nullptr);
+  EXPECT_EQ(mine->count, 1u);
+  EXPECT_EQ(masked_json(*tree), alone);
 }
 
 // The merged tree is identical for 1, 4 and 8 worker threads: every rank is

@@ -304,7 +304,6 @@ TEST(ProjectionPool, ParallelStealsAccountedWithManyWorkers) {
   const auto db = datagen::generate_quest(cfg);
   parallel::ParallelOptions options;
   options.threads = 8;
-  options.steal_chunk = 1;
   const auto result = parallel::mine_parallel(db, 3, options);
   // Counters aggregate across workers; steal count is workload-dependent
   // but the projection counters must be deterministic.

@@ -5,12 +5,15 @@
 // admission-control path must reject with the typed OVERLOADED status
 // rather than queueing silently, and the merged trace tree recorded across
 // all worker threads must stay well-formed with only registered names. A
+// server's threads record into the session it was started in, and only
+// that one, even after the session is gone. A
 // reload that fails under traffic (a broken CRC, a blob in the retired
 // PLT2 layout, a missing file) must leave the current blobs serving.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
+#include <optional>
 #include <random>
 #include <thread>
 
@@ -181,6 +184,29 @@ TEST(ServeConcurrency, ParallelClientsMatchSequentialAnswers) {
   ASSERT_NE(request_span, nullptr);
   EXPECT_EQ(request_span->count, total);
 #endif
+}
+
+// The server's threads share ownership of the session they were started
+// in, so serving on after that session was destroyed records into memory
+// that is still alive (ASan would report a use after free), and a session
+// the test thread opens later holds none of the server's spans.
+TEST(ServeConcurrency, ServerOutlivesItsTraceSession) {
+  std::optional<TestServer> server;
+  {
+    obs::TraceSession session;
+    server.emplace(std::vector<std::string>{write_table1_blob(
+                       2, "outlive_table1.plt")},
+                   /*threads=*/2);
+  }
+  obs::TraceSession later;
+  {
+    QueryClient client(server->port());
+    EXPECT_EQ(client.support(0, std::vector<Rank>{1, 2}), 4u);
+  }
+  server.reset();  // joins every server thread before the session is read
+  const std::shared_ptr<const obs::TraceNode> tree = later.finish();
+  ASSERT_NE(tree, nullptr);
+  EXPECT_EQ(tree->child("serve-request"), nullptr);
 }
 
 TEST(ServeConcurrency, HotSwapUnderTrafficNeverDropsOrCorrupts) {

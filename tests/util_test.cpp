@@ -185,6 +185,24 @@ TEST(Args, ParsesFlagsAndPositionals) {
   EXPECT_EQ(args.get_int("absent", -7), -7);
 }
 
+// A flag named as boolean never takes the next word: the word stays a
+// positional argument, which the strict tools refuse.
+TEST(Args, BooleanFlagsTakeNoValue) {
+  const char* argv[] = {"prog", "--closed", "extra", "--limit", "5",
+                        "--stats=yes"};
+  const char* const bool_flags[] = {"closed", "stats"};
+  const Args args(6, const_cast<char**>(argv), bool_flags);
+  EXPECT_TRUE(args.get_bool("closed", false));
+  EXPECT_TRUE(args.get_bool("stats", false));
+  EXPECT_EQ(args.get_int("limit", 0), 5);
+  ASSERT_EQ(args.positional().size(), 1u);
+  EXPECT_EQ(args.positional()[0], "extra");
+
+  const Args untyped(6, const_cast<char**>(argv));
+  EXPECT_EQ(untyped.get("closed", ""), "extra");
+  EXPECT_TRUE(untyped.positional().empty());
+}
+
 TEST(Log, RespectsLevelThreshold) {
   const LogLevel before = log_level();
   set_log_level(LogLevel::kError);

@@ -1,13 +1,15 @@
 // Structural validation (DESIGN.md S24): a sound PLT passes every
 // paper-invariant check, a corrupted one is rejected with a diagnostic
-// naming the violated invariant, and the PLT_VALIDATE hooks in the
-// parallel / OOC / codec paths run the checks without changing results.
+// naming the violated invariant, the hooks in the parallel / OOC / codec
+// paths run the checks inside a ValidationScope without changing results,
+// and a scope turns the hooks on for its own thread only.
 #include <gtest/gtest.h>
 
 #include "compress/codec.hpp"
 #include "compress/ooc_miner.hpp"
 #include "core/builder.hpp"
 #include "core/miner.hpp"
+#include "core/thread_context.hpp"
 #include "core/validate.hpp"
 #include "datagen/quest.hpp"
 #include "parallel/partition_miner.hpp"
@@ -15,18 +17,12 @@
 #include "util/failpoint.hpp"
 
 #include <filesystem>
+#include <latch>
 #include <limits>
+#include <thread>
 
 namespace plt::core {
 namespace {
-
-/// Enables validation for one scope and always restores "disabled", so no
-/// test leaks the global toggle into its neighbours.
-class ValidationOn {
- public:
-  ValidationOn() { set_validation_enabled(true); }
-  ~ValidationOn() { set_validation_enabled(false); }
-};
 
 tdb::Database quest_db(std::uint64_t seed = 7) {
   datagen::QuestConfig cfg;
@@ -212,27 +208,94 @@ TEST(Validate, TreeNodeCountMustFitThirtyTwoBitIds) {
             std::size_t{std::numeric_limits<TreeView::NodeId>::max()});
 }
 
+// Runs `fn` on a thread of its own, which starts outside every scope
+// whatever the calling thread has open (the test binaries' PLT_VALIDATE
+// scope included).
+template <typename Fn>
+void on_fresh_thread(Fn fn) {
+  std::thread(fn).join();
+}
+
 TEST(Validate, HookRejectsCorruptTreeOnlyWhenEnabled) {
   TreeView tree = table1_tree();
   tree.support(TreeView::kRoot) = 0;
-  const ValidationOn guard;
-  EXPECT_THROW(maybe_validate(tree, "corrupted"), ValidationError);
-  set_validation_enabled(false);
-  EXPECT_NO_THROW(maybe_validate(tree, "corrupted"));
+  {
+    const ValidationScope guard;
+    EXPECT_THROW(maybe_validate(tree, "corrupted"), ValidationError);
+  }
+  on_fresh_thread(
+      [&] { EXPECT_NO_THROW(maybe_validate(tree, "corrupted")); });
 }
 
+// Only a scope turns the hooks on: the library reads no environment
+// variable, and a thread that opened none validates nothing. Scopes nest,
+// and the end of the outermost turns the hooks off.
 TEST(Validate, EnabledToggleOverridesEnv) {
-  set_validation_enabled(true);
-  EXPECT_TRUE(validation_enabled());
-  set_validation_enabled(false);
-  EXPECT_FALSE(validation_enabled());
+  on_fresh_thread([] {
+    EXPECT_FALSE(validation_enabled());
+    {
+      const ValidationScope outer;
+      {
+        const ValidationScope inner;
+        EXPECT_TRUE(validation_enabled());
+      }
+      EXPECT_TRUE(validation_enabled());
+    }
+    EXPECT_FALSE(validation_enabled());
+  });
 }
 
-// --- hook coverage: the mining paths run their validation under the
-// toggle and still produce the reference results ------------------------
+// --- thread isolation: a scope on one thread changes nothing on another.
+
+// While thread B holds a scope open, the hook passes a corrupted tree on
+// thread A, which has none; then B, inside its scope, is the one that
+// throws.
+TEST(ValidationIsolation, OnlyTheScopedThreadThrows) {
+  TreeView tree = table1_tree();
+  tree.support(TreeView::kRoot) = 0;
+  std::latch scope_open(1);
+  std::latch a_checked(1);
+  std::thread b([&] {
+    const ValidationScope guard;
+    scope_open.count_down();
+    a_checked.wait();
+    EXPECT_THROW(maybe_validate(tree, "corrupted"), ValidationError);
+  });
+  on_fresh_thread([&] {
+    scope_open.wait();
+    EXPECT_FALSE(validation_enabled());
+    EXPECT_NO_THROW(maybe_validate(tree, "corrupted"));
+    a_checked.count_down();
+  });
+  b.join();
+}
+
+// What mine_parallel's crew and serve::Server's threads do: a context
+// captured inside a scope turns the hooks on where it is bound, and one
+// captured outside every scope leaves them off.
+TEST(ValidationIsolation, ThreadContextCarriesTheFlag) {
+  TreeView tree = table1_tree();
+  tree.support(TreeView::kRoot) = 0;
+  on_fresh_thread([&] {
+    const ThreadContext plain;
+    const ValidationScope guard;
+    const ThreadContext validating;
+    on_fresh_thread([&] {
+      const BoundContext bound(validating);
+      EXPECT_THROW(maybe_validate(tree, "corrupted"), ValidationError);
+    });
+    on_fresh_thread([&] {
+      const BoundContext bound(plain);
+      EXPECT_NO_THROW(maybe_validate(tree, "corrupted"));
+    });
+  });
+}
+
+// --- hook coverage: the mining paths run their validation inside a scope
+// and still produce the reference results --------------------------------
 
 TEST(Validate, SerialMineValidatesUnderToggle) {
-  const ValidationOn guard;
+  const ValidationScope guard;
   const auto db = quest_db(11);
   const auto result = mine(db, 3, Algorithm::kPltConditional);
   const auto reference = mine(db, 3, Algorithm::kApriori);
@@ -243,7 +306,7 @@ TEST(Validate, SerialMineValidatesUnderToggle) {
 TEST(Validate, ParallelMineValidatesEveryCd) {
   const auto db = quest_db(12);
   const auto reference = mine(db, 3, Algorithm::kPltConditional);
-  const ValidationOn guard;
+  const ValidationScope guard;
   parallel::ParallelOptions options;
   options.threads = 4;
   const auto result = parallel::mine_parallel(db, 3, options);
@@ -252,7 +315,7 @@ TEST(Validate, ParallelMineValidatesEveryCd) {
 }
 
 TEST(Validate, CodecRoundTripValidatesDecodedTree) {
-  const ValidationOn guard;
+  const ValidationScope guard;
   const auto built = build_from_database(quest_db(14), 2);
   const auto blob = compress::encode_plt(built.plt);
   const Plt decoded = compress::decode_plt(blob);
@@ -276,7 +339,7 @@ TEST(Validate, OocResumeValidatesConditionals) {
   const std::string path =
       (std::filesystem::path(::testing::TempDir()) / "validate_resume.pltk")
           .string();
-  const ValidationOn guard;
+  const ValidationScope guard;
   {
     // Crash a few ranks in, leaving a partial checkpoint behind.
     FailpointRegistry::Spec spec;
@@ -312,10 +375,12 @@ TEST(Validate, HookRejectsCorruptionInsteadOfMining) {
   auto built = build_from_database(plt::testing::paper_table1(), 2);
   const Plt::Ref ref = built.plt.bucket(built.plt.max_rank()).front();
   built.plt.entry(ref).sum -= 1;
-  const ValidationOn guard;
-  EXPECT_THROW(maybe_validate(built.plt, "corrupted"), ValidationError);
-  set_validation_enabled(false);
-  EXPECT_NO_THROW(maybe_validate(built.plt, "corrupted"));
+  {
+    const ValidationScope guard;
+    EXPECT_THROW(maybe_validate(built.plt, "corrupted"), ValidationError);
+  }
+  on_fresh_thread(
+      [&] { EXPECT_NO_THROW(maybe_validate(built.plt, "corrupted")); });
 }
 
 }  // namespace

@@ -19,6 +19,7 @@
 // error (exit 2), never silently ignored.
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 
 #include "baselines/charm.hpp"
@@ -69,6 +70,10 @@ const char* const kKnownFlags[] = {
     "minconf", "emit-blob", "stats", "output", "limit",
     "backend", "validate", "trace", "trace-folded"};
 
+// Flags that take no value: the word after one is a positional argument.
+const char* const kBoolFlags[] = {"closed", "closed-native", "maximal",
+                                  "rules",  "stats",         "validate"};
+
 std::optional<core::Algorithm> parse_algorithm(const std::string& name) {
   for (const core::Algorithm algorithm : core::all_algorithms())
     if (name == core::algorithm_name(algorithm)) return algorithm;
@@ -101,7 +106,7 @@ void print_itemsets(const core::FrequentItemsets& itemsets,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args(argc, argv, kBoolFlags);
   if (const std::string key = args.first_unknown(kKnownFlags);
       !key.empty()) {
     std::cerr << "error: unknown flag --" << key << '\n';
@@ -116,11 +121,13 @@ int main(int argc, char** argv) {
   // One session around everything the invocation does (mining, queries,
   // serialization); written on every exit path by the destructor.
   harness::TraceScope trace(args);
-  // --validate wires the PLT_VALIDATE machinery for this run: every PLT the
-  // mine builds or decodes gets the full structural check (DESIGN.md S24),
-  // and a violation aborts with a diagnostic instead of mining garbage.
+  // --validate opens a validation scope for the run: every tree the mine
+  // builds, rebuilds or decodes gets the full structural check (DESIGN.md
+  // S24), and a violation aborts with a diagnostic instead of mining
+  // garbage.
+  std::optional<core::ValidationScope> validation;
   if (args.get_bool("validate", false)) {
-    core::set_validation_enabled(true);
+    validation.emplace();
     std::cerr << "structural validation: enabled\n";
   }
   const std::string format = args.get("output", "text");

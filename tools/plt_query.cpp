@@ -8,11 +8,13 @@
 // the item map belongs to the run that produced the blob). Prints the
 // typed answer to stdout; any server error status or transport failure is
 // a non-zero exit with the diagnostic on stderr. An unknown flag, any
-// positional argument (an unquoted `--ranks 1 2` leaves `2` as one) and a
-// --ranks word that is not a rank are usage errors (exit 2), checked
-// before connecting.
+// positional argument (an unquoted `--ranks 1 2` leaves `2` as one), a
+// --ranks word that is not a rank, and an integer flag whose value is not
+// an integer in its field's range (`--k three`, `--blob 0x`, `--port
+// 70000`) are usage errors (exit 2), checked before connecting.
 #include <charconv>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 
@@ -34,18 +36,40 @@ int usage(const char* argv0) {
 const char* const kKnownFlags[] = {"port", "op",          "blob", "ranks",
                                    "k",    "consequent",  "deadline-ms"};
 
+/// `text` parsed in full as a T, or nothing when it is not a T's value.
+template <typename T>
+std::optional<T> parse_whole(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end) return std::nullopt;
+  return value;
+}
+
 /// The ranks of a --ranks value, or nothing when a word is not a rank.
 std::optional<std::vector<Rank>> parse_ranks(const std::string& text) {
   std::vector<Rank> ranks;
   std::istringstream in(text);
   for (std::string word; in >> word;) {
-    Rank rank = 0;
-    const char* end = word.data() + word.size();
-    const auto [stop, error] = std::from_chars(word.data(), end, rank);
-    if (error != std::errc() || stop != end) return std::nullopt;
-    ranks.push_back(rank);
+    const std::optional<Rank> rank = parse_whole<Rank>(word);
+    if (!rank) return std::nullopt;
+    ranks.push_back(*rank);
   }
   return ranks;
+}
+
+/// The value of integer flag `key` in the range of its field T, or
+/// `fallback` when the flag is absent. A value that is not such an
+/// integer is reported on stderr and clears `ok`.
+template <typename T>
+T integer_flag(const Args& args, const char* key, T fallback, bool& ok) {
+  if (!args.has(key)) return fallback;
+  const std::optional<T> value = parse_whole<T>(args.get(key, ""));
+  if (value) return *value;
+  std::cerr << "error: --" << key << " takes an integer from 0 to "
+            << std::numeric_limits<T>::max() << '\n';
+  ok = false;
+  return fallback;
 }
 
 }  // namespace
@@ -71,10 +95,14 @@ int main(int argc, char** argv) {
   }
   const std::vector<Rank>& ranks = *parsed;
 
-  const auto port = static_cast<std::uint16_t>(args.get_int("port", 0));
-  const auto blob_id = static_cast<std::uint16_t>(args.get_int("blob", 0));
+  bool ok = true;
+  const auto port = integer_flag<std::uint16_t>(args, "port", 0, ok);
+  const auto blob_id = integer_flag<std::uint16_t>(args, "blob", 0, ok);
+  const auto k = integer_flag<std::uint32_t>(args, "k", 10, ok);
+  const auto consequent = integer_flag<Rank>(args, "consequent", 0, ok);
   const auto deadline_ms =
-      static_cast<std::uint32_t>(args.get_int("deadline-ms", 0));
+      integer_flag<std::uint32_t>(args, "deadline-ms", 0, ok);
+  if (!ok) return usage(argv[0]);
   const std::string op = args.get("op", "");
 
   try {
@@ -87,13 +115,10 @@ int main(int argc, char** argv) {
       std::cout << (response.member ? "member" : "absent") << ' '
                 << response.support << '\n';
     } else if (op == "topk") {
-      const auto top = client.top_k(
-          blob_id, static_cast<std::uint32_t>(args.get_int("k", 10)));
+      const auto top = client.top_k(blob_id, k);
       for (const serve::TopEntry& entry : top)
         std::cout << entry.rank << ' ' << entry.support << '\n';
     } else if (op == "rule") {
-      const auto consequent =
-          static_cast<Rank>(args.get_int("consequent", 0));
       if (consequent == 0) return usage(argv[0]);
       const serve::Response response =
           client.rule(blob_id, ranks, consequent);

@@ -68,6 +68,9 @@ const char* const kKnownFlags[] = {
     "timeout-ms", "retries", "launch-prefix", "emit-commands", "limit",
     "backend", "trace", "trace-folded", "worker", "merge"};
 
+// Flags that take no value: the word after one is a positional argument.
+const char* const kBoolFlags[] = {"worker", "merge", "emit-commands"};
+
 // Worker mode reads nothing else: the job directory carries the rest, and
 // a --trace or --backend given here would do nothing.
 const char* const kWorkerFlags[] = {"worker", "dir", "shard"};
@@ -138,7 +141,7 @@ std::vector<std::string> split_words(const std::string& line) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Args args(argc, argv);
+  const Args args(argc, argv, kBoolFlags);
   const bool worker = args.get_bool("worker", false);
   const bool merge = !worker && args.get_bool("merge", false);
   if (const std::string key = worker  ? args.first_unknown(kWorkerFlags)
